@@ -5,6 +5,14 @@ operation appends a node to an implicit computation graph. Backward
 functions are themselves written with Tensor ops, so gradients of
 gradients (needed for the critic's gradient penalty) come for free via
 ``grad(..., create_graph=True)``.
+
+``grad`` leaves the graph intact, so it can be walked again (the
+gradient penalty differentiates through the graph it was computed
+from). ``backward`` consumes the graph: it sets ``.grad`` on leaves only
+(interior nodes keep ``.grad`` None) and unlinks each node as soon as
+its VJP has run, so activations are freed during the walk rather than
+when the cyclic garbage collector next runs. Walking a consumed graph
+again raises GraphError.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ def no_grad():
 
 
 class GraphError(RuntimeError):
-    """Raised when backward() is called on a value with no recorded graph."""
+    """Raised when a value has no recorded graph, or backward() consumed it."""
 
 
 class Tensor:
@@ -329,38 +337,6 @@ def crop_len(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[:, start:stop].copy(), (a,), vjp)
 
 
-def unfold1d(a: Tensor, k: int, stride: int, pl: int, pr: int) -> Tensor:
-    """[n, L, c] -> [n, Lout, k, c] patches of a zero-padded signal."""
-    n, L, c = a.shape
-    Lp = L + pl + pr
-    Lout = (Lp - k) // stride + 1
-    xp = np.zeros((n, Lp, c), dtype=DTYPE)
-    xp[:, pl : pl + L] = a.data
-    out = np.empty((n, Lout, k, c), dtype=DTYPE)
-    span = stride * (Lout - 1) + 1
-    for j in range(k):
-        out[:, :, j, :] = xp[:, j : j + span : stride, :]
-
-    def vjp(g):
-        return (fold1d(g, L, stride, pl, pr),)
-
-    return _make(out, (a,), vjp)
-
-
-def fold1d(p: Tensor, out_len: int, stride: int, pl: int, pr: int) -> Tensor:
-    """Adjoint of unfold1d: scatter-add [n, Lf, k, c] patches back to [n, out_len, c]."""
-    n, Lf, k, c = p.shape
-    acc = np.zeros((n, out_len + pl + pr, c), dtype=DTYPE)
-    span = stride * (Lf - 1) + 1
-    for j in range(k):
-        acc[:, j : j + span : stride, :] += p.data[:, :, j, :]
-
-    def vjp(g):
-        return (unfold1d(g, k, stride, pl, pr),)
-
-    return _make(acc[:, pl : pl + out_len].copy(), (p,), vjp)
-
-
 def take_len(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather along axis 1 with per-(sample, channel) indices [n, L', c]."""
     n, L, c = a.shape
@@ -382,6 +358,126 @@ def scatter_len(g: Tensor, idx: np.ndarray, out_len: int) -> Tensor:
         return (take_len(gg, idx),)
 
     return _make(acc, (g,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# strided convolution along the length axis
+#
+# The three ops below share one index map: output sample o of a stride-s
+# convolution meets input sample o*s + j - pl through kernel tap j, with
+# zeros outside the input. Reading the zero-padded input as rows of s
+# samples (polyphase form) and the kernel as T = ceil(k/s) groups of s
+# taps (the last group may be short) turns each op into T matmuls over
+# contiguous row slices, accumulated in place. Each op is bilinear and
+# its VJPs are the other two ops, so gradients of gradients come for free.
+
+
+def _polyphase(x: np.ndarray, stride: int, pl: int, rows: int) -> np.ndarray:
+    """[n, L, c] delayed by pl and zero-padded or cut to rows*stride
+    samples, as an [n*rows, stride*c] matrix."""
+    n, L, c = x.shape
+    xp = np.zeros((n, rows * stride, c), dtype=DTYPE)
+    m = min(L, rows * stride - pl)
+    xp[:, pl : pl + m] = x[:, :m]
+    return xp.reshape(n * rows, stride * c)
+
+
+def _tap_groups(k: int, stride: int) -> list[tuple[int, slice]]:
+    """(group t, kernel taps of group t) for the T = ceil(k/stride) groups."""
+    return [(t, slice(t * stride, min(k, (t + 1) * stride))) for t in range(-(-k // stride))]
+
+
+def _swap_channels(w: Tensor) -> Tensor:
+    return transpose(w, (0, 2, 1))
+
+
+def _with_bias(x: Tensor, w: Tensor, b: Tensor | None, y: np.ndarray, vjp) -> Tensor:
+    if b is None:
+        return _make(y, (x, w), vjp)
+    y += b.data
+
+    def vjp_b(g):
+        return (*vjp(g), _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(y, (x, w, b), vjp_b)
+
+
+def conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_len: int) -> Tensor:
+    """y[:, o] = sum_j x[:, o*stride + j - pl] @ w[j] (+ b).
+
+    x [n, L, ci], w [k, ci, co] -> [n, out_len, co].
+    """
+    n, L, _ = x.shape
+    k, _, co = w.shape
+    groups = _tap_groups(k, stride)
+    # one matrix over the whole batch: the rows past out_len in each sample
+    # absorb the taps that reach into the next sample, and are dropped
+    rows = out_len + len(groups) - 1
+    R = n * rows - len(groups) + 1
+    xf = _polyphase(x.data, stride, pl, rows)
+    acc = np.zeros((n * rows, co), dtype=DTYPE)
+    for t, taps in groups:
+        wt = w.data[taps].reshape(-1, co)
+        acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
+    y = acc.reshape(n, rows, co)[:, :out_len].copy()
+
+    def vjp(g):
+        gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if x.requires_grad else None
+        gw = kernel_corr_len(x, g, stride, pl, k) if w.requires_grad else None
+        return gx, gw
+
+    return _with_bias(x, w, b, y, vjp)
+
+
+def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_len: int) -> Tensor:
+    """Adjoint of conv_len in its input: y[:, o*stride + j - pl] += x[:, o] @ w[j] (+ b).
+
+    x [n, L, ci], w [k, ci, co] -> [n, out_len, co].
+    """
+    n, L, ci = x.shape
+    k, _, co = w.shape
+    groups = _tap_groups(k, stride)
+    rows = max(L + len(groups) - 1, -(-(pl + out_len) // stride))
+    acc = np.zeros((n, rows, stride * co), dtype=DTYPE)
+    x2 = x.data.reshape(n * L, ci)
+    for t, taps in groups:
+        wt = w.data[taps].transpose(1, 0, 2).reshape(ci, -1)
+        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, -1)
+    y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
+
+    def vjp(g):
+        gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if x.requires_grad else None
+        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if w.requires_grad else None
+        return gx, gw
+
+    return _with_bias(x, w, b, y, vjp)
+
+
+def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tensor:
+    """Kernel gradient of conv_len: out[j] = sum_{n, o} a[:, o*stride + j - pl]^T g[:, o].
+
+    a [n, La, ca], g [n, Lg, cg] -> [k, ca, cg].
+    """
+    n, La, ca = a.shape
+    _, Lg, cg = g.shape
+    groups = _tap_groups(k, stride)
+    # as in conv_len, but the zero rows appended to each sample of g cancel
+    # the taps that reach into the next sample
+    rows = Lg + len(groups) - 1
+    R = n * rows - len(groups) + 1
+    af = _polyphase(a.data, stride, pl, rows)
+    gf = _polyphase(g.data, 1, 0, rows)
+    out = np.empty((k, ca, cg), dtype=DTYPE)
+    for t, taps in groups:
+        ot = out[taps].reshape(-1, cg)
+        np.matmul(af[t : t + R, : ot.shape[0]].T, gf[:R], out=ot)
+
+    def vjp(gk):
+        ga = trans_conv_len(g, _swap_channels(gk), None, stride, pl, La) if a.requires_grad else None
+        gg = conv_len(a, gk, None, stride, pl, Lg) if g.requires_grad else None
+        return ga, gg
+
+    return _make(out, (a, g), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +527,10 @@ def fold2d(p: Tensor, out_hw: tuple[int, int], stride: int, pads: tuple[int, int
 # graph traversal
 
 
+def _consumed(g):
+    raise GraphError("graph already consumed by backward(); run the forward pass again")
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -450,6 +550,43 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _reverse_walk(
+    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
+) -> dict[int, tuple[Tensor, Tensor]]:
+    """Push `cotangent` from `root` back through its recorded graph.
+
+    Returns {id: (tensor, cotangent)} for every leaf reached and for every
+    interior tensor whose id is in `keep`. With release=True each node
+    drops its VJP and parent links as it is walked, so activations are
+    freed during the walk and a second walk raises GraphError.
+    """
+    pending: dict[int, tuple[Tensor, Tensor]] = {id(root): (root, cotangent)}
+    order = _topo_order(root)
+
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = create_graph
+    try:
+        while order:
+            node = order.pop()
+            # every consumer of `node` has run, so its cotangent is complete
+            hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
+            vjp, parents = node._vjp, node._parents
+            if release and vjp is not None:
+                node._vjp, node._parents = _consumed, ()
+            if hit is None or vjp is None:
+                continue
+            for p, pg in zip(parents, vjp(hit[1])):
+                if pg is None or not p.requires_grad:
+                    continue
+                prev_hit = pending.get(id(p))
+                pending[id(p)] = (p, pg if prev_hit is None else add(prev_hit[1], pg))
+    finally:
+        _grad_enabled = prev
+    # leaves are never in `order`, so they and the kept nodes are what is left
+    return pending
+
+
 def grad(
     output: Tensor,
     wrt: Iterable[Tensor],
@@ -458,70 +595,29 @@ def grad(
 ) -> list[Tensor]:
     """Gradients of `output` with respect to each tensor in `wrt`.
 
-    With create_graph=True the returned gradients are themselves graph
-    nodes and can be differentiated again.
+    The graph is left intact. With create_graph=True the returned
+    gradients are themselves graph nodes and can be differentiated again.
     """
     wrt = list(wrt)
-    wrt_ids = {id(t) for t in wrt}
     if output._vjp is None and not output.requires_grad:
         raise GraphError("output is not part of a recorded computation")
     if cotangent is None:
         cotangent = Tensor(np.ones_like(output.data))
-    cotangents: dict[int, Tensor] = {id(output): cotangent}
-
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = create_graph
-    try:
-        for node in reversed(_topo_order(output)):
-            if node._vjp is None:
-                continue
-            g = cotangents.pop(id(node), None)
-            if g is None:
-                continue
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                prev_g = cotangents.get(id(p))
-                cotangents[id(p)] = pg if prev_g is None else add(prev_g, pg)
-            if id(node) in wrt_ids:
-                cotangents[id(node)] = g
-    finally:
-        _grad_enabled = prev
-
-    out: list[Tensor] = []
-    for t in wrt:
-        g = cotangents.get(id(t))
-        if g is None:
-            g = Tensor(np.zeros_like(t.data))
-        out.append(g)
-    return out
+    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False)
+    return [hits[id(t)][1] if id(t) in hits else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` (as numpy arrays) on every reachable tensor."""
+    """Accumulate d(loss)/d(leaf) into `.grad` (numpy) of every leaf reached.
+
+    Consumes the graph: interior nodes keep `.grad` None and lose their
+    links as they are walked, so the graph is freed by the time this
+    returns and cannot be walked again.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     if loss._vjp is None:
         raise GraphError("loss is not part of a recorded computation")
-    cotangents: dict[int, Tensor] = {id(loss): Tensor(np.ones_like(loss.data))}
-    leaves: dict[int, Tensor] = {}
-    with no_grad():
-        for node in reversed(_topo_order(loss)):
-            g = cotangents.pop(id(node), None)
-            if g is None:
-                continue
-            node.grad = g.data.copy() if node.grad is None else node.grad + g.data
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                if p._vjp is None:
-                    leaves[id(p)] = p
-                prev_g = cotangents.get(id(p))
-                cotangents[id(p)] = pg if prev_g is None else add(prev_g, pg)
-    for tid, p in leaves.items():
-        g = cotangents.get(tid)
-        if g is not None:
-            p.grad = g.data.copy() if p.grad is None else p.grad + g.data
+    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True)
+    for leaf, g in hits.values():
+        leaf.grad = g.data.copy() if leaf.grad is None else leaf.grad + g.data

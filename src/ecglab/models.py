@@ -244,8 +244,11 @@ class Network:
                 raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
         for param, stats in self.running.items():
-            stats["mean"] = np.asarray(state[f"{param}.running_mean"], dtype=np.float64).copy()
-            stats["var"] = np.asarray(state[f"{param}.running_var"], dtype=np.float64).copy()
+            for stat in ("mean", "var"):
+                key = f"{param}.running_{stat}"
+                if key not in state:
+                    raise ValueError(f"checkpoint is missing batch-norm statistic {key!r}")
+                stats[stat] = np.asarray(state[key], dtype=np.float64).copy()
 
 
 def build(

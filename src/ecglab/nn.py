@@ -4,6 +4,17 @@ Convolutions use SAME-style padding: strided convs emit ceil(L/stride)
 samples, transposed convs emit exactly L*stride, and the zero padding is
 split evenly with the extra sample on the right. These are the only
 conventions that reproduce the architecture tables' output shapes.
+
+``conv1d`` and ``trans_conv1d`` are one graph node each
+(``autodiff.conv_len`` / ``trans_conv_len``), computed in polyphase
+form: the zero-padded signal is read as rows of ``stride`` samples, the
+kernel as T = ceil(k/stride) groups of ``stride`` taps (7 groups for the
+25-tap stride-4 stages, the last holding a single tap), and the output
+is T accumulated matmuls over contiguous row slices, one per group.
+There is no im2col buffer. The input VJP of each is the other with the kernel's
+channel axes swapped (carrying the conv's own left pad and input length
+when L is not a multiple of the stride), and the kernel VJP is one
+per-tap correlation.
 """
 
 from __future__ import annotations
@@ -12,10 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-# inference-only batch chunking kicks in above this im2col buffer size
-_CHUNK_BYTES = 3 * 10**8
-
 
 def same_pads_1d(length: int, k: int, stride: int) -> tuple[int, int, int]:
     out_len = -(-length // stride)
@@ -26,30 +33,12 @@ def same_pads_1d(length: int, k: int, stride: int) -> tuple[int, int, int]:
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
     """Cross-correlation of [n, L, c_in] with kernel [k, c_in, c_out]."""
-    n, L, ci = x.shape
-    k, wci, co = w.shape
+    _, L, ci = x.shape
+    k, wci, _ = w.shape
     if wci != ci:
         raise ValueError(f"conv1d channel mismatch: input {ci}, kernel {wci}")
-    out_len, pl, pr = same_pads_1d(L, k, stride)
-
-    recording = ad._grad_enabled and (x.requires_grad or w.requires_grad)
-    if not recording and n > 1:
-        est = n * out_len * k * ci * 8
-        if est > _CHUNK_BYTES:
-            step = max(1, n // -(-est // _CHUNK_BYTES))
-            parts = [
-                conv1d(Tensor(x.data[i : i + step]), w, b, stride).data
-                for i in range(0, n, step)
-            ]
-            return Tensor(np.concatenate(parts, axis=0))
-
-    patches = ad.unfold1d(x, k, stride, pl, pr)
-    flat = ad.reshape(patches, (n * out_len, k * ci))
-    out = ad.matmul(flat, ad.reshape(w, (k * ci, co)))
-    out = ad.reshape(out, (n, out_len, co))
-    if b is not None:
-        out = ad.add(out, b)
-    return out
+    out_len, pl, _ = same_pads_1d(L, k, stride)
+    return ad.conv_len(x, w, b, stride, pl, out_len)
 
 
 def trans_conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
@@ -59,23 +48,13 @@ def trans_conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
     kernel's channel axes swapped), which makes <conv(x, w), y> equal
     <x, trans_conv(y, w_swapped)>.
     """
-    n, L, ci = x.shape
-    k, wci, co = w.shape
+    _, L, ci = x.shape
+    k, wci, _ = w.shape
     if wci != ci:
         raise ValueError(f"trans_conv1d channel mismatch: input {ci}, kernel {wci}")
     if k < stride:
         raise ValueError("trans_conv1d requires kernel size >= stride")
-    total = k - stride
-    pl = total // 2
-    pr = total - pl
-
-    w_t = ad.reshape(ad.transpose(w, (1, 0, 2)), (ci, k * co))
-    z = ad.matmul(ad.reshape(x, (n * L, ci)), w_t)
-    p = ad.reshape(z, (n, L, k, co))
-    out = ad.fold1d(p, L * stride, stride, pl, pr)
-    if b is not None:
-        out = ad.add(out, b)
-    return out
+    return ad.trans_conv_len(x, w, b, stride, (k - stride) // 2, L * stride)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:

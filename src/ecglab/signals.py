@@ -43,6 +43,13 @@ class LabelMismatch(ContainerError):
     pass
 
 
+def _require_finite(records: np.ndarray) -> None:
+    """Raise ContainerError naming the first record ([n, ...]) with a NaN or inf."""
+    bad = ~np.isfinite(records).all(axis=tuple(range(1, records.ndim)))
+    if bad.any():
+        raise ContainerError(f"record {int(np.argmax(bad))} holds a non-finite sample")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Fixed-length sampled waveform, nominally scaled to [-1, 1]."""
@@ -160,6 +167,7 @@ def read_dataset(path: str | Path, format: str = "raw-f32", sample_rate_hz: floa
             f"but payload holds {(len(blob) - off) // (length * 4) if length else 0}"
         )
     samples = np.frombuffer(blob, dtype="<f4", count=n * length, offset=off)
+    _require_finite(samples.reshape(n, length))
     off += sample_bytes
     if len(blob) < off + n * LABEL_COUNT:
         raise LabelMismatch(
@@ -207,6 +215,7 @@ def read_pairs(path: str | Path) -> list[SignalPair]:
         raise TruncatedPayload(f"expected {need} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", count=n * length * 2, offset=_HEADER.size)
     rec = flat.reshape(n, 2, length) if n else flat.reshape(0, 2, 0)
+    _require_finite(rec)
     return [
         SignalPair(
             Signal(rec[i, 0].astype(np.float64), rate),
@@ -230,6 +239,8 @@ def _read_csv_dataset(path: Path, sample_rate_hz: float) -> LabeledDataset:
     ]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ContainerError("csv rows have inconsistent lengths")
+    if rows:
+        _require_finite(np.stack(rows))
     sigs = tuple(Signal(r, sample_rate_hz) for r in rows)
     label_path = path.with_name(path.name + ".labels")
     if label_path.exists():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,98 @@ def test_composed_network_gradient_matches_fd():
                    "w2": Tensor(w2, requires_grad=True), "wd": Tensor(wd, requires_grad=True)}
         ad.backward(forward(tensors["x"], tensors["w1"], tensors["w2"], tensors["wd"]))
         assert rel_err(tensors[target].grad, numeric_grad(loss, arr)) < 1e-4, target
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (nn.conv1d, (2, 30, 2), (25, 2, 3)),        # 30 % 4 != 0: uneven SAME pads
+    (nn.trans_conv1d, (2, 7, 3), (25, 3, 2)),
+])
+def test_paper_kernel_gradients_match_fd(op, x_shape, w_shape):
+    """k=25, stride 4: input, weight and bias gradients against finite differences."""
+    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.3,
+              "b": rng.normal(size=w_shape[2])}
+    probe = rng.normal(size=op(Tensor(arrays["x"]), Tensor(arrays["w"]), None, 4).shape)
+
+    def loss(target, v):
+        args = dict(arrays, **{target: v})
+        with ad.no_grad():
+            out = op(Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), 4)
+        return float(np.sum(out.data * probe))
+
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    out = op(tensors["x"], tensors["w"], tensors["b"], 4)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(probe))))
+    for target, arr in arrays.items():
+        fd = numeric_grad(lambda v: loss(target, v), arr)
+        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+
+
+def test_kernel_corr_gradients_match_fd():
+    """The kernel-gradient op's own VJPs, used when a weight gradient is
+    differentiated again."""
+    arrays = {"a": rng.normal(size=(2, 30, 2)), "g": rng.normal(size=(2, 8, 3))}
+    probe = rng.normal(size=(25, 2, 3))
+
+    def loss(target, v):
+        args = dict(arrays, **{target: v})
+        out = ad.kernel_corr_len(Tensor(args["a"]), Tensor(args["g"]), 4, 11, 25)
+        return float(np.sum(out.data * probe))
+
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    out = ad.kernel_corr_len(tensors["a"], tensors["g"], 4, 11, 25)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(probe))))
+    for target, arr in arrays.items():
+        fd = numeric_grad(lambda v: loss(target, v), arr)
+        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+
+
+# ---------------------------------------------------------------------------
+# graph release
+
+
+def _tiny_graph():
+    x = Tensor(rng.normal(size=(2, 9, 1)))
+    w = Tensor(rng.normal(size=(3, 1, 2)), requires_grad=True)
+    h = ad.tanh(nn.conv1d(x, w, None, 2))  # tanh's VJP captures its own output
+    return w, h, ad.sum_(ad.mul(h, h))
+
+
+def test_backward_frees_graph_without_gc():
+    gc.disable()
+    try:
+        w, h, loss = _tiny_graph()
+        alive = weakref.ref(h.data)
+        del h
+        ad.backward(loss)
+        del loss
+        assert alive() is None
+        assert w.grad is not None
+    finally:
+        gc.enable()
+
+
+def test_backward_sets_grad_on_leaves_only():
+    w, h, loss = _tiny_graph()
+    ad.backward(loss)
+    assert w.grad is not None
+    assert h.grad is None and loss.grad is None
+
+
+def test_second_backward_raises_graph_error():
+    _, _, loss = _tiny_graph()
+    ad.backward(loss)
+    with pytest.raises(ad.GraphError, match="consumed") as err:
+        ad.backward(loss)
+    assert "\n" not in str(err.value)
+
+
+def test_grad_keeps_graph():
+    w, _, loss = _tiny_graph()
+    (g1,) = ad.grad(loss, [w])
+    (g2,) = ad.grad(loss, [w])
+    ad.backward(loss)
+    assert np.array_equal(g1.data, g2.data)
+    assert np.array_equal(w.grad, g1.data)
 
 
 # ---------------------------------------------------------------------------

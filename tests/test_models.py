@@ -197,6 +197,14 @@ def test_state_dict_round_trip():
         assert np.array_equal(other.params[k].data, p.data)
 
 
+def test_load_state_dict_missing_running_stats_names_key():
+    net = models.build("generator", d=1, z_len=4, signal_length=128, seed=0)
+    state = net.state_dict()
+    del state["bn1.running_var"]
+    with pytest.raises(ValueError, match="bn1.running_var"):
+        net.load_state_dict(state)
+
+
 def test_layer_spec_validation():
     with pytest.raises(ValueError):
         models.LayerSpec("conv1d", kernel=(25, 1, 1))  # missing stride

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ecglab.signals import (
     BadMagic,
+    ContainerError,
     LabeledDataset,
     LabelMismatch,
     Signal,
@@ -177,6 +178,22 @@ def test_pairs_magic_distinct_from_dataset(tmp_path):
     write_dataset(ds, path)
     with pytest.raises(BadMagic):
         read_pairs(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_readers_reject_non_finite_samples(tmp_path, bad):
+    clean = [sig(np.zeros(8)) for _ in range(3)]
+    noisy = [sig(np.zeros(8)), sig(np.zeros(8)), sig(np.r_[np.zeros(7), bad])]
+    write_pairs([SignalPair(c, n) for c, n in zip(clean, noisy)], tmp_path / "p.ecg2")
+    with pytest.raises(ContainerError, match="record 2"):
+        read_pairs(tmp_path / "p.ecg2")
+    ds = LabeledDataset((clean[0], noisy[2]), np.zeros((2, 5), dtype=np.uint8))
+    write_dataset(ds, tmp_path / "d.ecgd")
+    with pytest.raises(ContainerError, match="record 1"):
+        read_dataset(tmp_path / "d.ecgd")
+    write_csv_dataset(ds, tmp_path / "d.csv")
+    with pytest.raises(ContainerError, match="record 1"):
+        read_dataset(tmp_path / "d.csv", format="csv")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecglab import autodiff as ad
-from ecglab import models, training
+from ecglab import models, nn, training
 from ecglab.autodiff import Tensor
 from ecglab.signals import LabeledDataset, Signal, SignalPair
 from ecglab.training import (
@@ -66,6 +66,90 @@ def test_gradient_penalty_positive_for_scaled_critic():
     real = rng.normal(size=(6, 32, 1))
     fake = rng.normal(size=(6, 32, 1))
     assert abs(gradient_penalty(critic, real, fake, rng).item() - 4.0) < 1e-8
+
+
+class SmoothCritic:
+    """conv -> tanh -> trans_conv -> tanh -> conv -> dense at k=25, stride 4.
+
+    Unlike the leaky-ReLU critic its input Hessian is not zero, so the
+    penalty's input gradient exercises the conv VJPs' own VJPs.
+    """
+
+    def __init__(self, length=30):
+        g = np.random.default_rng(6)
+        self.params = {
+            "w1": Tensor(g.normal(size=(25, 1, 2)) * 0.4, requires_grad=True),
+            "b1": Tensor(g.normal(size=2) * 0.4, requires_grad=True),
+            "w2": Tensor(g.normal(size=(25, 2, 3)) * 0.4, requires_grad=True),
+            "b2": Tensor(g.normal(size=3) * 0.4, requires_grad=True),
+            "w3": Tensor(g.normal(size=(25, 3, 2)) * 0.4, requires_grad=True),
+            "wd": Tensor(g.normal(size=(2 * -(-length // 4), 1)), requires_grad=True),
+        }
+
+    def forward(self, x, mode="train", rng=None):
+        p = self.params
+        h = ad.tanh(nn.conv1d(x, p["w1"], p["b1"], 4))
+        h = ad.tanh(nn.trans_conv1d(h, p["w2"], p["b2"], 4))
+        h = nn.conv1d(nn.crop_center(h, x.shape[1]), p["w3"], None, 4)
+        return nn.dense(ad.reshape(h, (h.shape[0], -1)), p["wd"], None)
+
+
+def _directional_fd(f, x, direction, eps=1e-6):
+    return (f(x + eps * direction) - f(x - eps * direction)) / (2 * eps)
+
+
+@pytest.mark.parametrize("critic,length", [
+    # 150 -> 38 -> 10 -> 3 -> 1 -> 1: every stage has uneven SAME pads
+    (models.build("critic", d=1, signal_length=150, seed=3), 150),
+    (SmoothCritic(30), 30),
+], ids=["critic", "smooth"])
+def test_gradient_penalty_param_gradient_matches_fd(critic, length):
+    """d GP / d theta: second order through grad(create_graph=True)."""
+    data = np.random.default_rng(4)
+    real = data.normal(size=(3, length, 1))
+    fake = data.normal(size=(3, length, 1))
+
+    def gp_value():
+        return gradient_penalty(critic, real, fake, np.random.default_rng(9))
+
+    for p in critic.params.values():
+        p.grad = None
+    ad.backward(gp_value())
+    for name, p in critic.params.items():
+        # unreached parameters (biases of a piecewise-linear critic) have zero gradient
+        analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        base = p.data
+        for _ in range(2):
+            v = data.normal(size=base.shape)
+
+            def f(arr):
+                p.data = arr
+                return gp_value().item()
+
+            fd = _directional_fd(f, base, v)
+            p.data = base
+            assert abs(fd - np.sum(analytic * v)) < 1e-6 * max(1.0, abs(fd)), name
+
+
+def test_gradient_penalty_input_gradient_matches_fd():
+    """d GP / d x at the interpolate, through the critic's input Hessian."""
+    critic = SmoothCritic(30)
+    data = np.random.default_rng(5)
+    x0 = data.normal(size=(3, 30, 1))
+
+    def penalty(x):
+        score = critic.forward(x)
+        (gx,) = ad.grad(ad.sum_(score), [x], create_graph=True)
+        norms = ad.sqrt(ad.sum_(ad.mul(gx, gx), axis=(1, 2)))
+        return ad.mean_(ad.pow_const(ad.sub(norms, Tensor(1.0)), 2))
+
+    x = Tensor(x0, requires_grad=True)
+    ad.backward(penalty(x))
+    assert np.abs(x.grad).max() > 1e-3
+    for _ in range(3):
+        v = data.normal(size=x0.shape)
+        fd = _directional_fd(lambda a: penalty(Tensor(a, requires_grad=True)).item(), x0, v)
+        assert abs(fd - np.sum(x.grad * v)) < 1e-6 * max(1.0, abs(fd))
 
 
 # ---------------------------------------------------------------------------
