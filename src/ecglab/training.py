@@ -108,8 +108,26 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 
 
+class DivergenceError(RuntimeError):
+    """A training loss became NaN or inf."""
+
+
 def _signals_to_array(signals: list[Signal]) -> np.ndarray:
     return np.stack([s.samples for s in signals])[:, :, None]
+
+
+def _require_finite(records, what: str) -> None:
+    """ValueError naming the first record (array) that holds NaN or inf."""
+    for i, rec in enumerate(records):
+        if not np.isfinite(rec).all():
+            raise ValueError(f"{what} {i} holds NaN or inf")
+
+
+def _finite_loss(loss: Tensor, step: int, kind: str) -> float:
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(f"{kind} loss is {value} at step {step}")
+    return value
 
 
 def gradient_penalty(
@@ -161,6 +179,7 @@ def train_gan(
 
     rng = np.random.default_rng(seed)
     data = _signals_to_array(real)
+    _require_finite(data, "training signal")
     n_val = int(round(cfg.val_fraction * len(real)))
     perm = rng.permutation(len(real))
     val_data = data[perm[:n_val]]
@@ -204,12 +223,12 @@ def train_gan(
             gp = gradient_penalty(critic, real_batch, fake_batch, rng)
             w_est = ad.sub(ad.mean_(c_real), ad.mean_(c_fake))
             loss_c = ad.add(ad.neg(w_est), ad.mul(Tensor(cfg.gp_lambda), gp))
+            step += 1
+            critic_loss = _finite_loss(loss_c, step, "critic")
             ad.backward(loss_c)
             adam_step(critic.params, collect_grads(critic.params), opt_c)
-
-            step += 1
             log.add(step=step, kind="critic", epoch=epoch,
-                    critic_loss=loss_c.item(), wasserstein_estimate=w_est.item(),
+                    critic_loss=critic_loss, wasserstein_estimate=w_est.item(),
                     gp_term=gp.item())
 
             if epoch > epoch_seen:
@@ -226,10 +245,11 @@ def train_gan(
         zero_grads(critic.params)
         fake = generator.forward(z, mode="train", rng=rng)
         loss_g = ad.neg(ad.mean_(critic.forward(fake, mode="train", rng=rng)))
+        step += 1
+        generator_loss = _finite_loss(loss_g, step, "generator")
         ad.backward(loss_g)
         adam_step(generator.params, collect_grads(generator.params), opt_g)
-        step += 1
-        log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=loss_g.item())
+        log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
 
     if best_gen_state is not None:
         generator.load_state_dict(best_gen_state)
@@ -297,6 +317,9 @@ def train_inception(
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
+    _require_finite((s.samples for s in ds.signals), "training signal")
+    if val is not None:
+        _require_finite((s.samples for s in val.signals), "validation signal")
     rng = np.random.default_rng(seed)
     x = _spectrogram_batch(ds)
     y = ds.labels.astype(np.float64)
@@ -330,10 +353,11 @@ def train_inception(
             # classifier applies batch norm statistics in train mode only
             logits = net.forward(Tensor(x[idx]), mode="train", stop_at="sigmoid")
             loss = bce_with_logits(logits, y[idx])
+            step += 1
+            value = _finite_loss(loss, step, "classifier")
             ad.backward(loss)
             adam_step(net.params, collect_grads(net.params), opt)
-            step += 1
-            log.add(step=step, kind="classifier", epoch=epoch, loss=loss.item())
+            log.add(step=step, kind="classifier", epoch=epoch, loss=value)
         with ad.no_grad():
             val_logits = net.forward(Tensor(xv), mode="infer", stop_at="sigmoid")
         val_loss = float(_bce_numpy(val_logits.data, yv))
@@ -390,6 +414,7 @@ def train_denoiser(
 
     noisy = _signals_to_array([p.noisy for p in pairs])
     clean = _signals_to_array([p.clean for p in pairs])
+    _require_finite(np.concatenate([noisy, clean], axis=2), "training pair")
     if val_pairs is None:
         n_val = int(round(cfg.val_fraction * len(pairs)))
         perm = rng.permutation(len(pairs))
@@ -401,6 +426,7 @@ def train_denoiser(
     else:
         noisy_v = _signals_to_array([p.noisy for p in val_pairs])
         clean_v = _signals_to_array([p.clean for p in val_pairs])
+        _require_finite(np.concatenate([noisy_v, clean_v], axis=2), "validation pair")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
     net = models.build("denoiser", d=cfg.d, signal_length=length, seed=seed,
@@ -426,10 +452,11 @@ def train_denoiser(
             zero_grads(net.params)
             out = net.forward(Tensor(noisy[idx]), mode="train", rng=rng)
             loss = mse_loss(out, clean[idx])
+            step += 1
+            value = _finite_loss(loss, step, "denoiser")
             ad.backward(loss)
             adam_step(net.params, collect_grads(net.params), opt)
-            step += 1
-            log.add(step=step, kind="denoiser", epoch=epoch, loss=loss.item())
+            log.add(step=step, kind="denoiser", epoch=epoch, loss=value)
         val_loss = _denoiser_val_loss(net, noisy_v, clean_v)
         log.add(step=step, kind="validation", epoch=epoch, val_loss=val_loss)
         if val_loss < best_val:

@@ -107,6 +107,16 @@ def test_bandpass_zero_in_zero_out():
     assert np.array_equal(out.samples, np.zeros(2048))
 
 
+def test_bandpass_keeps_clean_ecg(ecg_60bpm):
+    # unit-scaled ECGs have a large mean; a filter that drops it would
+    # score worse than no filtering at all
+    pair = synth.make_training_pairs([ecg_60bpm], gamma=1.0, seed=0)[0]
+    noise_mse = np.mean((pair.noisy.samples - ecg_60bpm.samples) ** 2)
+    out = bandpass_filter(ecg_60bpm).samples
+    assert np.mean((out - ecg_60bpm.samples) ** 2) < 0.01 * noise_mse
+    assert abs(out.mean() - ecg_60bpm.samples.mean()) < 1e-12
+
+
 def test_bandpass_linear():
     a = Signal(rng.normal(size=2000), 500.0)
     b = Signal(rng.normal(size=2000), 500.0)

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecglab import dsp, synth
-from ecglab.signals import Signal
+from ecglab.signals import Signal, scale_to_unit
 from ecglab.synth import (
     McSharryParams,
     NoiseParams,
@@ -72,6 +74,57 @@ def test_mcsharry_batch_matches_single():
     single = mcsharry_generate(p)
     batched = synth.mcsharry_batch([p, McSharryParams(heart_rate_bpm=60, duration_s=2.0)])
     assert np.array_equal(single.samples, batched[0].samples)
+
+
+def _rk4_reference(params: list[McSharryParams]) -> np.ndarray:
+    """Plain fixed-step RK4 of the full (x, y, z) system, one step per sample."""
+    fs = params[0].sample_rate_hz
+    n = int(round(params[0].duration_s * fs))
+    dt = 1.0 / fs
+    omega = np.array([2.0 * np.pi * p.heart_rate_bpm / 60.0 for p in params])
+    coupling = np.array([p.baseline_coupling for p in params])
+    ai = np.array([p.pqrst_amplitudes for p in params])
+    bi = np.array([p.pqrst_widths for p in params])
+    thetai = np.array([p.pqrst_angles for p in params])
+
+    def deriv(state, t):
+        x, y, z = state
+        alpha = 1.0 - np.hypot(x, y)
+        dtheta = np.mod(np.arctan2(y, x)[:, None] - thetai + np.pi, 2.0 * np.pi) - np.pi
+        z0 = synth.RESP_AMP * np.sin(2.0 * np.pi * synth.RESP_FREQ_HZ * t)
+        dz = -np.sum(ai * dtheta * np.exp(-0.5 * (dtheta / bi) ** 2), axis=1) - coupling * (z - z0)
+        return np.stack([alpha * x - omega * y, alpha * y + omega * x, dz])
+
+    state = np.zeros((3, len(params)))
+    state[0] = -1.0
+    z = np.empty((len(params), n))
+    for i in range(n):
+        z[:, i] = state[2]
+        t = i * dt
+        k1 = deriv(state, t)
+        k2 = deriv(state + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = deriv(state + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = deriv(state + dt * k3, t + dt)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
+def test_mcsharry_batch_matches_full_rk4_reference():
+    params = [McSharryParams(heart_rate_bpm=hr, duration_s=2.0) for hr in (48.0, 75.0, 130.0)]
+    params.append(McSharryParams(heart_rate_bpm=66.0, duration_s=2.0, baseline_coupling=40.0))
+    got = synth.mcsharry_batch(params)
+    ref = _rk4_reference(params)
+    for s, z in zip(got, ref):
+        want = scale_to_unit(Signal(z, s.sample_rate_hz)).samples
+        assert np.max(np.abs(s.samples - want)) <= 1e-5
+
+
+def test_mcsharry_unstable_step_raises_integration_error():
+    with pytest.raises(synth.IntegrationError) as info:
+        mcsharry_generate(McSharryParams(duration_s=2.0, baseline_coupling=5e3))
+    msg = str(info.value)
+    assert "\n" not in msg
+    assert re.fullmatch(r"non-finite state at t=\d+\.\d{4}s", msg)
 
 
 # ---------------------------------------------------------------------------

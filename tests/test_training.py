@@ -203,6 +203,20 @@ def test_gan_rejects_mixed_lengths():
         train_gan(sigs, tiny_gan_cfg(), seed=0)
 
 
+def test_gan_rejects_non_finite_signal():
+    sigs = make_sines(n=16)
+    sigs[3] = Signal(np.where(np.arange(128) == 40, np.nan, 0.0), 64.0)
+    with pytest.raises(ValueError, match="training signal 3 holds NaN or inf"):
+        train_gan(sigs, tiny_gan_cfg(), seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gan_divergence_names_step_and_kind():
+    # a huge learning rate overflows the critic after its first update
+    with pytest.raises(training.DivergenceError, match=r"^critic loss is (nan|inf) at step 2$"):
+        train_gan(make_sines(n=16), tiny_gan_cfg(adam_lr=1e30), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -249,6 +263,30 @@ def test_denoiser_pretrained_needs_checkpoint():
 def test_denoiser_unknown_variant():
     with pytest.raises(ValueError):
         train_denoiser(_identity_pairs(), DenoiserConfig(d=2, epochs=1), "dropout", seed=0)
+
+
+def test_denoiser_rejects_non_finite_pair():
+    pairs = _identity_pairs()
+    bad = Signal(np.full(96, np.inf), 64.0)
+    pairs[5] = SignalPair(pairs[5].clean, bad)
+    with pytest.raises(ValueError, match="training pair 5 holds NaN or inf"):
+        train_denoiser(pairs, DenoiserConfig(d=2, epochs=1, batch_size=8), seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_denoiser_divergence_names_step_and_kind():
+    # the tanh output keeps the loss finite until the activations overflow
+    cfg = DenoiserConfig(d=2, epochs=1, batch_size=4, adam_lr=1e100)
+    with pytest.raises(training.DivergenceError, match=r"^denoiser loss is (nan|inf) at step 2$"):
+        train_denoiser(_identity_pairs(), cfg, seed=0)
+
+
+def test_inception_rejects_non_finite_signal():
+    sigs = [Signal(np.zeros(1024), 500.0) for _ in range(4)]
+    sigs[2] = Signal(np.where(np.arange(1024) == 7, np.nan, 0.0), 500.0)
+    ds = LabeledDataset(tuple(sigs), np.zeros((4, 5), dtype=np.uint8))
+    with pytest.raises(ValueError, match="training signal 2 holds NaN or inf"):
+        training.train_inception(ds, training.ClassifierConfig(epochs=1), seed=0)
 
 
 def test_denoiser_deterministic():
