@@ -293,20 +293,6 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(np.transpose(a.data, axes), (a,), lambda g: (transpose(g, inv),))
 
 
-def amax(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis; ties give the gradient to the first maximum."""
-    idx = np.argmax(a.data, axis=axis)
-    out = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    mask = np.zeros_like(a.data)
-    np.put_along_axis(mask, np.expand_dims(idx, axis), 1.0, axis=axis)
-    kept_shape = out.shape
-
-    def vjp(g):
-        return (mul(expand(reshape(g, kept_shape), a.shape), Tensor(mask)),)
-
-    return _make(np.squeeze(out, axis=axis), (a,), vjp)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
@@ -442,7 +428,7 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
     x2 = x.data.reshape(n * L, ci)
     for t, taps in groups:
         wt = w.data[taps].transpose(1, 0, 2).reshape(ci, -1)
-        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, -1)
+        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
     y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
 
     def vjp(g):

@@ -14,9 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import models, training
-from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .config import load_config
 from .dsp import bandpass_filter, wavelet_filter
@@ -30,7 +28,7 @@ from .signals import (
     write_pairs,
 )
 from .synth import McSharryParams, make_training_pairs, mcsharry_batch
-from .training import denoiser_fn, sweep_to_csv
+from .training import sweep_to_csv
 
 
 def _meta(net: models.Network, extra: dict[str, float]) -> dict[str, np.ndarray]:
@@ -89,15 +87,8 @@ def cmd_synth(args) -> int:
         sigs = mcsharry_batch(params)
     else:
         generator, z_len = _load_generator(args.checkpoint)
-        sigs = []
-        remaining = args.count
-        with ad.no_grad():
-            while remaining > 0:
-                n = min(remaining, 128)
-                z = models.sample_latent(rng, n, z_len, cfg.latent)
-                out = generator.forward(z, mode="infer").data[:, :, 0]
-                sigs.extend(Signal(row, args.sample_rate) for row in out)
-                remaining -= n
+        z = models.sample_latent(rng, args.count, z_len, cfg.latent)
+        sigs = [Signal(row, args.sample_rate) for row in models.infer(generator, z.data)[:, :, 0]]
     labels = np.zeros((len(sigs), 5), dtype=np.uint8)
     write_dataset(LabeledDataset(tuple(sigs), labels), args.out)
     print(f"wrote {len(sigs)} signals to {args.out}")
@@ -117,23 +108,18 @@ def cmd_noise(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.network == "gan":
         ds = read_dataset(args.data)
         gen, critic, log = training.train_gan(list(ds.signals), cfg.gan(), args.seed)
         length = ds.signals[0].length
-        save_params(out / "generator.ecgw", _meta(gen, {"d": cfg.model_dim, "z_len": cfg.z_len, "signal_length": length}))
-        save_params(out / "critic.ecgw", _meta(critic, {"d": cfg.model_dim, "signal_length": length}))
-        (out / "gan_log.csv").write_text(log.to_csv())
-        print(f"wrote generator.ecgw, critic.ecgw, gan_log.csv to {out}")
+        states = {
+            "generator": _meta(gen, {"d": cfg.model_dim, "z_len": cfg.z_len, "signal_length": length}),
+            "critic": _meta(critic, {"d": cfg.model_dim, "signal_length": length}),
+        }
     elif args.network == "inception":
         ds = read_dataset(args.data)
         net, log = training.train_inception(ds, cfg.classifier(), args.seed)
-        save_params(out / "inception.ecgw", _meta(net, {}))
-        (out / "inception_log.csv").write_text(log.to_csv())
-        print(f"wrote inception.ecgw, inception_log.csv to {out}")
+        states = {"inception": _meta(net, {})}
     else:
         pairs = read_pairs(args.data)
         critic_state = None
@@ -144,9 +130,16 @@ def cmd_train(args) -> int:
         net, log = training.train_denoiser(pairs, cfg.denoiser(), args.variant, args.seed,
                                            critic_state=critic_state)
         length = pairs[0].clean.length if pairs else 0
-        save_params(out / "denoiser.ecgw", _meta(net, {"d": cfg.model_dim, "signal_length": length}))
-        (out / "denoiser_log.csv").write_text(log.to_csv())
-        print(f"wrote denoiser.ecgw, denoiser_log.csv to {out}")
+        states = {"denoiser": _meta(net, {"d": cfg.model_dim, "signal_length": length})}
+
+    # the directory is made only once training has succeeded
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, state in states.items():
+        save_params(out / f"{name}.ecgw", state)
+    log_name = f"{args.network}_log.csv"
+    (out / log_name).write_text(log.to_csv())
+    print(f"wrote {', '.join([f'{name}.ecgw' for name in states] + [log_name])} to {out}")
     return 0
 
 
@@ -167,13 +160,15 @@ def cmd_eval(args) -> int:
     for method in methods:
         if method == "none":
             fn = None
-        elif method == "bandpass":
-            fn = bandpass_filter
-        elif method == "wavelet":
-            fn = wavelet_filter
-        else:
+        elif method == "denoiser":
             net = _load_denoiser(args.checkpoint, pairs[0].clean.length)
-            fn = denoiser_fn(net)
+
+            def fn(noisy: list[Signal]) -> list[Signal]:
+                out = models.infer(net, np.stack([s.samples for s in noisy])[:, :, None])
+                return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
+        else:
+            filt = bandpass_filter if method == "bandpass" else wavelet_filter
+            fn = lambda noisy: [filt(s) for s in noisy]
         reports.append(evaluate_denoiser(fn, pairs, method))
     csv = reports_to_csv(reports)
     if args.out:

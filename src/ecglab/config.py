@@ -1,9 +1,9 @@
 """Plain key=value configuration files for the command-line pipeline.
 
-Keys mirror the training hyperparameter names (batch_size, model_dim,
-gp_lambda, critic_updates, phase_shuffle, adam_lr, adam_beta1,
-adam_beta2) plus latent/epoch controls and the noise-model ranges.
-Unknown keys are rejected; defaults are the full-scale values.
+The keys are the fields of RunConfig. The gan, classifier and denoiser
+sections take each field of their config class from the key of the same
+name (the networks' `d` from model_dim). Unknown keys are rejected;
+defaults are the full-scale values.
 """
 
 from __future__ import annotations
@@ -40,46 +40,18 @@ class RunConfig:
     chirp_mod_min_hz: float = 0.1
     chirp_mod_max_hz: float = 2.0
 
+    def _section(self, cls):
+        """`cls` built from the same-named fields here; its `d` is model_dim."""
+        return cls(**{f.name: getattr(self, "model_dim" if f.name == "d" else f.name) for f in fields(cls)})
+
     def gan(self) -> GanConfig:
-        return GanConfig(
-            batch_size=self.batch_size,
-            d=self.model_dim,
-            gp_lambda=self.gp_lambda,
-            critic_updates=self.critic_updates,
-            phase_shuffle=self.phase_shuffle,
-            adam_lr=self.adam_lr,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            epochs=self.epochs,
-            latent=self.latent,
-            z_len=self.z_len,
-            generator_steps=self.generator_steps,
-            val_fraction=self.val_fraction,
-            is_eval_every=self.is_eval_every,
-            is_eval_batch=self.is_eval_batch,
-        )
+        return self._section(GanConfig)
 
     def classifier(self) -> ClassifierConfig:
-        return ClassifierConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            adam_lr=self.adam_lr,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            val_fraction=self.val_fraction,
-        )
+        return self._section(ClassifierConfig)
 
     def denoiser(self) -> DenoiserConfig:
-        return DenoiserConfig(
-            d=self.model_dim,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            adam_lr=self.adam_lr,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            phase_shuffle=self.phase_shuffle,
-            val_fraction=self.val_fraction,
-        )
+        return self._section(DenoiserConfig)
 
     def noise_ranges(self) -> NoiseRanges:
         return NoiseRanges(

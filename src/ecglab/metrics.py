@@ -129,14 +129,17 @@ def delta_hr(clean: Signal, denoised: Signal) -> float:
 def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricReport:
     """Aggregate mse / snr / delta-HR of `denoise` over clean-noisy pairs.
 
-    `denoise` maps Signal -> Signal; pass None to score the raw noisy
-    signals (the no-filtering row).
+    `denoise` is called once with the list of all noisy signals and
+    returns the list of restored signals in the same order, so a network
+    can run them as one batch; a Signal -> Signal filter is mapped over
+    the list by the caller. Pass None to score the raw noisy signals
+    (the no-filtering row).
     """
     if not pairs:
         raise ValueError("no pairs to evaluate")
+    noisy = [pair.noisy for pair in pairs]
     mses, snrs, dhrs = [], [], []
-    for pair in pairs:
-        restored = pair.noisy if denoise is None else denoise(pair.noisy)
+    for pair, restored in zip(pairs, noisy if denoise is None else denoise(noisy), strict=True):
         mses.append(mse(pair.clean, restored))
         snrs.append(snr_db(pair.clean, restored))
         dhrs.append(delta_hr(pair.clean, restored))

@@ -12,7 +12,7 @@ reach the target so desk-scale runs stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ LRELU_ALPHA = 0.2
 GENERATOR_SEED_LEN = 8
 INCEPTION_CHANNELS = 64
 N_LABELS = 5
+INFER_BATCH = 128
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
 _NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d", "maxpool2d"}
@@ -273,6 +274,16 @@ def build(
     else:
         raise ValueError(f"unknown network {name!r}; expected one of {NETWORK_NAMES}")
     return Network(spec, seed=seed)
+
+
+def infer(net: Network, x: np.ndarray, stop_at: str | None = None) -> np.ndarray:
+    """Inference-mode forward of `x` in chunks of INFER_BATCH, recording no
+    graph. An empty `x` runs one empty forward: zero rows of the output shape."""
+    with ad.no_grad():
+        return np.concatenate([
+            net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer", stop_at=stop_at).data
+            for i in range(0, max(len(x), 1), INFER_BATCH)
+        ])
 
 
 def count_params(net: Network) -> int:

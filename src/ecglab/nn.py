@@ -75,13 +75,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
 
 
 def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
+    """Max over k x k windows, as a gather of each window's maximum.
+
+    Ties send the gradient to the first maximum in row-major window order.
+    """
     n, H, W, c = x.shape
-    if H % stride or W % stride:
-        raise ValueError("maxpool2d requires spatial dims divisible by stride")
-    patches = ad.unfold2d(x, k, k, stride, (0, 0, 0, 0))
+    if H % stride or W % stride or k > stride:
+        raise ValueError("maxpool2d requires spatial dims divisible by stride and k <= stride")
     Ho, Wo = H // stride, W // stride
-    flat = ad.reshape(patches, (n, Ho, Wo, k * k, c))
-    return ad.amax(flat, axis=3)
+    best = x.data[:, ::stride, ::stride]
+    offset = np.zeros(best.shape, dtype=np.intp)  # flat offset of the maximum in its window
+    for i in range(k):
+        for j in range(k):
+            cand = x.data[:, i::stride, j::stride]
+            take = cand > best
+            best = np.where(take, cand, best)
+            offset = np.where(take, i * W + j, offset)
+    corner = stride * (W * np.arange(Ho)[:, None] + np.arange(Wo))
+    idx = (offset + corner[None, :, :, None]).reshape(n, Ho * Wo, c)
+    return ad.reshape(ad.take_len(ad.reshape(x, (n, H * W, c)), idx), (n, Ho, Wo, c))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:

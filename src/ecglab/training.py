@@ -26,7 +26,6 @@ class GanConfig:
     critic_updates: int = 5
     phase_shuffle: int = 2
     adam_lr: float = 1e-4
-    adam_lr_critic: float | None = None  # defaults to adam_lr
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     epochs: int = 1
@@ -193,8 +192,7 @@ def train_gan(
     critic = models.build("critic", d=cfg.d, signal_length=length, seed=seed + 1,
                           phase_shuffle_n=cfg.phase_shuffle)
     opt_g = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    lr_c = cfg.adam_lr if cfg.adam_lr_critic is None else cfg.adam_lr_critic
-    opt_c = AdamState(alpha=lr_c, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    opt_c = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
 
     batches_per_epoch = train_data.shape[0] // cfg.batch_size
     if cfg.generator_steps is not None:
@@ -209,9 +207,23 @@ def train_gan(
     best_is = -np.inf
     best_gen_state: dict[str, np.ndarray] | None = None
 
+    def end_epoch(done: int) -> None:
+        """Validate the epoch just trained; every is_eval_every epochs, keep
+        the generator with the best inception score."""
+        nonlocal best_is, best_gen_state
+        _log_gan_validation(log, step, done, generator, critic, val_data, cfg, rng)
+        if classifier is not None and (done + 1) % cfg.is_eval_every == 0:
+            score = _inception_of_generator(generator, classifier, cfg, rate, rng)
+            if score > best_is:
+                best_is = score
+                best_gen_state = generator.state_dict()
+
     for _ in range(total_gen_steps):
         for _ in range(cfg.critic_updates):
             epoch, idx = next(stream)
+            if epoch > epoch_seen:
+                end_epoch(epoch_seen)
+                epoch_seen = epoch
             real_batch = train_data[idx]
             z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
             with ad.no_grad():
@@ -231,15 +243,6 @@ def train_gan(
                     critic_loss=critic_loss, wasserstein_estimate=w_est.item(),
                     gp_term=gp.item())
 
-            if epoch > epoch_seen:
-                epoch_seen = epoch
-                _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng)
-                if classifier is not None and epoch % cfg.is_eval_every == 0:
-                    score = _inception_of_generator(generator, classifier, cfg, rate, rng)
-                    if score > best_is:
-                        best_is = score
-                        best_gen_state = generator.state_dict()
-
         z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
         zero_grads(generator.params)
         zero_grads(critic.params)
@@ -250,6 +253,7 @@ def train_gan(
         ad.backward(loss_g)
         adam_step(generator.params, collect_grads(generator.params), opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
+    end_epoch(epoch_seen)
 
     if best_gen_state is not None:
         generator.load_state_dict(best_gen_state)
@@ -261,26 +265,16 @@ def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng)
         return
     n = min(val_data.shape[0], cfg.batch_size)
     z = models.sample_latent(rng, n, cfg.z_len, cfg.latent)
-    with ad.no_grad():
-        fake = generator.forward(z, mode="infer").data
-        w = float(critic.forward(Tensor(val_data[:n]), mode="infer").data.mean()
-                  - critic.forward(Tensor(fake), mode="infer").data.mean())
+    fake = models.infer(generator, z.data)
+    w = float(models.infer(critic, val_data[:n]).mean() - models.infer(critic, fake).mean())
     log.add(step=step, kind="validation", epoch=epoch, val_loss=w)
 
 
 def _inception_of_generator(generator, classifier, cfg, sample_rate, rng) -> float:
-    probs = []
-    remaining = cfg.is_eval_batch
-    with ad.no_grad():
-        while remaining > 0:
-            n = min(remaining, 128)
-            z = models.sample_latent(rng, n, cfg.z_len, cfg.latent)
-            fakes = generator.forward(z, mode="infer").data[:, :, 0]
-            grids = np.stack([mel_spectrogram(Signal(row, sample_rate)).bins for row in fakes])
-            out = classifier.forward(Tensor(grids[:, :, :, None]), mode="infer").data
-            probs.append(out)
-            remaining -= n
-    mean, _ = inception_score(np.concatenate(probs), splits=10)
+    z = models.sample_latent(rng, cfg.is_eval_batch, cfg.z_len, cfg.latent)
+    fakes = models.infer(generator, z.data)[:, :, 0]
+    grids = np.stack([mel_spectrogram(Signal(row, sample_rate)).bins for row in fakes])
+    mean, _ = inception_score(models.infer(classifier, grids[:, :, :, None]), splits=10)
     return mean
 
 
@@ -358,9 +352,7 @@ def train_inception(
             ad.backward(loss)
             adam_step(net.params, collect_grads(net.params), opt)
             log.add(step=step, kind="classifier", epoch=epoch, loss=value)
-        with ad.no_grad():
-            val_logits = net.forward(Tensor(xv), mode="infer", stop_at="sigmoid")
-        val_loss = float(_bce_numpy(val_logits.data, yv))
+        val_loss = _bce_numpy(models.infer(net, xv, stop_at="sigmoid"), yv)
         log.add(step=step, kind="validation", epoch=epoch, val_loss=val_loss)
         if val_loss < best_val:
             best_val = val_loss
@@ -373,16 +365,6 @@ def train_inception(
 def _bce_numpy(logits: np.ndarray, targets: np.ndarray) -> float:
     softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
     return float(np.mean(softplus - logits * targets))
-
-
-def classify_probs(net: Network, ds: LabeledDataset, batch: int = 256) -> np.ndarray:
-    """Per-signal label probabilities from the trained classifier."""
-    x = _spectrogram_batch(ds)
-    outs = []
-    with ad.no_grad():
-        for i in range(0, x.shape[0], batch):
-            outs.append(net.forward(Tensor(x[i : i + batch]), mode="infer").data)
-    return np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -467,34 +449,8 @@ def train_denoiser(
     return net, log
 
 
-def _denoiser_val_loss(net: Network, noisy: np.ndarray, clean: np.ndarray, batch: int = 256) -> float:
-    total = 0.0
-    with ad.no_grad():
-        for i in range(0, noisy.shape[0], batch):
-            out = net.forward(Tensor(noisy[i : i + batch]), mode="infer").data
-            total += float(np.sum((out - clean[i : i + batch]) ** 2))
-    return total / clean.size
-
-
-def denoiser_fn(net: Network, batch: int = 256):
-    """Wrap a trained denoiser as a Signal -> Signal callable."""
-
-    def apply(sig: Signal) -> Signal:
-        with ad.no_grad():
-            out = net.forward(Tensor(sig.samples[None, :, None]), mode="infer").data
-        return Signal(out[0, :, 0], sig.sample_rate_hz)
-
-    return apply
-
-
-def denoise_batch(net: Network, signals: list[Signal], batch: int = 256) -> list[Signal]:
-    arr = _signals_to_array(signals)
-    outs = []
-    with ad.no_grad():
-        for i in range(0, arr.shape[0], batch):
-            outs.append(net.forward(Tensor(arr[i : i + batch]), mode="infer").data)
-    out = np.concatenate(outs)
-    return [Signal(out[i, :, 0], signals[i].sample_rate_hz) for i in range(len(signals))]
+def _denoiser_val_loss(net: Network, noisy: np.ndarray, clean: np.ndarray) -> float:
+    return float(np.mean((models.infer(net, noisy) - clean) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +514,17 @@ def ablation_sweep(
         for size in sorted(sizes):
             train_pairs = _compose(pool_real, pool_synth, comp, size, rng)
             net, _ = train_denoiser(train_pairs, cfg, "baseline", seed)
-            fn = denoiser_fn(net)
+
+            def denoise(noisy: list[Signal]) -> list[Signal]:
+                out = models.infer(net, _signals_to_array(noisy))
+                return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
+
             rows.append(
                 SweepRow(
                     composition=comp,
                     size=size,
-                    real_report=evaluate_denoiser(fn, test_real, f"{comp}/{size}/real"),
-                    synthetic_report=evaluate_denoiser(fn, test_synth, f"{comp}/{size}/synthetic"),
+                    real_report=evaluate_denoiser(denoise, test_real, f"{comp}/{size}/real"),
+                    synthetic_report=evaluate_denoiser(denoise, test_synth, f"{comp}/{size}/synthetic"),
                 )
             )
     return rows

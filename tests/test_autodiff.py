@@ -185,6 +185,19 @@ def test_layer_gradients_match_fd(name, shape, layer):
     assert rel_err(xt.grad, numeric_grad(loss, x0)) < 1e-4, name
 
 
+def test_maxpool2d_tie_sends_gradient_to_top_left():
+    x0 = np.full((1, 4, 4, 2), 0.5)
+    x0[0, 2, 3, 1] = 0.9
+    x = Tensor(x0, requires_grad=True)
+    y = nn.maxpool2d(x, 2, 2)
+    ad.backward(ad.sum_(y))
+    assert np.array_equal(y.data[..., 0], np.full((1, 2, 2), 0.5))
+    expect = np.zeros_like(x0)
+    expect[0, ::2, ::2, :] = 1.0
+    expect[0, 2, 2, 1], expect[0, 2, 3, 1] = 0.0, 1.0
+    assert np.array_equal(x.grad, expect)
+
+
 def test_composed_network_gradient_matches_fd():
     w1 = rng.normal(size=(5, 1, 2)) * 0.4
     w2 = rng.normal(size=(5, 2, 3)) * 0.4

@@ -43,3 +43,46 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert code == 1
     assert err == "ecglab: error: denoiser loss is nan at step 2\n"
     assert not (out / "denoiser.ecgw").exists()
+    assert not out.exists()
+
+
+def _desk_chain(work, seed):
+    """synth -> noise -> train gan/denoiser/pretrained -> synth --model gan
+    -> eval --all -> sweep; returns every output file's bytes."""
+    cfg = work / "run.cfg"
+    cfg.write_text("model_dim = 2\nbatch_size = 4\nepochs = 1\ngenerator_steps = 1\nz_len = 8\n")
+    clean, pairs = work / "clean.ecgd", work / "pairs.ecg2"
+    c = ["--config", str(cfg), "--seed", str(seed)]
+    steps = [
+        ["synth", "--model", "mcsharry", "--count", "20", "--duration", "2", "--sample-rate", "128",
+         "--out", str(clean)],
+        ["noise", "--in", str(clean), "--out", str(pairs)],
+        ["train", "gan", "--data", str(clean), "--out", str(work / "gan")],
+        ["train", "denoiser", "--data", str(pairs), "--out", str(work / "den")],
+        ["train", "denoiser", "--variant", "pretrained", "--critic-checkpoint",
+         str(work / "gan" / "critic.ecgw"), "--data", str(pairs), "--out", str(work / "pre")],
+        ["synth", "--model", "gan", "--count", "5", "--sample-rate", "128",
+         "--checkpoint", str(work / "gan" / "generator.ecgw"), "--out", str(work / "gan.ecgd")],
+    ]
+    for argv in steps:
+        assert main(argv + c) == 0, argv
+    assert main(["eval", "--all", "--pairs", str(pairs), "--checkpoint", str(work / "pre" / "denoiser.ecgw"),
+                 "--out", str(work / "eval.csv")]) == 0
+    assert main(["sweep", "--real", str(pairs), "--synthetic", str(pairs), "--sizes", "4,8",
+                 "--out", str(work / "sweep.csv")] + c) == 0
+    return {str(f.relative_to(work)): f.read_bytes() for f in sorted(work.rglob("*")) if f.is_file()}
+
+
+def test_desk_chain_is_byte_identical_on_rerun(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    first = _desk_chain(a, seed=4)
+    assert first == _desk_chain(b, seed=4)
+    assert capsys.readouterr().err == ""
+    rows = first["eval.csv"].decode().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["none", "bandpass", "wavelet", "denoiser"]
+    assert len(first["sweep.csv"].decode().splitlines()) == 1 + 3 * 2
+    for name in ("gan/generator.ecgw", "gan/critic.ecgw", "gan/gan_log.csv", "den/denoiser.ecgw",
+                 "pre/denoiser.ecgw", "gan.ecgd"):
+        assert name in first

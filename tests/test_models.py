@@ -118,6 +118,20 @@ def test_output_ranges():
     assert np.all(np.abs(y.data) <= 1.0)
 
 
+def test_infer_chunks_equal_one_whole_batch_forward():
+    den = models.build("denoiser", d=2, signal_length=128, seed=2)
+    x = rng.normal(size=(2 * models.INFER_BATCH + 3, 128, 1))
+    for stop_at in (None, "tanh"):
+        with ad.no_grad():
+            whole = den.forward(Tensor(x), mode="infer", stop_at=stop_at).data
+        out = models.infer(den, x, stop_at=stop_at)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, whole)
+    assert models.infer(den, x[:0]).shape == (0, 128, 1)
+    # recording is back on after the graph-free forwards
+    assert den.forward(Tensor(x[:2]), mode="infer")._vjp is not None
+
+
 def test_invalid_network_name_and_d():
     with pytest.raises(ValueError):
         models.build("vae")

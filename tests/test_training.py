@@ -181,6 +181,19 @@ def test_gan_log_steps_monotone(tiny_gan_run):
     assert steps == sorted(steps)
 
 
+def test_gan_validates_every_trained_epoch_once():
+    # 24 training signals in batches of 8: 3 batches per epoch, and the
+    # 15 critic updates of three generator steps span epochs 0-4
+    _, _, log = train_gan(make_sines(n=32), tiny_gan_cfg(val_fraction=0.25), seed=11)
+    trained = sorted({r.epoch for r in log.of_kind("critic")})
+    assert trained == [0, 1, 2, 3, 4]
+    assert [r.epoch for r in log.of_kind("validation")] == trained
+    for r in log.of_kind("validation"):
+        assert r.step >= max(c.step for c in log.of_kind("critic") if c.epoch == r.epoch)
+        assert np.isfinite(r.val_loss)
+    assert log.rows[-1].kind == "validation" and log.rows[-1].epoch == 4
+
+
 def test_gan_deterministic_rerun():
     sigs = make_sines(n=32)
     g1, c1, log1 = train_gan(sigs, tiny_gan_cfg(), seed=5)
