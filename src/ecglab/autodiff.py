@@ -1,4 +1,10 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense numpy arrays.
+
+Every array in the graph has dtype ``DTYPE``: ``Tensor()`` casts to it
+and the ops allocate their buffers with it, looking it up on each call.
+It is float32, the precision the networks train and infer in. The
+finite-difference gradient checks set it to float64 while they run (the
+``float64`` test marker), so nothing may bind it at import.
 
 A Tensor wraps a numpy array and, while recording is enabled, every
 operation appends a node to an implicit computation graph. Backward
@@ -22,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-DTYPE = np.float64
+DTYPE = np.float32
 
 _grad_enabled = True
 
@@ -236,7 +242,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    slope = np.where(a.data > 0, 1.0, alpha)
+    dt = a.data.dtype.type
+    slope = np.where(a.data > 0, dt(1.0), dt(alpha))
     return _make(a.data * slope, (a,), lambda g: (mul(g, Tensor(slope)),))
 
 

@@ -3,6 +3,10 @@
 Layout: magic ``ECGW``, version u16, then one entry per array in order:
 name length u32, utf-8 name, rank u32, dims as u32 each, float64
 little-endian payload. Round trips are bit-exact.
+
+The networks' float32 parameters are stored upcast to float64, which is
+exact, so ``Network.load_state_dict`` casting them back to
+``autodiff.DTYPE`` restores them bit for bit.
 """
 
 from __future__ import annotations

@@ -121,9 +121,13 @@ def snr_db(clean: Signal, test: Signal) -> float:
 
 def delta_hr(clean: Signal, denoised: Signal) -> float:
     """Absolute heart-rate difference in Hz, rates from the QRS detector."""
+    return _delta_hr_from(detect_qrs(clean).heart_rate_hz, clean, denoised)
+
+
+def _delta_hr_from(clean_hr: float, clean: Signal, denoised: Signal) -> float:
     if clean.sample_rate_hz != denoised.sample_rate_hz:
         raise ValueError("sample rate mismatch")
-    return abs(detect_qrs(clean).heart_rate_hz - detect_qrs(denoised).heart_rate_hz)
+    return abs(clean_hr - detect_qrs(denoised).heart_rate_hz)
 
 
 def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricReport:
@@ -133,7 +137,9 @@ def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricRepor
     returns the list of restored signals in the same order, so a network
     can run them as one batch; a Signal -> Signal filter is mapped over
     the list by the caller. Pass None to score the raw noisy signals
-    (the no-filtering row).
+    (the no-filtering row). The clean heart rates are cached on the
+    pairs, so scoring several methods on one pair list detects QRS on
+    each clean signal once.
     """
     if not pairs:
         raise ValueError("no pairs to evaluate")
@@ -142,7 +148,7 @@ def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricRepor
     for pair, restored in zip(pairs, noisy if denoise is None else denoise(noisy), strict=True):
         mses.append(mse(pair.clean, restored))
         snrs.append(snr_db(pair.clean, restored))
-        dhrs.append(delta_hr(pair.clean, restored))
+        dhrs.append(_delta_hr_from(pair.clean_heart_rate_hz, pair.clean, restored))
     return MetricReport(
         dataset_tag=tag,
         mse=float(np.mean(mses)),

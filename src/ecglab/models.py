@@ -165,7 +165,7 @@ class Network:
                 ch = self._bn_channels(layer)
                 self.params[f"{layer.param}.gamma"] = Tensor(np.ones(ch), requires_grad=True)
                 self.params[f"{layer.param}.beta"] = Tensor(np.zeros(ch), requires_grad=True)
-                self.running[layer.param] = {"mean": np.zeros(ch), "var": np.ones(ch)}
+                self.running[layer.param] = {"mean": np.zeros(ch, ad.DTYPE), "var": np.ones(ch, ad.DTYPE)}
 
     def _bn_channels(self, layer: LayerSpec) -> int:
         idx = self.spec.layers.index(layer)
@@ -240,7 +240,7 @@ class Network:
         for name, p in self.params.items():
             if name not in state:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.asarray(state[name], dtype=ad.DTYPE)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
@@ -249,7 +249,7 @@ class Network:
                 key = f"{param}.running_{stat}"
                 if key not in state:
                     raise ValueError(f"checkpoint is missing batch-norm statistic {key!r}")
-                stats[stat] = np.asarray(state[key], dtype=np.float64).copy()
+                stats[stat] = np.asarray(state[key], dtype=ad.DTYPE).copy()
 
 
 def build(
@@ -312,7 +312,7 @@ def transfer_critic_to_denoiser(critic_state: dict[str, np.ndarray], denoiser: N
             key = f"{conv}.{suffix}"
             if key not in critic_state:
                 raise ValueError(f"critic checkpoint is missing {key!r}")
-            src = np.asarray(critic_state[key], dtype=np.float64)
+            src = np.asarray(critic_state[key], dtype=ad.DTYPE)
             dst = denoiser.params[key]
             if src.shape != dst.data.shape:
                 raise ValueError(

@@ -16,6 +16,7 @@ to hold).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,6 +112,14 @@ class SignalPair:
             raise ValueError("clean/noisy length mismatch")
         if self.clean.sample_rate_hz != self.noisy.sample_rate_hz:
             raise ValueError("clean/noisy sample rate mismatch")
+
+    @functools.cached_property
+    def clean_heart_rate_hz(self) -> float:
+        """QRS-detected heart rate of the clean signal, computed once per pair
+        and reused by every method row scored against it."""
+        from .dsp import detect_qrs  # dsp imports this module
+
+        return detect_qrs(self.clean).heart_rate_hz
 
 
 def scale_to_unit(s: Signal) -> Signal:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ecglab import synth
+from ecglab import autodiff, synth
+
+
+@pytest.fixture(autouse=True)
+def _float64_when_marked(request, monkeypatch):
+    """Run tests marked `float64` with the autodiff in double precision."""
+    if request.node.get_closest_marker("float64"):
+        monkeypatch.setattr(autodiff, "DTYPE", np.float64)
 
 
 def numeric_grad(f, x, eps=1e-5):

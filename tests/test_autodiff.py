@@ -33,6 +33,7 @@ def test_trans_conv1d_lengths(length):
     assert nn.trans_conv1d(x, w, None, 4).shape == (2, length * 4, 1)
 
 
+@pytest.mark.float64
 def test_conv1d_identity_kernel():
     x = rng.normal(size=(3, 17, 4))
     w = np.zeros((1, 4, 4))
@@ -111,6 +112,7 @@ def test_batch_norm_batch_one_raises():
         nn.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train")
 
 
+@pytest.mark.float64
 def test_batch_norm_gradient_matches_fd():
     x0 = rng.normal(size=(4, 6, 2))
     gamma0 = rng.normal(size=2)
@@ -171,6 +173,7 @@ def _layer_cases():
     ]
 
 
+@pytest.mark.float64
 @pytest.mark.parametrize("name,shape,layer", _layer_cases(), ids=lambda c: c if isinstance(c, str) else "")
 def test_layer_gradients_match_fd(name, shape, layer):
     x0 = rng.normal(size=shape)
@@ -198,6 +201,7 @@ def test_maxpool2d_tie_sends_gradient_to_top_left():
     assert np.array_equal(x.grad, expect)
 
 
+@pytest.mark.float64
 def test_composed_network_gradient_matches_fd():
     w1 = rng.normal(size=(5, 1, 2)) * 0.4
     w2 = rng.normal(size=(5, 2, 3)) * 0.4
@@ -227,6 +231,7 @@ def test_composed_network_gradient_matches_fd():
     (nn.conv1d, (2, 30, 2), (25, 2, 3)),        # 30 % 4 != 0: uneven SAME pads
     (nn.trans_conv1d, (2, 7, 3), (25, 3, 2)),
 ])
+@pytest.mark.float64
 def test_paper_kernel_gradients_match_fd(op, x_shape, w_shape):
     """k=25, stride 4: input, weight and bias gradients against finite differences."""
     arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.3,
@@ -247,6 +252,7 @@ def test_paper_kernel_gradients_match_fd(op, x_shape, w_shape):
         assert rel_err(tensors[target].grad, fd) < 1e-6, target
 
 
+@pytest.mark.float64
 def test_kernel_corr_gradients_match_fd():
     """The kernel-gradient op's own VJPs, used when a weight gradient is
     differentiated again."""
@@ -347,6 +353,7 @@ def test_adam_zero_gradient_keeps_params():
     assert np.array_equal(p["w"].data, before)
 
 
+@pytest.mark.float64
 def test_adam_first_step_is_minus_alpha():
     p = {"w": Tensor(np.array([0.5]), requires_grad=True)}
     state = AdamState(alpha=1e-4)

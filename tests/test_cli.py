@@ -1,5 +1,6 @@
 import pytest
 
+from ecglab import dsp, metrics
 from ecglab.cli import main
 
 
@@ -86,3 +87,27 @@ def test_desk_chain_is_byte_identical_on_rerun(tmp_path, capsys):
     for name in ("gan/generator.ecgw", "gan/critic.ecgw", "gan/gan_log.csv", "den/denoiser.ecgw",
                  "pre/denoiser.ecgw", "gan.ecgd"):
         assert name in first
+
+
+def test_eval_all_detects_qrs_once_per_clean_signal(tmp_path, monkeypatch):
+    clean, pairs, cfg = tmp_path / "c.ecgd", tmp_path / "p.ecg2", tmp_path / "cfg.txt"
+    cfg.write_text("model_dim = 2\nbatch_size = 4\nepochs = 1\n")
+    assert main(["synth", "--model", "mcsharry", "--count", "6", "--duration", "2",
+                 "--sample-rate", "128", "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    assert main(["train", "denoiser", "--config", str(cfg), "--data", str(pairs),
+                 "--out", str(tmp_path / "den")]) == 0
+    calls = []
+    detect = dsp.detect_qrs
+
+    def counting(s):
+        calls.append(s)
+        return detect(s)
+
+    monkeypatch.setattr(dsp, "detect_qrs", counting)
+    monkeypatch.setattr(metrics, "detect_qrs", counting)
+    assert main(["eval", "--all", "--pairs", str(pairs), "--checkpoint", str(tmp_path / "den" / "denoiser.ecgw"),
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    rows = len((tmp_path / "eval.csv").read_text().splitlines()) - 1
+    assert rows == 4
+    assert len(calls) == 6 + 6 * rows

@@ -1,0 +1,135 @@
+"""The dtype policy: the networks train and infer in autodiff.DTYPE = float32."""
+
+import numpy as np
+import pytest
+
+from ecglab import autodiff as ad
+from ecglab import models
+from ecglab.autodiff import Tensor
+from ecglab.checkpoint import load_params, save_params
+from ecglab.optim import AdamState, adam_step, collect_grads, zero_grads
+from ecglab.training import bce_with_logits, gradient_penalty, mse_loss
+
+from conftest import rel_err
+
+F32 = np.dtype(np.float32)
+LENGTH = 64
+NETS = ("generator", "critic", "denoiser", "inception")
+
+
+@pytest.fixture
+def made_dtypes(monkeypatch):
+    """Dtypes of every array an autodiff op produces while the test runs."""
+    seen = set()
+    make = ad._make
+
+    def spy(data, parents, vjp):
+        seen.add(data.dtype)
+        return make(data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    return seen
+
+
+def _build(name, seed=0):
+    return models.build(name, d=2, z_len=8, signal_length=LENGTH, seed=seed)
+
+
+def _input(name, rng):
+    if name == "generator":
+        return rng.uniform(-1.0, 1.0, size=(4, 8))
+    if name == "inception":
+        return rng.normal(size=(4, 64, 64, 1))
+    return rng.normal(size=(4, LENGTH, 1))
+
+
+def _loss(name, net, x, rng):
+    """The loss each trainer minimises, at desk size (float64 numpy inputs).
+    The critic's holds the gradient penalty, so the arrays of its
+    create_graph gradient are produced here too."""
+    if name == "critic":
+        score = ad.mean_(net.forward(Tensor(x), mode="train", rng=rng))
+        return ad.add(score, gradient_penalty(net, x, x[::-1], rng))
+    if name == "inception":
+        logits = net.forward(Tensor(x), mode="train", stop_at="sigmoid")
+        return bce_with_logits(logits, (x[:, :5, 0, 0] > 0).astype(np.float64))
+    out = net.forward(Tensor(x), mode="train", rng=rng)
+    return ad.mean_(out) if name == "generator" else mse_loss(out, np.tanh(x))
+
+
+def _train_step_and_infer(name, net, seed=0):
+    rng = np.random.default_rng(seed)
+    x = _input(name, rng)
+    zero_grads(net.params)
+    loss = _loss(name, net, x, rng)
+    ad.backward(loss)
+    grads = collect_grads(net.params)
+    assert grads and all(g.dtype == F32 for g in grads.values())
+    adam_step(net.params, grads, AdamState())
+    assert all(v.dtype == F32 for v in net.state_dict().values())
+    assert models.infer(net, x).dtype == F32
+
+
+@pytest.mark.parametrize("name", NETS)
+def test_training_and_inference_never_upcast(name, made_dtypes):
+    net = _build(name)
+    _train_step_and_infer(name, net)
+    # a float64 checkpoint dict (what load_params returns) loads as float32
+    state = {k: v.astype(np.float64) for k, v in net.state_dict().items()}
+    reloaded = _build(name, seed=1)
+    reloaded.load_state_dict(state)
+    _train_step_and_infer(name, reloaded, seed=1)
+    assert made_dtypes == {F32}
+
+
+def test_transferred_encoder_trains_in_float32(made_dtypes):
+    critic_state = {k: v.astype(np.float64) for k, v in _build("critic").state_dict().items()}
+    den = models.transfer_critic_to_denoiser(critic_state, _build("denoiser"))
+    _train_step_and_infer("denoiser", den)
+    assert made_dtypes == {F32}
+
+
+def _loss_and_grads(name, net, x, clean=None):
+    zero_grads(net.params)
+    if name == "critic":
+        loss = gradient_penalty(net, x, x[::-1], np.random.default_rng(3))
+    else:
+        loss = mse_loss(net.forward(Tensor(x), mode="train", rng=np.random.default_rng(3)), clean)
+    ad.backward(loss)
+    return loss.item(), {k: p.grad for k, p in net.params.items() if p.grad is not None}
+
+
+@pytest.mark.parametrize("name", ["critic", "denoiser"])
+def test_float32_agrees_with_float64(name, monkeypatch):
+    """One critic GP and one denoiser MSE step, same parameters, both precisions."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, LENGTH, 1))
+    clean = np.tanh(x)
+    net32 = _build(name)
+    state = net32.state_dict()
+    value32, grads32 = _loss_and_grads(name, net32, x, clean)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "DTYPE", np.float64)
+        net64 = _build(name, seed=1)
+        net64.load_state_dict(state)
+        value64, grads64 = _loss_and_grads(name, net64, x, clean)
+    assert all(g.dtype == np.float64 for g in grads64.values())
+    assert abs(value32 - value64) <= 1e-4 * abs(value64)
+    assert grads32.keys() == grads64.keys()
+    for k in grads64:
+        assert rel_err(grads32[k], grads64[k]) < 1e-4, k
+
+
+def test_checkpoint_round_trips_float32_parameters_bit_exact(tmp_path):
+    net = _build("generator")
+    _train_step_and_infer("generator", net)
+    state = net.state_dict()
+    path = tmp_path / "g.ecgw"
+    save_params(path, state)
+    loaded = _build("generator", seed=1)
+    loaded.load_state_dict(load_params(path))
+    back = loaded.state_dict()
+    assert list(back) == list(state)
+    for k in state:
+        assert back[k].dtype == F32
+        assert back[k].tobytes() == state[k].tobytes(), k

@@ -118,6 +118,7 @@ def test_output_ranges():
     assert np.all(np.abs(y.data) <= 1.0)
 
 
+@pytest.mark.float64
 def test_infer_chunks_equal_one_whole_batch_forward():
     den = models.build("denoiser", d=2, signal_length=128, seed=2)
     x = rng.normal(size=(2 * models.INFER_BATCH + 3, 128, 1))

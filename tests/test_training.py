@@ -103,6 +103,7 @@ def _directional_fd(f, x, direction, eps=1e-6):
     (models.build("critic", d=1, signal_length=150, seed=3), 150),
     (SmoothCritic(30), 30),
 ], ids=["critic", "smooth"])
+@pytest.mark.float64
 def test_gradient_penalty_param_gradient_matches_fd(critic, length):
     """d GP / d theta: second order through grad(create_graph=True)."""
     data = np.random.default_rng(4)
@@ -131,6 +132,7 @@ def test_gradient_penalty_param_gradient_matches_fd(critic, length):
             assert abs(fd - np.sum(analytic * v)) < 1e-6 * max(1.0, abs(fd)), name
 
 
+@pytest.mark.float64
 def test_gradient_penalty_input_gradient_matches_fd():
     """d GP / d x at the interpolate, through the critic's input Hessian."""
     critic = SmoothCritic(30)
@@ -240,6 +242,7 @@ def test_bce_perfect_prediction_nearly_zero():
     assert bce_with_logits(logits, targets).item() < 1e-6
 
 
+@pytest.mark.float64
 def test_bce_matches_direct_formula():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(4, 5))
