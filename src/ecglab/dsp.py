@@ -1,8 +1,17 @@
-"""Spectrogram preprocessing, classical denoising baselines and QRS detection."""
+"""Spectrogram preprocessing, classical denoising baselines and QRS detection.
+
+Every function works on one `Signal`. The fixed filters behind them (the
+QRS bandpass per sample rate, the mel filterbank per rate and FFT size,
+the a-trous wavelet spectra per length and depth) are designed once and
+cached. The cached arrays are read-only, so no caller can change what a
+later call sees.
+"""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -32,6 +41,14 @@ _DB6_LO = np.array(
 _DB6_HI = ((-1.0) ** np.arange(6)) * _DB6_LO[::-1]
 
 WAVELET_LEVELS = 6
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_HANN = _read_only(np.hanning(STFT_WINDOW))
 
 
 @dataclass(frozen=True)
@@ -72,8 +89,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def mel_filterbank(sample_rate_hz: float, n_fft: int = STFT_WINDOW, n_bands: int = MEL_BANDS) -> np.ndarray:
-    """Triangular filters over rfft power bins, rows = bands."""
+    """Triangular filters over rfft power bins, rows = bands (cached, read-only)."""
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
     points = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), n_bands + 2))
     fb = np.zeros((n_bands, freqs.size))
@@ -82,7 +100,7 @@ def mel_filterbank(sample_rate_hz: float, n_fft: int = STFT_WINDOW, n_bands: int
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+    return _read_only(fb)
 
 
 def frame_starts(length: int, window: int = STFT_WINDOW, n_frames: int = SPEC_FRAMES) -> np.ndarray:
@@ -96,9 +114,8 @@ def mel_power(s: Signal) -> np.ndarray:
     """Raw 64x64 time-by-Mel power grid (before normalization)."""
     if s.length < STFT_WINDOW:
         raise ValueError(f"signal length {s.length} shorter than the {STFT_WINDOW}-sample window")
-    starts = frame_starts(s.length)
-    win = np.hanning(STFT_WINDOW)
-    frames = np.stack([s.samples[i : i + STFT_WINDOW] * win for i in starts])
+    windows = np.lib.stride_tricks.sliding_window_view(s.samples, STFT_WINDOW)
+    frames = windows[frame_starts(s.length)] * _HANN
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     return power @ mel_filterbank(s.sample_rate_hz).T
 
@@ -147,15 +164,21 @@ def _dilated_fft(taps: np.ndarray, step: int, n: int) -> np.ndarray:
     return np.fft.rfft(filt)
 
 
+@lru_cache(maxsize=8)
+def _atrous_bank(n: int, levels: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(lowpass, highpass) spectra of the DB6 pair dilated by 2**j, j < levels (read-only)."""
+    return tuple(
+        (_read_only(_dilated_fft(_DB6_LO, 2**j, n)), _read_only(_dilated_fft(_DB6_HI, 2**j, n)))
+        for j in range(levels)
+    )
+
+
 def uwt_decompose(x: np.ndarray, levels: int = WAVELET_LEVELS) -> tuple[list[np.ndarray], np.ndarray]:
     """Undecimated (a trous) analysis: detail coefficients per level + approximation."""
     n = x.size
     spec = np.fft.rfft(x)
     details = []
-    for j in range(levels):
-        step = 2**j
-        lo = _dilated_fft(_DB6_LO, step, n)
-        hi = _dilated_fft(_DB6_HI, step, n)
+    for lo, hi in _atrous_bank(n, levels):
         details.append(np.fft.irfft(spec * np.conj(hi), n=n))
         spec = spec * np.conj(lo)
     return details, np.fft.irfft(spec, n=n)
@@ -164,11 +187,8 @@ def uwt_decompose(x: np.ndarray, levels: int = WAVELET_LEVELS) -> tuple[list[np.
 def uwt_reconstruct(details: list[np.ndarray], approx: np.ndarray) -> np.ndarray:
     n = approx.size
     spec = np.fft.rfft(approx)
-    for j in reversed(range(len(details))):
-        step = 2**j
-        lo = _dilated_fft(_DB6_LO, step, n)
-        hi = _dilated_fft(_DB6_HI, step, n)
-        spec = 0.5 * (spec * lo + np.fft.rfft(details[j]) * hi)
+    for (lo, hi), d in reversed(list(zip(_atrous_bank(n, len(details)), details))):
+        spec = 0.5 * (spec * lo + np.fft.rfft(d) * hi)
     return np.fft.irfft(spec, n=n)
 
 
@@ -193,6 +213,12 @@ def wavelet_filter(s: Signal, levels: int = WAVELET_LEVELS, threshold_scale: flo
 # QRS detection
 
 
+@lru_cache(maxsize=8)
+def _qrs_bandpass_sos(fs: float) -> np.ndarray:
+    """Second-order 5-15 Hz Butterworth sections of detect_qrs (read-only)."""
+    return _read_only(sps.butter(2, [5.0, min(15.0, 0.45 * fs)], btype="bandpass", fs=fs, output="sos"))
+
+
 def detect_qrs(s: Signal) -> QrsAnnotation:
     """Classic five-stage QRS detector with adaptive thresholds.
 
@@ -201,6 +227,11 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
     estimates with a 200 ms refractory period and RR-gap searchback.
     Detected positions are refined to the local extremum of the bandpassed
     signal. heart_rate_hz is 1 / mean RR, or 0 with fewer than two peaks.
+
+    The bandpass is designed once per sample rate. The threshold stage is
+    a plain Python loop over the candidate peaks; it keeps the last 8 RR
+    intervals with their running sum. The intervals are whole sample
+    counts, so the sum is exact and sum / count is the exact mean.
     """
     fs = s.sample_rate_hz
     x = s.samples
@@ -208,9 +239,8 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
         return QrsAnnotation(np.empty(0, dtype=np.int64), 0.0)
     x = scale_to_unit(s).samples
 
-    high = min(15.0, 0.45 * fs)
-    sos = sps.butter(2, [5.0, high], btype="bandpass", fs=fs, output="sos")
-    bp = sps.sosfiltfilt(sos, x)
+    # scipy's compiled sosfilt takes only a writable sos buffer
+    bp = sps.sosfiltfilt(_qrs_bandpass_sos(fs).copy(), x)
     der = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / 8.0, mode="same")
     sq = der**2
     win = max(1, int(round(0.15 * fs)))
@@ -227,29 +257,28 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
     refractory = int(round(0.2 * fs))
 
     peaks: list[int] = []
-    rr_history: list[float] = []
+    rr_history: deque[int] = deque(maxlen=8)
+    rr_sum = 0
     last = -refractory
-    for idx in candidates:
+    for idx, val in zip(candidates.tolist(), mwi[candidates].tolist()):
         if idx - last < refractory:
             continue
-        val = mwi[idx]
         if val > threshold:
             if peaks:
-                rr_history.append(float(idx - last))
-                rr_history = rr_history[-8:]
+                rr_sum += idx - last - (rr_history[0] if len(rr_history) == 8 else 0)
+                rr_history.append(idx - last)
             peaks.append(idx)
             last = idx
             spki = 0.125 * val + 0.875 * spki
         else:
             # searchback: a long silent gap means a beat fell below threshold
-            if rr_history and peaks and idx - last > 1.66 * np.mean(rr_history):
+            if rr_history and idx - last > 1.66 * (rr_sum / len(rr_history)):
                 lo = last + refractory
                 if lo < idx:
-                    seg = mwi[lo:idx]
-                    back = int(np.argmax(seg)) + lo
-                    if seg.size and mwi[back] > 0.5 * threshold and back - last >= refractory:
-                        rr_history.append(float(back - last))
-                        rr_history = rr_history[-8:]
+                    back = int(np.argmax(mwi[lo:idx])) + lo
+                    if mwi[back] > 0.5 * threshold and back - last >= refractory:
+                        rr_sum += back - last - (rr_history[0] if len(rr_history) == 8 else 0)
+                        rr_history.append(back - last)
                         peaks.append(back)
                         last = back
                         spki = 0.25 * mwi[back] + 0.75 * spki

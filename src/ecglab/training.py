@@ -4,6 +4,7 @@ ablation driver."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,8 +274,8 @@ def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng)
 def _inception_of_generator(generator, classifier, cfg, sample_rate, rng) -> float:
     z = models.sample_latent(rng, cfg.is_eval_batch, cfg.z_len, cfg.latent)
     fakes = models.infer(generator, z.data)[:, :, 0]
-    grids = np.stack([mel_spectrogram(Signal(row, sample_rate)).bins for row in fakes])
-    mean, _ = inception_score(models.infer(classifier, grids[:, :, :, None]), splits=10)
+    grids = _spectrogram_batch([Signal(row, sample_rate) for row in fakes])
+    mean, _ = inception_score(models.infer(classifier, grids), splits=10)
     return mean
 
 
@@ -294,8 +295,9 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return ad.mean_(ad.mul(diff, diff))
 
 
-def _spectrogram_batch(ds: LabeledDataset) -> np.ndarray:
-    return np.stack([mel_spectrogram(s).bins for s in ds.signals])[:, :, :, None]
+def _spectrogram_batch(signals: Sequence[Signal]) -> np.ndarray:
+    """The classifier's (N, 64, 64, 1) input: one mel spectrogram per signal."""
+    return np.stack([mel_spectrogram(s).bins for s in signals])[:, :, :, None]
 
 
 def train_inception(
@@ -315,11 +317,11 @@ def train_inception(
     if val is not None:
         _require_finite((s.samples for s in val.signals), "validation signal")
     rng = np.random.default_rng(seed)
-    x = _spectrogram_batch(ds)
+    x = _spectrogram_batch(ds.signals)
     y = ds.labels.astype(np.float64)
 
     if val is not None:
-        xv, yv = _spectrogram_batch(val), val.labels.astype(np.float64)
+        xv, yv = _spectrogram_batch(val.signals), val.labels.astype(np.float64)
     else:
         n_val = int(round(cfg.val_fraction * len(ds)))
         perm = rng.permutation(len(ds))

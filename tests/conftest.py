@@ -4,11 +4,40 @@ import pytest
 from ecglab import autodiff, synth
 
 
+def _float32_tensor_in(root):
+    """A float32 tensor of the graph recorded under `root`, or None."""
+    stack, seen = [root], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t.data.dtype == np.float32:
+            return t
+        stack.extend(t._parents)
+    return None
+
+
 @pytest.fixture(autouse=True)
 def _float64_when_marked(request, monkeypatch):
-    """Run tests marked `float64` with the autodiff in double precision."""
-    if request.node.get_closest_marker("float64"):
-        monkeypatch.setattr(autodiff, "DTYPE", np.float64)
+    """Run tests marked `float64` with the autodiff in double precision.
+
+    A marked test fails when `autodiff.backward` or `autodiff.grad` walks a
+    graph that holds a float32 tensor, e.g. parameters built before the
+    marker took effect: that check would not run at the precision it claims.
+    """
+    if not request.node.get_closest_marker("float64"):
+        return
+    monkeypatch.setattr(autodiff, "DTYPE", np.float64)
+    walk = autodiff._reverse_walk
+
+    def float64_walk(root, *args, **kwargs):
+        leak = _float32_tensor_in(root)
+        if leak is not None:
+            pytest.fail(f"float64 test differentiates a float32 tensor of shape {leak.shape}")
+        return walk(root, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_reverse_walk", float64_walk)
 
 
 def numeric_grad(f, x, eps=1e-5):

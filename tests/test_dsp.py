@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecglab import synth
+from ecglab import dsp, synth
 from ecglab.dsp import (
     MEL_BANDS,
     STFT_WINDOW,
+    WAVELET_LEVELS,
     QrsAnnotation,
     bandpass_filter,
     detect_qrs,
@@ -214,3 +215,75 @@ def test_qrs_tracks_commanded_rate(hr):
     s = synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=hr, duration_s=10.0))
     ann = detect_qrs(s)
     assert abs(ann.heart_rate_hz - hr / 60.0) < 0.07
+
+
+# Peaks and heart rates recorded with numpy 2.4.6 and scipy 1.17.1 before
+# the filters were cached and the RR mean became a running sum. The inputs
+# are 10 s, 500 Hz McSharry signals at 62/78/94 bpm and their
+# make_training_pairs(gamma=2, seed=3) noisy versions. The noisy 62 bpm
+# signal takes the RR-gap searchback five times with a full 8-interval RR
+# window, so the running sum's evictions decide its peaks.
+QRS_GOLDEN = {
+    ("clean", 62.0): ([218, 701, 1233, 1717, 2153, 2637, 3121, 3605, 4089, 4572], 1.033532384014699),
+    ("noisy", 62.0): ([266, 725, 1233, 1717, 2177, 2685, 3169, 3652, 4136, 4620], 1.033532384014699),
+    ("clean", 78.0): ([192, 577, 961, 1346, 1730, 2115, 2500, 2884, 3269, 3654, 4038, 4423, 4807],
+                      1.3001083423618636),
+    ("noisy", 78.0): ([169, 576, 961, 1346, 1730, 2115, 2500, 2884, 3269, 3654, 4038, 4423, 4807],
+                      1.2936610608020696),
+    ("clean", 94.0): ([137, 456, 775, 1094, 1413, 1732, 2052, 2371, 2690, 3009, 3328, 3647, 3967, 4286,
+                       4605, 4924], 1.566743263003969),
+    ("noisy", 94.0): ([137, 477, 774, 1094, 1413, 1732, 2052, 2371, 2690, 3009, 3328, 3647, 3966, 4286,
+                       4605, 4924], 1.566743263003969),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_pairs():
+    rates = (62.0, 78.0, 94.0)
+    cleans = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=hr) for hr in rates])
+    return dict(zip(rates, synth.make_training_pairs(cleans, 2.0, seed=3)))
+
+
+@pytest.mark.parametrize("kind,hr", list(QRS_GOLDEN), ids=[f"{k}-{hr:.0f}" for k, hr in QRS_GOLDEN])
+def test_qrs_matches_recorded_peaks(golden_pairs, kind, hr):
+    ann = detect_qrs(getattr(golden_pairs[hr], kind))
+    peaks, rate = QRS_GOLDEN[kind, hr]
+    assert ann.peak_indices.tolist() == peaks
+    assert ann.heart_rate_hz == rate
+
+
+# ---------------------------------------------------------------------------
+# filter caches
+
+_CACHED_BUILDERS = (dsp.mel_filterbank, dsp._qrs_bandpass_sos, dsp._atrous_bank)
+
+
+def test_cached_filter_arrays_are_read_only():
+    arrays = [dsp.mel_filterbank(500.0), dsp._qrs_bandpass_sos(500.0)]
+    arrays += [a for pair in dsp._atrous_bank(5000, WAVELET_LEVELS) for a in pair]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_filters_follow_the_sample_rate():
+    """Output at each rate does not depend on the filters another rate cached."""
+
+    def run(s):
+        q = detect_qrs(s)
+        return q.peak_indices.tolist(), q.heart_rate_hz, mel_spectrogram(s).bins, wavelet_filter(s).samples
+
+    signals = [synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=70, sample_rate_hz=fs))
+               for fs in (500.0, 128.0)]
+    fresh = []
+    for s in signals:
+        for builder in _CACHED_BUILDERS:
+            builder.cache_clear()
+        fresh.append(run(s))
+    # the caches now hold the 128 Hz filters: run 500 Hz, then 128 Hz again
+    for s, expected in zip(signals, fresh):
+        got = run(s)
+        assert got[:2] == expected[:2]
+        for a, b in zip(got[2:], expected[2:]):
+            assert np.array_equal(a, b)

@@ -133,3 +133,11 @@ def test_checkpoint_round_trips_float32_parameters_bit_exact(tmp_path):
     for k in state:
         assert back[k].dtype == F32
         assert back[k].tobytes() == state[k].tobytes(), k
+
+
+@pytest.mark.float64
+def test_float64_marker_fails_on_a_float32_leaf():
+    w = Tensor(np.ones(3), requires_grad=True)
+    w.data = w.data.astype(np.float32)
+    with pytest.raises(pytest.fail.Exception, match="float32"):
+        ad.backward(ad.sum_(ad.mul(w, w)))

@@ -4,6 +4,8 @@ import pytest
 from ecglab import autodiff as ad
 from ecglab import models, nn, training
 from ecglab.autodiff import Tensor
+from ecglab.dsp import mel_spectrogram
+from ecglab.metrics import inception_score
 from ecglab.signals import LabeledDataset, Signal, SignalPair
 from ecglab.training import (
     DenoiserConfig,
@@ -98,14 +100,16 @@ def _directional_fd(f, x, direction, eps=1e-6):
     return (f(x + eps * direction) - f(x - eps * direction)) / (2 * eps)
 
 
-@pytest.mark.parametrize("critic,length", [
+@pytest.mark.parametrize("make_critic,length", [
     # 150 -> 38 -> 10 -> 3 -> 1 -> 1: every stage has uneven SAME pads
-    (models.build("critic", d=1, signal_length=150, seed=3), 150),
-    (SmoothCritic(30), 30),
+    (lambda: models.build("critic", d=1, signal_length=150, seed=3), 150),
+    (lambda: SmoothCritic(30), 30),
 ], ids=["critic", "smooth"])
 @pytest.mark.float64
-def test_gradient_penalty_param_gradient_matches_fd(critic, length):
+def test_gradient_penalty_param_gradient_matches_fd(make_critic, length):
     """d GP / d theta: second order through grad(create_graph=True)."""
+    # built here, not at collection, so the parameters are float64 under the marker
+    critic = make_critic()
     data = np.random.default_rng(4)
     real = data.normal(size=(3, length, 1))
     fake = data.normal(size=(3, length, 1))
@@ -377,3 +381,13 @@ def test_ablation_sweep_size_exceeds_data():
     cfg = DenoiserConfig(d=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
         training.ablation_sweep(real, synth_pairs, [100], cfg, seed=0)
+
+
+def test_inception_of_generator_scores_mel_grids_of_its_samples():
+    gen = models.build("generator", d=1, z_len=8, signal_length=1024, seed=0)
+    clf = models.build("inception", d=1, signal_length=1024, seed=0)
+    cfg = GanConfig(z_len=8, is_eval_batch=20)
+    score = training._inception_of_generator(gen, clf, cfg, 500.0, np.random.default_rng(5))
+    z = models.sample_latent(np.random.default_rng(5), 20, 8, cfg.latent)
+    grids = np.stack([mel_spectrogram(Signal(row, 500.0)).bins for row in models.infer(gen, z.data)[:, :, 0]])
+    assert score == inception_score(models.infer(clf, grids[:, :, :, None]), splits=10)[0]
