@@ -150,15 +150,17 @@ def phase_shuffle(
         raise ValueError("n_max must be >= 0")
     if n_max == 0 or mode != "train":
         return x
-    n, L, c = x.shape
+    n, _, c = x.shape
     if shifts is None:
         if rng is None:
             raise ValueError("phase_shuffle in train mode needs an rng")
         shifts = rng.integers(-n_max, n_max + 1, size=(n, c))
-    idx = np.arange(L)[None, :, None] + np.asarray(shifts)[:, None, :]
-    idx = np.where(idx < 0, -idx - 1, idx)
-    idx = np.where(idx >= L, 2 * L - idx - 1, idx)
-    return ad.take_len(x, idx)
+    else:
+        shifts = np.asarray(shifts)
+        if (shifts.shape != (n, c) or not np.issubdtype(shifts.dtype, np.integer)
+                or np.abs(shifts).max(initial=0) > n_max):
+            raise ValueError(f"phase_shuffle shifts must be integers in [-{n_max}, {n_max}] of shape {(n, c)}")
+    return ad.shift_len(x, shifts, n_max)
 
 
 def crop_center(x: Tensor, target: int) -> Tensor:

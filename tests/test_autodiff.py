@@ -83,6 +83,65 @@ def test_phase_shuffle_preserves_shape():
     assert nn.phase_shuffle(x, 2, g, "train").shape == (4, 33, 5)
 
 
+@pytest.mark.parametrize("shifts", [[[5]], [[-3]], [[1, 0]], [[1], [0]], [[1.0]], [[True]]])
+def test_phase_shuffle_rejects_bad_shifts(shifts):
+    x = Tensor(rng.normal(size=(1, 4, 1)))
+    with pytest.raises(ValueError, match=r"integers in \[-2, 2\] of shape \(1, 1\)") as err:
+        nn.phase_shuffle(x, 2, None, "train", shifts=np.array(shifts))
+    assert "\n" not in str(err.value)
+
+
+def _reference_shuffle_index(L, shifts):
+    """The index map phase shuffle used to gather with: one reflection at each end."""
+    idx = np.arange(L)[None, :, None] + shifts[:, None, :]
+    idx = np.where(idx < 0, -idx - 1, idx)
+    return np.where(idx >= L, 2 * L - idx - 1, idx)
+
+
+def _reference_unshift(g, shifts):
+    n, L, c = g.shape
+    acc = np.zeros_like(g)
+    np.add.at(acc, (np.arange(n)[:, None, None], _reference_shuffle_index(L, shifts),
+                    np.arange(c)[None, None, :]), g)
+    return acc
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 9, 313])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_shift_ops_are_bit_equal_to_index_gather(L, n_max):
+    # every shift in [-n_max, n_max] appears in some (sample, channel)
+    shifts = np.arange(-n_max, n_max + 1)[:, None] * np.array([1, -1, 0])
+    x = rng.normal(size=(len(shifts), L, 3)).astype(ad.DTYPE)
+    g = rng.normal(size=x.shape).astype(ad.DTYPE)
+    g[:, ::2] *= -0.0  # summing into zeros turns -0 into +0
+    y = ad.shift_len(Tensor(x), shifts, n_max).data
+    back = ad.unshift_len(Tensor(g), shifts, n_max).data
+    assert y.tobytes() == np.take_along_axis(x, _reference_shuffle_index(L, shifts), axis=1).tobytes()
+    assert back.tobytes() == _reference_unshift(g, shifts).tobytes()
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("L", [1, 3, 9])
+def test_shift_len_vjp_and_its_vjp_match_fd(L):
+    """d<shift(x), p>/dx = unshift(p), and, through create_graph,
+    d<unshift(p), q>/dp = shift(q)."""
+    shifts = np.array([[2, -1], [0, -2], [1, 2]])
+    x0, p0 = rng.normal(size=(3, L, 2)), rng.normal(size=(3, L, 2))
+    q = rng.normal(size=(3, L, 2))
+    x, p = Tensor(x0, requires_grad=True), Tensor(p0, requires_grad=True)
+    (gx,) = ad.grad(ad.sum_(ad.mul(ad.shift_len(x, shifts, 2), p)), [x], create_graph=True)
+    ad.backward(ad.sum_(ad.mul(gx, Tensor(q))))
+
+    def shifted(v):
+        return float(np.sum(ad.shift_len(Tensor(v), shifts, 2).data * p0))
+
+    def unshifted(v):
+        return float(np.sum(ad.unshift_len(Tensor(v), shifts, 2).data * q))
+
+    assert rel_err(gx.data, numeric_grad(shifted, x0)) < 1e-8
+    assert rel_err(p.grad, numeric_grad(unshifted, p0)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # batch norm
 
@@ -128,6 +187,25 @@ def test_batch_norm_gradient_matches_fd():
     out = nn.batch_norm(xt, Tensor(gamma0), Tensor(np.zeros(2)), running, "train")
     ad.backward(ad.sum_(ad.tanh(out)))
     assert rel_err(xt.grad, numeric_grad(loss_of_x, x0)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# leaky relu
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.01, 0.3, 0.7])
+@pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
+def test_leaky_relu_is_bit_equal_to_where_form(alpha, dtype):
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-30, -1e-30]
+    x0 = np.concatenate([special, rng.normal(size=200)]).astype(ad.DTYPE)
+    g0 = rng.normal(size=x0.shape).astype(ad.DTYPE)
+    slope = np.where(x0 > 0, ad.DTYPE(1.0), ad.DTYPE(alpha))
+    x = Tensor(x0, requires_grad=True)
+    y = ad.leaky_relu(x, alpha)
+    (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+    assert y.data.dtype == np.dtype(dtype)
+    assert y.data.tobytes() == (x0 * slope).tobytes()
+    assert gx.data.tobytes() == (g0 * slope).tobytes()
 
 
 # ---------------------------------------------------------------------------
