@@ -10,7 +10,12 @@ A Tensor wraps a numpy array and, while recording is enabled, every
 operation appends a node to an implicit computation graph. Backward
 functions are themselves written with Tensor ops, so gradients of
 gradients (needed for the critic's gradient penalty) come for free via
-``grad(..., create_graph=True)``.
+``grad(..., create_graph=True)``. Linear ops come in pairs whose VJPs are
+each other: ``conv_len``/``trans_conv_len``, ``take_len``/``scatter_len``
+and the phase-shuffle pair ``shift_len``/``unshift_len``. The one VJP
+written in plain numpy is train-mode ``batch_norm_train``'s closed form;
+it is first order only and raises GraphError under ``create_graph``. No
+second-order path crosses it: the critic has no batch norm.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -313,6 +318,54 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return matmul(g, transpose(b, (1, 0))), matmul(transpose(a, (1, 0)), g)
 
     return _make(a.data @ b.data, (a, b), vjp)
+
+
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode batch norm over every axis but the last (channel) axis.
+
+    Returns y = (x - mu) / sqrt(var + eps) * gamma + beta and the batch mean
+    mu and biased variance var per channel. The VJP is the closed form of
+    Ioffe & Szegedy in numpy, so it is first order only: it raises
+    GraphError when called while a graph is recorded (create_graph=True).
+    """
+    c = x.shape[-1]
+    # one row per sample, so that per-channel vectors tiled to a row broadcast
+    # with long inner loops, and channel sums add each position's batch sum
+    x2 = x.data.reshape(x.shape[0], -1)
+    reps = x2.shape[1] // c
+    m = x.size // c
+
+    def channel_sum(v):
+        return v.reshape(reps, c).sum(0)
+
+    def row(v):
+        return np.tile(v, reps)
+
+    mu = channel_sum(np.einsum("ij->j", x2)) / m
+    xhat = x2 - row(mu)
+    var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
+    inv = 1 / np.sqrt(var + eps)
+    xhat *= row(inv)
+    y = xhat * row(gamma.data)
+    y += row(beta.data)
+
+    def vjp(g):
+        if _grad_enabled:
+            raise GraphError("batch_norm in train mode has no second-order gradient")
+        g2 = g.data.reshape(x2.shape)
+        dbeta = channel_sum(np.einsum("ij->j", g2))
+        dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
+        gx = None
+        if x.requires_grad:
+            # gamma * inv * (g - dbeta / m - xhat * dgamma / m)
+            gx = xhat * row(dgamma / m)
+            np.subtract(g2, gx, out=gx)
+            gx -= row(dbeta / m)
+            gx *= row(gamma.data * inv)
+            gx = Tensor(gx.reshape(x.shape))
+        return gx, Tensor(dgamma), Tensor(dbeta)
+
+    return _make(y.reshape(x.shape), (x, gamma, beta), vjp), mu, var
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ There is no im2col buffer. The input VJP of each is the other with the kernel's
 channel axes swapped (carrying the conv's own left pad and input length
 when L is not a multiple of the stride), and the kernel VJP is one
 per-tap correlation.
+
+``phase_shuffle`` is one node too (``autodiff.shift_len``): each
+(sample, channel) row is gathered as one length-L window of the
+symmetrically padded row, and its adjoint writes the rows back into
+their windows and folds the padding onto the samples it reflects.
+Train-mode ``batch_norm`` is one node (``autodiff.batch_norm_train``)
+whose VJP is the closed form, first order only; inference mode
+normalizes with the running statistics.
 """
 
 from __future__ import annotations
@@ -113,23 +121,19 @@ def batch_norm(
     eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel standardization over batch and spatial axes (channel last)."""
-    axes = tuple(range(x.data.ndim - 1))
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs batch size >= 2")
-        mu = ad.mean_(x, axis=axes, keepdims=True)
-        xc = ad.sub(x, mu)
-        var = ad.mean_(ad.mul(xc, xc), axis=axes, keepdims=True)
-        y = ad.div(xc, ad.sqrt(ad.add(var, Tensor(eps))))
-        running["mean"] = momentum * running["mean"] + (1 - momentum) * mu.data.reshape(-1)
-        running["var"] = momentum * running["var"] + (1 - momentum) * var.data.reshape(-1)
-    elif mode == "infer":
-        y = ad.div(
-            ad.sub(x, Tensor(running["mean"])),
-            Tensor(np.sqrt(running["var"] + eps)),
-        )
-    else:
+        out, mu, var = ad.batch_norm_train(x, gamma, beta, eps)
+        running["mean"] = momentum * running["mean"] + (1 - momentum) * mu
+        running["var"] = momentum * running["var"] + (1 - momentum) * var
+        return out
+    if mode != "infer":
         raise ValueError(f"unknown batch_norm mode {mode!r}")
+    y = ad.div(
+        ad.sub(x, Tensor(running["mean"])),
+        Tensor(np.sqrt(running["var"] + eps)),
+    )
     return ad.add(ad.mul(y, gamma), beta)
 
 

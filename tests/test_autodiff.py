@@ -171,22 +171,94 @@ def test_batch_norm_batch_one_raises():
         nn.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train")
 
 
+def _reference_batch_norm(x, gamma, beta, running, momentum=0.9, eps=1e-5):
+    """The 11-node composition train-mode batch_norm was built from."""
+    axes = tuple(range(x.data.ndim - 1))
+    mu = ad.mean_(x, axis=axes, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.mean_(ad.mul(xc, xc), axis=axes, keepdims=True)
+    y = ad.div(xc, ad.sqrt(ad.add(var, Tensor(eps))))
+    running["mean"] = momentum * running["mean"] + (1 - momentum) * mu.data.reshape(-1)
+    running["var"] = momentum * running["var"] + (1 - momentum) * var.data.reshape(-1)
+    return ad.add(ad.mul(y, gamma), beta)
+
+
+def _bn_arrays(shape):
+    c = shape[-1]
+    return {"x": rng.normal(loc=0.5, scale=1.5, size=shape), "gamma": rng.normal(size=c),
+            "beta": rng.normal(size=c)}
+
+
+def _bn_grads(bn, arrays, probe):
+    """Output, running statistics and the gradients of <tanh(bn(...)), probe>."""
+    c = arrays["x"].shape[-1]
+    running = {"mean": np.linspace(-1, 1, c), "var": np.linspace(0.5, 2, c)}
+    t = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    out = bn(t["x"], t["gamma"], t["beta"], running)
+    y = out.data.copy()
+    ad.backward(ad.sum_(ad.mul(ad.tanh(out), Tensor(probe))))
+    return y, running, {k: v.grad for k, v in t.items()}
+
+
+def _train_bn(x, gamma, beta, running):
+    return nn.batch_norm(x, gamma, beta, running, "train")
+
+
+BN_SHAPES = [(4, 6, 2), (3, 4, 5, 2)]  # the generator's [n, L, c] and the classifier's [n, H, W, c]
+
+
 @pytest.mark.float64
 def test_batch_norm_gradient_matches_fd():
-    x0 = rng.normal(size=(4, 6, 2))
-    gamma0 = rng.normal(size=2)
+    for shape in BN_SHAPES:
+        arrays = _bn_arrays(shape)
+        probe = rng.normal(size=shape)
+        _, _, grads = _bn_grads(_train_bn, arrays, probe)
+        for target, arr in arrays.items():
+            def loss(v):
+                args = dict(arrays, **{target: v})
+                running = {"mean": np.zeros(shape[-1]), "var": np.ones(shape[-1])}
+                out = _train_bn(Tensor(args["x"]), Tensor(args["gamma"]), Tensor(args["beta"]), running)
+                return float(np.sum(np.tanh(out.data) * probe))
 
-    def loss_of_x(xv):
-        with ad.no_grad():
-            running = {"mean": np.zeros(2), "var": np.ones(2)}
-            out = nn.batch_norm(Tensor(xv), Tensor(gamma0), Tensor(np.zeros(2)), running, "train")
-            return float(np.sum(np.tanh(out.data)))
+            assert rel_err(grads[target], numeric_grad(loss, arr)) < 1e-6, (shape, target)
 
-    xt = Tensor(x0, requires_grad=True)
-    running = {"mean": np.zeros(2), "var": np.ones(2)}
-    out = nn.batch_norm(xt, Tensor(gamma0), Tensor(np.zeros(2)), running, "train")
-    ad.backward(ad.sum_(ad.tanh(out)))
-    assert rel_err(xt.grad, numeric_grad(loss_of_x, x0)) < 1e-4
+
+@pytest.mark.float64
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_matches_reference_composition(shape):
+    arrays = _bn_arrays(shape)
+    probe = rng.normal(size=shape)
+    y, running, grads = _bn_grads(_train_bn, arrays, probe)
+    y_ref, running_ref, grads_ref = _bn_grads(_reference_batch_norm, arrays, probe)
+    assert np.max(np.abs(y - y_ref)) < 1e-12
+    for key in ("mean", "var"):
+        assert np.max(np.abs(running[key] - running_ref[key])) < 1e-12, key
+    for key in arrays:
+        assert np.max(np.abs(grads[key] - grads_ref[key])) < 1e-12, key
+
+
+def test_batch_norm_float32_statistics_stay_accurate():
+    """The per-channel sums over 131072 positions add per-position batch sums;
+    one running float32 sum over all of them is off by about 7e-5 here."""
+    x = np.random.default_rng(5).normal(loc=3.0, scale=2.0, size=(16, 8192, 4))
+    running = {"mean": np.zeros(4), "var": np.ones(4)}
+    y = nn.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), running, "train")
+    truth = (x - x.mean(axis=(0, 1))) / np.sqrt(x.var(axis=(0, 1)) + 1e-5)
+    assert y.data.dtype == np.float32
+    assert np.max(np.abs(y.data - truth)) < 1e-5
+
+
+def test_batch_norm_train_is_one_node_with_first_order_vjp_only():
+    x = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+    running = {"mean": np.zeros(3), "var": np.ones(3)}
+    out = nn.batch_norm(x, gamma, beta, running, "train")
+    assert out._parents == (x, gamma, beta)
+    loss = ad.sum_(ad.mul(out, out))
+    ad.grad(loss, [x, gamma, beta])
+    with pytest.raises(ad.GraphError, match="second-order") as err:
+        ad.grad(loss, [x], create_graph=True)
+    assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
