@@ -250,7 +250,8 @@ def relu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     dt = a.data.dtype.type
     # 1 or alpha, built arithmetically: np.where on a data-dependent mask is
-    # several times slower, and (1 - alpha) + alpha rounds to exactly 1
+    # several times slower, and for alpha in [0, 1] (1 - alpha) + alpha
+    # rounds to exactly 1 in float32 and float64
     slope = (a.data > 0).astype(dt)
     slope *= dt(1.0 - alpha)
     slope += dt(alpha)
