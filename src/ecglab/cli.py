@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.network == "gan":
         ds = read_dataset(args.data)
-        gen, critic, log = training.train_gan(list(ds.signals), cfg.gan(), args.seed)
+        gen, critic, log = training.train_gan(list(ds.signals), cfg, args.seed)
         length = ds.signals[0].length
         states = {
             "generator": _meta(gen, {"d": cfg.model_dim, "z_len": cfg.z_len, "signal_length": length}),
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
         }
     elif args.network == "inception":
         ds = read_dataset(args.data)
-        net, log = training.train_inception(ds, cfg.classifier(), args.seed)
+        net, log = training.train_inception(ds, cfg, args.seed)
         states = {"inception": _meta(net, {})}
     else:
         pairs = read_pairs(args.data)
@@ -127,8 +127,7 @@ def cmd_train(args) -> int:
             if not args.critic_checkpoint:
                 raise ValueError("the pretrained variant needs --critic-checkpoint")
             critic_state = load_params(args.critic_checkpoint)
-        net, log = training.train_denoiser(pairs, cfg.denoiser(), args.variant, args.seed,
-                                           critic_state=critic_state)
+        net, log = training.train_denoiser(pairs, cfg, args.variant, args.seed, critic_state=critic_state)
         length = pairs[0].clean.length if pairs else 0
         states = {"denoiser": _meta(net, {"d": cfg.model_dim, "signal_length": length})}
 
@@ -185,8 +184,7 @@ def cmd_sweep(args) -> int:
     synthetic = read_pairs(args.synthetic)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     comps = tuple(args.compositions.split(","))
-    rows = training.ablation_sweep(real, synthetic, sizes, cfg.denoiser(), args.seed,
-                                   compositions=comps)
+    rows = training.ablation_sweep(real, synthetic, sizes, cfg, args.seed, compositions=comps)
     csv = sweep_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv)

@@ -1,18 +1,55 @@
 """Plain key=value configuration files for the command-line pipeline.
 
-The keys are the fields of RunConfig. The gan, classifier and denoiser
-sections take each field of their config class from the key of the same
-name (the networks' `d` from model_dim). Unknown keys are rejected;
-defaults are the full-scale values.
+RunConfig is the only training configuration: `train gan`, `train
+inception`, `train denoiser` and `sweep` each read the keys they need
+from it. Every value is checked once, when the RunConfig is built; a bad
+one raises a ConfigError naming the key and the value. Unknown keys are
+rejected. Each key, its default, its valid range and the subcommands
+that read it (`train` abbreviated to its network):
+
+    key               default   valid            read by
+    batch_size        64        integer >= 1     gan, inception, denoiser, sweep
+    model_dim         16        integer >= 1     gan, denoiser, sweep
+    gp_lambda         10.0      >= 0             gan
+    critic_updates    5         integer >= 1     gan
+    phase_shuffle     2         integer >= 0     gan; denoiser --variant phase_shuffle
+    adam_lr           1e-4      any              gan, inception, denoiser, sweep
+    adam_beta1        0.9       any              gan, inception, denoiser, sweep
+    adam_beta2        0.999     any              gan, inception, denoiser, sweep
+    epochs            1         integer >= 1     gan, inception, denoiser, sweep
+    generator_steps   none      integer >= 1     gan (overrides epochs when set)
+    latent            uniform   uniform, normal  gan; synth --model gan
+    z_len             100       integer >= 1     gan
+    val_fraction      0.1       [0, 1)           gan, inception, denoiser, sweep
+    is_eval_every     10        integer >= 1     none (see below)
+    is_eval_batch     1024      integer >= 1     none (see below)
+    bw_freq_max_hz    0.5       any              noise
+    bw_amp_max        0.3       any              noise
+    pl_amp_max        0.1       any              noise
+    chirp_amp_max     0.1       any              noise
+    chirp_mod_min_hz  0.1       any              noise
+    chirp_mod_max_hz  2.0       any              noise
+
+is_eval_every and is_eval_batch drive inception-score model selection in
+`training.train_gan(classifier=...)`, which no subcommand passes yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral
 from pathlib import Path
 
+from .models import LATENTS
 from .synth import NoiseRanges
-from .training import ClassifierConfig, DenoiserConfig, GanConfig
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, Integral) and value >= 1
 
 
 @dataclass
@@ -40,18 +77,22 @@ class RunConfig:
     chirp_mod_min_hz: float = 0.1
     chirp_mod_max_hz: float = 2.0
 
-    def _section(self, cls):
-        """`cls` built from the same-named fields here; its `d` is model_dim."""
-        return cls(**{f.name: getattr(self, "model_dim" if f.name == "d" else f.name) for f in fields(cls)})
+    def __post_init__(self):
+        def require(key, ok, what):
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
 
-    def gan(self) -> GanConfig:
-        return self._section(GanConfig)
-
-    def classifier(self) -> ClassifierConfig:
-        return self._section(ClassifierConfig)
-
-    def denoiser(self) -> DenoiserConfig:
-        return self._section(DenoiserConfig)
+        for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len",
+                    "is_eval_every", "is_eval_batch"):
+            require(key, _positive_int, "a positive integer")
+        if self.generator_steps is not None:
+            require("generator_steps", _positive_int, "a positive integer")
+        require("phase_shuffle", lambda v: isinstance(v, Integral) and v >= 0, "a non-negative integer")
+        # comparisons written so that NaN fails them
+        require("gp_lambda", lambda v: v >= 0, "non-negative")
+        require("val_fraction", lambda v: 0 <= v < 1, "in [0, 1)")
+        require("latent", lambda v: v in LATENTS, f"one of {', '.join(LATENTS)}")
 
     def noise_ranges(self) -> NoiseRanges:
         return NoiseRanges(
@@ -61,10 +102,6 @@ class RunConfig:
             chirp_amp=(0.0, self.chirp_amp_max),
             chirp_mod_freq_hz=(self.chirp_mod_min_hz, self.chirp_mod_max_hz),
         )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -84,9 +121,9 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Parse a key=value file; `#` starts a comment; unknown keys are errors."""
-    cfg = RunConfig()
     if path is None:
-        return cfg
+        return RunConfig()
+    values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -97,7 +134,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(key, raw))
+            values[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {raw!r}") from exc
-    return cfg
+    return RunConfig(**values)

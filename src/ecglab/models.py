@@ -290,6 +290,9 @@ def count_params(net: Network) -> int:
     return sum(p.data.size for p in net.params.values())
 
 
+LATENTS = ("uniform", "normal")
+
+
 def sample_latent(rng: np.random.Generator, n: int, z_len: int, dist: str = "uniform") -> Tensor:
     if dist == "uniform":
         return Tensor(rng.uniform(-1.0, 1.0, size=(n, z_len)))

@@ -155,19 +155,25 @@ def write_dataset(ds: LabeledDataset, path: str | Path) -> None:
     path.write_bytes(bytes(blob))
 
 
+def _read_header(blob: bytes, magic: bytes) -> tuple[int, int, float]:
+    """(count, length, sample rate) from a version-1 container header."""
+    if len(blob) < _HEADER.size:
+        raise TruncatedPayload(f"file shorter than header ({len(blob)} bytes)")
+    found, version, n, length, rate = _HEADER.unpack_from(blob)
+    if found != magic:
+        raise BadMagic(f"expected magic {magic!r}, found {found!r}")
+    if version != 1:
+        raise ContainerError(f"unsupported container version {version}")
+    return n, length, rate
+
+
 def read_dataset(path: str | Path, format: str = "raw-f32", sample_rate_hz: float = 500.0) -> LabeledDataset:
     if format == "csv":
         return _read_csv_dataset(Path(path), sample_rate_hz)
     if format != "raw-f32":
         raise ValueError(f"unknown dataset format {format!r}")
     blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TruncatedPayload(f"file shorter than header ({len(blob)} bytes)")
-    magic, version, n, length, rate = _HEADER.unpack_from(blob)
-    if magic != b"ECGD":
-        raise BadMagic(f"expected magic b'ECGD', found {magic!r}")
-    if version != 1:
-        raise ContainerError(f"unsupported container version {version}")
+    n, length, rate = _read_header(blob, b"ECGD")
     sample_bytes = n * length * 4
     off = _HEADER.size
     if len(blob) < off + sample_bytes:
@@ -212,13 +218,7 @@ def write_pairs(pairs: list[SignalPair], path: str | Path) -> None:
 
 def read_pairs(path: str | Path) -> list[SignalPair]:
     blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TruncatedPayload(f"file shorter than header ({len(blob)} bytes)")
-    magic, version, n, length, rate = _HEADER.unpack_from(blob)
-    if magic != b"ECG2":
-        raise BadMagic(f"expected magic b'ECG2', found {magic!r}")
-    if version != 1:
-        raise ContainerError(f"unsupported container version {version}")
+    n, length, rate = _read_header(blob, b"ECG2")
     need = _HEADER.size + n * length * 8
     if len(blob) < need:
         raise TruncatedPayload(f"expected {need} bytes, found {len(blob)}")

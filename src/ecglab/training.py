@@ -1,6 +1,7 @@
 """Training loops: adversarial generator/critic pair, spectrogram
 classifier, and the denoising autoencoder, plus the training-set-size
-ablation driver."""
+ablation driver. Every trainer takes the one `config.RunConfig`; the
+classifier and the denoiser share one supervised loop, `_fit`."""
 
 from __future__ import annotations
 
@@ -12,60 +13,12 @@ import numpy as np
 from . import autodiff as ad
 from . import models
 from .autodiff import Tensor
+from .config import RunConfig
 from .dsp import mel_spectrogram
 from .metrics import MetricReport, evaluate_denoiser, inception_score
 from .models import Network
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .signals import LabeledDataset, Signal, SignalPair
-
-
-@dataclass
-class GanConfig:
-    batch_size: int = 64
-    d: int = 16
-    gp_lambda: float = 10.0
-    critic_updates: int = 5
-    phase_shuffle: int = 2
-    adam_lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    epochs: int = 1
-    latent: str = "uniform"
-    z_len: int = 100
-    generator_steps: int | None = None  # overrides the epoch budget when set
-    val_fraction: float = 0.1
-    is_eval_every: int = 10  # epochs between inception-score model selections
-    is_eval_batch: int = 1024
-
-    def __post_init__(self):
-        if min(self.batch_size, self.d, self.critic_updates, self.epochs, self.z_len) < 1:
-            raise ValueError("config integers must be positive")
-        if self.gp_lambda < 0 or self.phase_shuffle < 0:
-            raise ValueError("gp_lambda and phase_shuffle must be non-negative")
-        if self.latent not in ("uniform", "normal"):
-            raise ValueError(f"unknown latent distribution {self.latent!r}")
-
-
-@dataclass
-class ClassifierConfig:
-    epochs: int = 100
-    batch_size: int = 64
-    adam_lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    val_fraction: float = 0.1
-
-
-@dataclass
-class DenoiserConfig:
-    d: int = 16
-    epochs: int = 10
-    batch_size: int = 64
-    adam_lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    phase_shuffle: int = 2
-    val_fraction: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -146,6 +99,20 @@ def gradient_penalty(
     return ad.mean_(ad.pow_const(ad.sub(norms, Tensor(1.0)), 2))
 
 
+def _hold_out(rng: np.random.Generator, n: int, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(held-out, training) indices: round(fraction * n) rows of one
+    seeded permutation are held out."""
+    n_val = int(round(fraction * n))
+    if n_val == n:
+        raise ValueError(f"val_fraction {fraction} holds out all {n} records, leaving none to train on")
+    perm = rng.permutation(n)
+    return perm[:n_val], perm[n_val:]
+
+
+def _adam(cfg: RunConfig) -> AdamState:
+    return AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+
+
 def _epoch_batches(rng: np.random.Generator, n: int, batch: int):
     """Endless stream of shuffled index batches; yields (epoch, indices)."""
     epoch = 0
@@ -158,7 +125,7 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch: int):
 
 def train_gan(
     real: list[Signal],
-    cfg: GanConfig,
+    cfg: RunConfig,
     seed: int,
     classifier: Network | None = None,
 ) -> tuple[Network, Network, TrainLog]:
@@ -168,7 +135,8 @@ def train_gan(
     generator minimizes -E[C(fake)]. Phase shuffle is active in the
     critic during training only. When a spectrogram classifier is given,
     generator checkpoints are scored by inception score every
-    `is_eval_every` epochs and the best one is returned.
+    `cfg.is_eval_every` epochs (on `cfg.is_eval_batch` samples) and the
+    best one is returned; no CLI subcommand passes a classifier yet.
     """
     if not real:
         raise ValueError("no training signals")
@@ -180,20 +148,17 @@ def train_gan(
     rng = np.random.default_rng(seed)
     data = _signals_to_array(real)
     _require_finite(data, "training signal")
-    n_val = int(round(cfg.val_fraction * len(real)))
-    perm = rng.permutation(len(real))
-    val_data = data[perm[:n_val]]
-    train_data = data[perm[n_val:]]
+    vi, ti = _hold_out(rng, len(real), cfg.val_fraction)
+    val_data, train_data = data[vi], data[ti]
     if train_data.shape[0] < cfg.batch_size:
         raise ValueError(
             f"{train_data.shape[0]} training signals cannot fill one batch of {cfg.batch_size}"
         )
 
-    generator = models.build("generator", d=cfg.d, z_len=cfg.z_len, signal_length=length, seed=seed)
-    critic = models.build("critic", d=cfg.d, signal_length=length, seed=seed + 1,
+    generator = models.build("generator", d=cfg.model_dim, z_len=cfg.z_len, signal_length=length, seed=seed)
+    critic = models.build("critic", d=cfg.model_dim, signal_length=length, seed=seed + 1,
                           phase_shuffle_n=cfg.phase_shuffle)
-    opt_g = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    opt_c = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    opt_g, opt_c = _adam(cfg), _adam(cfg)
 
     batches_per_epoch = train_data.shape[0] // cfg.batch_size
     if cfg.generator_steps is not None:
@@ -300,67 +265,75 @@ def _spectrogram_batch(signals: Sequence[Signal]) -> np.ndarray:
     return np.stack([mel_spectrogram(s).bins for s in signals])[:, :, :, None]
 
 
-def train_inception(
-    ds: LabeledDataset,
-    cfg: ClassifierConfig,
-    seed: int,
-    val: LabeledDataset | None = None,
-) -> tuple[Network, TrainLog]:
-    """Multilabel classifier on mel spectrograms, binary cross-entropy loss.
+def _fit(
+    net: Network,
+    cfg: RunConfig,
+    rng: np.random.Generator,
+    kind: str,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss,
+    val_loss,
+    stop_at: str | None = None,
+) -> TrainLog:
+    """Adam on `loss(output, targets)` (a Tensor) over shuffled batches of
+    the training rows for `cfg.epochs` epochs; `stop_at` ends the forward
+    early, as in `Network.forward`.
 
-    Validated after every epoch; the parameters with the lowest
-    validation loss are returned.
+    `val_loss(output, targets)` (numpy in, a float out) scores the held-out
+    rows after every epoch, or the training rows when the hold-out rounds
+    to none. `net` ends with the parameters of its best epoch.
     """
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
-    _require_finite((s.samples for s in ds.signals), "training signal")
-    if val is not None:
-        _require_finite((s.samples for s in val.signals), "validation signal")
-    rng = np.random.default_rng(seed)
-    x = _spectrogram_batch(ds.signals)
-    y = ds.labels.astype(np.float64)
-
-    if val is not None:
-        xv, yv = _spectrogram_batch(val.signals), val.labels.astype(np.float64)
-    else:
-        n_val = int(round(cfg.val_fraction * len(ds)))
-        perm = rng.permutation(len(ds))
-        if n_val:
-            xv, yv = x[perm[:n_val]], y[perm[:n_val]]
-            x, y = x[perm[n_val:]], y[perm[n_val:]]
-        else:
-            xv, yv = x, y
-
-    net = models.build("inception", seed=seed)
-    opt = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    vi, ti = _hold_out(rng, len(inputs), cfg.val_fraction)
+    if vi.size == 0:
+        vi = ti
+    opt = _adam(cfg)
     log = TrainLog()
     best_val = np.inf
     best_state = net.state_dict()
     step = 0
-    batch = min(cfg.batch_size, x.shape[0])
+    batch = min(cfg.batch_size, len(ti))
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(x.shape[0])
-        for i in range(max(1, x.shape[0] // batch)):
+        order = ti[rng.permutation(len(ti))]
+        for i in range(len(ti) // batch):
             idx = order[i * batch : (i + 1) * batch]
-            if idx.size == 0:
-                continue
             zero_grads(net.params)
-            # classifier applies batch norm statistics in train mode only
-            logits = net.forward(Tensor(x[idx]), mode="train", stop_at="sigmoid")
-            loss = bce_with_logits(logits, y[idx])
+            # `out` lives until the next batch's forward replaces it: freed
+            # after backward instead, malloc trims and re-faults the heap top
+            # every step (2.5x the minor page faults of a paper-scale
+            # denoiser run, and 10-15 % slower)
+            out = net.forward(Tensor(inputs[idx]), mode="train", rng=rng, stop_at=stop_at)
+            batch_loss = loss(out, targets[idx])
             step += 1
-            value = _finite_loss(loss, step, "classifier")
-            ad.backward(loss)
+            value = _finite_loss(batch_loss, step, kind)
+            ad.backward(batch_loss)
             adam_step(net.params, collect_grads(net.params), opt)
-            log.add(step=step, kind="classifier", epoch=epoch, loss=value)
-        val_loss = _bce_numpy(models.infer(net, xv, stop_at="sigmoid"), yv)
-        log.add(step=step, kind="validation", epoch=epoch, val_loss=val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
+            log.add(step=step, kind=kind, epoch=epoch, loss=value)
+        value = val_loss(models.infer(net, inputs[vi], stop_at=stop_at), targets[vi])
+        log.add(step=step, kind="validation", epoch=epoch, val_loss=value)
+        if value < best_val:
+            best_val = value
             best_state = net.state_dict()
 
     net.load_state_dict(best_state)
+    return log
+
+
+def train_inception(ds: LabeledDataset, cfg: RunConfig, seed: int) -> tuple[Network, TrainLog]:
+    """Multilabel classifier on mel spectrograms, binary cross-entropy loss.
+
+    Validated after every epoch; the parameters with the lowest
+    validation loss are returned. Batch norm uses batch statistics in
+    training only.
+    """
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
+    _require_finite((s.samples for s in ds.signals), "training signal")
+    rng = np.random.default_rng(seed)
+    net = models.build("inception", seed=seed)
+    log = _fit(net, cfg, rng, "classifier", _spectrogram_batch(ds.signals), ds.labels.astype(np.float64),
+               bce_with_logits, _bce_numpy, stop_at="sigmoid")
     return net, log
 
 
@@ -377,11 +350,10 @@ DENOISER_VARIANTS = ("baseline", "phase_shuffle", "pretrained")
 
 def train_denoiser(
     pairs: list[SignalPair],
-    cfg: DenoiserConfig,
+    cfg: RunConfig,
     variant: str = "baseline",
     seed: int = 0,
     critic_state: dict[str, np.ndarray] | None = None,
-    val_pairs: list[SignalPair] | None = None,
 ) -> tuple[Network, TrainLog]:
     """MSE training of the autoencoder on clean/noisy pairs.
 
@@ -399,60 +371,21 @@ def train_denoiser(
     noisy = _signals_to_array([p.noisy for p in pairs])
     clean = _signals_to_array([p.clean for p in pairs])
     _require_finite(np.concatenate([noisy, clean], axis=2), "training pair")
-    if val_pairs is None:
-        n_val = int(round(cfg.val_fraction * len(pairs)))
-        perm = rng.permutation(len(pairs))
-        vi, ti = perm[:n_val], perm[n_val:]
-        noisy_v, clean_v = noisy[vi], clean[vi]
-        noisy, clean = noisy[ti], clean[ti]
-        if noisy_v.shape[0] == 0:
-            noisy_v, clean_v = noisy, clean
-    else:
-        noisy_v = _signals_to_array([p.noisy for p in val_pairs])
-        clean_v = _signals_to_array([p.clean for p in val_pairs])
-        _require_finite(np.concatenate([noisy_v, clean_v], axis=2), "validation pair")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
-    net = models.build("denoiser", d=cfg.d, signal_length=length, seed=seed,
+    net = models.build("denoiser", d=cfg.model_dim, signal_length=length, seed=seed,
                        phase_shuffle_n=shuffle_n)
     if variant == "pretrained":
         if critic_state is None:
             raise ValueError("pretrained variant needs a critic checkpoint")
         models.transfer_critic_to_denoiser(critic_state, net)
 
-    opt = AdamState(alpha=cfg.adam_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    log = TrainLog()
-    best_val = np.inf
-    best_state = net.state_dict()
-    step = 0
-    batch = min(cfg.batch_size, noisy.shape[0])
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(noisy.shape[0])
-        for i in range(max(1, noisy.shape[0] // batch)):
-            idx = order[i * batch : (i + 1) * batch]
-            if idx.size == 0:
-                continue
-            zero_grads(net.params)
-            out = net.forward(Tensor(noisy[idx]), mode="train", rng=rng)
-            loss = mse_loss(out, clean[idx])
-            step += 1
-            value = _finite_loss(loss, step, "denoiser")
-            ad.backward(loss)
-            adam_step(net.params, collect_grads(net.params), opt)
-            log.add(step=step, kind="denoiser", epoch=epoch, loss=value)
-        val_loss = _denoiser_val_loss(net, noisy_v, clean_v)
-        log.add(step=step, kind="validation", epoch=epoch, val_loss=val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = net.state_dict()
-
-    net.load_state_dict(best_state)
+    log = _fit(net, cfg, rng, "denoiser", noisy, clean, mse_loss, _mse_numpy)
     return net, log
 
 
-def _denoiser_val_loss(net: Network, noisy: np.ndarray, clean: np.ndarray) -> float:
-    return float(np.mean((models.infer(net, noisy) - clean) ** 2))
+def _mse_numpy(pred: np.ndarray, target: np.ndarray) -> float:
+    return float(np.mean((pred - target) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +423,7 @@ def ablation_sweep(
     real: list[SignalPair],
     synthetic: list[SignalPair],
     sizes: list[int],
-    cfg: DenoiserConfig,
+    cfg: RunConfig,
     seed: int,
     compositions: tuple[str, ...] = COMPOSITIONS,
     test_fraction: float = 0.2,

@@ -47,18 +47,53 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def mel_data(tmp_path_factory):
+    """6 signals of 10 s at 128 Hz (the mel window needs 1024 samples) and their pairs."""
+    work = tmp_path_factory.mktemp("mel")
+    clean, pairs = work / "c.ecgd", work / "p.ecg2"
+    assert main(["synth", "--model", "mcsharry", "--count", "6", "--duration", "10",
+                 "--sample-rate", "128", "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    return {"inception": clean, "denoiser": pairs}
+
+
+@pytest.mark.parametrize("network", ["denoiser", "inception"])
+@pytest.mark.parametrize("key,value,rule", [
+    pytest.param(key, value, rule, id=f"{key}={value}") for key, value, rule in (
+        ("batch_size", "-4", "a positive integer"),
+        ("val_fraction", "-0.5", "in [0, 1)"),
+        ("epochs", "0", "a positive integer"),
+        ("batch_size", "0", "a positive integer"),
+        ("val_fraction", "1.5", "in [0, 1)"),
+    )
+])
+def test_train_bad_config_value_exits_1_without_output(tmp_path, capsys, mel_data, network, key, value, rule):
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+    cfg.write_text(f"model_dim = 2\nepochs = 1\n{key} = {value}\n")
+    capsys.readouterr()
+    code = main(["train", network, "--config", str(cfg), "--data", str(mel_data[network]), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"ecglab: error: {key} must be {rule}, got {value}\n"
+    assert not out.exists()
+
+
 def _desk_chain(work, seed):
-    """synth -> noise -> train gan/denoiser/pretrained -> synth --model gan
-    -> eval --all -> sweep; returns every output file's bytes."""
+    """synth -> noise -> train gan/inception/denoiser/pretrained -> synth
+    --model gan -> eval --all -> sweep; returns every output file's bytes."""
     cfg = work / "run.cfg"
     cfg.write_text("model_dim = 2\nbatch_size = 4\nepochs = 1\ngenerator_steps = 1\nz_len = 8\n")
-    clean, pairs = work / "clean.ecgd", work / "pairs.ecg2"
+    clean, pairs, mel = work / "clean.ecgd", work / "pairs.ecg2", work / "mel.ecgd"
     c = ["--config", str(cfg), "--seed", str(seed)]
     steps = [
         ["synth", "--model", "mcsharry", "--count", "20", "--duration", "2", "--sample-rate", "128",
          "--out", str(clean)],
+        # the classifier's mel window needs at least 1024 samples
+        ["synth", "--model", "mcsharry", "--count", "12", "--duration", "10", "--sample-rate", "128",
+         "--out", str(mel)],
         ["noise", "--in", str(clean), "--out", str(pairs)],
         ["train", "gan", "--data", str(clean), "--out", str(work / "gan")],
+        ["train", "inception", "--data", str(mel), "--out", str(work / "inc")],
         ["train", "denoiser", "--data", str(pairs), "--out", str(work / "den")],
         ["train", "denoiser", "--variant", "pretrained", "--critic-checkpoint",
          str(work / "gan" / "critic.ecgw"), "--data", str(pairs), "--out", str(work / "pre")],
@@ -84,8 +119,8 @@ def test_desk_chain_is_byte_identical_on_rerun(tmp_path, capsys):
     rows = first["eval.csv"].decode().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["none", "bandpass", "wavelet", "denoiser"]
     assert len(first["sweep.csv"].decode().splitlines()) == 1 + 3 * 2
-    for name in ("gan/generator.ecgw", "gan/critic.ecgw", "gan/gan_log.csv", "den/denoiser.ecgw",
-                 "pre/denoiser.ecgw", "gan.ecgd"):
+    for name in ("gan/generator.ecgw", "gan/critic.ecgw", "gan/gan_log.csv", "inc/inception.ecgw",
+                 "inc/inception_log.csv", "den/denoiser.ecgw", "pre/denoiser.ecgw", "gan.ecgd"):
         assert name in first
 
 

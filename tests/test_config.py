@@ -4,7 +4,6 @@ from dataclasses import fields
 import pytest
 
 from ecglab.config import ConfigError, RunConfig, load_config
-from ecglab.training import ClassifierConfig, DenoiserConfig, GanConfig
 
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
@@ -15,18 +14,14 @@ _CHANGE = {
 }
 
 
-@pytest.mark.parametrize("section,cls", [("gan", GanConfig), ("classifier", ClassifierConfig),
-                                         ("denoiser", DenoiserConfig)])
-def test_section_takes_every_field_from_its_key(tmp_path, section, cls):
+def test_load_config_sets_every_key(tmp_path):
     values = {f.name: _CHANGE[f.type](f.default) for f in fields(RunConfig)}
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
-    got = getattr(load_config(path), section)()
-    assert type(got) is cls
-    for f in fields(cls):
-        want = values["model_dim" if f.name == "d" else f.name]
-        assert want != f.default, f.name
-        assert getattr(got, f.name) == want, f.name
+    got = load_config(path)
+    for f in fields(RunConfig):
+        assert values[f.name] != f.default, f.name
+        assert getattr(got, f.name) == values[f.name], f.name
 
 
 @pytest.mark.parametrize("text,lineno,message", [
@@ -38,4 +33,39 @@ def test_config_error_names_the_line(tmp_path, text, lineno, message):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^line {lineno}: {re.escape(message)}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    *((key, value, "a positive integer")
+      for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len",
+                  "is_eval_every", "is_eval_batch", "generator_steps")
+      for value in (0, -4)),
+    ("batch_size", 2.5, "a positive integer"),
+    ("phase_shuffle", -1, "a non-negative integer"),
+    ("gp_lambda", -0.5, "non-negative"),
+    ("gp_lambda", float("nan"), "non-negative"),
+    ("val_fraction", -0.5, "in [0, 1)"),
+    ("val_fraction", 1.0, "in [0, 1)"),
+    ("val_fraction", 1.5, "in [0, 1)"),
+    ("val_fraction", float("nan"), "in [0, 1)"),
+    ("latent", "cauchy", "one of uniform, normal"),
+])
+def test_run_config_rejects_bad_value(key, value, rule):
+    with pytest.raises(ConfigError, match=f"^{key} must be {re.escape(rule)}, got {re.escape(repr(value))}$"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key,value", [("generator_steps", None), ("generator_steps", 1),
+                                       ("phase_shuffle", 0), ("gp_lambda", 0.0),
+                                       ("val_fraction", 0.0), ("val_fraction", 0.99),
+                                       ("latent", "normal")])
+def test_run_config_accepts_edge_value(key, value):
+    assert getattr(RunConfig(**{key: value}), key) == value
+
+
+def test_load_config_checks_the_parsed_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 2\nval_fraction = 1.5\n")
+    with pytest.raises(ConfigError, match=r"^val_fraction must be in \[0, 1\), got 1.5$"):
         load_config(path)

@@ -4,12 +4,11 @@ import pytest
 from ecglab import autodiff as ad
 from ecglab import models, nn, training
 from ecglab.autodiff import Tensor
+from ecglab.config import RunConfig
 from ecglab.dsp import mel_spectrogram
 from ecglab.metrics import inception_score
 from ecglab.signals import LabeledDataset, Signal, SignalPair
 from ecglab.training import (
-    DenoiserConfig,
-    GanConfig,
     bce_with_logits,
     gradient_penalty,
     mse_loss,
@@ -30,10 +29,10 @@ def make_sines(seed=0, n=64, length=128, rate=64.0):
 
 
 def tiny_gan_cfg(**kw):
-    base = dict(batch_size=8, d=2, generator_steps=3, z_len=16, adam_lr=1e-3,
+    base = dict(batch_size=8, model_dim=2, generator_steps=3, z_len=16, adam_lr=1e-3,
                 val_fraction=0.0)
     base.update(kw)
-    return GanConfig(**base)
+    return RunConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def test_gan_rejects_non_finite_signal():
         train_gan(sigs, tiny_gan_cfg(), seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gan_divergence_names_step_and_kind():
     # a huge learning rate overflows the critic after its first update
     with pytest.raises(training.DivergenceError, match=r"^critic loss is (nan|inf) at step 2$"):
@@ -277,12 +276,12 @@ def _identity_pairs(n=24, length=96, rate=64.0, seed=0):
 
 def test_denoiser_pretrained_needs_checkpoint():
     with pytest.raises(ValueError):
-        train_denoiser(_identity_pairs(), DenoiserConfig(d=2, epochs=1), "pretrained", seed=0)
+        train_denoiser(_identity_pairs(), RunConfig(model_dim=2, epochs=1), "pretrained", seed=0)
 
 
 def test_denoiser_unknown_variant():
     with pytest.raises(ValueError):
-        train_denoiser(_identity_pairs(), DenoiserConfig(d=2, epochs=1), "dropout", seed=0)
+        train_denoiser(_identity_pairs(), RunConfig(model_dim=2, epochs=1), "dropout", seed=0)
 
 
 def test_denoiser_rejects_non_finite_pair():
@@ -290,13 +289,13 @@ def test_denoiser_rejects_non_finite_pair():
     bad = Signal(np.full(96, np.inf), 64.0)
     pairs[5] = SignalPair(pairs[5].clean, bad)
     with pytest.raises(ValueError, match="training pair 5 holds NaN or inf"):
-        train_denoiser(pairs, DenoiserConfig(d=2, epochs=1, batch_size=8), seed=0)
+        train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_denoiser_divergence_names_step_and_kind():
     # the tanh output keeps the loss finite until the activations overflow
-    cfg = DenoiserConfig(d=2, epochs=1, batch_size=4, adam_lr=1e100)
+    cfg = RunConfig(model_dim=2, epochs=1, batch_size=4, adam_lr=1e100)
     with pytest.raises(training.DivergenceError, match=r"^denoiser loss is (nan|inf) at step 2$"):
         train_denoiser(_identity_pairs(), cfg, seed=0)
 
@@ -306,12 +305,12 @@ def test_inception_rejects_non_finite_signal():
     sigs[2] = Signal(np.where(np.arange(1024) == 7, np.nan, 0.0), 500.0)
     ds = LabeledDataset(tuple(sigs), np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ValueError, match="training signal 2 holds NaN or inf"):
-        training.train_inception(ds, training.ClassifierConfig(epochs=1), seed=0)
+        training.train_inception(ds, RunConfig(epochs=1), seed=0)
 
 
 def test_denoiser_deterministic():
     pairs = _identity_pairs()
-    cfg = DenoiserConfig(d=2, epochs=2, batch_size=8, adam_lr=1e-3)
+    cfg = RunConfig(model_dim=2, epochs=2, batch_size=8, adam_lr=1e-3)
     n1, log1 = train_denoiser(pairs, cfg, "baseline", seed=4)
     n2, log2 = train_denoiser(pairs, cfg, "baseline", seed=4)
     assert log1.to_csv() == log2.to_csv()
@@ -321,7 +320,7 @@ def test_denoiser_deterministic():
 
 def test_phase_shuffle_zero_matches_baseline_bitwise():
     pairs = _identity_pairs()
-    cfg = DenoiserConfig(d=2, epochs=2, batch_size=8, adam_lr=1e-3, phase_shuffle=0)
+    cfg = RunConfig(model_dim=2, epochs=2, batch_size=8, adam_lr=1e-3, phase_shuffle=0)
     base, log_base = train_denoiser(pairs, cfg, "baseline", seed=9)
     shuf, log_shuf = train_denoiser(pairs, cfg, "phase_shuffle", seed=9)
     assert log_base.to_csv() == log_shuf.to_csv()
@@ -331,7 +330,7 @@ def test_phase_shuffle_zero_matches_baseline_bitwise():
 
 def test_denoiser_best_checkpoint_retained():
     pairs = _identity_pairs(n=30)
-    cfg = DenoiserConfig(d=2, epochs=4, batch_size=8, adam_lr=3e-3, val_fraction=0.2)
+    cfg = RunConfig(model_dim=2, epochs=4, batch_size=8, adam_lr=3e-3, val_fraction=0.2)
     net, log = train_denoiser(pairs, cfg, "baseline", seed=2)
     vals = [r.val_loss for r in log.of_kind("validation")]
     rng = np.random.default_rng(2)
@@ -340,15 +339,35 @@ def test_denoiser_best_checkpoint_retained():
     # recomputed loss of the returned network equals the best logged epoch
     n_val = int(round(cfg.val_fraction * len(pairs)))
     vi = rng.permutation(len(pairs))[:n_val]
-    got = training._denoiser_val_loss(net, noisy[vi], clean[vi])
+    got = training._mse_numpy(models.infer(net, noisy[vi]), clean[vi])
     assert abs(got - min(vals)) < 1e-12
     assert min(vals) <= vals[-1]
+
+
+def test_inception_best_checkpoint_retained():
+    rng = np.random.default_rng(0)
+    sigs = [Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8)]
+    ds = LabeledDataset(tuple(sigs), rng.integers(0, 2, size=(8, 5)).astype(np.uint8))
+    cfg = RunConfig(epochs=3, batch_size=4, adam_lr=1e-2, val_fraction=0.25)
+    net, log = training.train_inception(ds, cfg, seed=1)
+    assert [r.kind for r in log.rows] == ["classifier", "validation"] * 3
+    vals = [r.val_loss for r in log.of_kind("validation")]
+    vi = np.random.default_rng(1).permutation(8)[:2]
+    grids = training._spectrogram_batch([sigs[i] for i in vi])
+    got = training._bce_numpy(models.infer(net, grids, stop_at="sigmoid"), ds.labels[vi].astype(np.float64))
+    assert got == min(vals)
+
+
+def test_hold_out_of_every_record_is_rejected():
+    # round(0.75 * 2) == 2: nothing would be left to train on
+    with pytest.raises(ValueError, match="^val_fraction 0.75 holds out all 2 records"):
+        train_denoiser(_identity_pairs(n=2), RunConfig(model_dim=2, val_fraction=0.75), seed=0)
 
 
 def test_pretrained_variant_runs_and_copies_encoder():
     pairs = _identity_pairs()
     critic = models.build("critic", d=2, signal_length=96, seed=3)
-    cfg = DenoiserConfig(d=2, epochs=1, batch_size=8)
+    cfg = RunConfig(model_dim=2, epochs=1, batch_size=8)
     net, _ = train_denoiser(pairs, cfg, "pretrained", seed=0, critic_state=critic.state_dict())
     assert net is not None
 
@@ -360,7 +379,7 @@ def test_pretrained_variant_runs_and_copies_encoder():
 def test_ablation_sweep_grid_and_determinism():
     real = _identity_pairs(n=14, seed=1)
     synth_pairs = _identity_pairs(n=14, seed=2)
-    cfg = DenoiserConfig(d=2, epochs=1, batch_size=4)
+    cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     rows = training.ablation_sweep(real, synth_pairs, [2, 4], cfg, seed=3)
     assert len(rows) == 6
     keys = [(r.composition, r.size) for r in rows]
@@ -378,7 +397,7 @@ def test_ablation_sweep_grid_and_determinism():
 def test_ablation_sweep_size_exceeds_data():
     real = _identity_pairs(n=6, seed=1)
     synth_pairs = _identity_pairs(n=6, seed=2)
-    cfg = DenoiserConfig(d=2, epochs=1, batch_size=4)
+    cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
         training.ablation_sweep(real, synth_pairs, [100], cfg, seed=0)
 
@@ -386,7 +405,7 @@ def test_ablation_sweep_size_exceeds_data():
 def test_inception_of_generator_scores_mel_grids_of_its_samples():
     gen = models.build("generator", d=1, z_len=8, signal_length=1024, seed=0)
     clf = models.build("inception", d=1, signal_length=1024, seed=0)
-    cfg = GanConfig(z_len=8, is_eval_batch=20)
+    cfg = RunConfig(z_len=8, is_eval_batch=20)
     score = training._inception_of_generator(gen, clf, cfg, 500.0, np.random.default_rng(5))
     z = models.sample_latent(np.random.default_rng(5), 20, 8, cfg.latent)
     grids = np.stack([mel_spectrogram(Signal(row, 500.0)).bins for row in models.infer(gen, z.data)[:, :, 0]])
