@@ -1,9 +1,12 @@
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from ecglab import config, training
 from ecglab.config import ConfigError, RunConfig, load_config
+from ecglab.signals import LabeledDataset, Signal, SignalPair
 
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
@@ -22,6 +25,87 @@ def test_load_config_sets_every_key(tmp_path):
     for f in fields(RunConfig):
         assert values[f.name] != f.default, f.name
         assert getattr(got, f.name) == values[f.name], f.name
+
+
+class _Recorder:
+    """Stands in for a RunConfig and records the keys read from it."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self._read = set()
+
+    def __getattr__(self, key):
+        self._read.add(key)
+        return getattr(self._cfg, key)
+
+
+_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _documented_readers():
+    """key -> the subcommands that read it, from the table in ecglab.config."""
+    readers = {}
+    for line in config.__doc__.splitlines():
+        m = re.match(r"^    (\w+) +\S+ +\S.*?  +(\S.*)$", line)
+        if m and m.group(1) in _KEYS:
+            readers[m.group(1)] = {part.split()[0] for part in re.split(r"[,;]", m.group(2))}
+    return readers
+
+
+def _sines(n, length, rate, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(length) / rate
+    return [Signal(np.sin(2 * np.pi * rng.uniform(1, 2) * t + rng.uniform(0, 2 * np.pi)), rate)
+            for _ in range(n)]
+
+
+def _run_gan(cfg):
+    training.train_gan(_sines(32, 128, 64.0), cfg, seed=0)
+
+
+def _run_classifier(cfg):
+    sigs = _sines(8, 1024, 500.0)
+    labels = np.random.default_rng(0).integers(0, 2, size=(8, 5)).astype(np.uint8)
+    training.train_inception(LabeledDataset(tuple(sigs), labels), cfg, seed=0)
+
+
+def _run_denoiser(cfg):
+    pairs = [SignalPair(clean=s, noisy=s) for s in _sines(16, 96, 64.0)]
+    training.train_denoiser(pairs, cfg, "phase_shuffle", seed=0)
+
+
+# section, the per-section dataclass its trainer took before RunConfig
+# replaced them, the trainer's name in the config table, a small run
+_SECTIONS = {
+    "gan": ("GanConfig", "gan", _run_gan),
+    "classifier": ("ClassifierConfig", "inception", _run_classifier),
+    "denoiser": ("DenoiserConfig", "denoiser", _run_denoiser),
+}
+
+_SMALL_RUN = ("batch_size = 8\nmodel_dim = 2\ngp_lambda = 5.0\ncritic_updates = 2\n"
+              "phase_shuffle = 1\nadam_lr = 0.001\nadam_beta1 = 0.5\nadam_beta2 = 0.9\n"
+              "epochs = 1\nlatent = normal\nz_len = 8\nval_fraction = 0.25\n")
+
+
+@pytest.mark.parametrize("section,cls", [("gan", "GanConfig"), ("classifier", "ClassifierConfig"),
+                                         ("denoiser", "DenoiserConfig")])
+def test_section_takes_every_field_from_its_key(tmp_path, section, cls):
+    """Each trainer reads from the RunConfig exactly the keys that the
+    table in ecglab.config says it reads, each as load_config set it
+    from its key; the section dataclass it took before is gone."""
+    assert _SECTIONS[section][0] == cls
+    assert not hasattr(training, cls)
+    _, name, run = _SECTIONS[section]
+    path = tmp_path / "run.cfg"
+    path.write_text(_SMALL_RUN)
+    loaded = load_config(path)
+    recorder = _Recorder(loaded)
+    run(recorder)
+    documented = {key for key, readers in _documented_readers().items() if name in readers}
+    assert recorder._read == documented
+    for line in _SMALL_RUN.splitlines():
+        key, value = (part.strip() for part in line.split("="))
+        assert str(getattr(loaded, key)) == value, key
 
 
 @pytest.mark.parametrize("text,lineno,message", [
