@@ -11,11 +11,12 @@ operation appends a node to an implicit computation graph. Backward
 functions are themselves written with Tensor ops, so gradients of
 gradients (needed for the critic's gradient penalty) come for free via
 ``grad(..., create_graph=True)``. Linear ops come in pairs whose VJPs are
-each other: ``conv_len``/``trans_conv_len``, ``take_len``/``scatter_len``
-and the phase-shuffle pair ``shift_len``/``unshift_len``. The one VJP
-written in plain numpy is train-mode ``batch_norm_train``'s closed form;
-it is first order only and raises GraphError under ``create_graph``. No
-second-order path crosses it: the critic has no batch norm.
+each other: ``conv_len``/``trans_conv_len``, ``take_len``/``scatter_len``,
+the phase-shuffle pair ``shift_len``/``unshift_len`` and the 2-D row
+unfold ``unfold_rows``/``fold_rows``. The one VJP written in plain numpy
+is train-mode ``batch_norm_train``'s closed form; it is first order only
+and raises GraphError under ``create_graph``. No second-order path
+crosses it: the critic has no batch norm.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -563,46 +564,39 @@ def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tenso
 
 
 # ---------------------------------------------------------------------------
-# structured ops over two spatial axes (axes 1, 2 of [n, H, W, c] tensors)
+# the rows of [n, H, W, c] maps, unfolded for a convolution along W
 
 
-def unfold2d(a: Tensor, kh: int, kw: int, stride: int, pads: tuple[int, int, int, int]) -> Tensor:
-    """[n, H, W, c] -> [n, Ho, Wo, kh, kw, c] patches of a zero-padded map."""
-    pt, pb, pl, pr = pads
+def unfold_rows(a: Tensor, kh: int, stride: int, pt: int, out_h: int) -> Tensor:
+    """y[b*out_h + o, :, i*c : (i+1)*c] = a[b, o*stride + i - pt], zero outside.
+
+    a [n, H, W, c] -> [n*out_h, W, kh*c]: the kh rows that feed output row o
+    of a stride-`stride` convolution, side by side in the channel axis.
+    """
     n, H, W, c = a.shape
-    Hp, Wp = H + pt + pb, W + pl + pr
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
-    xp = np.zeros((n, Hp, Wp, c), dtype=DTYPE)
-    xp[:, pt : pt + H, pl : pl + W] = a.data
-    out = np.empty((n, Ho, Wo, kh, kw, c), dtype=DTYPE)
-    hspan = stride * (Ho - 1) + 1
-    wspan = stride * (Wo - 1) + 1
+    span = stride * (out_h - 1) + 1
+    xp = np.zeros((n, max(span + kh - 1, pt + H), W, c), dtype=DTYPE)
+    xp[:, pt : pt + H] = a.data
+    out = np.empty((n, out_h, W, kh, c), dtype=DTYPE)
     for i in range(kh):
-        for j in range(kw):
-            out[:, :, :, i, j, :] = xp[:, i : i + hspan : stride, j : j + wspan : stride, :]
-
-    def vjp(g):
-        return (fold2d(g, (H, W), stride, pads),)
-
-    return _make(out, (a,), vjp)
+        out[:, :, :, i] = xp[:, i : i + span : stride]
+    return _make(out.reshape(n * out_h, W, kh * c), (a,), lambda g: (fold_rows(g, kh, stride, pt, (n, H)),))
 
 
-def fold2d(p: Tensor, out_hw: tuple[int, int], stride: int, pads: tuple[int, int, int, int]) -> Tensor:
-    pt, pb, pl, pr = pads
-    H, W = out_hw
-    n, Ho, Wo, kh, kw, c = p.shape
-    acc = np.zeros((n, H + pt + pb, W + pl + pr, c), dtype=DTYPE)
-    hspan = stride * (Ho - 1) + 1
-    wspan = stride * (Wo - 1) + 1
+def fold_rows(g: Tensor, kh: int, stride: int, pt: int, nh: tuple[int, int]) -> Tensor:
+    """Adjoint of unfold_rows: each row tap of g is added back onto its row.
+
+    g [n*out_h, W, kh*c] -> [n, H, W, c] for nh = (n, H).
+    """
+    n, H = nh
+    _, W, khc = g.shape
+    out_h, c = g.shape[0] // n, khc // kh
+    span = stride * (out_h - 1) + 1
+    acc = np.zeros((n, max(span + kh - 1, pt + H), W, c), dtype=DTYPE)
+    taps = g.data.reshape(n, out_h, W, kh, c)
     for i in range(kh):
-        for j in range(kw):
-            acc[:, i : i + hspan : stride, j : j + wspan : stride, :] += p.data[:, :, :, i, j, :]
-
-    def vjp(g):
-        return (unfold2d(g, kh, kw, stride, pads),)
-
-    return _make(acc[:, pt : pt + H, pl : pl + W].copy(), (p,), vjp)
+        acc[:, i : i + span : stride] += taps[:, :, :, i]
+    return _make(acc[:, pt : pt + H].copy(), (g,), lambda gg: (unfold_rows(gg, kh, stride, pt, out_h),))
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,7 @@ def cmd_eval(args) -> int:
         if method == "none":
             fn = None
         elif method == "denoiser":
-            net = _load_denoiser(args.checkpoint, pairs[0].clean.length)
-
-            def fn(noisy: list[Signal]) -> list[Signal]:
-                out = models.infer(net, np.stack([s.samples for s in noisy])[:, :, None])
-                return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
+            fn = training.network_denoiser(_load_denoiser(args.checkpoint, pairs[0].clean.length))
         else:
             filt = bandpass_filter if method == "bandpass" else wavelet_filter
             fn = lambda noisy: [filt(s) for s in noisy]

@@ -13,9 +13,9 @@ that read it (`train` abbreviated to its network):
     gp_lambda         10.0      >= 0             gan
     critic_updates    5         integer >= 1     gan
     phase_shuffle     2         integer >= 0     gan; denoiser --variant phase_shuffle
-    adam_lr           1e-4      any              gan, inception, denoiser, sweep
-    adam_beta1        0.9       any              gan, inception, denoiser, sweep
-    adam_beta2        0.999     any              gan, inception, denoiser, sweep
+    adam_lr           1e-4      > 0              gan, inception, denoiser, sweep
+    adam_beta1        0.9       [0, 1)           gan, inception, denoiser, sweep
+    adam_beta2        0.999     [0, 1)           gan, inception, denoiser, sweep
     epochs            1         integer >= 1     gan, inception, denoiser, sweep
     generator_steps   none      integer >= 1     gan (overrides epochs when set)
     latent            uniform   uniform, normal  gan; synth --model gan
@@ -23,12 +23,12 @@ that read it (`train` abbreviated to its network):
     val_fraction      0.1       [0, 1)           gan, inception, denoiser, sweep
     is_eval_every     10        integer >= 1     none (see below)
     is_eval_batch     1024      integer >= 1     none (see below)
-    bw_freq_max_hz    0.5       any              noise
-    bw_amp_max        0.3       any              noise
-    pl_amp_max        0.1       any              noise
-    chirp_amp_max     0.1       any              noise
-    chirp_mod_min_hz  0.1       any              noise
-    chirp_mod_max_hz  2.0       any              noise
+    bw_freq_max_hz    0.5       [0, 0.5]         noise
+    bw_amp_max        0.3       >= 0             noise
+    pl_amp_max        0.1       >= 0             noise
+    chirp_amp_max     0.1       >= 0             noise
+    chirp_mod_min_hz  0.1       > 0              noise
+    chirp_mod_max_hz  2.0       >= the min       noise
 
 is_eval_every and is_eval_batch drive inception-score model selection in
 `training.train_gan(classifier=...)`, which no subcommand passes yet.
@@ -92,6 +92,15 @@ class RunConfig:
         # comparisons written so that NaN fails them
         require("gp_lambda", lambda v: v >= 0, "non-negative")
         require("val_fraction", lambda v: 0 <= v < 1, "in [0, 1)")
+        require("adam_lr", lambda v: v > 0, "positive")
+        for key in ("adam_beta1", "adam_beta2"):
+            require(key, lambda v: 0 <= v < 1, "in [0, 1)")
+        require("bw_freq_max_hz", lambda v: 0 <= v <= 0.5, "in [0, 0.5]")
+        for key in ("bw_amp_max", "pl_amp_max", "chirp_amp_max"):
+            require(key, lambda v: v >= 0, "non-negative")
+        require("chirp_mod_min_hz", lambda v: v > 0, "positive")
+        require("chirp_mod_max_hz", lambda v: v >= self.chirp_mod_min_hz,
+                f"at least chirp_mod_min_hz ({self.chirp_mod_min_hz!r})")
         require("latent", lambda v: v in LATENTS, f"one of {', '.join(LATENTS)}")
 
     def noise_ranges(self) -> NoiseRanges:

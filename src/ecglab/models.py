@@ -4,10 +4,12 @@ Channel ladders and kernel sizes follow the reference architecture:
 25-tap stride-4 one-dimensional stages everywhere, batch norm in the
 generator only, phase shuffle in the critic only (and optionally before
 the denoiser's encoder convolutions), and a 3x3 stride-2 2-D stack for
-the spectrogram classifier. For the standard 5000-sample signal length
-the generator upsamples 8 -> 8192 in five stride-4 stages and crops back
-to 5000; shorter training lengths use the fewest stride-4 stages that
-reach the target so desk-scale runs stay cheap.
+the spectrogram classifier. Every convolution, the 2-D ones included, is
+one ``autodiff.conv_len`` or ``trans_conv_len`` node (see ``nn``). For
+the standard 5000-sample signal length the generator upsamples 8 -> 8192
+in five stride-4 stages and crops back to 5000; shorter training lengths
+use the fewest stride-4 stages that reach the target so desk-scale runs
+stay cheap.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class Network:
         self.running: dict[str, dict[str, np.ndarray]] = {}
         rng = np.random.default_rng(seed)
         for layer in spec.layers:
-            if layer.kind in ("dense", "conv1d", "trans_conv1d", "conv2d"):
+            if layer.kind in _NEEDS_KERNEL:
                 fan_in = int(np.prod(layer.kernel[:-1]))
                 bound = np.sqrt(6.0 / fan_in)
                 w = rng.uniform(-bound, bound, size=layer.kernel)
@@ -170,7 +172,7 @@ class Network:
     def _bn_channels(self, layer: LayerSpec) -> int:
         idx = self.spec.layers.index(layer)
         for prev in reversed(self.spec.layers[:idx]):
-            if prev.kind in ("dense", "conv1d", "trans_conv1d", "conv2d"):
+            if prev.kind in _NEEDS_KERNEL:
                 return prev.kernel[-1]
         raise ValueError("batch_norm with no preceding parameterized layer")
 

@@ -16,6 +16,12 @@ channel axes swapped (carrying the conv's own left pad and input length
 when L is not a multiple of the stride), and the kernel VJP is one
 per-tap correlation.
 
+``conv2d`` is the same ``conv_len`` along the width: ``autodiff.unfold_rows``
+sets the kh padded input rows that feed each output row side by side in
+the channel axis ([n, H, W, c] -> [n*Ho, W, kh*c]), and the kernel is read
+as kw taps of kh*c input channels. The row unfold's adjoint,
+``fold_rows``, adds each row tap back onto its input row.
+
 ``phase_shuffle`` is one node too (``autodiff.shift_len``): each
 (sample, channel) row is gathered as one length-L window of the
 symmetrically padded row, and its adjoint writes the rows back into
@@ -71,15 +77,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
     kh, kw, wci, co = w.shape
     if wci != ci:
         raise ValueError(f"conv2d channel mismatch: input {ci}, kernel {wci}")
-    Ho, pt, pb = same_pads_1d(H, kh, stride)
-    Wo, pl, pr = same_pads_1d(W, kw, stride)
-    patches = ad.unfold2d(x, kh, kw, stride, (pt, pb, pl, pr))
-    flat = ad.reshape(patches, (n * Ho * Wo, kh * kw * ci))
-    out = ad.matmul(flat, ad.reshape(w, (kh * kw * ci, co)))
-    out = ad.reshape(out, (n, Ho, Wo, co))
-    if b is not None:
-        out = ad.add(out, b)
-    return out
+    Ho, pt, _ = same_pads_1d(H, kh, stride)
+    Wo, pl, _ = same_pads_1d(W, kw, stride)
+    rows = ad.unfold_rows(x, kh, stride, pt, Ho)
+    wk = ad.reshape(ad.transpose(w, (1, 0, 2, 3)), (kw, kh * ci, co))
+    return ad.reshape(ad.conv_len(rows, wk, b, stride, pl, Wo), (n, Ho, Wo, co))
 
 
 def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:

@@ -62,7 +62,7 @@ class TrainLog:
 
 
 class DivergenceError(RuntimeError):
-    """A training loss became NaN or inf."""
+    """A training or validation loss became NaN or inf."""
 
 
 def _signals_to_array(signals: list[Signal]) -> np.ndarray:
@@ -282,7 +282,8 @@ def _fit(
 
     `val_loss(output, targets)` (numpy in, a float out) scores the held-out
     rows after every epoch, or the training rows when the hold-out rounds
-    to none. `net` ends with the parameters of its best epoch.
+    to none; a NaN or inf score raises DivergenceError. `net` ends with the
+    parameters of its best epoch.
     """
     vi, ti = _hold_out(rng, len(inputs), cfg.val_fraction)
     if vi.size == 0:
@@ -311,6 +312,8 @@ def _fit(
             adam_step(net.params, collect_grads(net.params), opt)
             log.add(step=step, kind=kind, epoch=epoch, loss=value)
         value = val_loss(models.infer(net, inputs[vi], stop_at=stop_at), targets[vi])
+        if not np.isfinite(value):
+            raise DivergenceError(f"{kind} validation loss is {value} at epoch {epoch}")
         log.add(step=step, kind="validation", epoch=epoch, val_loss=value)
         if value < best_val:
             best_val = value
@@ -388,6 +391,17 @@ def _mse_numpy(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
+def network_denoiser(net: Network):
+    """`evaluate_denoiser`'s denoise function for a trained denoiser: one
+    batched inference over the noisy signals."""
+
+    def denoise(noisy: list[Signal]) -> list[Signal]:
+        out = models.infer(net, _signals_to_array(noisy))
+        return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
+
+    return denoise
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -449,11 +463,7 @@ def ablation_sweep(
         for size in sorted(sizes):
             train_pairs = _compose(pool_real, pool_synth, comp, size, rng)
             net, _ = train_denoiser(train_pairs, cfg, "baseline", seed)
-
-            def denoise(noisy: list[Signal]) -> list[Signal]:
-                out = models.infer(net, _signals_to_array(noisy))
-                return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
-
+            denoise = network_denoiser(net)
             rows.append(
                 SweepRow(
                     composition=comp,

@@ -309,7 +309,8 @@ def _layer_cases():
     return [
         ("conv1d", (2, 9, 2), lambda t: nn.conv1d(t, Tensor(k1), Tensor(np.ones(3)), 2)),
         ("trans_conv1d", (2, 4, 2), lambda t: nn.trans_conv1d(t, Tensor(k1), None, 2)),
-        ("conv2d", (2, 6, 6, 2), lambda t: nn.conv2d(t, Tensor(k2), Tensor(np.zeros(3)), 2)),
+        # 7 and 5 are not multiples of the stride: uneven SAME pads on both axes
+        ("conv2d", (2, 7, 5, 2), lambda t: nn.conv2d(t, Tensor(k2), Tensor(np.zeros(3)), 2)),
         ("maxpool2d", (2, 4, 4, 3), lambda t: nn.maxpool2d(t, 2, 2)),
         ("dense", (3, 6), lambda t: nn.dense(t, Tensor(wd), Tensor(np.ones(4)))),
         ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2)),
@@ -420,6 +421,83 @@ def test_kernel_corr_gradients_match_fd():
     for target, arr in arrays.items():
         fd = numeric_grad(lambda v: loss(target, v), arr)
         assert rel_err(tensors[target].grad, fd) < 1e-6, target
+
+
+# ---------------------------------------------------------------------------
+# 2-D convolution: a row unfold and conv_len along the width
+
+_CONV2D_CASES = [
+    ((2, 7, 5, 2), (3, 3, 2, 3), 2),
+    ((3, 9, 11, 1), (3, 3, 1, 4), 2),   # one input channel, as the classifier's first layer
+    ((2, 5, 4, 3), (2, 3, 3, 2), 3),    # kh != kw, stride 3
+    ((2, 4, 4, 2), (3, 3, 2, 2), 1),
+    ((1, 1, 1, 2), (3, 3, 2, 2), 2),    # every tap but the centre reads padding
+]
+
+
+def _direct_conv2d(x, w, b, stride):
+    """SAME cross-correlation as a sum over the kernel taps of a zero-padded map."""
+    n, H, W, _ = x.shape
+    kh, kw, _, co = w.shape
+    Ho, pt, _ = nn.same_pads_1d(H, kh, stride)
+    Wo, pl, _ = nn.same_pads_1d(W, kw, stride)
+    xp = np.pad(x, ((0, 0), (pt, stride * Ho + kh), (pl, stride * Wo + kw), (0, 0)))
+    y = np.zeros((n, Ho, Wo, co)) + b
+    for i in range(kh):
+        for j in range(kw):
+            y += xp[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride] @ w[i, j]
+    return y
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("x_shape,w_shape,stride", _CONV2D_CASES)
+def test_conv2d_matches_direct_sum(x_shape, w_shape, stride):
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[3])
+    y = nn.conv2d(Tensor(x), Tensor(w), Tensor(b), stride)
+    assert np.allclose(y.data, _direct_conv2d(x, w, b, stride), rtol=0, atol=1e-12)
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("x_shape,w_shape,stride", _CONV2D_CASES[:3])
+def test_conv2d_gradients_match_fd(x_shape, w_shape, stride):
+    """Input, kernel and bias gradients against finite differences."""
+    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.5,
+              "b": rng.normal(size=w_shape[3])}
+    probe = rng.normal(size=nn.conv2d(Tensor(arrays["x"]), Tensor(arrays["w"]), None, stride).shape)
+
+    def loss(target, v):
+        args = dict(arrays, **{target: v})
+        with ad.no_grad():
+            out = nn.conv2d(Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), stride)
+        return float(np.sum(out.data * probe))
+
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    ad.backward(ad.sum_(ad.mul(nn.conv2d(tensors["x"], tensors["w"], tensors["b"], stride), Tensor(probe))))
+    for target, arr in arrays.items():
+        fd = numeric_grad(lambda v: loss(target, v), arr)
+        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("H,out_h,pt", [(7, 4, 1), (5, 2, 0), (4, 3, 0), (1, 1, 1)])
+def test_unfold_rows_vjp_and_its_vjp_match_fd(H, out_h, pt):
+    """d<unfold(x), p>/dx = fold(p), and, through create_graph,
+    d<fold(p), q>/dp = unfold(q). (4, 3, 0) reads past the last row."""
+    kh, stride = 3, 2
+    x0 = rng.normal(size=(2, H, 3, 2))
+    p0, q = rng.normal(size=(2 * out_h, 3, kh * 2)), rng.normal(size=x0.shape)
+    x, p = Tensor(x0, requires_grad=True), Tensor(p0, requires_grad=True)
+    (gx,) = ad.grad(ad.sum_(ad.mul(ad.unfold_rows(x, kh, stride, pt, out_h), p)), [x], create_graph=True)
+    ad.backward(ad.sum_(ad.mul(gx, Tensor(q))))
+
+    def unfolded(v):
+        return float(np.sum(ad.unfold_rows(Tensor(v), kh, stride, pt, out_h).data * p0))
+
+    def folded(v):
+        return float(np.sum(ad.fold_rows(Tensor(v), kh, stride, pt, (2, H)).data * q))
+
+    assert rel_err(gx.data, numeric_grad(unfolded, x0)) < 1e-8
+    assert rel_err(p.grad, numeric_grad(folded, p0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,40 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_nan_validation_loss_exits_1_without_checkpoint(tmp_path, capsys):
+    clean, pairs, out = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "run"
+    assert main(["synth", "--model", "mcsharry", "--count", "16", "--duration", "0.5",
+                 "--sample-rate", "192", "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    cfg = tmp_path / "cfg.txt"
+    # one batch per epoch, so the only training loss is the finite first one
+    cfg.write_text("model_dim = 2\nbatch_size = 64\nepochs = 1\nadam_lr = 1e100\n")
+    capsys.readouterr()
+    code = main(["train", "denoiser", "--config", str(cfg), "--data", str(pairs), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "ecglab: error: denoiser validation loss is nan at epoch 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    pytest.param(line, message, id=line) for line, message in (
+        ("chirp_mod_min_hz=3", "chirp_mod_max_hz must be at least chirp_mod_min_hz (3.0), got 2.0"),
+        ("bw_amp_max=-1", "bw_amp_max must be non-negative, got -1.0"),
+        ("pl_amp_max=nan", "pl_amp_max must be non-negative, got nan"),
+        ("bw_freq_max_hz=2", "bw_freq_max_hz must be in [0, 0.5], got 2.0"),
+    )
+])
+def test_noise_bad_range_exits_1_naming_the_key(tmp_path, capsys, line, message):
+    clean, pairs, cfg = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "cfg.txt"
+    assert _synth(clean) == 0
+    cfg.write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["noise", "--config", str(cfg), "--in", str(clean), "--out", str(pairs)]) == 1
+    assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert not pairs.exists()
+
+
 @pytest.fixture(scope="module")
 def mel_data(tmp_path_factory):
     """6 signals of 10 s at 128 Hz (the mel window needs 1024 samples) and their pairs."""
@@ -66,6 +100,12 @@ def mel_data(tmp_path_factory):
         ("epochs", "0", "a positive integer"),
         ("batch_size", "0", "a positive integer"),
         ("val_fraction", "1.5", "in [0, 1)"),
+        ("adam_lr", "nan", "positive"),
+        ("adam_lr", "-1.0", "positive"),
+        ("adam_beta1", "1.0", "in [0, 1)"),
+        ("adam_beta2", "nan", "in [0, 1)"),
+        ("bw_freq_max_hz", "2.0", "in [0, 0.5]"),
+        ("pl_amp_max", "nan", "non-negative"),
     )
 ])
 def test_train_bad_config_value_exits_1_without_output(tmp_path, capsys, mel_data, network, key, value, rule):

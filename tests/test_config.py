@@ -11,7 +11,7 @@ from ecglab.signals import LabeledDataset, Signal, SignalPair
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
     "int": lambda v: v + 3,
-    "float": lambda v: 2 * v + 0.25,
+    "float": lambda v: v / 2,  # every float default is positive and may be halved
     "int | None": lambda v: 7,
     "str": lambda v: "normal",
 }
@@ -134,6 +134,14 @@ def test_config_error_names_the_line(tmp_path, text, lineno, message):
     ("val_fraction", 1.5, "in [0, 1)"),
     ("val_fraction", float("nan"), "in [0, 1)"),
     ("latent", "cauchy", "one of uniform, normal"),
+    *(("adam_lr", value, "positive") for value in (0.0, -1.0, float("nan"))),
+    *((key, value, "in [0, 1)") for key in ("adam_beta1", "adam_beta2")
+      for value in (-0.1, 1.0, float("nan"))),
+    *(("bw_freq_max_hz", value, "in [0, 0.5]") for value in (-0.1, 2.0, float("nan"))),
+    *((key, value, "non-negative") for key in ("bw_amp_max", "pl_amp_max", "chirp_amp_max")
+      for value in (-1.0, float("nan"))),
+    *(("chirp_mod_min_hz", value, "positive") for value in (0.0, float("nan"))),
+    *(("chirp_mod_max_hz", value, "at least chirp_mod_min_hz (0.1)") for value in (0.05, float("nan"))),
 ])
 def test_run_config_rejects_bad_value(key, value, rule):
     with pytest.raises(ConfigError, match=f"^{key} must be {re.escape(rule)}, got {re.escape(repr(value))}$"):
@@ -143,9 +151,17 @@ def test_run_config_rejects_bad_value(key, value, rule):
 @pytest.mark.parametrize("key,value", [("generator_steps", None), ("generator_steps", 1),
                                        ("phase_shuffle", 0), ("gp_lambda", 0.0),
                                        ("val_fraction", 0.0), ("val_fraction", 0.99),
-                                       ("latent", "normal")])
+                                       ("latent", "normal"), ("adam_beta1", 0.0),
+                                       ("adam_beta2", 0.0), ("bw_freq_max_hz", 0.0),
+                                       ("bw_freq_max_hz", 0.5), ("bw_amp_max", 0.0),
+                                       ("chirp_mod_max_hz", 0.1)])
 def test_run_config_accepts_edge_value(key, value):
     assert getattr(RunConfig(**{key: value}), key) == value
+
+
+def test_chirp_mod_min_above_the_max_names_both_keys():
+    with pytest.raises(ConfigError, match=r"^chirp_mod_max_hz must be at least chirp_mod_min_hz \(3.0\), got 2.0$"):
+        RunConfig(chirp_mod_min_hz=3.0)
 
 
 def test_load_config_checks_the_parsed_values(tmp_path):

@@ -300,6 +300,15 @@ def test_denoiser_divergence_names_step_and_kind():
         train_denoiser(_identity_pairs(), cfg, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_denoiser_non_finite_validation_loss_raises():
+    # one batch per epoch: the first loss is finite, and the update it makes
+    # leaves parameters whose held-out output is NaN
+    cfg = RunConfig(model_dim=2, epochs=1, batch_size=64, adam_lr=1e100)
+    with pytest.raises(training.DivergenceError, match=r"^denoiser validation loss is nan at epoch 0$"):
+        train_denoiser(_identity_pairs(), cfg, seed=0)
+
+
 def test_inception_rejects_non_finite_signal():
     sigs = [Signal(np.zeros(1024), 500.0) for _ in range(4)]
     sigs[2] = Signal(np.where(np.arange(1024) == 7, np.nan, 0.0), 500.0)
