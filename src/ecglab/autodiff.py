@@ -18,9 +18,18 @@ is train-mode ``batch_norm_train``'s closed form; it is first order only
 and raises GraphError under ``create_graph``. No second-order path
 crosses it: the critic has no batch norm.
 
+VJPs read their inputs' data when they run, not when the node is
+recorded (``leaky_relu`` rebuilds its slope from its input then), so
+nothing may write an activation in place between the forward pass and
+the walk that differentiates it.
+
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
-from). ``backward`` consumes the graph: it sets ``.grad`` on leaves only
+from). It prunes its walk to the tensors on a path to ``wrt``: the VJPs
+ask ``_wants`` rather than ``requires_grad`` whether a parent needs a
+gradient, so the penalty's walk computes no kernel correlations or bias
+sums for the critic's parameters. The recorded gradient graph still
+depends on those parameters. ``backward`` consumes the graph: it sets ``.grad`` on leaves only
 (interior nodes keep ``.grad`` None) and unlinks each node as soon as
 its VJP has run, so activations are freed during the walk rather than
 when the cyclic garbage collector next runs. Walking a consumed graph
@@ -38,6 +47,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 DTYPE = np.float32
 
 _grad_enabled = True
+# ids of the tensors on a path to grad's `wrt` while grad walks, else None
+_walk_to: set[int] | None = None
 
 
 @contextlib.contextmanager
@@ -151,6 +162,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
+def _wants(t: Tensor) -> bool:
+    """Whether the running walk needs the gradient of t. VJPs test this
+    before computing a parent's gradient, so grad skips parameters."""
+    return t.requires_grad and (_walk_to is None or id(t) in _walk_to)
+
+
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce gradient g back to `shape` after numpy broadcasting."""
     if g.shape == shape:
@@ -170,7 +187,8 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if _wants(a) else None,
+                _unbroadcast(g, b.shape) if _wants(b) else None)
 
     return _make(a.data + b.data, (a, b), vjp)
 
@@ -244,19 +262,27 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = (a.data > 0).astype(DTYPE)
-    return _make(a.data * mask, (a,), lambda g: (mul(g, Tensor(mask)),))
+    # a * (a > 0) keeps a's -0 and NaN as a * 1.0 / a * 0.0 did; the VJP
+    # rebuilds the mask from the input, so the node holds no mask
+    return _make(a.data * (a.data > 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha}")
     dt = a.data.dtype.type
-    # 1 or alpha, built arithmetically: np.where on a data-dependent mask is
-    # several times slower, and for alpha in [0, 1] (1 - alpha) + alpha
-    # rounds to exactly 1 in float32 and float64
-    slope = (a.data > 0).astype(dt)
-    slope *= dt(1.0 - alpha)
-    slope += dt(alpha)
-    return _make(a.data * slope, (a,), lambda g: (mul(g, Tensor(slope)),))
+
+    def vjp(g):
+        # 1 or alpha, built arithmetically from the input at backward time:
+        # np.where on a data-dependent mask is several times slower, and for
+        # alpha in [0, 1] (1 - alpha) + alpha rounds to exactly 1
+        slope = (a.data > 0).astype(dt)
+        slope *= dt(1.0 - alpha)
+        slope += dt(alpha)
+        return (mul(g, Tensor(slope)),)
+
+    # max(a, alpha*a) is a*1 or a*alpha, bit for bit, when alpha is in [0, 1]
+    return _make(np.maximum(a.data, a.data * dt(alpha)), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +343,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
 
     def vjp(g):
-        return matmul(g, transpose(b, (1, 0))), matmul(transpose(a, (1, 0)), g)
+        return (matmul(g, transpose(b, (1, 0))) if _wants(a) else None,
+                matmul(transpose(a, (1, 0)), g) if _wants(b) else None)
 
     return _make(a.data @ b.data, (a, b), vjp)
 
@@ -477,10 +504,13 @@ def _swap_channels(w: Tensor) -> Tensor:
 def _with_bias(x: Tensor, w: Tensor, b: Tensor | None, y: np.ndarray, vjp) -> Tensor:
     if b is None:
         return _make(y, (x, w), vjp)
-    y += b.data
+    # b tiled to one row per sample broadcasts with a long inner loop
+    n, m, c = y.shape
+    rows = y.reshape(n, m * c)  # a view: y is a fresh contiguous buffer
+    rows += np.tile(b.data, m)
 
     def vjp_b(g):
-        return (*vjp(g), _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (*vjp(g), _unbroadcast(g, b.shape) if _wants(b) else None)
 
     return _make(y, (x, w, b), vjp_b)
 
@@ -505,8 +535,8 @@ def conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_l
     y = acc.reshape(n, rows, co)[:, :out_len].copy()
 
     def vjp(g):
-        gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if x.requires_grad else None
-        gw = kernel_corr_len(x, g, stride, pl, k) if w.requires_grad else None
+        gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None
+        gw = kernel_corr_len(x, g, stride, pl, k) if _wants(w) else None
         return gx, gw
 
     return _with_bias(x, w, b, y, vjp)
@@ -529,8 +559,8 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
     y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
 
     def vjp(g):
-        gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if x.requires_grad else None
-        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if w.requires_grad else None
+        gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None
+        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if _wants(w) else None
         return gx, gw
 
     return _with_bias(x, w, b, y, vjp)
@@ -556,8 +586,8 @@ def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tenso
         np.matmul(af[t : t + R, : ot.shape[0]].T, gf[:R], out=ot)
 
     def vjp(gk):
-        ga = trans_conv_len(g, _swap_channels(gk), None, stride, pl, La) if a.requires_grad else None
-        gg = conv_len(a, gk, None, stride, pl, Lg) if g.requires_grad else None
+        ga = trans_conv_len(g, _swap_channels(gk), None, stride, pl, La) if _wants(a) else None
+        gg = conv_len(a, gk, None, stride, pl, Lg) if _wants(g) else None
         return ga, gg
 
     return _make(out, (a, g), vjp)
@@ -627,21 +657,29 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _reverse_walk(
-    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
+    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool, prune: bool
 ) -> dict[int, tuple[Tensor, Tensor]]:
     """Push `cotangent` from `root` back through its recorded graph.
 
     Returns {id: (tensor, cotangent)} for every leaf reached and for every
-    interior tensor whose id is in `keep`. With release=True each node
-    drops its VJP and parent links as it is walked, so activations are
-    freed during the walk and a second walk raises GraphError.
+    interior tensor whose id is in `keep`. With prune=True only the
+    tensors on a path to one in `keep` get a gradient. With release=True
+    each node drops its VJP and parent links as it is walked, so
+    activations are freed during the walk and a second walk raises
+    GraphError.
     """
     pending: dict[int, tuple[Tensor, Tensor]] = {id(root): (root, cotangent)}
     order = _topo_order(root)
+    to = None
+    if prune:
+        to = set(keep)
+        for node in order:  # every node comes after its parents
+            if any(id(p) in to for p in node._parents):
+                to.add(id(node))
 
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = create_graph
+    global _grad_enabled, _walk_to
+    prev = _grad_enabled, _walk_to
+    _grad_enabled, _walk_to = create_graph, to
     try:
         while order:
             node = order.pop()
@@ -653,12 +691,12 @@ def _reverse_walk(
             if hit is None or vjp is None:
                 continue
             for p, pg in zip(parents, vjp(hit[1])):
-                if pg is None or not p.requires_grad:
+                if pg is None or not _wants(p):
                     continue
                 prev_hit = pending.get(id(p))
                 pending[id(p)] = (p, pg if prev_hit is None else add(prev_hit[1], pg))
     finally:
-        _grad_enabled = prev
+        _grad_enabled, _walk_to = prev
     # leaves are never in `order`, so they and the kept nodes are what is left
     return pending
 
@@ -679,7 +717,7 @@ def grad(
         raise GraphError("output is not part of a recorded computation")
     if cotangent is None:
         cotangent = Tensor(np.ones_like(output.data))
-    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False)
+    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False, prune=True)
     return [hits[id(t)][1] if id(t) in hits else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
@@ -694,6 +732,6 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward expects a scalar loss")
     if loss._vjp is None:
         raise GraphError("loss is not part of a recorded computation")
-    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True)
+    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True, prune=False)
     for leaf, g in hits.values():
         leaf.grad = g.data.copy() if leaf.grad is None else leaf.grad + g.data

@@ -280,6 +280,36 @@ def test_leaky_relu_is_bit_equal_to_where_form(alpha, dtype):
     assert gx.data.tobytes() == (g0 * slope).tobytes()
 
 
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_leaky_relu_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ad.leaky_relu(Tensor(np.ones(3)), alpha)
+
+
+@pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2), ad.relu], ids=["leaky_relu", "relu"])
+def test_relu_node_holds_no_activation_sized_array(op):
+    """The slope or mask is rebuilt from the input at backward time, so the
+    recorded node keeps no array of the activation's size besides its parent."""
+    x = Tensor(rng.normal(size=(4, 50, 3)), requires_grad=True)
+    y = op(x)
+    held = [c.cell_contents for c in y._vjp.__closure__]
+    assert not [v for v in held if isinstance(v, np.ndarray) and v.size >= x.size]
+    assert [v for v in held if isinstance(v, Tensor)] == [x]
+
+
+@pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
+def test_relu_is_bit_equal_to_float_mask_form(dtype):
+    x0 = np.concatenate([[0.0, -0.0, np.nan, 1e-30, -1e-30], rng.normal(size=200)]).astype(ad.DTYPE)
+    g0 = rng.normal(size=x0.shape).astype(ad.DTYPE)
+    mask = (x0 > 0).astype(ad.DTYPE)
+    x = Tensor(x0, requires_grad=True)
+    y = ad.relu(x)
+    (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+    assert y.data.dtype == np.dtype(dtype)
+    assert y.data.tobytes() == (x0 * mask).tobytes()
+    assert gx.data.tobytes() == (g0 * mask).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward
 

@@ -157,6 +157,52 @@ def test_gradient_penalty_input_gradient_matches_fd():
         assert abs(fd - np.sum(x.grad * v)) < 1e-6 * max(1.0, abs(fd))
 
 
+def _unpruned_grad(output, wrt, create_graph=False):
+    """ad.grad without pruning: every parameter's gradient is computed too."""
+    keep = {id(t) for t in wrt}
+    hits = ad._reverse_walk(output, Tensor(np.ones_like(output.data)), keep, create_graph,
+                            release=False, prune=False)
+    return [hits[id(t)][1] for t in wrt]
+
+
+def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
+    """grad walks only to x_hat: no kernel correlation runs, and the penalty
+    and the critic's gradients are byte-equal to an unpruned walk's."""
+    data = np.random.default_rng(3)
+    real = data.normal(size=(4, 96, 1)).astype(ad.DTYPE)
+    fake = data.normal(size=(4, 96, 1)).astype(ad.DTYPE)
+
+    def penalty_and_grads():
+        critic = models.Network(models.critic_spec(2, signal_length=96), seed=1)
+        gp = gradient_penalty(critic, real, fake, np.random.default_rng(4))
+        ad.backward(gp)
+        return gp.data.tobytes(), {k: None if p.grad is None else p.grad.tobytes()
+                                   for k, p in critic.params.items()}
+
+    calls = []
+    corr = ad.kernel_corr_len
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return corr(*args)
+
+    grad = ad.grad
+
+    def counted_grad(*args, **kwargs):
+        calls.clear()
+        out = grad(*args, **kwargs)
+        assert calls == [], "grad correlated a kernel"
+        calls.append("grad ran")
+        return out
+
+    monkeypatch.setattr(ad, "kernel_corr_len", spy)
+    monkeypatch.setattr(ad, "grad", counted_grad)
+    pruned = penalty_and_grads()
+    assert "grad ran" in calls and len(calls) > 1  # backward does correlate kernels
+    monkeypatch.setattr(ad, "grad", _unpruned_grad)
+    assert penalty_and_grads() == pruned
+
+
 # ---------------------------------------------------------------------------
 # adversarial loop bookkeeping
 
