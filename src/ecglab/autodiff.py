@@ -19,9 +19,9 @@ and raises GraphError under ``create_graph``. No second-order path
 crosses it: the critic has no batch norm.
 
 VJPs read their inputs' data when they run, not when the node is
-recorded (``leaky_relu`` rebuilds its slope from its input then), so
-nothing may write an activation in place between the forward pass and
-the walk that differentiates it.
+recorded (``relu`` and ``leaky_relu`` rebuild their mask or slope from
+their input then), so nothing may write an activation in place between
+the forward pass and the walk that differentiates it.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -29,7 +29,9 @@ from). It prunes its walk to the tensors on a path to ``wrt``: the VJPs
 ask ``_wants`` rather than ``requires_grad`` whether a parent needs a
 gradient, so the penalty's walk computes no kernel correlations or bias
 sums for the critic's parameters. The recorded gradient graph still
-depends on those parameters. ``backward`` consumes the graph: it sets ``.grad`` on leaves only
+depends on those parameters.
+
+``backward`` consumes the graph: it sets ``.grad`` on leaves only
 (interior nodes keep ``.grad`` None) and unlinks each node as soon as
 its VJP has run, so activations are freed during the walk rather than
 when the cyclic garbage collector next runs. Walking a consumed graph
@@ -39,10 +41,11 @@ again raises GraphError.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 DTYPE = np.float32
 
@@ -262,8 +265,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # a * (a > 0) keeps a's -0 and NaN as a * 1.0 / a * 0.0 did; the VJP
-    # rebuilds the mask from the input, so the node holds no mask
+    # a * (a > 0) multiplies by 1.0 or 0.0, bit for bit a float mask; the
+    # VJP rebuilds the mask from the input, so the node holds none
     return _make(a.data * (a.data > 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 
@@ -397,6 +400,22 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
     return _make(y.reshape(x.shape), (x, gamma, beta), vjp), mu, var
 
 
+def scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """y = x * scale + shift per channel (the last axis), with the two
+    channel vectors tiled to one row per sample as in batch_norm_train."""
+    n, c = x.shape[0], x.shape[-1]
+    reps = math.prod(x.shape[1:-1])
+    y = x.data.reshape(n, reps * c) * np.tile(scale.data, reps)
+    y += np.tile(shift.data, reps)
+
+    def vjp(g):
+        return (mul(g, scale) if _wants(x) else None,
+                _unbroadcast(mul(g, x), scale.shape) if _wants(scale) else None,
+                _unbroadcast(g, shift.shape) if _wants(shift) else None)
+
+    return _make(y.reshape(x.shape), (x, scale, shift), vjp)
+
+
 # ---------------------------------------------------------------------------
 # structured ops along the length axis (axis 1 of [n, L, c] tensors)
 
@@ -480,6 +499,17 @@ def unshift_len(g: Tensor, shifts: np.ndarray, n: int) -> Tensor:
 # taps (the last group may be short) turns each op into T matmuls over
 # contiguous row slices, accumulated in place. Each op is bilinear and
 # its VJPs are the other two ops, so gradients of gradients come for free.
+#
+# When a group's matmul is thin (few input channels per output column),
+# the T passes over the output cost more than the products. conv_len
+# and trans_conv_len then use one group of all the taps: each output row
+# is one overlapping window of the flat padded input times the whole
+# kernel, so the output is written once (Chellapilla et al. 2006). The
+# windows are copied block by block into a buffer of at most
+# _CHUNK_BYTES (4 MB), never all at once.
+
+_CHUNK_BYTES = 4 * 2**20
+_THIN_K = 64
 
 
 def _polyphase(x: np.ndarray, stride: int, pl: int, rows: int) -> np.ndarray:
@@ -495,6 +525,42 @@ def _polyphase(x: np.ndarray, stride: int, pl: int, rows: int) -> np.ndarray:
 def _tap_groups(k: int, stride: int) -> list[tuple[int, slice]]:
     """(group t, kernel taps of group t) for the T = ceil(k/stride) groups."""
     return [(t, slice(t * stride, min(k, (t + 1) * stride))) for t in range(-(-k // stride))]
+
+
+def _one_group(k_group: int, n_out: int, transposed: bool) -> bool:
+    """Whether one group of all the taps beats stride-wide groups, from the
+    shapes alone. Each stride-wide group is a matmul with inner size
+    k_group writing n_out columns, and with a small k_group the passes
+    that accumulate its output cost more than the products. In conv_len
+    one group also skips the T-1 padding rows per sample that the
+    stride-wide matrix computes, so it wins up to k_group = 2*n_out. In
+    trans_conv_len it multiplies T*stride taps against the kernel's k
+    and one more row per sample, which loses once the products dominate
+    (k_group above _THIN_K). Both bounds come from timing every layer of
+    the four networks at B = 64 on 2 cores."""
+    if transposed:
+        return k_group <= min(n_out, _THIN_K)
+    return k_group <= 2 * n_out
+
+
+def _window_blocks(xp: np.ndarray, step: int, rows: int, width: int, out_width: int = 0):
+    """Yield (b0, b1, r0, r1, windows): windows[(b - b0)*(r1 - r0) + r - r0]
+    is the `width` elements of sample b of the contiguous xp [n, ...] that
+    start at element r*step. Each block holds whole samples, or rows of one
+    sample, and its windows plus out_width columns per row fit in
+    _CHUNK_BYTES."""
+    n, size = xp.shape[0], xp.itemsize
+    view = as_strided(xp, (n, rows, width), (xp.strides[0], step * size, size))
+    per = max(1, _CHUNK_BYTES // ((width + out_width) * size))
+    if per >= rows:
+        blocks = ((b, min(n, b + per // rows), 0, rows) for b in range(0, n, per // rows))
+    else:
+        blocks = ((b, b + 1, r, min(rows, r + per)) for b in range(n) for r in range(0, rows, per))
+    buf = np.empty(min(per, n * rows) * width, dtype=xp.dtype)
+    for b0, b1, r0, r1 in blocks:
+        win = buf[: (b1 - b0) * (r1 - r0) * width].reshape(b1 - b0, r1 - r0, width)
+        np.copyto(win, view[b0:b1, r0:r1])
+        yield b0, b1, r0, r1, win.reshape(-1, width)
 
 
 def _swap_channels(w: Tensor) -> Tensor:
@@ -520,19 +586,25 @@ def conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_l
 
     x [n, L, ci], w [k, ci, co] -> [n, out_len, co].
     """
-    n, L, _ = x.shape
+    n, L, ci = x.shape
     k, _, co = w.shape
     groups = _tap_groups(k, stride)
-    # one matrix over the whole batch: the rows past out_len in each sample
-    # absorb the taps that reach into the next sample, and are dropped
     rows = out_len + len(groups) - 1
-    R = n * rows - len(groups) + 1
     xf = _polyphase(x.data, stride, pl, rows)
-    acc = np.zeros((n * rows, co), dtype=DTYPE)
-    for t, taps in groups:
-        wt = w.data[taps].reshape(-1, co)
-        acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
-    y = acc.reshape(n, rows, co)[:, :out_len].copy()
+    if _one_group(stride * ci, co, transposed=False):
+        y = np.empty((n, out_len, co), dtype=DTYPE)
+        y2, w2 = y.reshape(n * out_len, co), w.data.reshape(k * ci, co)
+        for b0, b1, r0, r1, win in _window_blocks(xf.reshape(n, rows, stride * ci), stride * ci, out_len, k * ci):
+            np.matmul(win, w2, out=y2[b0 * out_len + r0 : (b1 - 1) * out_len + r1])
+    else:
+        # one matrix over the whole batch: the rows past out_len in each
+        # sample absorb the taps that reach into the next sample, and are dropped
+        R = n * rows - len(groups) + 1
+        acc = np.zeros((n * rows, co), dtype=DTYPE)
+        for t, taps in groups:
+            wt = w.data[taps].reshape(-1, co)
+            acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
+        y = acc.reshape(n, rows, co)[:, :out_len].copy()
 
     def vjp(g):
         gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None
@@ -549,14 +621,33 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
     """
     n, L, ci = x.shape
     k, _, co = w.shape
-    groups = _tap_groups(k, stride)
-    rows = max(L + len(groups) - 1, -(-(pl + out_len) // stride))
-    acc = np.zeros((n, rows, stride * co), dtype=DTYPE)
-    x2 = x.data.reshape(n * L, ci)
-    for t, taps in groups:
-        wt = w.data[taps].transpose(1, 0, 2).reshape(ci, -1)
-        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
-    y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
+    T = len(_tap_groups(k, stride))
+    # polyphase output rows r_lo..r_hi-1 hold samples pl..pl+out_len-1
+    r_lo, r_hi = pl // stride, -(-(pl + out_len) // stride)
+    if _one_group(ci, stride * co, transposed=True):
+        # row r is x rows r-T+1..r (one window of T*ci) times the kernel's
+        # groups stacked in reverse, zero-padded to T*stride taps
+        wp = np.zeros((T * stride, ci, co), dtype=DTYPE)
+        wp[:k] = w.data
+        w2 = wp.reshape(T, stride, ci, co)[::-1].transpose(0, 2, 1, 3).reshape(T * ci, stride * co)
+        xp = np.zeros((n, r_hi - r_lo + T - 1, ci), dtype=DTYPE)
+        off = T - 1 - r_lo  # xp row of x row 0
+        lo, hi = max(0, -off), min(L, xp.shape[1] - off)
+        xp[:, off + lo : off + hi] = x.data[:, lo:hi]
+        y = np.empty((n, out_len, co), dtype=DTYPE)
+        for b0, b1, r0, r1, win in _window_blocks(xp, ci, r_hi - r_lo, T * ci, stride * co):
+            p0 = (r_lo + r0) * stride - pl  # output sample of the block's first row
+            lo, hi = max(0, p0), min(out_len, p0 + (r1 - r0) * stride)
+            y[b0:b1, lo:hi] = (win @ w2).reshape(b1 - b0, -1, co)[:, lo - p0 : hi - p0]
+    else:
+        groups = _tap_groups(k, stride)
+        rows = max(L + T - 1, r_hi)
+        acc = np.zeros((n, rows, stride * co), dtype=DTYPE)
+        x2 = x.data.reshape(n * L, ci)
+        for t, taps in groups:
+            wt = w.data[taps].transpose(1, 0, 2).reshape(ci, -1)
+            acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
+        y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
 
     def vjp(g):
         gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None

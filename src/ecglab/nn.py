@@ -7,14 +7,20 @@ conventions that reproduce the architecture tables' output shapes.
 
 ``conv1d`` and ``trans_conv1d`` are one graph node each
 (``autodiff.conv_len`` / ``trans_conv_len``), computed in polyphase
-form: the zero-padded signal is read as rows of ``stride`` samples, the
-kernel as T = ceil(k/stride) groups of ``stride`` taps (7 groups for the
-25-tap stride-4 stages, the last holding a single tap), and the output
-is T accumulated matmuls over contiguous row slices, one per group.
-There is no im2col buffer. The input VJP of each is the other with the kernel's
-channel axes swapped (carrying the conv's own left pad and input length
-when L is not a multiple of the stride), and the kernel VJP is one
-per-tap correlation.
+form: the zero-padded signal is read as rows of ``stride`` samples and
+the kernel as T = ceil(k/stride) groups of taps. Wide layers use
+stride-wide groups (7 for the 25-tap stride-4 stages, the last holding
+a single tap): the output is T accumulated matmuls over contiguous row
+slices, with no unrolled buffer. Thin layers, whose stride-wide matmul
+has few input channels per output column (one input channel into 16,
+or the GP's one into one), use one group of all the taps: each output
+row is an overlapping window of the flat padded input (im2col), and one
+matmul writes the output once. Those windows are copied in blocks of at
+most ``autodiff._CHUNK_BYTES`` (4 MB), so no full unrolled matrix is
+ever held. The width depends on the shapes only. The input VJP of each
+op is the other with the kernel's channel axes swapped (carrying the
+conv's own left pad and input length when L is not a multiple of the
+stride), and the kernel VJP is one per-tap correlation.
 
 ``conv2d`` is the same ``conv_len`` along the width: ``autodiff.unfold_rows``
 sets the kh padded input rows that feed each output row side by side in
@@ -27,8 +33,10 @@ as kw taps of kh*c input channels. The row unfold's adjoint,
 symmetrically padded row, and its adjoint writes the rows back into
 their windows and folds the padding onto the samples it reflects.
 Train-mode ``batch_norm`` is one node (``autodiff.batch_norm_train``)
-whose VJP is the closed form, first order only; inference mode
-normalizes with the running statistics.
+whose VJP is the closed form, first order only; inference mode folds
+the running statistics into one scale and shift per channel
+(``autodiff.scale_shift``), through which gamma and beta still get
+gradients.
 """
 
 from __future__ import annotations
@@ -132,11 +140,9 @@ def batch_norm(
         return out
     if mode != "infer":
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    y = ad.div(
-        ad.sub(x, Tensor(running["mean"])),
-        Tensor(np.sqrt(running["var"] + eps)),
-    )
-    return ad.add(ad.mul(y, gamma), beta)
+    scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + eps)))
+    shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
+    return ad.scale_shift(x, scale, shift)
 
 
 def phase_shuffle(

@@ -237,6 +237,39 @@ def test_batch_norm_matches_reference_composition(shape):
         assert np.max(np.abs(grads[key] - grads_ref[key])) < 1e-12, key
 
 
+def _infer_bn(x, gamma, beta, running):
+    return nn.batch_norm(x, gamma, beta, running, "infer")
+
+
+def _reference_infer_bn(x, gamma, beta, running, eps=1e-5):
+    """The four broadcast nodes inference-mode batch_norm was built from."""
+    y = ad.div(ad.sub(x, Tensor(running["mean"])), Tensor(np.sqrt(running["var"] + eps)))
+    return ad.add(ad.mul(y, gamma), beta)
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_infer_batch_norm_matches_reference_and_fd(shape):
+    """One scale and shift per channel: same values and gradients as the
+    normalize-then-scale composition, and gradients flow to gamma and beta."""
+    arrays = _bn_arrays(shape)
+    probe = rng.normal(size=shape)
+    y, running, grads = _bn_grads(_infer_bn, arrays, probe)
+    y_ref, _, grads_ref = _bn_grads(_reference_infer_bn, arrays, probe)
+    assert np.max(np.abs(y - y_ref)) < 1e-12
+    for target, arr in arrays.items():
+        assert np.max(np.abs(grads[target] - grads_ref[target])) < 1e-12, target
+
+        def loss(v):
+            args = dict(arrays, **{target: v})
+            out = _infer_bn(Tensor(args["x"]), Tensor(args["gamma"]), Tensor(args["beta"]), running)
+            return float(np.sum(np.tanh(out.data) * probe))
+
+        assert rel_err(grads[target], numeric_grad(loss, arr)) < 1e-6, target
+    empty = _infer_bn(Tensor(np.zeros((0, *shape[1:]))), Tensor(arrays["gamma"]), Tensor(arrays["beta"]), running)
+    assert empty.shape == (0, *shape[1:])
+
+
 def test_batch_norm_float32_statistics_stay_accurate():
     """The per-channel sums over 131072 positions add per-position batch sums;
     one running float32 sum over all of them is off by about 7e-5 here."""
@@ -451,6 +484,182 @@ def test_kernel_corr_gradients_match_fd():
     for target, arr in arrays.items():
         fd = numeric_grad(lambda v: loss(target, v), arr)
         assert rel_err(tensors[target].grad, fd) < 1e-6, target
+
+
+# ---------------------------------------------------------------------------
+# thin convolutions: one group of all the taps, as overlapping windows
+
+
+def _grouped_conv_len(x, w, stride, pl, out_len):
+    """conv_len by stride-wide tap groups, the loop it used for every shape
+    before thin layers took one group (reference)."""
+    n, _, _ = x.shape
+    k, _, co = w.shape
+    groups = ad._tap_groups(k, stride)
+    rows = out_len + len(groups) - 1
+    R = n * rows - len(groups) + 1
+    xf = ad._polyphase(x, stride, pl, rows)
+    acc = np.zeros((n * rows, co), dtype=ad.DTYPE)
+    for t, taps in groups:
+        wt = w[taps].reshape(-1, co)
+        acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
+    return acc.reshape(n, rows, co)[:, :out_len].copy()
+
+
+def _grouped_trans_conv_len(x, w, stride, pl, out_len):
+    """trans_conv_len by stride-wide tap groups (reference, as above)."""
+    n, L, ci = x.shape
+    k, _, co = w.shape
+    groups = ad._tap_groups(k, stride)
+    rows = max(L + len(groups) - 1, -(-(pl + out_len) // stride))
+    acc = np.zeros((n, rows, stride * co), dtype=ad.DTYPE)
+    x2 = x.reshape(n * L, ci)
+    for t, taps in groups:
+        wt = w[taps].transpose(1, 0, 2).reshape(ci, -1)
+        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
+    return acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
+
+
+def _conv_args(op, L, k, stride):
+    """(pl, out_len) of the SAME conv1d / trans_conv1d for an input of length L."""
+    if op == "conv":
+        out_len, pl, _ = nn.same_pads_1d(L, k, stride)
+        return pl, out_len
+    return (k - stride) // 2, L * stride
+
+
+# (op, x shape, kernel shape, stride, takes one group)
+_WIDTH_CASES = [
+    ("conv", (2, 13, 1), (5, 1, 3), 2, True),      # c_in = 1 < c_out
+    ("conv", (2, 13, 4), (5, 4, 1), 2, False),     # c_in > c_out
+    ("conv", (6, 9, 3), (3, 3, 4), 2, True),       # conv2d's first layer: 3 unfolded rows of 1 channel
+    ("conv", (2, 30, 1), (25, 1, 3), 4, True),     # the paper's kernel, uneven SAME pads
+    ("trans", (2, 6, 1), (5, 1, 3), 2, True),
+    ("trans", (2, 6, 4), (5, 4, 1), 2, False),
+    ("trans", (2, 7, 1), (25, 1, 2), 4, True),
+]
+_width_ids = [f"{c[0]}-{'one' if c[4] else 'stride'}-{c[1]}>{c[2][2]}" for c in _WIDTH_CASES]
+
+
+def _run_conv(op, x, w, b, stride):
+    pl, out_len = _conv_args(op, x.shape[1], w.shape[0], stride)
+    f = ad.conv_len if op == "conv" else ad.trans_conv_len
+    return f(x, w, b, stride, pl, out_len)
+
+
+def _spy_width(monkeypatch):
+    picked = []
+    one_group = ad._one_group
+
+    def spy(*args, **kwargs):
+        picked.append(one_group(*args, **kwargs))
+        return picked[-1]
+
+    monkeypatch.setattr(ad, "_one_group", spy)
+    return picked
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
+def test_conv_group_width_matches_grouped_loop(op, x_shape, w_shape, stride, one, monkeypatch):
+    """The rule picks the expected width; stride-wide groups reproduce the
+    old loop bit for bit, one group agrees with it to rounding."""
+    picked = _spy_width(monkeypatch)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    y = _run_conv(op, Tensor(x), Tensor(w), None, stride).data
+    assert picked == [one]
+    pl, out_len = _conv_args(op, x_shape[1], w_shape[0], stride)
+    ref = (_grouped_conv_len if op == "conv" else _grouped_trans_conv_len)(x, w, stride, pl, out_len)
+    if one:
+        assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+    else:
+        assert y.tobytes() == ref.tobytes()
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
+def test_conv_group_widths_match_fd(op, x_shape, w_shape, stride, one):
+    """Input, kernel and bias gradients of both widths; then, through
+    create_graph, the input gradient's own gradients in the kernel and
+    in the cotangent."""
+    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.3,
+              "b": rng.normal(size=w_shape[2])}
+    probe = rng.normal(size=_run_conv(op, Tensor(arrays["x"]), Tensor(arrays["w"]), None, stride).shape)
+
+    def loss(target, v):
+        args = dict(arrays, **{target: v})
+        with ad.no_grad():
+            out = _run_conv(op, Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), stride)
+        return float(np.sum(out.data * probe))
+
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    ad.backward(ad.sum_(ad.mul(_run_conv(op, *tensors.values(), stride), Tensor(probe))))
+    for target, arr in arrays.items():
+        assert rel_err(tensors[target].grad, numeric_grad(lambda v: loss(target, v), arr)) < 1e-6, target
+
+    q = rng.normal(size=x_shape)
+
+    def input_grad_dot_q(w, p):
+        x = Tensor(arrays["x"], requires_grad=True)
+        out = _run_conv(op, x, w, None, stride)
+        (gx,) = ad.grad(ad.sum_(ad.mul(out, p)), [x], create_graph=True)
+        return ad.sum_(ad.mul(gx, Tensor(q)))
+
+    w, p = Tensor(arrays["w"], requires_grad=True), Tensor(probe, requires_grad=True)
+    ad.backward(input_grad_dot_q(w, p))
+    fd_w = numeric_grad(lambda v: input_grad_dot_q(Tensor(v), Tensor(probe)).item(), arrays["w"])
+    fd_p = numeric_grad(lambda v: input_grad_dot_q(Tensor(arrays["w"]), Tensor(v)).item(), probe)
+    assert rel_err(w.grad, fd_w) < 1e-6
+    assert rel_err(p.grad, fd_p) < 1e-6
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
+def test_conv_group_widths_take_zero_row_batches(op, x_shape, w_shape, stride, one):
+    x = Tensor(np.zeros((0, *x_shape[1:])), requires_grad=True)
+    w, b = Tensor(rng.normal(size=w_shape), requires_grad=True), Tensor(np.ones(w_shape[2]), requires_grad=True)
+    y = _run_conv(op, x, w, b, stride)
+    assert y.shape == (0, _conv_args(op, x_shape[1], w_shape[0], stride)[1], w_shape[2])
+    ad.backward(ad.sum_(y))
+    assert x.grad.shape == x.shape and not w.grad.any() and not b.grad.any()
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", [c for c in _WIDTH_CASES if c[4]],
+                         ids=[i for i, c in zip(_width_ids, _WIDTH_CASES) if c[4]])
+@pytest.mark.parametrize("rows_per_block", [1, 3, 8])
+def test_one_group_blocks_agree(op, x_shape, w_shape, stride, one, rows_per_block, monkeypatch):
+    """Blocks of single rows, of part of a sample and of whole samples
+    give the same output as one block of the whole batch."""
+    x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
+    whole = _run_conv(op, x, w, None, stride).data
+    width = w_shape[0] * w_shape[1] if op == "conv" else -(-w_shape[0] // stride) * w_shape[1]
+    out = 0 if op == "conv" else stride * w_shape[2]
+    monkeypatch.setattr(ad, "_CHUNK_BYTES", rows_per_block * (width + out) * 8)
+    assert np.allclose(_run_conv(op, x, w, None, stride).data, whole, rtol=1e-12, atol=1e-12)
+
+
+def test_one_group_buffer_is_bounded_by_the_chunk():
+    """A paper-size thin conv (tconv5's input gradient) allocates its
+    output, the padded input and one chunk of windows, never the full
+    unrolled [rows, k*c_in] matrix."""
+    import tracemalloc
+
+    x = Tensor(rng.normal(size=(64, 8192, 1)))
+    w = Tensor(rng.normal(size=(25, 1, 16)))
+    pl, out_len = _conv_args("conv", 8192, 25, 4)
+    item = np.dtype(ad.DTYPE).itemsize
+    out_bytes = 64 * out_len * 16 * item
+    padded_bytes = 64 * (out_len + 6) * 4 * item
+    unrolled_bytes = 64 * out_len * 25 * item
+    tracemalloc.start()
+    try:
+        y = ad.conv_len(x, w, None, 4, pl, out_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (64, out_len, 16)
+    assert unrolled_bytes > ad._CHUNK_BYTES
+    assert peak < out_bytes + padded_bytes + ad._CHUNK_BYTES + 2**16
 
 
 # ---------------------------------------------------------------------------
