@@ -25,16 +25,14 @@ class CheckpointError(ValueError):
 
 
 def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
-    blob = bytearray(_MAGIC + struct.pack("<H", _VERSION))
-    for name, arr in params.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        nb = name.encode("utf-8")
-        blob += struct.pack("<I", len(nb))
-        blob += nb
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    """Write each entry's header and its payload buffer straight to the file."""
+    with open(path, "wb") as f:
+        f.write(_MAGIC + struct.pack("<H", _VERSION))
+        for name, arr in params.items():
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            nb = name.encode("utf-8")
+            f.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            f.write(arr.data)
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:

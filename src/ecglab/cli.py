@@ -4,11 +4,27 @@ Every subcommand with a --seed flag writes byte-identical outputs across
 runs. Exit code is 0 iff all requested outputs were written; any failure
 prints a single-line diagnostic to stderr and returns 1 (argparse usage
 errors exit with 2).
+
+On glibc, ``main`` first pins malloc's mmap threshold at 32 MiB and its
+trim threshold at 64 MiB (``_pin_malloc_thresholds``). glibc starts both
+at 128 KB and raises them only as buffers are freed, so until then each
+freed multi-MB array goes back to the kernel and the next allocation
+faults it in again. One paper-scale GAN step took about 100k minor faults
+with glibc's defaults and 20k with the thresholds pinned; most of that
+saving is the allocator's warm-up, paid once per process. The cost is
+memory: up to 64 MiB of freed heap may stay mapped, and arrays under
+32 MiB that glibc would have mmapped share the heap, so a short run's
+peak RSS can sit a few MB higher. Importing ``ecglab`` leaves the
+allocator alone: the CLI owns its process, a library caller's process is
+its own. On another libc nothing is changed and nothing is said.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -63,6 +79,44 @@ def _load_denoiser(path: str, signal_length: int) -> models.Network:
     net = models.build("denoiser", d=d, signal_length=signal_length)
     net.load_state_dict(state)
     return net
+
+
+# glibc's mallopt parameters; 32 MiB is the largest mmap threshold glibc
+# accepts on 64-bit and the ceiling of its own dynamic rule, which also keeps
+# the trim threshold at twice the mmap threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _is_glibc() -> bool:
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            return True
+    except (ValueError, OSError):
+        pass
+    return platform.libc_ver()[0] == "glibc"
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Keep freed array buffers in the heap for reuse from the first step.
+
+    Sets both thresholds or neither: glibc freezes the other threshold at
+    its 128 KB start once either is set. Returns whether both were set;
+    on another libc, or without ``mallopt``, it does nothing. Calling it
+    again sets the same values.
+    """
+    if not _is_glibc():
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "synth" and args.model == "gan" and not args.checkpoint:

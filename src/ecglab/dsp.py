@@ -214,9 +214,29 @@ def wavelet_filter(s: Signal, levels: int = WAVELET_LEVELS, threshold_scale: flo
 
 
 @lru_cache(maxsize=8)
-def _qrs_bandpass_sos(fs: float) -> np.ndarray:
-    """Second-order 5-15 Hz Butterworth sections of detect_qrs (read-only)."""
-    return _read_only(sps.butter(2, [5.0, min(15.0, 0.45 * fs)], btype="bandpass", fs=fs, output="sos"))
+def _qrs_bandpass_sos(fs: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Second-order 5-15 Hz Butterworth sections of detect_qrs, their
+    ``sosfilt_zi`` initial conditions (both read-only) and the pad length
+    ``scipy.signal.sosfiltfilt`` uses by default."""
+    sos = sps.butter(2, [5.0, min(15.0, 0.45 * fs)], btype="bandpass", fs=fs, output="sos")
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    return _read_only(sos), _read_only(sps.sosfilt_zi(sos)), 3 * int(ntaps)
+
+
+def _qrs_bandpass(x: np.ndarray, fs: float) -> np.ndarray:
+    """``scipy.signal.sosfiltfilt(sos, x)`` bit for bit, with cached zi.
+
+    The same steps in the same order: odd extension by the pad length, a
+    forward ``sosfilt`` from ``zi`` scaled by the first sample, a backward
+    one from ``zi`` scaled by the last output, and the pad cropped off.
+    """
+    sos, zi, edge = _qrs_bandpass_sos(fs)  # edge is 15: detect_qrs passes x.size >= 16
+    # scipy's compiled sosfilt takes only a writable sos buffer
+    sos = sos.copy()
+    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2 : -(edge + 2) : -1]))
+    y, _ = sps.sosfilt(sos, ext, zi=zi * ext[:1])
+    y, _ = sps.sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    return y[::-1][edge:-edge]
 
 
 def detect_qrs(s: Signal) -> QrsAnnotation:
@@ -228,10 +248,11 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
     Detected positions are refined to the local extremum of the bandpassed
     signal. heart_rate_hz is 1 / mean RR, or 0 with fewer than two peaks.
 
-    The bandpass is designed once per sample rate. The threshold stage is
-    a plain Python loop over the candidate peaks; it keeps the last 8 RR
-    intervals with their running sum. The intervals are whole sample
-    counts, so the sum is exact and sum / count is the exact mean.
+    The bandpass and its filtfilt initial conditions are designed once per
+    sample rate. The threshold stage is a plain Python loop over the
+    candidate peaks; it keeps the last 8 RR intervals with their running
+    sum. The intervals are whole sample counts, so the sum is exact and
+    sum / count is the exact mean.
     """
     fs = s.sample_rate_hz
     x = s.samples
@@ -239,8 +260,7 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
         return QrsAnnotation(np.empty(0, dtype=np.int64), 0.0)
     x = scale_to_unit(s).samples
 
-    # scipy's compiled sosfilt takes only a writable sos buffer
-    bp = sps.sosfiltfilt(_qrs_bandpass_sos(fs).copy(), x)
+    bp = _qrs_bandpass(x, fs)
     der = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / 8.0, mode="same")
     sq = der**2
     win = max(1, int(round(0.15 * fs)))

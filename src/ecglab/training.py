@@ -5,6 +5,7 @@ classifier and the denoiser share one supervised loop, `_fit`."""
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -97,6 +98,21 @@ def gradient_penalty(
     (gx,) = ad.grad(ad.sum_(score), [x_hat], create_graph=True)
     norms = ad.sqrt(ad.sum_(ad.mul(gx, gx), axis=(1, 2)))
     return ad.mean_(ad.pow_const(ad.sub(norms, Tensor(1.0)), 2))
+
+
+@contextlib.contextmanager
+def _frozen(params: dict[str, Tensor]):
+    """Treat `params` as constants inside the block: the backward walk
+    computes no kernel correlation or bias sum for them and fills no
+    `.grad`. The generator step's loss runs through the critic, whose
+    gradients it would only throw away."""
+    for p in params.values():
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params.values():
+            p.requires_grad = True
 
 
 def _hold_out(rng: np.random.Generator, n: int, fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +228,12 @@ def train_gan(
         z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
         zero_grads(generator.params)
         zero_grads(critic.params)
-        fake = generator.forward(z, mode="train", rng=rng)
-        loss_g = ad.neg(ad.mean_(critic.forward(fake, mode="train", rng=rng)))
-        step += 1
-        generator_loss = _finite_loss(loss_g, step, "generator")
-        ad.backward(loss_g)
+        with _frozen(critic.params):
+            fake = generator.forward(z, mode="train", rng=rng)
+            loss_g = ad.neg(ad.mean_(critic.forward(fake, mode="train", rng=rng)))
+            step += 1
+            generator_loss = _finite_loss(loss_g, step, "generator")
+            ad.backward(loss_g)
         adam_step(generator.params, collect_grads(generator.params), opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
     end_epoch(epoch_seen)
@@ -301,9 +318,11 @@ def _fit(
             idx = order[i * batch : (i + 1) * batch]
             zero_grads(net.params)
             # `out` lives until the next batch's forward replaces it: freed
-            # after backward instead, malloc trims and re-faults the heap top
-            # every step (2.5x the minor page faults of a paper-scale
-            # denoiser run, and 10-15 % slower)
+            # after backward instead, glibc's default malloc trims and
+            # re-faults the heap top every step (2.5x the minor page faults
+            # of a paper-scale denoiser run, and 10-15 % slower). The CLI
+            # pins malloc's thresholds (`cli._pin_malloc_thresholds`), which
+            # also stops this, but library callers do not get that policy
             out = net.forward(Tensor(inputs[idx]), mode="train", rng=rng, stop_at=stop_at)
             batch_loss = loss(out, targets[idx])
             step += 1

@@ -1,4 +1,5 @@
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -865,6 +866,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded[k].shape == np.asarray(params[k]).shape
         assert np.array_equal(loaded[k], params[k])
         assert loaded[k].dtype == np.float64
+
+
+def _buffered_save_params(path, params):
+    """The encoder save_params had before it streamed: the whole file in one
+    bytearray, written at once."""
+    blob = bytearray(b"ECGW" + struct.pack("<H", 1))
+    for name, arr in params.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode("utf-8")
+        blob += struct.pack("<I", len(nb))
+        blob += nb
+        blob += struct.pack("<I", arr.ndim)
+        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        blob += arr.astype("<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def test_checkpoint_writer_is_byte_equal_to_the_buffered_encoder(tmp_path):
+    params = {
+        "scalar": np.array(-0.0),
+        "conv.w": rng.normal(size=(2, 3, 4, 5)).astype(np.float32),
+        "transposed": rng.normal(size=(4, 6)).T,
+        "größe.β": rng.normal(size=7),
+        "empty": np.zeros((0, 3)),
+    }
+    streamed, buffered = tmp_path / "s.ecgw", tmp_path / "b.ecgw"
+    save_params(streamed, params)
+    _buffered_save_params(buffered, params)
+    assert streamed.read_bytes() == buffered.read_bytes()
+    assert list(load_params(streamed)) == list(params)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

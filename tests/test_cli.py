@@ -1,7 +1,16 @@
+import os
+import resource
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
-from ecglab import dsp, metrics
+from ecglab import cli, dsp, metrics
 from ecglab.cli import main
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _synth(out):
@@ -146,16 +155,43 @@ def _desk_chain(work, seed):
                  "--out", str(work / "eval.csv")]) == 0
     assert main(["sweep", "--real", str(pairs), "--synthetic", str(pairs), "--sizes", "4,8",
                  "--out", str(work / "sweep.csv")] + c) == 0
+    return _outputs(work)
+
+
+def _outputs(work):
     return {str(f.relative_to(work)): f.read_bytes() for f in sorted(work.rglob("*")) if f.is_file()}
 
 
+def _python(code, *args):
+    """Run `code` in a fresh interpreter that imports ecglab and these tests."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_STUBBED_CHAIN = """
+import sys
+from pathlib import Path
+from ecglab import cli
+import test_cli
+cli._pin_malloc_thresholds = lambda: False
+test_cli._desk_chain(Path(sys.argv[1]), seed=4)
+"""
+
+
 def test_desk_chain_is_byte_identical_on_rerun(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir()
-    b.mkdir()
+    """Same-seed chains match, in this process and in a fresh one whose
+    allocator keeps glibc's default thresholds."""
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for work in (a, b, c):
+        work.mkdir()
     first = _desk_chain(a, seed=4)
     assert first == _desk_chain(b, seed=4)
     assert capsys.readouterr().err == ""
+    _python(_STUBBED_CHAIN, c)
+    assert _outputs(c) == first
     rows = first["eval.csv"].decode().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["none", "bandpass", "wavelet", "denoiser"]
     assert len(first["sweep.csv"].decode().splitlines()) == 1 + 3 * 2
@@ -186,3 +222,62 @@ def test_eval_all_detects_qrs_once_per_clean_signal(tmp_path, monkeypatch):
     rows = len((tmp_path / "eval.csv").read_text().splitlines()) - 1
     assert rows == 4
     assert len(calls) == 6 + 6 * rows
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+_CHURN = """
+import resource
+import numpy as np
+from ecglab import cli
+
+assert cli._pin_malloc_thresholds()
+
+
+def churn():
+    arrays = [np.ones(1 << 20) for _ in range(6)]  # six 8 MiB buffers, every page written
+    del arrays
+
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not cli._is_glibc(), reason="the thresholds are glibc's")
+def test_pinned_thresholds_reuse_freed_buffers():
+    """After one warm-up round, allocating and freeing 48 MiB ten times
+    faults in almost none of its pages again."""
+    pages = 10 * 6 * (8 << 20) // resource.getpagesize()
+    assert int(_python(_CHURN)) < 0.01 * pages
+
+
+@pytest.mark.parametrize("libc", ["not glibc", "no mallopt", "mallopt refuses"])
+def test_allocator_policy_is_a_silent_no_op_elsewhere(tmp_path, capsys, monkeypatch, libc):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(param)
+        return 0
+
+    if libc == "not glibc":
+        monkeypatch.setattr(cli.os, "confstr", lambda name: None)
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: pytest.fail("loaded a libc"))
+    elif libc == "no mallopt":
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    else:
+        monkeypatch.setattr(cli, "_is_glibc", lambda: True)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli._pin_malloc_thresholds() is False
+    # a refused mmap threshold sets no trim threshold
+    assert calls == ([cli._M_MMAP_THRESHOLD] if libc == "mallopt refuses" else [])
+    capsys.readouterr()
+    assert _synth(tmp_path / "a.ecgd") == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == f"wrote 4 signals to {tmp_path / 'a.ecgd'}\n"

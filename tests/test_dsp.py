@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from ecglab import dsp, synth
 from ecglab.dsp import (
@@ -255,11 +256,20 @@ def test_qrs_matches_recorded_peaks(golden_pairs, kind, hr):
 # ---------------------------------------------------------------------------
 # filter caches
 
+
+@pytest.mark.parametrize("fs", [128.0, 250.0, 500.0])
+@pytest.mark.parametrize("n", [16, 17, 1000, 5000])
+def test_qrs_bandpass_is_bit_equal_to_sosfiltfilt(fs, n):
+    x = np.random.default_rng(n).normal(size=n)
+    sos = dsp._qrs_bandpass_sos(fs)[0].copy()
+    assert dsp._qrs_bandpass(x, fs).tobytes() == sps.sosfiltfilt(sos, x).tobytes()
+
+
 _CACHED_BUILDERS = (dsp.mel_filterbank, dsp._qrs_bandpass_sos, dsp._atrous_bank)
 
 
 def test_cached_filter_arrays_are_read_only():
-    arrays = [dsp.mel_filterbank(500.0), dsp._qrs_bandpass_sos(500.0)]
+    arrays = [dsp.mel_filterbank(500.0), *dsp._qrs_bandpass_sos(500.0)[:2]]
     arrays += [a for pair in dsp._atrous_bank(5000, WAVELET_LEVELS) for a in pair]
     for a in arrays:
         assert not a.flags.writeable

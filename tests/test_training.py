@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,47 @@ def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
     assert "grad ran" in calls and len(calls) > 1  # backward does correlate kernels
     monkeypatch.setattr(ad, "grad", _unpruned_grad)
     assert penalty_and_grads() == pruned
+
+
+def test_generator_backward_skips_critic_parameter_gradients(monkeypatch):
+    """The generator step's backward correlates only the generator's kernels,
+    and every gradient Adam gets is byte-equal to an unfrozen walk's."""
+    sigs = make_sines(n=16)
+    corr_calls, per_backward, adam_grads = [], [], []
+    corr, backward, adam = ad.kernel_corr_len, ad.backward, training.adam_step
+
+    def spy_corr(*args):
+        corr_calls.append(args)
+        return corr(*args)
+
+    def spy_backward(loss):
+        corr_calls.clear()
+        backward(loss)
+        per_backward.append(len(corr_calls))
+
+    def spy_adam(params, grads, state):
+        adam_grads.append({k: g.tobytes() for k, g in grads.items()})
+        return adam(params, grads, state)
+
+    def run():
+        per_backward.clear()
+        adam_grads.clear()
+        nets = train_gan(sigs, tiny_gan_cfg(generator_steps=1), seed=11)
+        assert all(p.requires_grad for net in nets[:2] for p in net.params.values())
+        kernels = [sum(p.data.ndim == 3 for p in net.params.values()) for net in nets[:2]]
+        return kernels, list(per_backward), list(adam_grads), nets[2].to_csv()
+
+    monkeypatch.setattr(ad, "kernel_corr_len", spy_corr)
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(training, "adam_step", spy_adam)
+    (gen_kernels, critic_kernels), per_step, *frozen = run()
+    monkeypatch.setattr(training, "_frozen", lambda params: contextlib.nullcontext())
+    _, unfrozen_per_step, *unfrozen = run()
+    # five critic updates, then the generator step's backward
+    assert len(per_step) == 6
+    assert per_step[-1] == gen_kernels
+    assert unfrozen_per_step[-1] == gen_kernels + critic_kernels
+    assert frozen == unfrozen
 
 
 # ---------------------------------------------------------------------------
