@@ -265,9 +265,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # a * (a > 0) multiplies by 1.0 or 0.0, bit for bit a float mask; the
-    # VJP rebuilds the mask from the input, so the node holds none
-    return _make(a.data * (a.data > 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
+    # max(a, 0) is +0.0 for every a <= 0, -inf included; the VJP rebuilds
+    # the mask from the input, so the node holds none
+    return _make(np.maximum(a.data, 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:

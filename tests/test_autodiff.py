@@ -332,16 +332,28 @@ def test_relu_node_holds_no_activation_sized_array(op):
 
 
 @pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
-def test_relu_is_bit_equal_to_float_mask_form(dtype):
-    x0 = np.concatenate([[0.0, -0.0, np.nan, 1e-30, -1e-30], rng.normal(size=200)]).astype(ad.DTYPE)
+def test_relu_is_max_with_zero(dtype):
+    """x where x > 0, NaN where x is NaN, +0.0 elsewhere; the gradient is
+    the cotangent times the float mask."""
+    x0 = np.concatenate([[0.0, -0.0, np.nan, np.inf, -np.inf, 1e-30, -1e-30],
+                         rng.normal(size=200)]).astype(ad.DTYPE)
     g0 = rng.normal(size=x0.shape).astype(ad.DTYPE)
     mask = (x0 > 0).astype(ad.DTYPE)
     x = Tensor(x0, requires_grad=True)
     y = ad.relu(x)
     (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
     assert y.data.dtype == np.dtype(dtype)
-    assert y.data.tobytes() == (x0 * mask).tobytes()
+    assert y.data.tobytes() == np.where((x0 > 0) | np.isnan(x0), x0, ad.DTYPE(0)).tobytes()
     assert gx.data.tobytes() == (g0 * mask).tobytes()
+
+
+def test_relu_of_minus_inf_is_zero_without_a_warning():
+    """Warnings are errors in this suite, so an `-inf * 0` would fail here."""
+    x = Tensor(np.array([-np.inf, np.inf, -1.0]), requires_grad=True)
+    y = ad.relu(x)
+    (gx,) = ad.grad(y, [x], cotangent=Tensor(np.ones(3)))
+    assert y.data.tolist() == [0.0, np.inf, 0.0]
+    assert gx.data.tolist() == [0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
