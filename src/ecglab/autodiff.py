@@ -517,7 +517,7 @@ def _polyphase(x: np.ndarray, stride: int, pl: int, rows: int) -> np.ndarray:
     samples, as an [n*rows, stride*c] matrix."""
     n, L, c = x.shape
     xp = np.zeros((n, rows * stride, c), dtype=DTYPE)
-    m = min(L, rows * stride - pl)
+    m = max(0, min(L, rows * stride - pl))  # a left pad past every row reads none of x
     xp[:, pl : pl + m] = x[:, :m]
     return xp.reshape(n * rows, stride * c)
 
@@ -632,7 +632,7 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
         w2 = wp.reshape(T, stride, ci, co)[::-1].transpose(0, 2, 1, 3).reshape(T * ci, stride * co)
         xp = np.zeros((n, r_hi - r_lo + T - 1, ci), dtype=DTYPE)
         off = T - 1 - r_lo  # xp row of x row 0
-        lo, hi = max(0, -off), min(L, xp.shape[1] - off)
+        lo, hi = (min(L, max(0, v)) for v in (-off, xp.shape[1] - off))
         xp[:, off + lo : off + hi] = x.data[:, lo:hi]
         y = np.empty((n, out_len, co), dtype=DTYPE)
         for b0, b1, r0, r1, win in _window_blocks(xp, ci, r_hi - r_lo, T * ci, stride * co):

@@ -675,6 +675,37 @@ def test_one_group_buffer_is_bounded_by_the_chunk():
     assert peak < out_bytes + padded_bytes + ad._CHUNK_BYTES + 2**16
 
 
+def _index_map(n_out, k, stride, pl, n_in):
+    """(o, j, i): output sample o meets input sample i through tap j."""
+    return [(o, j, o * stride + j - pl) for o in range(n_out) for j in range(k)
+            if 0 <= o * stride + j - pl < n_in]
+
+
+# (n, L, c_in, c_out, stride, k, pl, out_len): left pads at or past every
+# computed row, which no SAME layer makes
+_FAR_PAD_CASES = [(1, 9, 7, 7, 1, 4, 6, 2), (2, 9, 3, 2, 1, 4, 6, 2), (2, 10, 2, 3, 2, 5, 7, 2),
+                  (1, 5, 2, 2, 2, 3, 12, 3)]
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("one", [True, False], ids=["one", "stride"])
+@pytest.mark.parametrize("n,L,ci,co,stride,k,pl,out_len", _FAR_PAD_CASES)
+def test_conv_ops_take_a_left_pad_past_every_row(n, L, ci, co, stride, k, pl, out_len, one, monkeypatch):
+    """conv_len, trans_conv_len (out_len -> L) and kernel_corr_len against
+    direct sums over the index map, at either group width."""
+    monkeypatch.setattr(ad, "_one_group", lambda *a, **kw: one)
+    x, w, g = rng.normal(size=(n, L, ci)), rng.normal(size=(k, ci, co)), rng.normal(size=(n, out_len, co))
+    y, gx, gw = np.zeros(g.shape), np.zeros(x.shape), np.zeros(w.shape)
+    for o, j, i in _index_map(out_len, k, stride, pl, L):
+        y[:, o] += x[:, i] @ w[j]
+        gx[:, i] += g[:, o] @ w[j].T
+        gw[j] += x[:, i].T @ g[:, o]
+    wt = Tensor(w.transpose(0, 2, 1).copy())
+    assert np.allclose(ad.conv_len(Tensor(x), Tensor(w), None, stride, pl, out_len).data, y, rtol=0, atol=1e-12)
+    assert np.allclose(ad.trans_conv_len(Tensor(g), wt, None, stride, pl, L).data, gx, rtol=0, atol=1e-12)
+    assert np.allclose(ad.kernel_corr_len(Tensor(x), Tensor(g), stride, pl, k).data, gw, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # 2-D convolution: a row unfold and conv_len along the width
 
