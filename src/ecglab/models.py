@@ -10,6 +10,10 @@ the standard 5000-sample signal length the generator upsamples 8 -> 8192
 in five stride-4 stages and crops back to 5000; shorter training lengths
 use the fewest stride-4 stages that reach the target so desk-scale runs
 stay cheap.
+
+A kernel layer followed by a batch norm (generator ``tconv1``-``tconv4``,
+classifier ``conv1``-``conv3``) has no bias: batch norm subtracts each
+channel's mean, so a bias there has no effect (Ioffe & Szegedy 2015).
 """
 
 from __future__ import annotations
@@ -156,25 +160,22 @@ class Network:
         self.params: dict[str, Tensor] = {}
         self.running: dict[str, dict[str, np.ndarray]] = {}
         rng = np.random.default_rng(seed)
-        for layer in spec.layers:
+        ch = None  # output channels of the last kernel layer
+        next_kinds = [layer.kind for layer in spec.layers[1:]] + [None]
+        for layer, next_kind in zip(spec.layers, next_kinds):
             if layer.kind in _NEEDS_KERNEL:
-                fan_in = int(np.prod(layer.kernel[:-1]))
-                bound = np.sqrt(6.0 / fan_in)
+                bound = np.sqrt(6.0 / np.prod(layer.kernel[:-1]))  # fan-in
                 w = rng.uniform(-bound, bound, size=layer.kernel)
                 self.params[f"{layer.param}.w"] = Tensor(w, requires_grad=True)
-                self.params[f"{layer.param}.b"] = Tensor(np.zeros(layer.kernel[-1]), requires_grad=True)
+                ch = layer.kernel[-1]
+                if next_kind != "batch_norm":
+                    self.params[f"{layer.param}.b"] = Tensor(np.zeros(ch), requires_grad=True)
             elif layer.kind == "batch_norm":
-                ch = self._bn_channels(layer)
+                if ch is None:
+                    raise ValueError("batch_norm with no preceding parameterized layer")
                 self.params[f"{layer.param}.gamma"] = Tensor(np.ones(ch), requires_grad=True)
                 self.params[f"{layer.param}.beta"] = Tensor(np.zeros(ch), requires_grad=True)
                 self.running[layer.param] = {"mean": np.zeros(ch, ad.DTYPE), "var": np.ones(ch, ad.DTYPE)}
-
-    def _bn_channels(self, layer: LayerSpec) -> int:
-        idx = self.spec.layers.index(layer)
-        for prev in reversed(self.spec.layers[:idx]):
-            if prev.kind in _NEEDS_KERNEL:
-                return prev.kernel[-1]
-        raise ValueError("batch_norm with no preceding parameterized layer")
 
     def forward(
         self,
@@ -193,14 +194,9 @@ class Network:
             k = layer.kind
             if stop_at is not None and k == stop_at:
                 return h
-            if k == "dense":
-                h = nn.dense(h, self.params[f"{layer.param}.w"], self.params[f"{layer.param}.b"])
-            elif k == "conv1d":
-                h = nn.conv1d(h, self.params[f"{layer.param}.w"], self.params[f"{layer.param}.b"], layer.stride)
-            elif k == "trans_conv1d":
-                h = nn.trans_conv1d(h, self.params[f"{layer.param}.w"], self.params[f"{layer.param}.b"], layer.stride)
-            elif k == "conv2d":
-                h = nn.conv2d(h, self.params[f"{layer.param}.w"], self.params[f"{layer.param}.b"], layer.stride)
+            if k in _NEEDS_KERNEL:  # the three convolutions are the nn functions of their kind's name
+                w, b = self.params[f"{layer.param}.w"], self.params.get(f"{layer.param}.b")
+                h = nn.dense(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
             elif k == "maxpool2d":
                 h = nn.maxpool2d(h, 2, layer.stride)
             elif k == "batch_norm":
@@ -239,6 +235,11 @@ class Network:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load every parameter and statistic; of other keys only `meta.*` ones may appear."""
+        own = self.params.keys() | {f"{p}.running_{stat}" for p in self.running for stat in ("mean", "var")}
+        for name in state:
+            if name not in own and not name.startswith("meta."):
+                raise ValueError(f"checkpoint has {name!r}, which the {self.spec.name} does not have")
         for name, p in self.params.items():
             if name not in state:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")

@@ -238,6 +238,23 @@ def test_batch_norm_matches_reference_composition(shape):
         assert np.max(np.abs(grads[key] - grads_ref[key])) < 1e-12, key
 
 
+@pytest.mark.float64
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_cancels_a_per_channel_bias(shape):
+    """bn(x + c) = bn(x), with the same gradients in x, gamma and beta, and
+    the gradient in c (x's summed per channel) is 0: a bias in front of a
+    train-mode batch norm does nothing, so the networks build none there."""
+    arrays = _bn_arrays(shape)
+    probe = rng.normal(size=shape)
+    shifted = dict(arrays, x=arrays["x"] + rng.normal(scale=3.0, size=shape[-1]))
+    y, _, grads = _bn_grads(_train_bn, arrays, probe)
+    y_c, _, grads_c = _bn_grads(_train_bn, shifted, probe)
+    assert np.max(np.abs(y_c - y)) < 1e-10
+    for key in arrays:
+        assert np.max(np.abs(grads_c[key] - grads[key])) < 1e-10, key
+    assert np.max(np.abs(grads_c["x"].reshape(-1, shape[-1]).sum(0))) < 1e-10
+
+
 def _infer_bn(x, gamma, beta, running):
     return nn.batch_norm(x, gamma, beta, running, "infer")
 

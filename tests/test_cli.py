@@ -5,6 +5,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecglab import cli, dsp, metrics
@@ -88,6 +89,25 @@ def test_noise_bad_range_exits_1_naming_the_key(tmp_path, capsys, line, message)
     assert main(["noise", "--config", str(cfg), "--in", str(clean), "--out", str(pairs)]) == 1
     assert capsys.readouterr().err == f"ecglab: error: {message}\n"
     assert not pairs.exists()
+
+
+def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
+    """A generator checkpoint that still holds the conv bias in front of a
+    batch norm fails loudly: its running means include that bias."""
+    from ecglab import models
+    from ecglab.checkpoint import save_params
+
+    net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
+    state = cli._meta(net, {"d": 2, "z_len": 8, "signal_length": 128})
+    state["tconv1.b"] = np.zeros(net.params["tconv1.w"].shape[-1])
+    save_params(tmp_path / "g.ecgw", state)
+    capsys.readouterr()
+    code = main(["synth", "--model", "gan", "--count", "2", "--checkpoint", str(tmp_path / "g.ecgw"),
+                 "--out", str(tmp_path / "g.ecgd")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "ecglab: error: checkpoint has 'tconv1.b', which the generator does not have\n"
+    assert not (tmp_path / "g.ecgd").exists()
 
 
 @pytest.fixture(scope="module")

@@ -220,6 +220,35 @@ def test_load_state_dict_missing_running_stats_names_key():
         net.load_state_dict(state)
 
 
+@pytest.mark.parametrize("name", models.NETWORK_NAMES)
+def test_kernel_layers_have_a_bias_unless_batch_norm_follows(name):
+    net = models.build(name, d=16, seed=0)
+    layers = net.spec.layers
+    for layer, following in zip(layers, layers[1:] + (None,)):
+        if layer.kind in models._NEEDS_KERNEL:
+            followed_by_bn = following is not None and following.kind == "batch_norm"
+            assert (f"{layer.param}.b" in net.params) != followed_by_bn, layer.param
+    expected = {"generator": (16, {"tconv1", "tconv2", "tconv3", "tconv4"}), "critic": (12, set()),
+                "inception": (11, {"conv1", "conv2", "conv3"}), "denoiser": (16, set())}[name]
+    unbiased = {k[:-2] for k in net.params if k.endswith(".w") and k[:-2] + ".b" not in net.params}
+    assert (len(net.params), unbiased) == expected
+
+
+def test_load_state_dict_rejects_a_key_the_network_lacks():
+    net = models.build("generator", d=1, z_len=4, signal_length=128, seed=0)
+    state = dict(net.state_dict(), **{"meta.d": np.ones(1)})
+    net.load_state_dict(state)
+    state["tconv1.b"] = np.zeros(net.params["tconv1.w"].shape[-1])
+    with pytest.raises(ValueError, match=r"^checkpoint has 'tconv1.b', which the generator does not have$"):
+        net.load_state_dict(state)
+
+
+def test_batch_norm_without_a_kernel_layer_before_it_raises():
+    spec = models.NetworkSpec("bad", 0, 0, 8, (models.LayerSpec("batch_norm", param="bn1"),))
+    with pytest.raises(ValueError, match="no preceding"):
+        models.Network(spec)
+
+
 def test_layer_spec_validation():
     with pytest.raises(ValueError):
         models.LayerSpec("conv1d", kernel=(25, 1, 1))  # missing stride
