@@ -265,7 +265,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # +0.0 for every a <= 0, -inf included; the VJP rebuilds the mask, so the node holds none
+    # max(a, 0) is +0.0 for every a <= 0, -inf included; the VJP rebuilds
+    # the mask from the input, so the node holds none
     return _make(np.maximum(a.data, 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 

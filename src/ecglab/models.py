@@ -164,7 +164,8 @@ class Network:
         next_kinds = [layer.kind for layer in spec.layers[1:]] + [None]
         for layer, next_kind in zip(spec.layers, next_kinds):
             if layer.kind in _NEEDS_KERNEL:
-                bound = np.sqrt(6.0 / np.prod(layer.kernel[:-1]))  # fan-in
+                fan_in = int(np.prod(layer.kernel[:-1]))
+                bound = np.sqrt(6.0 / fan_in)
                 w = rng.uniform(-bound, bound, size=layer.kernel)
                 self.params[f"{layer.param}.w"] = Tensor(w, requires_grad=True)
                 ch = layer.kernel[-1]
@@ -236,23 +237,21 @@ class Network:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load every parameter and statistic; of other keys only `meta.*` ones may appear."""
-        own = self.params.keys() | {f"{p}.running_{stat}" for p in self.running for stat in ("mean", "var")}
+        own = self.state_dict()
         for name in state:
             if name not in own and not name.startswith("meta."):
                 raise ValueError(f"checkpoint has {name!r}, which the {self.spec.name} does not have")
-        for name, p in self.params.items():
+        for name, current in own.items():
             if name not in state:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
+                raise ValueError(f"checkpoint is missing {name!r}")
             arr = np.asarray(state[name], dtype=ad.DTYPE)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
-        for param, stats in self.running.items():
-            for stat in ("mean", "var"):
-                key = f"{param}.running_{stat}"
-                if key not in state:
-                    raise ValueError(f"checkpoint is missing batch-norm statistic {key!r}")
-                stats[stat] = np.asarray(state[key], dtype=ad.DTYPE).copy()
+            if arr.shape != current.shape:
+                raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {current.shape}")
+            if name in self.params:
+                self.params[name].data = arr.copy()
+            else:
+                param, stat = name.rsplit(".running_", 1)
+                self.running[param][stat] = arr.copy()
 
 
 def build(

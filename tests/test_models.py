@@ -220,6 +220,14 @@ def test_load_state_dict_missing_running_stats_names_key():
         net.load_state_dict(state)
 
 
+def test_load_state_dict_checks_the_shape_of_running_stats():
+    """A one-element statistic would broadcast over every channel."""
+    net = models.build("generator", d=4, z_len=4, signal_length=128, seed=0)
+    state = dict(net.state_dict(), **{"bn1.running_mean": np.zeros(1)})
+    with pytest.raises(ValueError, match=r"shape mismatch for 'bn1.running_mean': \(1,\) vs \(4,\)"):
+        net.load_state_dict(state)
+
+
 @pytest.mark.parametrize("name", models.NETWORK_NAMES)
 def test_kernel_layers_have_a_bias_unless_batch_norm_follows(name):
     net = models.build(name, d=16, seed=0)
