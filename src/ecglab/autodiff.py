@@ -632,7 +632,7 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
         w2 = wp.reshape(T, stride, ci, co)[::-1].transpose(0, 2, 1, 3).reshape(T * ci, stride * co)
         xp = np.zeros((n, r_hi - r_lo + T - 1, ci), dtype=DTYPE)
         off = T - 1 - r_lo  # xp row of x row 0
-        lo, hi = (min(L, max(0, v)) for v in (-off, xp.shape[1] - off))
+        lo, hi = (min(L, max(0, v)) for v in (-off, xp.shape[1] - off))  # the x rows xp holds
         xp[:, off + lo : off + hi] = x.data[:, lo:hi]
         y = np.empty((n, out_len, co), dtype=DTYPE)
         for b0, b1, r0, r1, win in _window_blocks(xp, ci, r_hi - r_lo, T * ci, stride * co):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecglab import cli, dsp, metrics
+from ecglab import cli, dsp, metrics, models
+from ecglab.checkpoint import save_params
 from ecglab.cli import main
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -94,9 +95,6 @@ def test_noise_bad_range_exits_1_naming_the_key(tmp_path, capsys, line, message)
 def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
     """A generator checkpoint that still holds the conv bias in front of a
     batch norm fails loudly: its running means include that bias."""
-    from ecglab import models
-    from ecglab.checkpoint import save_params
-
     net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
     state = cli._meta(net, {"d": 2, "z_len": 8, "signal_length": 128})
     state["tconv1.b"] = np.zeros(net.params["tconv1.w"].shape[-1])
