@@ -7,7 +7,6 @@ from .signals import (
     read_dataset,
     read_pairs,
     scale_to_unit,
-    split_dataset,
     write_dataset,
     write_pairs,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "sample_noise_params",
     "scale_to_unit",
     "snr_db",
-    "split_dataset",
     "transfer_critic_to_denoiser",
     "wavelet_filter",
     "write_dataset",

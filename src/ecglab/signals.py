@@ -1,25 +1,30 @@
 """Signal containers, amplitude scaling and dataset file I/O.
 
-Two binary containers are defined here:
+Both binary containers go through one record codec, ``_write_records``
+and ``_read_records``. A file is a header (magic, version u16 = 1,
+count u32, signal_length u32, sample_rate f32), then ``count`` records
+of ``per`` signals each as little-endian f32 samples, record-major, then
+a tail:
 
-* ``ECGD``  - labeled signal dataset: magic ``ECGD``, version u16,
-  count u32, signal_length u32, sample_rate f32, then count*signal_length
-  little-endian f32 samples (signal-major), then count*5 label bytes (0/1).
-* ``ECG2``  - clean/noisy pair dataset: same header with magic ``ECG2``,
-  then per record signal_length f32 clean samples immediately followed by
-  signal_length f32 noisy samples. No label block.
+* ``ECGD``  - labeled signal dataset: per = 1; the tail is count*5 label
+  bytes (0/1).
+* ``ECG2``  - clean/noisy pair dataset: per = 2, each record's clean
+  samples immediately followed by its noisy samples; no tail.
 
-Sample payloads are f32, so round-trips are bit-exact for data that is
-representable in single precision (everything these containers are meant
-to hold).
+Every signal in a file shares one length and one sample rate; the writer
+refuses anything else. The reader checks the magic, the version, the
+payload length and that every sample is finite. Sample payloads are f32,
+so round-trips are bit-exact for data that is representable in single
+precision (everything these containers are meant to hold).
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -42,13 +47,6 @@ class TruncatedPayload(ContainerError):
 
 class LabelMismatch(ContainerError):
     pass
-
-
-def _require_finite(records: np.ndarray) -> None:
-    """Raise ContainerError naming the first record ([n, ...]) with a NaN or inf."""
-    bad = ~np.isfinite(records).all(axis=tuple(range(1, records.ndim)))
-    if bad.any():
-        raise ContainerError(f"record {int(np.argmax(bad))} holds a non-finite sample")
 
 
 @dataclass(frozen=True)
@@ -137,26 +135,32 @@ def scale_to_unit(s: Signal) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# ECGD container
+# the record codec shared by both containers
 
 
-def write_dataset(ds: LabeledDataset, path: str | Path) -> None:
-    path = Path(path)
-    n = len(ds)
-    length = ds.signals[0].length if n else 0
-    rate = ds.signals[0].sample_rate_hz if n else 0.0
-    for s in ds.signals:
+def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Signal]], tail: bytes = b"") -> None:
+    """Write the header, then each record's signals as little-endian f32
+    samples straight to the file, then ``tail``. Every signal must share
+    the first one's length and sample rate, which the header stores."""
+    sigs = [s for rec in records for s in rec]
+    length = sigs[0].length if sigs else 0
+    rate = sigs[0].sample_rate_hz if sigs else 0.0
+    for s in sigs:
         if s.length != length:
-            raise ValueError("all signals in a dataset must share one length")
-    blob = bytearray(_HEADER.pack(b"ECGD", 1, n, length, rate))
-    for s in ds.signals:
-        blob += s.samples.astype("<f4").tobytes()
-    blob += ds.labels.astype(np.uint8).tobytes()
-    path.write_bytes(bytes(blob))
+            raise ValueError(f"all signals in a file must share one length, found {length} and {s.length}")
+        if s.sample_rate_hz != rate:
+            raise ValueError(f"all signals in a file must share one sample rate, found {rate} and {s.sample_rate_hz} Hz")
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(magic, 1, len(records), length, rate))
+        for s in sigs:
+            f.write(s.samples.astype("<f4").data)
+        f.write(tail)
 
 
-def _read_header(blob: bytes, magic: bytes) -> tuple[int, int, float]:
-    """(count, length, sample rate) from a version-1 container header."""
+def _read_records(path: str | Path, magic: bytes, per: int) -> tuple[np.ndarray, float, bytes]:
+    """(f32 records [n, per, L], sample rate, the bytes after them) of a
+    version-1 container whose magic is ``magic``."""
+    blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise TruncatedPayload(f"file shorter than header ({len(blob)} bytes)")
     found, version, n, length, rate = _HEADER.unpack_from(blob)
@@ -164,147 +168,38 @@ def _read_header(blob: bytes, magic: bytes) -> tuple[int, int, float]:
         raise BadMagic(f"expected magic {magic!r}, found {found!r}")
     if version != 1:
         raise ContainerError(f"unsupported container version {version}")
-    return n, length, rate
-
-
-def read_dataset(path: str | Path, format: str = "raw-f32", sample_rate_hz: float = 500.0) -> LabeledDataset:
-    if format == "csv":
-        return _read_csv_dataset(Path(path), sample_rate_hz)
-    if format != "raw-f32":
-        raise ValueError(f"unknown dataset format {format!r}")
-    blob = Path(path).read_bytes()
-    n, length, rate = _read_header(blob, b"ECGD")
-    sample_bytes = n * length * 4
-    off = _HEADER.size
-    if len(blob) < off + sample_bytes:
+    end = _HEADER.size + n * per * length * 4
+    if len(blob) < end:
         raise TruncatedPayload(
-            f"header declares {n} signals of length {length} "
-            f"but payload holds {(len(blob) - off) // (length * 4) if length else 0}"
+            f"header declares {n} records of {per} x {length} samples ({end} bytes), file has {len(blob)}"
         )
-    samples = np.frombuffer(blob, dtype="<f4", count=n * length, offset=off)
-    _require_finite(samples.reshape(n, length))
-    off += sample_bytes
-    if len(blob) < off + n * LABEL_COUNT:
-        raise LabelMismatch(
-            f"expected {n * LABEL_COUNT} label bytes, found {len(blob) - off}"
-        )
-    labels = np.frombuffer(blob, dtype=np.uint8, count=n * LABEL_COUNT, offset=off)
-    if labels.size and labels.max() > 1:
-        raise LabelMismatch("label entries must be 0 or 1")
-    sigs = tuple(
-        Signal(samples[i * length : (i + 1) * length].astype(np.float64), rate)
-        for i in range(n)
-    )
-    return LabeledDataset(sigs, labels.reshape(n, LABEL_COUNT))
+    records = np.frombuffer(blob, dtype="<f4", count=n * per * length, offset=_HEADER.size).reshape(n, per, length)
+    bad = ~np.isfinite(records).all(axis=(1, 2))
+    if bad.any():
+        raise ContainerError(f"record {int(np.argmax(bad))} holds a non-finite sample")
+    return records, rate, blob[end:]
 
 
-# ---------------------------------------------------------------------------
-# ECG2 paired container
+def write_dataset(ds: LabeledDataset, path: str | Path) -> None:
+    _write_records(path, b"ECGD", [(s,) for s in ds.signals], ds.labels.tobytes())
+
+
+def read_dataset(path: str | Path) -> LabeledDataset:
+    records, rate, tail = _read_records(path, b"ECGD", 1)
+    n = len(records)
+    if len(tail) < n * LABEL_COUNT:
+        raise LabelMismatch(f"expected {n * LABEL_COUNT} label bytes, found {len(tail)}")
+    labels = np.frombuffer(tail, dtype=np.uint8, count=n * LABEL_COUNT).reshape(n, LABEL_COUNT)
+    return LabeledDataset(tuple(Signal(r[0].astype(np.float64), rate) for r in records), labels)
 
 
 def write_pairs(pairs: list[SignalPair], path: str | Path) -> None:
-    path = Path(path)
-    n = len(pairs)
-    length = pairs[0].clean.length if n else 0
-    rate = pairs[0].clean.sample_rate_hz if n else 0.0
-    blob = bytearray(_HEADER.pack(b"ECG2", 1, n, length, rate))
-    for p in pairs:
-        if p.clean.length != length:
-            raise ValueError("all pairs must share one length")
-        blob += p.clean.samples.astype("<f4").tobytes()
-        blob += p.noisy.samples.astype("<f4").tobytes()
-    path.write_bytes(bytes(blob))
+    _write_records(path, b"ECG2", [(p.clean, p.noisy) for p in pairs])
 
 
 def read_pairs(path: str | Path) -> list[SignalPair]:
-    blob = Path(path).read_bytes()
-    n, length, rate = _read_header(blob, b"ECG2")
-    need = _HEADER.size + n * length * 8
-    if len(blob) < need:
-        raise TruncatedPayload(f"expected {need} bytes, found {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4", count=n * length * 2, offset=_HEADER.size)
-    rec = flat.reshape(n, 2, length) if n else flat.reshape(0, 2, 0)
-    _require_finite(rec)
+    records, rate, _ = _read_records(path, b"ECG2", 2)
     return [
-        SignalPair(
-            Signal(rec[i, 0].astype(np.float64), rate),
-            Signal(rec[i, 1].astype(np.float64), rate),
-        )
-        for i in range(n)
+        SignalPair(Signal(clean.astype(np.float64), rate), Signal(noisy.astype(np.float64), rate))
+        for clean, noisy in records
     ]
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion (hand-authored fixtures): one signal per row, labels in a
-# sibling file "<path>.labels" with one 0/1 row per signal (all-zero labels
-# are assumed when the sibling file is absent).
-
-
-def _read_csv_dataset(path: Path, sample_rate_hz: float) -> LabeledDataset:
-    rows = [
-        np.asarray([float(v) for v in line.split(",")], dtype=np.float64)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ContainerError("csv rows have inconsistent lengths")
-    if rows:
-        _require_finite(np.stack(rows))
-    sigs = tuple(Signal(r, sample_rate_hz) for r in rows)
-    label_path = path.with_name(path.name + ".labels")
-    if label_path.exists():
-        labels = np.asarray(
-            [
-                [int(v) for v in line.split(",")]
-                for line in label_path.read_text().splitlines()
-                if line.strip()
-            ],
-            dtype=np.uint8,
-        )
-        if labels.shape[0] != len(sigs):
-            raise LabelMismatch(
-                f"{len(sigs)} csv signals but {labels.shape[0]} label rows"
-            )
-    else:
-        labels = np.zeros((len(sigs), LABEL_COUNT), dtype=np.uint8)
-    return LabeledDataset(sigs, labels)
-
-
-def write_csv_dataset(ds: LabeledDataset, path: str | Path) -> None:
-    path = Path(path)
-    lines = [",".join(repr(float(v)) for v in s.samples) for s in ds.signals]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    label_lines = [",".join(str(int(v)) for v in row) for row in ds.labels]
-    path.with_name(path.name + ".labels").write_text(
-        "\n".join(label_lines) + ("\n" if label_lines else "")
-    )
-
-
-# ---------------------------------------------------------------------------
-
-
-def split_dataset(
-    ds: LabeledDataset, fractions: list[float], seed: int
-) -> list[LabeledDataset]:
-    """Deterministic disjoint partition with sizes proportional to fractions."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.size == 0 or np.any(fr <= 0):
-        raise ValueError("fractions must be positive")
-    if abs(fr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fr.sum()}")
-    n = len(ds)
-    perm = np.random.default_rng(seed).permutation(n)
-    bounds = np.round(np.cumsum(fr) * n).astype(int)
-    bounds[-1] = n
-    out = []
-    start = 0
-    for stop in bounds:
-        idx = perm[start:stop]
-        out.append(
-            LabeledDataset(
-                tuple(ds.signals[i] for i in idx),
-                ds.labels[idx] if n else ds.labels,
-            )
-        )
-        start = stop
-    return out

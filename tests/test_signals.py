@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,6 @@ from ecglab.signals import (
     read_dataset,
     read_pairs,
     scale_to_unit,
-    split_dataset,
-    write_csv_dataset,
     write_dataset,
     write_pairs,
 )
@@ -145,6 +145,28 @@ def test_ecgd_label_shortfall(tmp_path):
         read_dataset(path)
 
 
+def test_ecgd_label_above_one(tmp_path):
+    ds = _random_dataset(np.random.default_rng(3), 2, 4)
+    path = tmp_path / "l.ecgd"
+    write_dataset(ds, path)
+    path.write_bytes(path.read_bytes()[:-1] + b"\x02")
+    with pytest.raises(LabelMismatch, match="0 or 1"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("write, read", [
+    (lambda p: write_dataset(_random_dataset(np.random.default_rng(0), 1, 4), p), read_dataset),
+    (lambda p: write_pairs([SignalPair(sig(np.zeros(4)), sig(np.ones(4)))], p), read_pairs),
+])
+def test_readers_reject_other_versions(tmp_path, write, read):
+    path = tmp_path / "v.bin"
+    write(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<H", 2) + blob[6:])
+    with pytest.raises(ContainerError, match="version 2"):
+        read(path)
+
+
 def test_label_count_mismatch_at_construction():
     with pytest.raises(LabelMismatch):
         LabeledDataset((sig([1.0]),), np.zeros((2, 5), dtype=np.uint8))
@@ -191,68 +213,42 @@ def test_readers_reject_non_finite_samples(tmp_path, bad):
     write_dataset(ds, tmp_path / "d.ecgd")
     with pytest.raises(ContainerError, match="record 1"):
         read_dataset(tmp_path / "d.ecgd")
-    write_csv_dataset(ds, tmp_path / "d.csv")
-    with pytest.raises(ContainerError, match="record 1"):
-        read_dataset(tmp_path / "d.csv", format="csv")
 
 
 # ---------------------------------------------------------------------------
-# csv
+# byte layout and writer checks shared by both containers
 
 
-def test_csv_round_trip(tmp_path):
-    ds = _random_dataset(np.random.default_rng(6), 3, 10)
-    path = tmp_path / "d.csv"
-    write_csv_dataset(ds, path)
-    back = read_dataset(path, format="csv")
-    for a, b in zip(ds.signals, back.signals):
-        assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(ds.labels, back.labels)
+def _expected_header(magic, n, length, rate):
+    return struct.pack("<4sHIIf", magic, 1, n, length, rate)
 
 
-def test_csv_missing_labels_defaults_to_zero(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    ds = read_dataset(path, format="csv")
-    assert np.array_equal(ds.labels, np.zeros((2, 5), dtype=np.uint8))
+def test_ecgd_byte_layout(tmp_path):
+    a = np.array([0.5, -1.0, 2.25], dtype=np.float32)
+    b = np.array([3.0, 0.125, -7.5], dtype=np.float32)
+    labels = np.array([[1, 0, 0, 1, 0], [0, 1, 1, 0, 1]], dtype=np.uint8)
+    expected = (_expected_header(b"ECGD", 2, 3, 250.0) + a.astype("<f4").tobytes()
+                + b.astype("<f4").tobytes() + labels.tobytes())
+    write_dataset(LabeledDataset((sig(a, 250.0), sig(b, 250.0)), labels), tmp_path / "d.ecgd")
+    assert (tmp_path / "d.ecgd").read_bytes() == expected
 
 
-# ---------------------------------------------------------------------------
-# splits
-
-
-def test_split_sizes():
-    ds = _random_dataset(np.random.default_rng(7), 10, 4)
-    parts = split_dataset(ds, [0.8, 0.2], seed=1)
-    assert [len(p) for p in parts] == [8, 2]
-
-
-def test_split_deterministic():
-    ds = _random_dataset(np.random.default_rng(8), 12, 4)
-    a = split_dataset(ds, [0.5, 0.5], seed=9)
-    b = split_dataset(ds, [0.5, 0.5], seed=9)
-    for pa, pb in zip(a, b):
-        for sa, sb in zip(pa.signals, pb.signals):
-            assert np.array_equal(sa.samples, sb.samples)
-
-
-def test_split_bad_fractions():
-    ds = _random_dataset(np.random.default_rng(9), 4, 4)
-    with pytest.raises(ValueError):
-        split_dataset(ds, [0.5, 0.6], seed=0)
-    with pytest.raises(ValueError):
-        split_dataset(ds, [1.0, -0.0], seed=0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 1000))
-def test_split_partitions_exactly(n, k, seed):
-    ds = _random_dataset(np.random.default_rng(seed), n, 3)
-    fractions = [1.0 / k] * k
-    parts = split_dataset(ds, fractions, seed=seed)
-    assert sum(len(p) for p in parts) == n
-    seen = sorted(
-        tuple(s.samples.tolist()) for p in parts for s in p.signals
+def test_ecg2_byte_layout_interleaves_clean_and_noisy_per_record(tmp_path):
+    c0, n0, c1, n1 = (np.arange(4, dtype=np.float32) + 10 * k for k in range(4))
+    expected = _expected_header(b"ECG2", 2, 4, 128.0) + b"".join(
+        x.astype("<f4").tobytes() for x in (c0, n0, c1, n1)
     )
-    original = sorted(tuple(s.samples.tolist()) for s in ds.signals)
-    assert seen == original
+    pairs = [SignalPair(sig(c0, 128.0), sig(n0, 128.0)), SignalPair(sig(c1, 128.0), sig(n1, 128.0))]
+    write_pairs(pairs, tmp_path / "p.ecg2")
+    assert (tmp_path / "p.ecg2").read_bytes() == expected
+
+
+@pytest.mark.parametrize("lengths, rates, match", [((4, 5), (500.0, 500.0), "length"),
+                                                   ((4, 4), (500.0, 128.0), "sample rate")])
+def test_writers_refuse_mixed_signals(tmp_path, lengths, rates, match):
+    sigs = [sig(np.zeros(k), r) for k, r in zip(lengths, rates)]
+    with pytest.raises(ValueError, match=match):
+        write_dataset(LabeledDataset(tuple(sigs), np.zeros((2, 5), dtype=np.uint8)), tmp_path / "d.ecgd")
+    with pytest.raises(ValueError, match=match):
+        write_pairs([SignalPair(s, s) for s in sigs], tmp_path / "p.ecg2")
+    assert list(tmp_path.iterdir()) == []
