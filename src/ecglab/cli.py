@@ -36,6 +36,7 @@ from .config import load_config
 from .dsp import bandpass_filter, wavelet_filter
 from .metrics import evaluate_denoiser, reports_to_csv
 from .signals import (
+    LABEL_COUNT,
     LabeledDataset,
     Signal,
     read_dataset,
@@ -143,7 +144,7 @@ def cmd_synth(args) -> int:
         generator, z_len = _load_generator(args.checkpoint)
         z = models.sample_latent(rng, args.count, z_len, cfg.latent)
         sigs = [Signal(row, args.sample_rate) for row in models.infer(generator, z.data)[:, :, 0]]
-    labels = np.zeros((len(sigs), 5), dtype=np.uint8)
+    labels = np.zeros((len(sigs), LABEL_COUNT), dtype=np.uint8)
     write_dataset(LabeledDataset(tuple(sigs), labels), args.out)
     print(f"wrote {len(sigs)} signals to {args.out}")
     return 0

@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .signals import LABEL_COUNT
 
 NETWORK_NAMES = ("generator", "critic", "inception", "denoiser")
 
@@ -33,7 +34,6 @@ STRIDE_1D = 4
 LRELU_ALPHA = 0.2
 GENERATOR_SEED_LEN = 8
 INCEPTION_CHANNELS = 64
-N_LABELS = 5
 INFER_BATCH = 128
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
@@ -123,7 +123,7 @@ def inception_spec() -> NetworkSpec:
         layers.append(LayerSpec("maxpool2d", stride=2))
         ci = c
     layers.append(LayerSpec("reshape", shape=(c,)))
-    layers.append(LayerSpec("dense", kernel=(c, N_LABELS), param="dense1"))
+    layers.append(LayerSpec("dense", kernel=(c, LABEL_COUNT), param="dense1"))
     layers.append(LayerSpec("sigmoid"))
     return NetworkSpec("inception", 0, 0, 64, tuple(layers))
 
