@@ -11,12 +11,12 @@ operation appends a node to an implicit computation graph. Backward
 functions are themselves written with Tensor ops, so gradients of
 gradients (needed for the critic's gradient penalty) come for free via
 ``grad(..., create_graph=True)``. Linear ops come in pairs whose VJPs are
-each other: ``conv_len``/``trans_conv_len``, ``take_len``/``scatter_len``,
-the phase-shuffle pair ``shift_len``/``unshift_len`` and the 2-D row
-unfold ``unfold_rows``/``fold_rows``. The one VJP written in plain numpy
-is train-mode ``batch_norm_train``'s closed form; it is first order only
-and raises GraphError under ``create_graph``. No second-order path
-crosses it: the critic has no batch norm.
+each other: ``conv_len``/``trans_conv_len``, the phase-shuffle pair
+``shift_len``/``unshift_len`` and the 2-D row unfold ``unfold_rows``/``fold_rows``.
+Two VJPs are plain numpy, train-mode ``batch_norm_train``'s closed form and
+``max_pool_2x2``'s; they are first order only and raise GraphError under
+``create_graph``. No second-order path crosses them: the critic, the one
+network differentiated twice, has no batch norm and no pool.
 
 VJPs read their inputs' data when they run, not when the node is
 recorded (``relu`` and ``leaky_relu`` rebuild their mask or slope from
@@ -380,29 +380,6 @@ def crop_len(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[:, start:stop].copy(), (a,), vjp)
 
 
-def take_len(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along axis 1 with per-(sample, channel) indices [n, L', c]."""
-    n, L, c = a.shape
-
-    def vjp(g):
-        return (scatter_len(g, idx, L),)
-
-    return _make(np.take_along_axis(a.data, idx, axis=1), (a,), vjp)
-
-
-def scatter_len(g: Tensor, idx: np.ndarray, out_len: int) -> Tensor:
-    n, Lp, c = g.shape
-    acc = np.zeros((n, out_len, c), dtype=DTYPE)
-    bi = np.arange(n)[:, None, None]
-    ci = np.arange(c)[None, None, :]
-    np.add.at(acc, (bi, idx, ci), g.data)
-
-    def vjp(gg):
-        return (take_len(gg, idx),)
-
-    return _make(acc, (g,), vjp)
-
-
 def shift_len(a: Tensor, shifts: np.ndarray, n: int) -> Tensor:
     """y[b, t, c] = a[b, t + shifts[b, c], c], reading past either end by
     symmetric reflection (a[-1] = a[0], a[L] = a[L-1], ...).
@@ -629,7 +606,7 @@ def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tenso
 
 
 # ---------------------------------------------------------------------------
-# the rows of [n, H, W, c] maps, unfolded for a convolution along W
+# [n, H, W, c] maps: the row unfold of conv2d, and 2x2 max pooling
 
 
 def unfold_rows(a: Tensor, kh: int, stride: int, pt: int, out_h: int) -> Tensor:
@@ -662,6 +639,36 @@ def fold_rows(g: Tensor, kh: int, stride: int, pt: int, nh: tuple[int, int]) -> 
     for i in range(kh):
         acc[:, i : i + span : stride] += taps[:, :, :, i]
     return _make(acc[:, pt : pt + H].copy(), (g,), lambda gg: (unfold_rows(gg, kh, stride, pt, out_h),))
+
+
+def max_pool_2x2(x: Tensor) -> Tensor:
+    """Max over 2x2 windows at stride 2: [n, H, W, c] -> [n, H/2, W/2, c].
+
+    The window elements are strided views of one reshape, read in row-major
+    window order; a later one replaces the running maximum only when strictly
+    greater, so a tie or a NaN after the first keeps the first. The node keeps
+    the winner's window position, one uint8 per output, for its VJP.
+    """
+    n, H, W, c = x.shape
+    win = x.data.reshape(n, H // 2, 2, W // 2, 2, c)
+    best = win[:, :, 0, :, 0]
+    arg = np.zeros(best.shape, dtype=np.uint8)
+    for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), 1):
+        take = win[:, :, i, :, j] > best
+        best = np.where(take, win[:, :, i, :, j], best)
+        arg = np.where(take, np.uint8(k), arg)
+
+    def vjp(g):
+        if _grad_enabled:
+            raise GraphError("max pooling has no second-order gradient")
+        gx = np.empty((n, H, W, c), dtype=DTYPE)
+        gwin = gx.reshape(n, H // 2, 2, W // 2, 2, c)
+        for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            # adding 0 turns a -0 cotangent into +0, as a scatter-add into zeros does
+            np.add(np.where(arg == k, g.data, 0), 0, out=gwin[:, :, i, :, j])
+        return (Tensor(gx),)
+
+    return _make(best, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,10 @@ def _meta(net: models.Network, extra: dict[str, float]) -> dict[str, np.ndarray]
     return state
 
 
-def _meta_value(state: dict[str, np.ndarray], key: str, default: float | None = None) -> float:
+def _meta_value(state: dict[str, np.ndarray], key: str) -> float:
     arr = state.get(f"meta.{key}")
     if arr is None:
-        if default is None:
-            raise ValueError(f"checkpoint is missing metadata {key!r}")
-        return default
+        raise ValueError(f"checkpoint is missing metadata {key!r}")
     return float(np.asarray(arr).reshape(-1)[0])
 
 

@@ -4,8 +4,9 @@ Channel ladders and kernel sizes follow the reference architecture:
 25-tap stride-4 one-dimensional stages everywhere, batch norm in the
 generator only, phase shuffle in the critic only (and optionally before
 the denoiser's encoder convolutions), and a 3x3 stride-2 2-D stack for
-the spectrogram classifier. Every convolution, the 2-D ones included, is
-one ``autodiff.conv_len`` or ``trans_conv_len`` node (see ``nn``). For
+the spectrogram classifier, each stage ending in a 2x2 max pool. Every
+convolution is one ``autodiff.conv_len`` or ``trans_conv_len`` node, and
+every pool one ``max_pool_2x2`` node (see ``nn``). For
 the standard 5000-sample signal length the generator upsamples 8 -> 8192
 in five stride-4 stages and crops back to 5000; shorter training lengths
 use the fewest stride-4 stages that reach the target so desk-scale runs
@@ -14,6 +15,9 @@ stay cheap.
 A kernel layer followed by a batch norm (generator ``tconv1``-``tconv4``,
 classifier ``conv1``-``conv3``) has no bias: batch norm subtracts each
 channel's mean, so a bias there has no effect (Ioffe & Szegedy 2015).
+Nor has a spec's last layer, a kernel layer in the critic only (``dense1``): its
+score enters the WGAN loss only as mean(real) - mean(fake), and the gradient
+penalty only through its input gradient, so that bias's gradient is exactly 0.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ INCEPTION_CHANNELS = 64
 INFER_BATCH = 128
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
-_NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d", "maxpool2d"}
+_NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d"}
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class LayerSpec:
     kind: str
     kernel: tuple[int, ...] | None = None
     stride: int | None = None
-    alpha: float | None = None
     n_max: int | None = None
     target: int | None = None
     shape: tuple[int, ...] | None = None
@@ -89,7 +92,7 @@ def generator_spec(d: int, z_len: int = 100, signal_length: int = 5000) -> Netwo
         )
         if i < stages:
             layers.append(LayerSpec("batch_norm", param=f"bn{i}"))
-            layers.append(LayerSpec("leaky_relu", alpha=LRELU_ALPHA))
+            layers.append(LayerSpec("leaky_relu"))
     layers.append(LayerSpec("crop", target=signal_length))
     layers.append(LayerSpec("tanh"))
     return NetworkSpec("generator", d, z_len, signal_length, tuple(layers))
@@ -104,7 +107,7 @@ def critic_spec(d: int, signal_length: int = 5000, phase_shuffle_n: int = 2) -> 
             LayerSpec("conv1d", kernel=(KERNEL_1D, channels[i], channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
         )
         layers.append(LayerSpec("phase_shuffle", n_max=phase_shuffle_n))
-        layers.append(LayerSpec("leaky_relu", alpha=LRELU_ALPHA))
+        layers.append(LayerSpec("leaky_relu"))
         length = -(-length // STRIDE_1D)
     flat = length * channels[-1]
     layers.append(LayerSpec("reshape", shape=(flat,)))
@@ -120,7 +123,7 @@ def inception_spec() -> NetworkSpec:
         layers.append(LayerSpec("conv2d", kernel=(3, 3, ci, c), stride=2, param=f"conv{i + 1}"))
         layers.append(LayerSpec("batch_norm", param=f"bn{i + 1}"))
         layers.append(LayerSpec("relu"))
-        layers.append(LayerSpec("maxpool2d", stride=2))
+        layers.append(LayerSpec("maxpool2d"))
         ci = c
     layers.append(LayerSpec("reshape", shape=(c,)))
     layers.append(LayerSpec("dense", kernel=(c, LABEL_COUNT), param="dense1"))
@@ -137,13 +140,13 @@ def denoiser_spec(d: int, signal_length: int = 5000, phase_shuffle_n: int = 0) -
         layers.append(
             LayerSpec("conv1d", kernel=(KERNEL_1D, enc_channels[i], enc_channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
         )
-        layers.append(LayerSpec("leaky_relu", alpha=LRELU_ALPHA))
+        layers.append(LayerSpec("leaky_relu"))
     dec_channels = [4 * d, 4 * d, 2 * d, d, 1]
     for i in range(4):
         layers.append(
             LayerSpec("trans_conv1d", kernel=(KERNEL_1D, dec_channels[i], dec_channels[i + 1]), stride=STRIDE_1D, param=f"tconv{i + 1}")
         )
-        layers.append(LayerSpec("leaky_relu", alpha=LRELU_ALPHA))
+        layers.append(LayerSpec("leaky_relu"))
     layers.append(LayerSpec("crop", target=signal_length))
     layers.append(LayerSpec("tanh"))
     return NetworkSpec("denoiser", d, 0, signal_length, tuple(layers))
@@ -169,7 +172,7 @@ class Network:
                 w = rng.uniform(-bound, bound, size=layer.kernel)
                 self.params[f"{layer.param}.w"] = Tensor(w, requires_grad=True)
                 ch = layer.kernel[-1]
-                if next_kind != "batch_norm":
+                if next_kind not in ("batch_norm", None):
                     self.params[f"{layer.param}.b"] = Tensor(np.zeros(ch), requires_grad=True)
             elif layer.kind == "batch_norm":
                 if ch is None:
@@ -199,7 +202,7 @@ class Network:
                 w, b = self.params[f"{layer.param}.w"], self.params.get(f"{layer.param}.b")
                 h = nn.dense(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
             elif k == "maxpool2d":
-                h = nn.maxpool2d(h, 2, layer.stride)
+                h = nn.maxpool2d(h)
             elif k == "batch_norm":
                 h = nn.batch_norm(
                     h,
@@ -209,7 +212,7 @@ class Network:
                     mode,
                 )
             elif k == "leaky_relu":
-                h = ad.leaky_relu(h, layer.alpha)
+                h = ad.leaky_relu(h, LRELU_ALPHA)
             elif k == "relu":
                 h = ad.relu(h)
             elif k == "tanh":

@@ -36,7 +36,8 @@ Train-mode ``batch_norm`` is one node (``autodiff.batch_norm_train``)
 whose VJP is the closed form, first order only; inference mode folds
 the running statistics into one scale and shift per channel
 (``autodiff.scale_shift``), through which gamma and beta still get
-gradients.
+gradients. ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
+whose VJP, like train-mode batch norm's, is first order only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 def same_pads_1d(length: int, k: int, stride: int) -> tuple[int, int, int]:
     out_len = -(-length // stride)
@@ -92,26 +97,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
     return ad.reshape(ad.conv_len(rows, wk, b, stride, pl, Wo), (n, Ho, Wo, co))
 
 
-def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Max over k x k windows, as a gather of each window's maximum.
-
-    Ties send the gradient to the first maximum in row-major window order.
-    """
-    n, H, W, c = x.shape
-    if H % stride or W % stride or k > stride:
-        raise ValueError("maxpool2d requires spatial dims divisible by stride and k <= stride")
-    Ho, Wo = H // stride, W // stride
-    best = x.data[:, ::stride, ::stride]
-    offset = np.zeros(best.shape, dtype=np.intp)  # flat offset of the maximum in its window
-    for i in range(k):
-        for j in range(k):
-            cand = x.data[:, i::stride, j::stride]
-            take = cand > best
-            best = np.where(take, cand, best)
-            offset = np.where(take, i * W + j, offset)
-    corner = stride * (W * np.arange(Ho)[:, None] + np.arange(Wo))
-    idx = (offset + corner[None, :, :, None]).reshape(n, Ho * Wo, c)
-    return ad.reshape(ad.take_len(ad.reshape(x, (n, H * W, c)), idx), (n, Ho, Wo, c))
+def maxpool2d(x: Tensor) -> Tensor:
+    """Max over 2x2 windows at stride 2 of [n, H, W, c], H and W even."""
+    if x.shape[1] % 2 or x.shape[2] % 2:
+        raise ValueError(f"maxpool2d needs even spatial dims, got {x.shape[1]} x {x.shape[2]}")
+    return ad.max_pool_2x2(x)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -127,20 +117,18 @@ def batch_norm(
     beta: Tensor,
     running: dict[str, np.ndarray],
     mode: str,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel standardization over batch and spatial axes (channel last)."""
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs batch size >= 2")
-        out, mu, var = ad.batch_norm_train(x, gamma, beta, eps)
-        running["mean"] = momentum * running["mean"] + (1 - momentum) * mu
-        running["var"] = momentum * running["var"] + (1 - momentum) * var
+        out, mu, var = ad.batch_norm_train(x, gamma, beta, BN_EPS)
+        running["mean"] = BN_MOMENTUM * running["mean"] + (1 - BN_MOMENTUM) * mu
+        running["var"] = BN_MOMENTUM * running["var"] + (1 - BN_MOMENTUM) * var
         return out
     if mode != "infer":
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + eps)))
+    scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + BN_EPS)))
     shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
     return ad.scale_shift(x, scale, shift)
 

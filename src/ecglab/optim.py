@@ -8,26 +8,27 @@ import numpy as np
 
 from .autodiff import Tensor
 
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     alpha: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
-    """One in-place Adam update; parameters without a gradient are skipped."""
+def adam_step(params: dict[str, Tensor], state: AdamState) -> AdamState:
+    """One in-place Adam update from each `.grad`; parameters without one are skipped."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
@@ -41,14 +42,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         v = state.beta2 * v + (1.0 - state.beta2) * g * g
         state.first_moment[name] = m
         state.second_moment[name] = v
-        p.data -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None
-
-
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: p.grad for name, p in params.items() if p.grad is not None}

@@ -13,9 +13,9 @@ a tail:
 
 Every signal in a file shares one length and one sample rate; the writer
 refuses anything else. The reader checks the magic, the version, the
-payload length and that every sample is finite. Sample payloads are f32,
-so round-trips are bit-exact for data that is representable in single
-precision (everything these containers are meant to hold).
+payload and tail lengths and that every sample is finite. Sample payloads
+are f32, so round-trips are bit-exact for data that is representable in
+single precision (everything these containers are meant to hold).
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Si
         f.write(tail)
 
 
-def _read_records(path: str | Path, magic: bytes, per: int) -> tuple[np.ndarray, float, bytes]:
-    """(f32 records [n, per, L], sample rate, the bytes after them) of a
-    version-1 container whose magic is ``magic``."""
+def _read_records(path: str | Path, magic: bytes, per: int, tail_per: int) -> tuple[np.ndarray, float, bytes]:
+    """(f32 records [n, per, L], sample rate, the bytes after them) of a version-1
+    container whose magic is ``magic`` and whose tail is at most ``tail_per`` bytes a record."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise TruncatedPayload(f"file shorter than header ({len(blob)} bytes)")
@@ -173,6 +173,9 @@ def _read_records(path: str | Path, magic: bytes, per: int) -> tuple[np.ndarray,
         raise TruncatedPayload(
             f"header declares {n} records of {per} x {length} samples ({end} bytes), file has {len(blob)}"
         )
+    extra = len(blob) - end - n * tail_per
+    if extra > 0:
+        raise ContainerError(f"file has {extra} bytes past its declared end")
     records = np.frombuffer(blob, dtype="<f4", count=n * per * length, offset=_HEADER.size).reshape(n, per, length)
     bad = ~np.isfinite(records).all(axis=(1, 2))
     if bad.any():
@@ -185,7 +188,7 @@ def write_dataset(ds: LabeledDataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:
-    records, rate, tail = _read_records(path, b"ECGD", 1)
+    records, rate, tail = _read_records(path, b"ECGD", 1, LABEL_COUNT)
     n = len(records)
     if len(tail) < n * LABEL_COUNT:
         raise LabelMismatch(f"expected {n * LABEL_COUNT} label bytes, found {len(tail)}")
@@ -198,7 +201,7 @@ def write_pairs(pairs: list[SignalPair], path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path) -> list[SignalPair]:
-    records, rate, _ = _read_records(path, b"ECG2", 2)
+    records, rate, _ = _read_records(path, b"ECG2", 2, 0)
     return [
         SignalPair(Signal(clean.astype(np.float64), rate), Signal(noisy.astype(np.float64), rate))
         for clean, noisy in records

@@ -147,9 +147,6 @@ class NoiseParams:
     chirp_mod_freq_hz: float
     chirp_amp: float
     phases: tuple[float, float, float, float]
-    pl_freq_hz: float = POWER_LINE_HZ
-    chirp_f0_hz: float = CHIRP_F0_HZ
-    chirp_f1_hz: float = CHIRP_F1_HZ
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -158,8 +155,6 @@ class NoiseParams:
             raise ValueError("bw_freq_hz outside [0, 0.5]")
         if self.chirp_amp < 0 or self.chirp_mod_freq_hz <= 0:
             raise ValueError("chirp parameters out of range")
-        if self.chirp_f0_hz >= self.chirp_f1_hz:
-            raise ValueError("chirp sweep must increase in frequency")
         if len(self.phases) != 4:
             raise ValueError("exactly four phases are required")
 
@@ -188,8 +183,8 @@ def noise_components(p: NoiseParams, length: int, sample_rate_hz: float) -> np.n
     duration = length / sample_rate_hz
     ph_bw, ph_pl, ph_env, ph_chirp = p.phases
     a_w = p.bw_amp * np.sin(2.0 * np.pi * p.bw_freq_hz * t + ph_bw)
-    a_p = p.pl_amp * np.sin(2.0 * np.pi * p.pl_freq_hz * t + ph_pl)
-    sweep = 2.0 * np.pi * (p.chirp_f0_hz * t + (p.chirp_f1_hz - p.chirp_f0_hz) * t**2 / (2.0 * duration))
+    a_p = p.pl_amp * np.sin(2.0 * np.pi * POWER_LINE_HZ * t + ph_pl)
+    sweep = 2.0 * np.pi * (CHIRP_F0_HZ * t + (CHIRP_F1_HZ - CHIRP_F0_HZ) * t**2 / (2.0 * duration))
     envelope = np.sin(2.0 * np.pi * p.chirp_mod_freq_hz * t + ph_env)
     a_m = p.chirp_amp * envelope * np.sin(sweep + ph_chirp)
     return np.stack([a_w, a_m, a_p])

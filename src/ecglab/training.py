@@ -18,7 +18,7 @@ from .config import RunConfig
 from .dsp import mel_spectrogram
 from .metrics import MetricReport, evaluate_denoiser, inception_score
 from .models import Network
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+from .optim import AdamState, adam_step, zero_grads
 from .signals import LabeledDataset, Signal, SignalPair
 
 
@@ -220,21 +220,20 @@ def train_gan(
             step += 1
             critic_loss = _finite_loss(loss_c, step, "critic")
             ad.backward(loss_c)
-            adam_step(critic.params, collect_grads(critic.params), opt_c)
+            adam_step(critic.params, opt_c)
             log.add(step=step, kind="critic", epoch=epoch,
                     critic_loss=critic_loss, wasserstein_estimate=w_est.item(),
                     gp_term=gp.item())
 
         z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
         zero_grads(generator.params)
-        zero_grads(critic.params)
         with _frozen(critic.params):
             fake = generator.forward(z, mode="train", rng=rng)
             loss_g = ad.neg(ad.mean_(critic.forward(fake, mode="train", rng=rng)))
             step += 1
             generator_loss = _finite_loss(loss_g, step, "generator")
             ad.backward(loss_g)
-        adam_step(generator.params, collect_grads(generator.params), opt_g)
+        adam_step(generator.params, opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
     end_epoch(epoch_seen)
 
@@ -328,7 +327,7 @@ def _fit(
             step += 1
             value = _finite_loss(batch_loss, step, kind)
             ad.backward(batch_loss)
-            adam_step(net.params, collect_grads(net.params), opt)
+            adam_step(net.params, opt)
             log.add(step=step, kind=kind, epoch=epoch, loss=value)
         value = val_loss(models.infer(net, inputs[vi], stop_at=stop_at), targets[vi])
         if not np.isfinite(value):
@@ -425,6 +424,7 @@ def network_denoiser(net: Network):
 
 
 COMPOSITIONS = ("real-only", "synthetic-only", "mixed")
+SWEEP_TEST_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -459,11 +459,10 @@ def ablation_sweep(
     cfg: RunConfig,
     seed: int,
     compositions: tuple[str, ...] = COMPOSITIONS,
-    test_fraction: float = 0.2,
 ) -> list[SweepRow]:
     """One trained denoiser per (composition, size); rows sorted by both keys.
 
-    A held-out test fraction of each dataset provides the real and
+    A held-out SWEEP_TEST_FRACTION of each dataset provides the real and
     synthetic evaluation sets shared by every row.
     """
     for comp in compositions:
@@ -472,8 +471,8 @@ def ablation_sweep(
     rng = np.random.default_rng(seed)
     real = [real[i] for i in rng.permutation(len(real))]
     synthetic = [synthetic[i] for i in rng.permutation(len(synthetic))]
-    n_test_r = max(1, int(round(test_fraction * len(real))))
-    n_test_s = max(1, int(round(test_fraction * len(synthetic))))
+    n_test_r = max(1, int(round(SWEEP_TEST_FRACTION * len(real))))
+    n_test_s = max(1, int(round(SWEEP_TEST_FRACTION * len(synthetic))))
     test_real, pool_real = real[:n_test_r], real[n_test_r:]
     test_synth, pool_synth = synthetic[:n_test_s], synthetic[n_test_s:]
 

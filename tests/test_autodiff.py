@@ -4,6 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecglab import autodiff as ad
 from ecglab import nn
@@ -404,7 +407,7 @@ def _layer_cases():
         ("trans_conv1d", (2, 4, 2), lambda t: nn.trans_conv1d(t, Tensor(k1), None, 2)),
         # 7 and 5 are not multiples of the stride: uneven SAME pads on both axes
         ("conv2d", (2, 7, 5, 2), lambda t: nn.conv2d(t, Tensor(k2), Tensor(np.zeros(3)), 2)),
-        ("maxpool2d", (2, 4, 4, 3), lambda t: nn.maxpool2d(t, 2, 2)),
+        ("maxpool2d", (2, 4, 4, 3), lambda t: nn.maxpool2d(t)),
         ("dense", (3, 6), lambda t: nn.dense(t, Tensor(wd), Tensor(np.ones(4)))),
         ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2)),
         ("relu", (3, 7, 2), lambda t: ad.relu(t)),
@@ -436,13 +439,76 @@ def test_maxpool2d_tie_sends_gradient_to_top_left():
     x0 = np.full((1, 4, 4, 2), 0.5)
     x0[0, 2, 3, 1] = 0.9
     x = Tensor(x0, requires_grad=True)
-    y = nn.maxpool2d(x, 2, 2)
+    y = nn.maxpool2d(x)
     ad.backward(ad.sum_(y))
     assert np.array_equal(y.data[..., 0], np.full((1, 2, 2), 0.5))
     expect = np.zeros_like(x0)
     expect[0, ::2, ::2, :] = 1.0
     expect[0, 2, 2, 1], expect[0, 2, 3, 1] = 0.0, 1.0
     assert np.array_equal(x.grad, expect)
+
+
+def _reference_maxpool2d(x, g):
+    """The pool and its VJP in their earlier gather form, kept as a reference:
+    the flat offset of each window's maximum, a gather along the flattened
+    rows (take_len) and a scatter-add of the cotangent into zeros (scatter_len)."""
+    n, H, W, c = x.shape
+    Ho, Wo = H // 2, W // 2
+    best = x[:, ::2, ::2]
+    offset = np.zeros(best.shape, dtype=np.intp)
+    for i in range(2):
+        for j in range(2):
+            cand = x[:, i::2, j::2]
+            take = cand > best
+            best = np.where(take, cand, best)
+            offset = np.where(take, i * W + j, offset)
+    corner = 2 * (W * np.arange(Ho)[:, None] + np.arange(Wo))
+    idx = (offset + corner[None, :, :, None]).reshape(n, Ho * Wo, c)
+    y = np.take_along_axis(x.reshape(n, H * W, c), idx, axis=1).reshape(n, Ho, Wo, c)
+    acc = np.zeros((n, H * W, c), dtype=x.dtype)
+    np.add.at(acc, (np.arange(n)[:, None, None], idx, np.arange(c)), g.reshape(n, Ho * Wo, c))
+    return y, acc.reshape(x.shape)
+
+
+@st.composite
+def _pool_cases(draw):
+    shape = (draw(st.integers(0, 3)), 2 * draw(st.integers(1, 5)), 2 * draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    # few distinct values, so windows tie; -0.0 ties with 0.0 but is another byte pattern
+    x = draw(arrays(ad.DTYPE, shape, elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])))
+    half = (shape[0], shape[1] // 2, shape[2] // 2, shape[3])
+    g = draw(arrays(ad.DTYPE, half, elements=st.sampled_from([0.0, -0.0, 1.5, -2.0])))
+    return x, g
+
+
+@pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_pool_cases())
+def test_maxpool2d_is_byte_equal_to_the_gather_form(dtype, case):
+    x0, g0 = case
+    assert x0.dtype == ad.DTYPE == np.dtype(dtype)
+    x = Tensor(x0, requires_grad=True)
+    y = nn.maxpool2d(x)
+    (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+    y_ref, gx_ref = _reference_maxpool2d(x0, g0)
+    assert y._parents == (x,)  # one node
+    assert y.data.dtype == gx.data.dtype == x0.dtype
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert gx.data.tobytes() == gx_ref.tobytes()
+
+
+def test_maxpool2d_has_no_second_order_gradient():
+    x = Tensor(rng.normal(size=(2, 4, 6, 3)), requires_grad=True)
+    loss = ad.sum_(ad.mul(nn.maxpool2d(x), Tensor(rng.normal(size=(2, 2, 3, 3)))))
+    ad.grad(loss, [x])
+    with pytest.raises(ad.GraphError, match="second-order") as err:
+        ad.grad(loss, [x], create_graph=True)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4, 2), (2, 4, 5, 1)])
+def test_maxpool2d_rejects_odd_spatial_dims(shape):
+    with pytest.raises(ValueError, match=r"^maxpool2d needs even spatial dims, got \d+ x \d+$"):
+        nn.maxpool2d(Tensor(np.zeros(shape)))
 
 
 @pytest.mark.float64
@@ -874,18 +940,30 @@ def test_crop_identity_and_error():
 # adam
 
 
+def _param(values, grad):
+    p = Tensor(np.asarray(values), requires_grad=True)
+    p.grad = np.asarray(grad, dtype=ad.DTYPE)
+    return p
+
+
 def test_adam_zero_gradient_keeps_params():
-    p = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+    p = {"w": _param([1.0, -2.0], np.zeros(2))}
     before = p["w"].data.copy()
-    adam_step(p, {"w": np.zeros(2)}, AdamState())
+    adam_step(p, AdamState())
     assert np.array_equal(p["w"].data, before)
+
+
+def test_adam_skips_a_parameter_without_gradient():
+    p = {"w": _param([1.0], [1.0]), "b": Tensor(np.array([2.0]), requires_grad=True)}
+    state = adam_step(p, AdamState())
+    assert p["b"].data[0] == 2.0 and list(state.first_moment) == ["w"]
 
 
 @pytest.mark.float64
 def test_adam_first_step_is_minus_alpha():
-    p = {"w": Tensor(np.array([0.5]), requires_grad=True)}
+    p = {"w": _param([0.5], np.ones(1))}
     state = AdamState(alpha=1e-4)
-    adam_step(p, {"w": np.ones(1)}, state)
+    adam_step(p, state)
     delta = p["w"].data[0] - 0.5
     assert abs(delta + 1e-4) < 1e-9
 
@@ -896,16 +974,17 @@ def test_adam_deterministic():
         p = {"w": Tensor(g.normal(size=4), requires_grad=True)}
         state = AdamState(alpha=1e-2)
         for _ in range(10):
-            adam_step(p, {"w": g.normal(size=4)}, state)
+            p["w"].grad = g.normal(size=4).astype(ad.DTYPE)
+            adam_step(p, state)
         return p["w"].data
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_shape_mismatch():
-    p = {"w": Tensor(np.zeros(3), requires_grad=True)}
+    p = {"w": _param(np.zeros(3), np.zeros(4))}
     with pytest.raises(ValueError):
-        adam_step(p, {"w": np.zeros(4)}, AdamState())
+        adam_step(p, AdamState())
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ def test_noise_missing_input_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "p.ecgp").exists()
 
 
+def test_noise_on_a_dataset_with_trailing_bytes_exits_1_with_one_line(tmp_path, capsys):
+    clean = tmp_path / "c.ecgd"
+    assert _synth(clean) == 0
+    clean.write_bytes(clean.read_bytes() + b"xyz")
+    capsys.readouterr()
+    code = main(["noise", "--in", str(clean), "--out", str(tmp_path / "p.ecgp")])
+    assert code == 1
+    assert capsys.readouterr().err == "ecglab: error: file has 3 bytes past its declared end\n"
+    assert not (tmp_path / "p.ecgp").exists()
+
+
 def test_synth_gan_without_checkpoint_exits_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["synth", "--model", "gan", "--count", "1", "--out", str(tmp_path / "g.ecgd")])

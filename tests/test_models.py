@@ -229,14 +229,14 @@ def test_load_state_dict_checks_the_shape_of_running_stats():
 
 
 @pytest.mark.parametrize("name", models.NETWORK_NAMES)
-def test_kernel_layers_have_a_bias_unless_batch_norm_follows(name):
+def test_kernel_layers_have_a_bias_unless_batch_norm_follows_or_they_end_the_spec(name):
     net = models.build(name, d=16, seed=0)
     layers = net.spec.layers
     for layer, following in zip(layers, layers[1:] + (None,)):
         if layer.kind in models._NEEDS_KERNEL:
-            followed_by_bn = following is not None and following.kind == "batch_norm"
-            assert (f"{layer.param}.b" in net.params) != followed_by_bn, layer.param
-    expected = {"generator": (16, {"tconv1", "tconv2", "tconv3", "tconv4"}), "critic": (12, set()),
+            unbiased = following is None or following.kind == "batch_norm"
+            assert (f"{layer.param}.b" in net.params) != unbiased, layer.param
+    expected = {"generator": (16, {"tconv1", "tconv2", "tconv3", "tconv4"}), "critic": (11, {"dense1"}),
                 "inception": (11, {"conv1", "conv2", "conv3"}), "denoiser": (16, set())}[name]
     unbiased = {k[:-2] for k in net.params if k.endswith(".w") and k[:-2] + ".b" not in net.params}
     assert (len(net.params), unbiased) == expected

@@ -167,6 +167,19 @@ def test_readers_reject_other_versions(tmp_path, write, read):
         read(path)
 
 
+@pytest.mark.parametrize("write, read, extra", [
+    (lambda p: write_dataset(_random_dataset(np.random.default_rng(0), 1, 4), p), read_dataset, b"xyz"),
+    (lambda p: write_pairs([SignalPair(sig(np.zeros(4)), sig(np.ones(4)))], p), read_pairs, b"garbage!"),
+])
+def test_readers_reject_bytes_past_the_declared_end(tmp_path, write, read, extra):
+    path = tmp_path / "x.bin"
+    write(path)
+    read(path)
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(ContainerError, match=rf"^file has {len(extra)} bytes past its declared end$"):
+        read(path)
+
+
 def test_label_count_mismatch_at_construction():
     with pytest.raises(LabelMismatch):
         LabeledDataset((sig([1.0]),), np.zeros((2, 5), dtype=np.uint8))

@@ -221,9 +221,9 @@ def test_generator_backward_skips_critic_parameter_gradients(monkeypatch):
         backward(loss)
         per_backward.append(len(corr_calls))
 
-    def spy_adam(params, grads, state):
-        adam_grads.append({k: g.tobytes() for k, g in grads.items()})
-        return adam(params, grads, state)
+    def spy_adam(params, state):
+        adam_grads.append({k: p.grad.tobytes() for k, p in params.items() if p.grad is not None})
+        return adam(params, state)
 
     def run():
         per_backward.clear()
