@@ -17,7 +17,7 @@ slow sinusoidal amplitude envelope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
