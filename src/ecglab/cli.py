@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import os
 import platform
 import sys
@@ -122,12 +123,19 @@ def _pin_malloc_thresholds() -> bool:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     if args.model == "mcsharry":
         if args.hr is not None:
             rates = np.full(args.count, args.hr)
         else:
+            for flag, value in (("--hr-min", args.hr_min), ("--hr-max", args.hr_max)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{flag} must be finite, got {value}")
+            if args.hr_min > args.hr_max:
+                raise ValueError(f"--hr-min must not exceed --hr-max, got {args.hr_min} > {args.hr_max}")
             rates = rng.uniform(args.hr_min, args.hr_max, size=args.count)
         params = [
             McSharryParams(

@@ -9,6 +9,13 @@ waveform. The trajectory starts on the unit cycle, so its phase is
 analytic and z obeys a linear ODE with a known forcing: its RK4 steps are
 one first-order linear recurrence, solved by one filter call per signal.
 
+The forcing needs each event's phase offset reduced modulo 2*pi. The
+remainder is computed exactly, with a Cody-Waite split of 2*pi (Cody and
+Waite, Software Manual for the Elementary Functions, 1980) and only a
+truncation, multiplies and subtractions, so it is bit-equal to ``np.mod``
+at a fraction of its cost. It is exact below 2**26 turns, a bound that
+`McSharryParams` enforces (see `_wrap_2pi`).
+
 Noise is the sum of three physiologically motivated components scaled by
 a single strength gamma: a low-frequency baseline-wander sine, a 50 Hz
 power-line sine, and a motion-artifact chirp (0.5 -> 120 Hz sweep with a
@@ -17,7 +24,9 @@ slow sinusoidal amplitude envelope).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -31,6 +40,15 @@ DEFAULT_WIDTHS = (0.25, 0.1, 0.1, 0.1, 0.4)
 
 RESP_FREQ_HZ = 0.25
 RESP_AMP = 0.005
+
+TWO_PI = 2.0 * np.pi
+_INV_TWO_PI = 1.0 / TWO_PI  # rounded up: TWO_PI * _INV_TWO_PI = 1 + 2.3e-17
+# Cody-Waite split of TWO_PI: its top 26 bits (25 significant) and the
+# exact 24-bit rest
+_TWO_PI_HEAD = float.fromhex("0x1.921fb5p+2")
+_TWO_PI_REST = TWO_PI - _TWO_PI_HEAD
+# phase turns below which k * _TWO_PI_HEAD and k * _TWO_PI_REST are exact
+WRAP_TURNS = 2**26
 
 POWER_LINE_HZ = 50.0
 CHIRP_F0_HZ = 0.5
@@ -53,10 +71,24 @@ class McSharryParams:
     baseline_coupling: float = 1.0
 
     def __post_init__(self):
-        if self.heart_rate_bpm <= 0 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ValueError("rates and duration must be positive")
-        if self.baseline_coupling <= 0:
-            raise ValueError("baseline_coupling must be positive")
+        for name in ("heart_rate_bpm", "sample_rate_hz", "duration_s", "baseline_coupling"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.duration_s * self.sample_rate_hz) or self.sample_count < 1:
+            raise ValueError(
+                f"duration_s must give a finite, nonzero sample count at {self.sample_rate_hz} Hz,"
+                f" got {self.duration_s}"
+            )
+        turns = self.heart_rate_bpm / 60.0 * (self.sample_count / self.sample_rate_hz)
+        if turns >= WRAP_TURNS:
+            raise ValueError(
+                f"heart_rate_bpm / 60 * duration_s must stay below 2**26 beats, got {self.heart_rate_bpm}"
+                f" bpm over {self.duration_s} s"
+            )
+        for name in ("pqrst_angles", "pqrst_amplitudes", "pqrst_widths"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         ang = np.asarray(self.pqrst_angles, dtype=np.float64)
         if len(ang) != 5 or len(self.pqrst_amplitudes) != 5 or len(self.pqrst_widths) != 5:
             raise ValueError("exactly five PQRST events are required")
@@ -64,6 +96,60 @@ class McSharryParams:
             raise ValueError("event widths must be strictly positive")
         if np.any(np.diff(ang) <= 0) or ang[0] <= -np.pi or ang[-1] > np.pi:
             raise ValueError("angles must be strictly increasing within (-pi, pi]")
+
+    @property
+    def sample_count(self) -> int:
+        return round(self.duration_s * self.sample_rate_hz)
+
+
+def _wrap_2pi(x: np.ndarray) -> np.ndarray:
+    """x mod TWO_PI in place, bit-equal to ``np.mod(x, TWO_PI)`` for
+    -pi <= x < TWO_PI * WRAP_TURNS.
+
+    For x >= 0, k = trunc(x * _INV_TWO_PI) is floor(x / TWO_PI) or one
+    more, never less: TWO_PI * _INV_TWO_PI exceeds 1, so the rounded
+    product never falls below an integer that x / TWO_PI reaches. k <= 2**26
+    times the head is exact, and so is x - k*head: k*head is a multiple of
+    2**-22, which x's ulp divides below 2**29. k times the rest is exact as
+    well, so the second subtraction yields the exact x - k*TWO_PI: the
+    remainder np.mod returns (fmod is exact), or, where k is one too many,
+    that remainder - TWO_PI, a multiple of 2**-50 above -TWO_PI and so
+    representable. The r < 0 fix-up adds TWO_PI back exactly.
+
+    For -pi <= x < 0, k is -0.0 and x stays as it is, so the same fix-up
+    computes x + TWO_PI, the sum np.mod rounds (it is TWO_PI itself where
+    |x| is under half an ulp of TWO_PI, and so is np.mod's).
+    """
+    k = np.trunc(x * _INV_TWO_PI)
+    tmp = k * _TWO_PI_HEAD
+    x -= tmp
+    np.multiply(k, _TWO_PI_REST, out=tmp)
+    x -= tmp
+    np.add(x, TWO_PI, out=x, where=x < 0)
+    return x
+
+
+@lru_cache(maxsize=8)
+def _half_step_grid(n: int, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n+1 RK4 stage times and the respiration sine on them (cached, read-only)."""
+    t = np.arange(2 * n + 1) * (0.5 * (1.0 / sample_rate_hz))
+    resp = np.sin(2.0 * np.pi * RESP_FREQ_HZ * t)
+    t.flags.writeable = False
+    resp.flags.writeable = False
+    return t, resp
+
+
+def _event_term(wt: np.ndarray, theta: float, amp: float, width: float) -> np.ndarray:
+    """-amp * dtheta * exp(-dtheta^2 / 2 width^2), dtheta = (wt - theta) mod 2pi - pi."""
+    dtheta = _wrap_2pi(wt - theta)
+    dtheta -= np.pi
+    gauss = dtheta / width
+    np.square(gauss, out=gauss)
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
+    dtheta *= -amp
+    dtheta *= gauss
+    return dtheta
 
 
 def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
@@ -76,15 +162,21 @@ def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
     RK4 stages read. As z' = g - c*z is linear in z, each RK4 step is
     z+ = a*z + u, with a the 4th-order Taylor polynomial of exp(-c*dt),
     and one lfilter call runs all n steps.
+
+    dtheta_i = (omega*t - theta_i) mod 2pi - pi is wrapped by `_wrap_2pi`,
+    exact for fewer than WRAP_TURNS beats. The events are summed one
+    row at a time in P, Q, R, S, T order, each term negated through its
+    amplitude, so g has the bits of the 5-wide sum -(...).sum(axis=1).
     """
     dt = 1.0 / p.sample_rate_hz
     c = p.baseline_coupling
-    t = np.arange(2 * n + 1) * (0.5 * dt)
-    omega = 2.0 * np.pi * p.heart_rate_bpm / 60.0
-    # theta - theta_i wrapped to [-pi, pi), with theta = pi + omega*t
-    dtheta = np.mod(omega * t[:, None] - p.pqrst_angles, 2.0 * np.pi) - np.pi
-    g = -(p.pqrst_amplitudes * dtheta * np.exp(-0.5 * (dtheta / p.pqrst_widths) ** 2)).sum(axis=1)
-    g += c * RESP_AMP * np.sin(2.0 * np.pi * RESP_FREQ_HZ * t)
+    t, resp = _half_step_grid(n, p.sample_rate_hz)
+    wt = 2.0 * np.pi * p.heart_rate_bpm / 60.0 * t
+    rows = (_event_term(wt, *e) for e in zip(p.pqrst_angles, p.pqrst_amplitudes, p.pqrst_widths))
+    g = next(rows)
+    for row in rows:
+        g += row
+    g += (c * RESP_AMP) * resp
     k1, g_half, g1 = g[0:-1:2], g[1::2], g[2::2]
     h = c * dt
     k2 = g_half - 0.5 * h * k1
@@ -113,7 +205,7 @@ def mcsharry_batch(params: list[McSharryParams]) -> list[Signal]:
     dur = params[0].duration_s
     if any(p.sample_rate_hz != fs or p.duration_s != dur for p in params):
         raise ValueError("batch entries must share sample rate and duration")
-    n = int(round(dur * fs))
+    n = params[0].sample_count
     return [scale_to_unit(Signal(_mcsharry_z(p, n), fs)) for p in params]
 
 

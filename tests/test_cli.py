@@ -27,6 +27,24 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--count", "-1"], "--count must be non-negative, got -1"),
+    (["--hr-min", "nan"], "--hr-min must be finite, got nan"),
+    (["--hr-max", "inf"], "--hr-max must be finite, got inf"),
+    (["--hr-min", "95", "--hr-max", "55"], "--hr-min must not exceed --hr-max, got 95.0 > 55.0"),
+    (["--hr", "nan"], "heart_rate_bpm must be finite and positive, got nan"),
+    (["--hr", "1e308"], "heart_rate_bpm / 60 * duration_s must stay below 2**26 beats, got 1e+308 bpm over 10.0 s"),
+    (["--duration", "nan"], "duration_s must be finite and positive, got nan"),
+    (["--duration", "inf"], "duration_s must be finite and positive, got inf"),
+    (["--duration", "1e-9"], "duration_s must give a finite, nonzero sample count at 500.0 Hz, got 1e-09"),
+])
+def test_synth_bad_flag_exits_1_with_one_line_naming_it(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.ecgd"
+    assert main(["synth", "--model", "mcsharry", "--count", "2", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert not out.exists()
+
+
 def test_noise_missing_input_exits_1_with_one_line(tmp_path, capsys):
     code = main(["noise", "--in", str(tmp_path / "missing.ecgd"), "--out", str(tmp_path / "p.ecgp")])
     err = capsys.readouterr().err

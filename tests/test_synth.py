@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from ecglab import dsp, synth
 from ecglab.signals import Signal, scale_to_unit
@@ -125,6 +126,135 @@ def test_mcsharry_unstable_step_raises_integration_error():
     msg = str(info.value)
     assert "\n" not in msg
     assert re.fullmatch(r"non-finite state at t=\d+\.\d{4}s", msg)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _near_multiple(k: int, steps: int) -> float:
+    x = np.float64(k * synth.TWO_PI)
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(np.inf, steps))
+    return float(x)
+
+
+_PHASES = st.one_of(
+    st.floats(-np.pi, 0.0, exclude_max=True),
+    st.builds(_near_multiple, st.integers(1, synth.WRAP_TURNS - 1), st.integers(-3, 3)),
+    st.floats(0.0, synth.TWO_PI * synth.WRAP_TURNS, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_PHASES, min_size=1, max_size=32))
+def test_wrap_is_bit_equal_to_np_mod(xs):
+    x = np.array(xs)
+    assert np.array_equal(_bits(synth._wrap_2pi(x.copy())), _bits(np.mod(x, synth.TWO_PI)))
+
+
+def test_wrap_is_bit_equal_to_np_mod_around_multiples_up_to_the_bound():
+    centre = np.arange(0, synth.WRAP_TURNS + 1, 997, dtype=np.float64) * synth.TWO_PI
+    xs, up, down = [centre], centre, centre
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        xs += [up, down]
+    negative = [np.linspace(-np.pi, 0.0, 4097)[:-1], [-0.0, 0.0, -5e-324, -1e-300, -2.2e-16, -4.5e-16]]
+    x = np.concatenate(xs + negative)
+    assert np.array_equal(_bits(synth._wrap_2pi(x.copy())), _bits(np.mod(x, synth.TWO_PI)))
+
+
+def _np_mod_z(p: McSharryParams, n: int) -> np.ndarray:
+    """The np.mod form of `synth._mcsharry_z`: one np.mod over the
+    (2n+1, 5) grid and a 5-wide sum."""
+    dt = 1.0 / p.sample_rate_hz
+    c = p.baseline_coupling
+    t = np.arange(2 * n + 1) * (0.5 * dt)
+    omega = 2.0 * np.pi * p.heart_rate_bpm / 60.0
+    dtheta = np.mod(omega * t[:, None] - p.pqrst_angles, 2.0 * np.pi) - np.pi
+    g = -(p.pqrst_amplitudes * dtheta * np.exp(-0.5 * (dtheta / p.pqrst_widths) ** 2)).sum(axis=1)
+    g += c * synth.RESP_AMP * np.sin(2.0 * np.pi * synth.RESP_FREQ_HZ * t)
+    k1, g_half, g1 = g[0:-1:2], g[1::2], g[2::2]
+    h = c * dt
+    k2 = g_half - 0.5 * h * k1
+    k3 = g_half - 0.5 * h * k2
+    k4 = g1 - h * k3
+    u = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
+    z = sps.lfilter([1.0], [1.0, -a], u)
+    return np.concatenate([[0.0], z[:-1]])
+
+
+_CUSTOM_EVENTS = dict(
+    pqrst_angles=(-3.1, -1.0, 0.2, 1.5, np.pi),
+    pqrst_amplitudes=(2, -1, 25, -3, 1),
+    pqrst_widths=(0.02, 0.3, 0.05, 0.1, 1.5),
+)
+
+
+@pytest.mark.parametrize("fs,duration", [(128.0, 3.0), (250.0, 7.3), (500.0, 1.5), (500.0, 10.0)])
+def test_mcsharry_batch_is_byte_equal_to_the_np_mod_form(fs, duration):
+    rates = (31.7, 60.0, 72.5, 143.0, 220.0)
+    params = [McSharryParams(heart_rate_bpm=hr, sample_rate_hz=fs, duration_s=duration, baseline_coupling=c)
+              for hr in rates for c in (0.7, 1.0, 40.0)]
+    params.append(McSharryParams(heart_rate_bpm=88.0, sample_rate_hz=fs, duration_s=duration, **_CUSTOM_EVENTS))
+    n = round(duration * fs)
+    for p, s in zip(params, synth.mcsharry_batch(params)):
+        want = scale_to_unit(Signal(_np_mod_z(p, n), fs)).samples
+        assert s.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fs,duration", [
+    (500.0, 1 / 500), (500.0, 0.0011), (128.0, 0.0123), (250.0, 0.01), (500.0, 3.0),
+])
+def test_mcsharry_length_is_the_rounded_sample_count(fs, duration):
+    s = mcsharry_generate(McSharryParams(sample_rate_hz=fs, duration_s=duration))
+    assert s.length == round(duration * fs) >= 1
+
+
+def test_half_step_grid_is_cached_and_read_only():
+    t, resp = synth._half_step_grid(5, 500.0)
+    assert synth._half_step_grid(5, 500.0)[0] is t
+    assert t.shape == resp.shape == (11,)
+    for a in (t, resp):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("field", ["heart_rate_bpm", "sample_rate_hz", "duration_s", "baseline_coupling"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_mcsharry_rejects_a_bad_scalar_naming_it(field, value):
+    with pytest.raises(ValueError) as info:
+        McSharryParams(**{field: value})
+    assert str(info.value) == f"{field} must be finite and positive, got {value}"
+
+
+@pytest.mark.parametrize("fs,duration", [(500.0, 1e-9), (500.0, 0.0009), (1e300, 1e10)])
+def test_mcsharry_rejects_a_duration_without_samples(fs, duration):
+    with pytest.raises(ValueError) as info:
+        McSharryParams(sample_rate_hz=fs, duration_s=duration)
+    assert str(info.value) == f"duration_s must give a finite, nonzero sample count at {fs} Hz, got {duration}"
+
+
+@pytest.mark.parametrize("hr,duration", [(60.0, 2.0**26), (1e308, 10.0), (6e9, 1.0)])
+def test_mcsharry_rejects_a_phase_past_the_exact_wrap(hr, duration):
+    with pytest.raises(ValueError) as info:
+        McSharryParams(heart_rate_bpm=hr, sample_rate_hz=1.0, duration_s=duration)
+    assert str(info.value) == (
+        f"heart_rate_bpm / 60 * duration_s must stay below 2**26 beats, got {hr} bpm over {duration} s"
+    )
+
+
+def test_mcsharry_accepts_a_phase_just_below_the_bound():
+    assert McSharryParams(heart_rate_bpm=60.0, sample_rate_hz=1.0, duration_s=2.0**26 - 1).sample_count == 2**26 - 1
+
+
+@pytest.mark.parametrize("field", ["pqrst_angles", "pqrst_amplitudes", "pqrst_widths"])
+def test_mcsharry_rejects_a_non_finite_event(field):
+    values = tuple(getattr(McSharryParams(), field)[:4]) + (float("nan"),)
+    with pytest.raises(ValueError) as info:
+        McSharryParams(**{field: values})
+    assert str(info.value) == f"{field} must be finite, got {values}"
 
 
 # ---------------------------------------------------------------------------
