@@ -133,7 +133,7 @@ def _wrap_2pi(x: np.ndarray) -> np.ndarray:
 def _half_step_grid(n: int, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """The 2n+1 RK4 stage times and the respiration sine on them (cached, read-only)."""
     t = np.arange(2 * n + 1) * (0.5 * (1.0 / sample_rate_hz))
-    resp = np.sin(2.0 * np.pi * RESP_FREQ_HZ * t)
+    resp = np.sin(TWO_PI * RESP_FREQ_HZ * t)
     t.flags.writeable = False
     resp.flags.writeable = False
     return t, resp
@@ -171,7 +171,7 @@ def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
     dt = 1.0 / p.sample_rate_hz
     c = p.baseline_coupling
     t, resp = _half_step_grid(n, p.sample_rate_hz)
-    wt = 2.0 * np.pi * p.heart_rate_bpm / 60.0 * t
+    wt = TWO_PI * p.heart_rate_bpm / 60.0 * t
     rows = (_event_term(wt, *e) for e in zip(p.pqrst_angles, p.pqrst_amplitudes, p.pqrst_widths))
     g = next(rows)
     for row in rows:
