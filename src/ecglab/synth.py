@@ -47,7 +47,7 @@ _INV_TWO_PI = 1.0 / TWO_PI  # rounded up: TWO_PI * _INV_TWO_PI = 1 + 2.3e-17
 # exact 24-bit rest
 _TWO_PI_HEAD = float.fromhex("0x1.921fb5p+2")
 _TWO_PI_REST = TWO_PI - _TWO_PI_HEAD
-# phase turns below which k * _TWO_PI_HEAD and k * _TWO_PI_REST are exact
+# beats below which every phase offset lies in _wrap_2pi's exact range
 WRAP_TURNS = 2**26
 
 POWER_LINE_HZ = 50.0
@@ -104,17 +104,19 @@ class McSharryParams:
 
 def _wrap_2pi(x: np.ndarray) -> np.ndarray:
     """x mod TWO_PI in place, bit-equal to ``np.mod(x, TWO_PI)`` for
-    -pi <= x < TWO_PI * WRAP_TURNS.
+    -pi <= x < TWO_PI * (WRAP_TURNS + 1), which holds x = omega*t - theta_i
+    over fewer than WRAP_TURNS beats.
 
     For x >= 0, k = trunc(x * _INV_TWO_PI) is floor(x / TWO_PI) or one
     more, never less: TWO_PI * _INV_TWO_PI exceeds 1, so the rounded
-    product never falls below an integer that x / TWO_PI reaches. k <= 2**26
-    times the head is exact, and so is x - k*head: k*head is a multiple of
-    2**-22, which x's ulp divides below 2**29. k times the rest is exact as
-    well, so the second subtraction yields the exact x - k*TWO_PI: the
-    remainder np.mod returns (fmod is exact), or, where k is one too many,
-    that remainder - TWO_PI, a multiple of 2**-50 above -TWO_PI and so
-    representable. The r < 0 fix-up adds TWO_PI back exactly.
+    product never falls below an integer that x / TWO_PI reaches. k < 2**27
+    times the 25-bit head is exact, and so is x - k*head: k*head is a
+    multiple of 2**-22, which x's ulp divides below 2**29. k times the
+    24-bit rest is exact as well, so the second subtraction yields the
+    exact x - k*TWO_PI: the remainder np.mod returns (fmod is exact), or,
+    where k is one too many, that remainder - TWO_PI, a multiple of 2**-50
+    above -TWO_PI and so representable. The r < 0 fix-up adds TWO_PI back
+    exactly.
 
     For -pi <= x < 0, k is -0.0 and x stays as it is, so the same fix-up
     computes x + TWO_PI, the sum np.mod rounds (it is TWO_PI itself where

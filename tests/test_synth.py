@@ -141,8 +141,8 @@ def _near_multiple(k: int, steps: int) -> float:
 
 _PHASES = st.one_of(
     st.floats(-np.pi, 0.0, exclude_max=True),
-    st.builds(_near_multiple, st.integers(1, synth.WRAP_TURNS - 1), st.integers(-3, 3)),
-    st.floats(0.0, synth.TWO_PI * synth.WRAP_TURNS, exclude_max=True),
+    st.builds(_near_multiple, st.integers(1, synth.WRAP_TURNS), st.integers(-3, 3)),
+    st.floats(0.0, synth.TWO_PI * (synth.WRAP_TURNS + 1), exclude_max=True),
 )
 
 
@@ -154,7 +154,7 @@ def test_wrap_is_bit_equal_to_np_mod(xs):
 
 
 def test_wrap_is_bit_equal_to_np_mod_around_multiples_up_to_the_bound():
-    centre = np.arange(0, synth.WRAP_TURNS + 1, 997, dtype=np.float64) * synth.TWO_PI
+    centre = np.append(np.arange(0, synth.WRAP_TURNS, 997), synth.WRAP_TURNS).astype(np.float64) * synth.TWO_PI
     xs, up, down = [centre], centre, centre
     for _ in range(4):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
