@@ -13,7 +13,6 @@ from .signals import (
 from .synth import (
     McSharryParams,
     NoiseParams,
-    NoiseRanges,
     apply_noise,
     make_training_pairs,
     mcsharry_batch,
@@ -48,7 +47,6 @@ __all__ = [
     "MetricReport",
     "Network",
     "NoiseParams",
-    "NoiseRanges",
     "QrsAnnotation",
     "Signal",
     "SignalPair",

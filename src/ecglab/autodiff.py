@@ -214,7 +214,7 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     if not 0 <= alpha <= 1:
         raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha}")
     dt = a.data.dtype.type
@@ -240,19 +240,12 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
 
     def vjp(g):
-        gd = g
         if axis is not None and not keepdims:
-            kept = np.sum(a.data, axis=axis, keepdims=True).shape
-            gd = reshape(gd, kept)
-        return (expand(gd, in_shape),)
-
-    def vjp_scalar(g):
+            axes = {ax % len(in_shape) for ax in (axis if isinstance(axis, tuple) else (axis,))}
+            g = reshape(g, tuple(1 if i in axes else n for i, n in enumerate(in_shape)))
         return (expand(g, in_shape),)
 
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    if axis is None and not keepdims:
-        return _make(np.asarray(out), (a,), vjp_scalar)
-    return _make(out, (a,), vjp)
+    return _make(np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims)), (a,), vjp)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -699,21 +692,21 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _reverse_walk(
-    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool, prune: bool
+    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
 ) -> dict[int, tuple[Tensor, Tensor]]:
     """Push `cotangent` from `root` back through its recorded graph.
 
     Returns {id: (tensor, cotangent)} for every leaf reached and for every
-    interior tensor whose id is in `keep`. With prune=True only the
-    tensors on a path to one in `keep` get a gradient. With release=True
+    interior tensor whose id is in `keep`. With release=True (``backward``)
     each node drops its VJP and parent links as it is walked, so
     activations are freed during the walk and a second walk raises
-    GraphError.
+    GraphError. With release=False (``grad``) the graph is kept and only
+    the tensors on a path to one in `keep` get a gradient.
     """
     pending: dict[int, tuple[Tensor, Tensor]] = {id(root): (root, cotangent)}
     order = _topo_order(root)
     to = None
-    if prune:
+    if not release:
         to = set(keep)
         for node in order:  # every node comes after its parents
             if any(id(p) in to for p in node._parents):
@@ -759,7 +752,7 @@ def grad(
         raise GraphError("output is not part of a recorded computation")
     if cotangent is None:
         cotangent = Tensor(np.ones_like(output.data))
-    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False, prune=True)
+    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False)
     return [hits[id(t)][1] if id(t) in hits else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
@@ -774,6 +767,6 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward expects a scalar loss")
     if loss._vjp is None:
         raise GraphError("loss is not part of a recorded computation")
-    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True, prune=False)
+    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True)
     for leaf, g in hits.values():
         leaf.grad = g.data.copy() if leaf.grad is None else leaf.grad + g.data

@@ -6,7 +6,10 @@ little-endian payload. Round trips are bit-exact.
 
 The networks' float32 parameters are stored upcast to float64, which is
 exact, so ``Network.load_state_dict`` casting them back to
-``autodiff.DTYPE`` restores them bit for bit.
+``autodiff.DTYPE`` restores them bit for bit. This module knows arrays
+and names only: what a network's checkpoint holds, its ``meta.*`` sizes
+included, is ``models.checkpoint_state``, and ``models.from_checkpoint``
+rebuilds the network from it.
 """
 
 from __future__ import annotations

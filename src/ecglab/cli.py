@@ -49,38 +49,6 @@ from .synth import McSharryParams, make_training_pairs, mcsharry_batch
 from .training import sweep_to_csv
 
 
-def _meta(net: models.Network, extra: dict[str, float]) -> dict[str, np.ndarray]:
-    state = net.state_dict()
-    for key, value in extra.items():
-        state[f"meta.{key}"] = np.array([float(value)])
-    return state
-
-
-def _meta_value(state: dict[str, np.ndarray], key: str) -> float:
-    arr = state.get(f"meta.{key}")
-    if arr is None:
-        raise ValueError(f"checkpoint is missing metadata {key!r}")
-    return float(np.asarray(arr).reshape(-1)[0])
-
-
-def _load_generator(path: str) -> tuple[models.Network, int]:
-    state = load_params(path)
-    d = int(_meta_value(state, "d"))
-    z_len = int(_meta_value(state, "z_len"))
-    length = int(_meta_value(state, "signal_length"))
-    net = models.build("generator", d=d, z_len=z_len, signal_length=length)
-    net.load_state_dict(state)
-    return net, z_len
-
-
-def _load_denoiser(path: str, signal_length: int) -> models.Network:
-    state = load_params(path)
-    d = int(_meta_value(state, "d"))
-    net = models.build("denoiser", d=d, signal_length=signal_length)
-    net.load_state_dict(state)
-    return net
-
-
 # glibc's mallopt parameters; 32 MiB is the largest mmap threshold glibc
 # accepts on 64-bit and the ceiling of its own dynamic rule, which also keeps
 # the trim threshold at twice the mmap threshold
@@ -123,8 +91,8 @@ def _pin_malloc_thresholds() -> bool:
 
 
 def cmd_synth(args) -> int:
-    if args.count < 0:
-        raise ValueError(f"--count must be non-negative, got {args.count}")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     if args.model == "mcsharry":
@@ -147,8 +115,8 @@ def cmd_synth(args) -> int:
         ]
         sigs = mcsharry_batch(params)
     else:
-        generator, z_len = _load_generator(args.checkpoint)
-        z = models.sample_latent(rng, args.count, z_len, cfg.latent)
+        generator = models.from_checkpoint("generator", load_params(args.checkpoint))
+        z = models.sample_latent(rng, args.count, generator.spec.z_len, cfg.latent)
         sigs = [Signal(row, args.sample_rate) for row in models.infer(generator, z.data)[:, :, 0]]
     labels = np.zeros((len(sigs), LABEL_COUNT), dtype=np.uint8)
     write_dataset(LabeledDataset(tuple(sigs), labels), args.out)
@@ -161,7 +129,7 @@ def cmd_noise(args) -> int:
         raise ValueError(f"gamma must be non-negative, got {args.gamma}")
     cfg = load_config(args.config)
     ds = read_dataset(args.input)
-    pairs = make_training_pairs(list(ds.signals), args.gamma, args.seed, cfg.noise_ranges())
+    pairs = make_training_pairs(list(ds.signals), args.gamma, args.seed, cfg)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} clean/noisy pairs to {args.out}")
     return 0
@@ -172,15 +140,10 @@ def cmd_train(args) -> int:
     if args.network == "gan":
         ds = read_dataset(args.data)
         gen, critic, log = training.train_gan(list(ds.signals), cfg, args.seed)
-        length = ds.signals[0].length
-        states = {
-            "generator": _meta(gen, {"d": cfg.model_dim, "z_len": cfg.z_len, "signal_length": length}),
-            "critic": _meta(critic, {"d": cfg.model_dim, "signal_length": length}),
-        }
+        nets = [gen, critic]
     elif args.network == "inception":
-        ds = read_dataset(args.data)
-        net, log = training.train_inception(ds, cfg, args.seed)
-        states = {"inception": _meta(net, {})}
+        net, log = training.train_inception(read_dataset(args.data), cfg, args.seed)
+        nets = [net]
     else:
         pairs = read_pairs(args.data)
         critic_state = None
@@ -189,17 +152,27 @@ def cmd_train(args) -> int:
                 raise ValueError("the pretrained variant needs --critic-checkpoint")
             critic_state = load_params(args.critic_checkpoint)
         net, log = training.train_denoiser(pairs, cfg, args.variant, args.seed, critic_state=critic_state)
-        length = pairs[0].clean.length if pairs else 0
-        states = {"denoiser": _meta(net, {"d": cfg.model_dim, "signal_length": length})}
+        nets = [net]
 
     # the directory is made only once training has succeeded
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, state in states.items():
-        save_params(out / f"{name}.ecgw", state)
+    names = [f"{net.spec.name}.ecgw" for net in nets]
+    for net, name in zip(nets, names):
+        save_params(out / name, models.checkpoint_state(net))
     log_name = f"{args.network}_log.csv"
     (out / log_name).write_text(log.to_csv())
-    print(f"wrote {', '.join([f'{name}.ecgw' for name in states] + [log_name])} to {out}")
+    print(f"wrote {', '.join(names + [log_name])} to {out}")
+    return 0
+
+
+def _write_table(csv: str, out: str | None, what: str) -> int:
+    """Write a CSV table to `--out`, or to stdout when it is not given."""
+    if out:
+        Path(out).write_text(csv)
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(csv)
     return 0
 
 
@@ -221,18 +194,13 @@ def cmd_eval(args) -> int:
         if method == "none":
             fn = None
         elif method == "denoiser":
-            fn = training.network_denoiser(_load_denoiser(args.checkpoint, pairs[0].clean.length))
+            net = models.from_checkpoint("denoiser", load_params(args.checkpoint), pairs[0].clean.length)
+            fn = training.network_denoiser(net)
         else:
             filt = bandpass_filter if method == "bandpass" else wavelet_filter
             fn = lambda noisy: [filt(s) for s in noisy]
         reports.append(evaluate_denoiser(fn, pairs, method))
-    csv = reports_to_csv(reports)
-    if args.out:
-        Path(args.out).write_text(csv)
-        print(f"wrote {len(reports)} report rows to {args.out}")
-    else:
-        sys.stdout.write(csv)
-    return 0
+    return _write_table(reports_to_csv(reports), args.out, f"{len(reports)} report rows")
 
 
 def cmd_sweep(args) -> int:
@@ -242,13 +210,7 @@ def cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     comps = tuple(args.compositions.split(","))
     rows = training.ablation_sweep(real, synthetic, sizes, cfg, args.seed, compositions=comps)
-    csv = sweep_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(csv)
-        print(f"wrote {len(rows)} sweep rows to {args.out}")
-    else:
-        sys.stdout.write(csv)
-    return 0
+    return _write_table(sweep_to_csv(rows), args.out, f"{len(rows)} sweep rows")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ that read it (`train` abbreviated to its network):
 
 is_eval_every and is_eval_batch drive inception-score model selection in
 `training.train_gan(classifier=...)`, which no subcommand passes yet.
+
+The six noise keys reach the noise model as the RunConfig itself:
+`synth.make_training_pairs` draws each noise parameter uniformly from
+0 (chirp_mod_min_hz for the chirp envelope) to its key's value. This
+module imports no other ecglab module.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from dataclasses import dataclass, fields
 from numbers import Integral
 from pathlib import Path
 
-from .models import LATENTS
-from .synth import NoiseRanges
+LATENTS = ("uniform", "normal")
 
 
 class ConfigError(ValueError):
@@ -102,15 +106,6 @@ class RunConfig:
         require("chirp_mod_max_hz", lambda v: v >= self.chirp_mod_min_hz,
                 f"at least chirp_mod_min_hz ({self.chirp_mod_min_hz!r})")
         require("latent", lambda v: v in LATENTS, f"one of {', '.join(LATENTS)}")
-
-    def noise_ranges(self) -> NoiseRanges:
-        return NoiseRanges(
-            bw_freq_hz=(0.0, self.bw_freq_max_hz),
-            bw_amp=(0.0, self.bw_amp_max),
-            pl_amp=(0.0, self.pl_amp_max),
-            chirp_amp=(0.0, self.chirp_amp_max),
-            chirp_mod_freq_hz=(self.chirp_mod_min_hz, self.chirp_mod_max_hz),
-        )
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

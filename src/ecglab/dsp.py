@@ -103,11 +103,11 @@ def mel_filterbank(sample_rate_hz: float, n_fft: int = STFT_WINDOW, n_bands: int
     return _read_only(fb)
 
 
-def frame_starts(length: int, window: int = STFT_WINDOW, n_frames: int = SPEC_FRAMES) -> np.ndarray:
+def frame_starts(length: int) -> np.ndarray:
     """Frame positions: fixed hop for the first 63 frames, last full window for the 64th."""
-    hop = (length - window) // (n_frames - 1)
-    starts = np.arange(n_frames - 1) * hop
-    return np.append(starts, length - window)
+    hop = (length - STFT_WINDOW) // (SPEC_FRAMES - 1)
+    starts = np.arange(SPEC_FRAMES - 1) * hop
+    return np.append(starts, length - STFT_WINDOW)
 
 
 def mel_power(s: Signal) -> np.ndarray:
@@ -173,7 +173,7 @@ def _atrous_bank(n: int, levels: int) -> tuple[tuple[np.ndarray, np.ndarray], ..
     )
 
 
-def uwt_decompose(x: np.ndarray, levels: int = WAVELET_LEVELS) -> tuple[list[np.ndarray], np.ndarray]:
+def uwt_decompose(x: np.ndarray, levels: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Undecimated (a trous) analysis: detail coefficients per level + approximation."""
     n = x.size
     spec = np.fft.rfft(x)
@@ -192,19 +192,18 @@ def uwt_reconstruct(details: list[np.ndarray], approx: np.ndarray) -> np.ndarray
     return np.fft.irfft(spec, n=n)
 
 
-def wavelet_filter(s: Signal, levels: int = WAVELET_LEVELS, threshold_scale: float = 1.0) -> Signal:
+def wavelet_filter(s: Signal) -> Signal:
     """Undecimated-wavelet shrinkage with the 6-tap Daubechies pair.
 
-    All detail levels are soft-thresholded at the universal threshold
-    sigma * sqrt(2 ln N), with sigma estimated from the median absolute
-    deviation of the finest detail level. threshold_scale=0 turns the
-    filter into a pure analysis/synthesis round trip.
+    All WAVELET_LEVELS detail levels are soft-thresholded at the universal
+    threshold sigma * sqrt(2 ln N), with sigma estimated from the median
+    absolute deviation of the finest detail level.
     """
     if s.length == 0:
         raise ValueError("empty signal")
-    details, approx = uwt_decompose(s.samples, levels)
+    details, approx = uwt_decompose(s.samples, WAVELET_LEVELS)
     sigma = np.median(np.abs(details[0])) / 0.6745
-    t = threshold_scale * sigma * np.sqrt(2.0 * np.log(max(s.length, 2)))
+    t = sigma * np.sqrt(2.0 * np.log(max(s.length, 2)))
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0) for d in details]
     return Signal(uwt_reconstruct(shrunk, approx), s.sample_rate_hz)
 

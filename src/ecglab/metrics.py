@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import detect_qrs
-from .signals import Signal, SignalPair
+from .signals import Signal, SignalPair, csv_table
 
 CSV_HEADER = "dataset_tag,mse,snr_db,delta_hr_hz,is_mean,is_std,d_self,d_train"
 
@@ -33,23 +33,18 @@ class MetricReport:
         if self.inception_score is not None and self.inception_score[0] < 1.0 - 1e-9:
             raise ValueError("inception score mean cannot drop below 1")
 
-    def csv_row(self) -> str:
-        is_mean, is_std = self.inception_score if self.inception_score else (None, None)
-        cells = [self.dataset_tag] + [
-            "" if v is None else repr(float(v))
-            for v in (self.mse, self.snr_db, self.delta_hr_hz, is_mean, is_std, self.d_self, self.d_train)
-        ]
-        return ",".join(cells)
-
 
 def reports_to_csv(reports: list[MetricReport]) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
+    return csv_table(CSV_HEADER, [
+        (r.dataset_tag, r.mse, r.snr_db, r.delta_hr_hz, *(r.inception_score or (None, None)), r.d_self, r.d_train)
+        for r in reports
+    ])
 
 
 # ---------------------------------------------------------------------------
 
 
-def inception_score(probs: np.ndarray, splits: int = 10) -> tuple[float, float]:
+def inception_score(probs: np.ndarray, splits: int) -> tuple[float, float]:
     """exp(mean KL(row || marginal)) per split; rows are sum-normalized first."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] == 0:

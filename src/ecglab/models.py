@@ -18,6 +18,13 @@ channel's mean, so a bias there has no effect (Ioffe & Szegedy 2015).
 Nor has a spec's last layer, a kernel layer in the critic only (``dense1``): its
 score enters the WGAN loss only as mean(real) - mean(fake), and the gradient
 penalty only through its input gradient, so that bias's gradient is exactly 0.
+
+A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
+``NetworkSpec`` fields that rebuild it, each as a one-element
+``meta.<field>`` array: ``d``, ``z_len``, ``signal_length`` for the
+generator, ``d``, ``signal_length`` for the critic and the denoiser, none
+for the classifier. ``from_checkpoint`` reads them back by name, so their
+order in the file does not matter.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ def _upsample_stages(signal_length: int) -> int:
     return stages
 
 
-def generator_spec(d: int, z_len: int = 100, signal_length: int = 5000) -> NetworkSpec:
+def generator_spec(d: int, z_len: int, signal_length: int) -> NetworkSpec:
     stages = _upsample_stages(signal_length)
     c0 = d * 2 ** (stages - 1)
     layers = [
@@ -98,7 +105,7 @@ def generator_spec(d: int, z_len: int = 100, signal_length: int = 5000) -> Netwo
     return NetworkSpec("generator", d, z_len, signal_length, tuple(layers))
 
 
-def critic_spec(d: int, signal_length: int = 5000, phase_shuffle_n: int = 2) -> NetworkSpec:
+def critic_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSpec:
     channels = [1, 1, d, 2 * d, 4 * d, 8 * d]
     layers = []
     length = signal_length
@@ -131,7 +138,7 @@ def inception_spec() -> NetworkSpec:
     return NetworkSpec("inception", 0, 0, 64, tuple(layers))
 
 
-def denoiser_spec(d: int, signal_length: int = 5000, phase_shuffle_n: int = 0) -> NetworkSpec:
+def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSpec:
     enc_channels = [1, 1, d, 2 * d, 4 * d]
     layers = []
     for i in range(4):
@@ -281,6 +288,38 @@ def build(
     return Network(spec, seed=seed)
 
 
+# the spec fields each network's checkpoint records, in the order written
+_META_FIELDS = {
+    "generator": ("d", "z_len", "signal_length"),
+    "critic": ("d", "signal_length"),
+    "inception": (),
+    "denoiser": ("d", "signal_length"),
+}
+
+
+def checkpoint_state(net: Network) -> dict[str, np.ndarray]:
+    """`net.state_dict()` plus its `meta.*` spec fields (module docstring)."""
+    state = net.state_dict()
+    for key in _META_FIELDS[net.spec.name]:
+        state[f"meta.{key}"] = np.array([float(getattr(net.spec, key))])
+    return state
+
+
+def from_checkpoint(name: str, state: dict[str, np.ndarray], signal_length: int | None = None) -> Network:
+    """Rebuild network `name` from a `checkpoint_state`; a given
+    `signal_length` replaces the stored one, which then need not be there."""
+    sizes = {} if signal_length is None else {"signal_length": signal_length}
+    for key in _META_FIELDS[name]:
+        if key not in sizes:
+            arr = state.get(f"meta.{key}")
+            if arr is None:
+                raise ValueError(f"checkpoint is missing metadata {key!r}")
+            sizes[key] = int(float(np.asarray(arr).reshape(-1)[0]))
+    net = build(name, **sizes)
+    net.load_state_dict(state)
+    return net
+
+
 def infer(net: Network, x: np.ndarray, stop_at: str | None = None) -> np.ndarray:
     """Inference-mode forward of `x` in chunks of INFER_BATCH, recording no
     graph. An empty `x` runs one empty forward: zero rows of the output shape."""
@@ -295,10 +334,7 @@ def count_params(net: Network) -> int:
     return sum(p.data.size for p in net.params.values())
 
 
-LATENTS = ("uniform", "normal")
-
-
-def sample_latent(rng: np.random.Generator, n: int, z_len: int, dist: str = "uniform") -> Tensor:
+def sample_latent(rng: np.random.Generator, n: int, z_len: int, dist: str) -> Tensor:
     if dist == "uniform":
         return Tensor(rng.uniform(-1.0, 1.0, size=(n, z_len)))
     if dist == "normal":

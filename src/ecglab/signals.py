@@ -1,4 +1,4 @@
-"""Signal containers, amplitude scaling and dataset file I/O.
+"""Signal containers, amplitude scaling, dataset file I/O and CSV tables.
 
 Both binary containers go through one record codec, ``_write_records``
 and ``_read_records``. A file is a header (magic, version u16 = 1,
@@ -16,6 +16,13 @@ refuses anything else. The reader checks the magic, the version, the
 payload and tail lengths and that every sample is finite. Sample payloads
 are f32, so round-trips are bit-exact for data that is representable in
 single precision (everything these containers are meant to hold).
+
+Every CSV table the pipeline writes (the training logs, ``eval`` and
+``sweep``) is made by ``csv_table``: a header line, then one line per row,
+each ending in a newline. A ``str`` cell is written as is, ``None`` as an
+empty cell and any other value as the ``repr`` of its ``float``, which
+reads back as the same float. So an int-valued metric reads ``0.0``, and
+callers pass counts such as a step or a size as ``str``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +61,7 @@ class Signal:
     """Fixed-length sampled waveform, nominally scaled to [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate_hz: float = 500.0
+    sample_rate_hz: float
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -206,3 +213,16 @@ def read_pairs(path: str | Path) -> list[SignalPair]:
         SignalPair(Signal(clean.astype(np.float64), rate), Signal(noisy.astype(np.float64), rate))
         for clean, noisy in records
     ]
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def csv_table(header: str, rows: Iterable[Sequence]) -> str:
+    """The CSV text of `header` and `rows`, cells written as the module docstring says."""
+    lines = [header] + [
+        ",".join(v if isinstance(v, str) else "" if v is None else repr(float(v)) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"

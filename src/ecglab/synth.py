@@ -19,7 +19,9 @@ at a fraction of its cost. It is exact below 2**26 turns, a bound that
 Noise is the sum of three physiologically motivated components scaled by
 a single strength gamma: a low-frequency baseline-wander sine, a 50 Hz
 power-line sine, and a motion-artifact chirp (0.5 -> 120 Hz sweep with a
-slow sinusoidal amplitude envelope).
+slow sinusoidal amplitude envelope). Each realization draws its
+frequencies, amplitudes and phases uniformly; the ranges are the six
+noise keys of `config.RunConfig`, which is passed in whole.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal as sps
 
+from .config import RunConfig
 from .signals import Signal, SignalPair, scale_to_unit
 
 # P, Q, R, S, T event defaults: angular positions (rad), amplitudes, widths
@@ -222,17 +225,6 @@ def mcsharry_generate(p: McSharryParams) -> Signal:
 
 
 @dataclass(frozen=True)
-class NoiseRanges:
-    """Sampling ranges for the stochastic noise parameters."""
-
-    bw_freq_hz: tuple[float, float] = (0.0, 0.5)
-    bw_amp: tuple[float, float] = (0.0, 0.3)
-    pl_amp: tuple[float, float] = (0.0, 0.1)
-    chirp_amp: tuple[float, float] = (0.0, 0.1)
-    chirp_mod_freq_hz: tuple[float, float] = (0.1, 2.0)
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     gamma: float
     bw_freq_hz: float
@@ -253,22 +245,25 @@ class NoiseParams:
             raise ValueError("exactly four phases are required")
 
 
-def _draw_noise_params(rng: np.random.Generator, gamma: float, ranges: NoiseRanges) -> NoiseParams:
+def _draw_noise_params(rng: np.random.Generator, gamma: float, cfg: RunConfig) -> NoiseParams:
     return NoiseParams(
         gamma=gamma,
-        bw_freq_hz=rng.uniform(*ranges.bw_freq_hz),
-        bw_amp=rng.uniform(*ranges.bw_amp),
-        pl_amp=rng.uniform(*ranges.pl_amp),
-        chirp_amp=rng.uniform(*ranges.chirp_amp),
-        chirp_mod_freq_hz=rng.uniform(*ranges.chirp_mod_freq_hz),
+        bw_freq_hz=rng.uniform(0.0, cfg.bw_freq_max_hz),
+        bw_amp=rng.uniform(0.0, cfg.bw_amp_max),
+        pl_amp=rng.uniform(0.0, cfg.pl_amp_max),
+        chirp_amp=rng.uniform(0.0, cfg.chirp_amp_max),
+        chirp_mod_freq_hz=rng.uniform(cfg.chirp_mod_min_hz, cfg.chirp_mod_max_hz),
         phases=tuple(rng.uniform(0.0, 2.0 * np.pi, size=4)),
     )
 
 
-def sample_noise_params(seed: int, gamma: float, ranges: NoiseRanges | None = None) -> NoiseParams:
+def sample_noise_params(seed: int, gamma: float, cfg: RunConfig | None = None) -> NoiseParams:
+    """One draw of the noise parameters from `cfg`'s ranges (None: the defaults)."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    return _draw_noise_params(np.random.default_rng(seed), gamma, ranges or NoiseRanges())
+    if cfg is None:
+        cfg = RunConfig()
+    return _draw_noise_params(np.random.default_rng(seed), gamma, cfg)
 
 
 def noise_components(p: NoiseParams, length: int, sample_rate_hz: float) -> np.ndarray:
@@ -295,13 +290,16 @@ def make_training_pairs(
     clean: list[Signal],
     gamma: float,
     seed: int,
-    ranges: NoiseRanges | None = None,
+    cfg: RunConfig | None = None,
 ) -> list[SignalPair]:
-    """One fresh noise realization per signal, deterministic for a fixed seed."""
+    """One fresh noise realization per signal, deterministic for a fixed
+    seed, its parameters drawn from `cfg`'s six noise ranges (None: the
+    defaults)."""
     if not clean:
         raise ValueError("clean signal list is empty")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     rng = np.random.default_rng(seed)
-    ranges = ranges or NoiseRanges()
-    return [SignalPair(s, apply_noise(s, _draw_noise_params(rng, gamma, ranges))) for s in clean]
+    if cfg is None:
+        cfg = RunConfig()
+    return [SignalPair(s, apply_noise(s, _draw_noise_params(rng, gamma, cfg))) for s in clean]

@@ -19,7 +19,7 @@ from .dsp import mel_spectrogram
 from .metrics import MetricReport, evaluate_denoiser, inception_score
 from .models import Network
 from .optim import AdamState, adam_step, zero_grads
-from .signals import LabeledDataset, Signal, SignalPair
+from .signals import LabeledDataset, Signal, SignalPair, csv_table
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,11 @@ class TrainLog:
         return [r for r in self.rows if r.kind == kind]
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            cells = [str(r.step), r.kind, str(r.epoch)] + [
-                "" if v is None else repr(float(v))
-                for v in (r.critic_loss, r.generator_loss, r.wasserstein_estimate,
-                          r.gp_term, r.loss, r.val_loss)
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_table(self.CSV_HEADER, [
+            (str(r.step), r.kind, str(r.epoch), r.critic_loss, r.generator_loss, r.wasserstein_estimate,
+             r.gp_term, r.loss, r.val_loss)
+            for r in self.rows
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +368,8 @@ DENOISER_VARIANTS = ("baseline", "phase_shuffle", "pretrained")
 def train_denoiser(
     pairs: list[SignalPair],
     cfg: RunConfig,
-    variant: str = "baseline",
-    seed: int = 0,
+    variant: str,
+    seed: int,
     critic_state: dict[str, np.ndarray] | None = None,
 ) -> tuple[Network, TrainLog]:
     """MSE training of the autoencoder on clean/noisy pairs.
@@ -443,13 +439,11 @@ SWEEP_CSV_HEADER = (
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        cells = [r.composition, str(r.size)]
-        for rep in (r.real_report, r.synthetic_report):
-            cells += [repr(float(rep.mse)), repr(float(rep.snr_db)), repr(float(rep.delta_hr_hz))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_table(SWEEP_CSV_HEADER, [
+        (r.composition, str(r.size), r.real_report.mse, r.real_report.snr_db, r.real_report.delta_hr_hz,
+         r.synthetic_report.mse, r.synthetic_report.snr_db, r.synthetic_report.delta_hr_hz)
+        for r in rows
+    ])
 
 
 def ablation_sweep(

@@ -28,7 +28,7 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--count", "-1"], "--count must be non-negative, got -1"),
+    (["--count", "-1"], "--count must be at least 1, got -1"),
     (["--hr-min", "nan"], "--hr-min must be finite, got nan"),
     (["--hr-max", "inf"], "--hr-max must be finite, got inf"),
     (["--hr-min", "95", "--hr-max", "55"], "--hr-min must not exceed --hr-max, got 95.0 > 55.0"),
@@ -37,6 +37,7 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     (["--duration", "nan"], "duration_s must be finite and positive, got nan"),
     (["--duration", "inf"], "duration_s must be finite and positive, got inf"),
     (["--duration", "1e-9"], "duration_s must give a finite, nonzero sample count at 500.0 Hz, got 1e-09"),
+    (["--count", "0"], "--count must be at least 1, got 0"),
 ])
 def test_synth_bad_flag_exits_1_with_one_line_naming_it(tmp_path, capsys, flags, message):
     out = tmp_path / "s.ecgd"
@@ -125,7 +126,7 @@ def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
     """A generator checkpoint that still holds the conv bias in front of a
     batch norm fails loudly: its running means include that bias."""
     net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
-    state = cli._meta(net, {"d": 2, "z_len": 8, "signal_length": 128})
+    state = models.checkpoint_state(net)
     state["tconv1.b"] = np.zeros(net.params["tconv1.w"].shape[-1])
     save_params(tmp_path / "g.ecgw", state)
     capsys.readouterr()
@@ -135,6 +136,25 @@ def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
     assert code == 1
     assert err == "ecglab: error: checkpoint has 'tconv1.b', which the generator does not have\n"
     assert not (tmp_path / "g.ecgd").exists()
+
+
+@pytest.mark.parametrize("network,missing", [("generator", "z_len"), ("denoiser", "d")])
+def test_checkpoint_without_metadata_exits_1_with_one_line(tmp_path, capsys, network, missing):
+    """`synth --model gan` and `eval` name the metadata key a checkpoint lacks."""
+    state = models.checkpoint_state(models.build(network, d=2, z_len=8, signal_length=256, seed=0))
+    del state[f"meta.{missing}"]
+    save_params(tmp_path / "n.ecgw", state)
+    out = tmp_path / "out"
+    if network == "generator":
+        argv = ["synth", "--model", "gan", "--count", "2"]
+    else:
+        assert _synth(tmp_path / "c.ecgd") == 0
+        assert main(["noise", "--in", str(tmp_path / "c.ecgd"), "--out", str(tmp_path / "p.ecg2")]) == 0
+        argv = ["eval", "--method", "denoiser", "--pairs", str(tmp_path / "p.ecg2")]
+    capsys.readouterr()
+    assert main(argv + ["--checkpoint", str(tmp_path / "n.ecgw"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ecglab: error: checkpoint is missing metadata '{missing}'\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

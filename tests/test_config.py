@@ -1,10 +1,12 @@
+import ast
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecglab import config, training
+from ecglab import config, synth, training
 from ecglab.config import ConfigError, RunConfig, load_config
 from ecglab.signals import LabeledDataset, Signal, SignalPair
 
@@ -74,12 +76,17 @@ def _run_denoiser(cfg):
     training.train_denoiser(pairs, cfg, "phase_shuffle", seed=0)
 
 
-# section, the per-section dataclass its trainer took before RunConfig
-# replaced them, the trainer's name in the config table, a small run
+def _run_noise(cfg):
+    synth.make_training_pairs(_sines(4, 96, 64.0), 1.0, 0, cfg)
+
+
+# section, the module and the per-section dataclass it took before
+# RunConfig replaced them, the reader's name in the config table, a small run
 _SECTIONS = {
-    "gan": ("GanConfig", "gan", _run_gan),
-    "classifier": ("ClassifierConfig", "inception", _run_classifier),
-    "denoiser": ("DenoiserConfig", "denoiser", _run_denoiser),
+    "gan": (training, "GanConfig", "gan", _run_gan),
+    "classifier": (training, "ClassifierConfig", "inception", _run_classifier),
+    "denoiser": (training, "DenoiserConfig", "denoiser", _run_denoiser),
+    "noise": (synth, "NoiseRanges", "noise", _run_noise),
 }
 
 _SMALL_RUN = ("batch_size = 8\nmodel_dim = 2\ngp_lambda = 5.0\ncritic_updates = 2\n"
@@ -88,14 +95,15 @@ _SMALL_RUN = ("batch_size = 8\nmodel_dim = 2\ngp_lambda = 5.0\ncritic_updates = 
 
 
 @pytest.mark.parametrize("section,cls", [("gan", "GanConfig"), ("classifier", "ClassifierConfig"),
-                                         ("denoiser", "DenoiserConfig")])
+                                         ("denoiser", "DenoiserConfig"), ("noise", "NoiseRanges")])
 def test_section_takes_every_field_from_its_key(tmp_path, section, cls):
-    """Each trainer reads from the RunConfig exactly the keys that the
-    table in ecglab.config says it reads, each as load_config set it
-    from its key; the section dataclass it took before is gone."""
-    assert _SECTIONS[section][0] == cls
-    assert not hasattr(training, cls)
-    _, name, run = _SECTIONS[section]
+    """Each trainer, and the noise model, reads from the RunConfig exactly
+    the keys that the table in ecglab.config says it reads, each as
+    load_config set it from its key; the section dataclass it took before
+    is gone."""
+    module, old, name, run = _SECTIONS[section]
+    assert old == cls
+    assert not hasattr(module, cls)
     path = tmp_path / "run.cfg"
     path.write_text(_SMALL_RUN)
     loaded = load_config(path)
@@ -169,3 +177,14 @@ def test_load_config_checks_the_parsed_values(tmp_path):
     path.write_text("epochs = 2\nval_fraction = 1.5\n")
     with pytest.raises(ConfigError, match=r"^val_fraction must be in \[0, 1\), got 1.5$"):
         load_config(path)
+
+
+def test_config_imports_no_other_ecglab_module():
+    """config is the bottom of the import graph: synth, training and cli
+    import it, so it may import none of them."""
+    tree = ast.parse(Path(config.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("ecglab"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ecglab") for a in node.names), ast.unparse(node)

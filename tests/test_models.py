@@ -4,6 +4,7 @@ import pytest
 from ecglab import autodiff as ad
 from ecglab import models
 from ecglab.autodiff import Tensor
+from ecglab.checkpoint import load_params, save_params
 
 rng = np.random.default_rng(42)
 
@@ -262,3 +263,66 @@ def test_layer_spec_validation():
         models.LayerSpec("conv1d", kernel=(25, 1, 1))  # missing stride
     with pytest.raises(ValueError):
         models.LayerSpec("tanh", stride=2)  # stride not allowed
+
+
+# ---------------------------------------------------------------------------
+# checkpoint metadata
+
+
+_META_CASES = {
+    "generator": (dict(d=2, z_len=8, signal_length=128), ["d", "z_len", "signal_length"]),
+    "critic": (dict(d=3, signal_length=96), ["d", "signal_length"]),
+    "inception": ({}, []),
+    "denoiser": (dict(d=2, signal_length=96), ["d", "signal_length"]),
+}
+
+
+@pytest.mark.parametrize("name", models.NETWORK_NAMES)
+def test_checkpoint_metadata_round_trips_with_exactly_the_spec_keys(name, tmp_path):
+    """The file holds the state plus exactly the listed meta keys, in order,
+    and rebuilding from it gives the same spec and the same arrays."""
+    sizes, keys = _META_CASES[name]
+    net = models.build(name, seed=3, **sizes)
+    state = models.checkpoint_state(net)
+    assert list(state)[: len(net.state_dict())] == list(net.state_dict())
+    assert [k for k in state if k.startswith("meta.")] == [f"meta.{k}" for k in keys]
+    for key in keys:
+        assert state[f"meta.{key}"].tolist() == [float(sizes[key])]
+    save_params(tmp_path / "n.ecgw", state)
+    back = models.from_checkpoint(name, load_params(tmp_path / "n.ecgw"))
+    assert back.spec == net.spec
+    got = back.state_dict()
+    assert list(got) == list(net.state_dict())
+    for key, arr in net.state_dict().items():
+        assert got[key].tobytes() == arr.tobytes(), key
+
+
+def test_from_checkpoint_reads_metadata_by_name_in_any_order():
+    """A checkpoint whose meta keys come as d, signal_length, z_len loads."""
+    net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
+    state = net.state_dict()
+    for key, value in (("d", 2), ("signal_length", 128), ("z_len", 8)):
+        state[f"meta.{key}"] = np.array([float(value)])
+    assert models.from_checkpoint("generator", state).spec == net.spec
+
+
+@pytest.mark.parametrize("name,missing", [("generator", "d"), ("generator", "z_len"),
+                                          ("generator", "signal_length"), ("denoiser", "d")])
+def test_from_checkpoint_names_the_missing_metadata(name, missing):
+    state = models.checkpoint_state(models.build(name, d=2, signal_length=128))
+    del state[f"meta.{missing}"]
+    with pytest.raises(ValueError, match=rf"^checkpoint is missing metadata '{missing}'$"):
+        models.from_checkpoint(name, state)
+
+
+def test_from_checkpoint_signal_length_replaces_the_stored_one():
+    """A given length builds the denoiser at that length, with or without a
+    stored one; the convolution kernels do not depend on it."""
+    net = models.build("denoiser", d=2, signal_length=128, seed=1)
+    state = models.checkpoint_state(net)
+    other = models.from_checkpoint("denoiser", state, signal_length=96)
+    assert other.spec == models.build("denoiser", d=2, signal_length=96).spec
+    del state["meta.signal_length"]
+    assert models.from_checkpoint("denoiser", state, signal_length=96).spec == other.spec
+    x = Tensor(rng.normal(size=(2, 96, 1)))
+    assert models.infer(other, x.data).shape == (2, 96, 1)

@@ -13,6 +13,7 @@ from ecglab.signals import (
     Signal,
     SignalPair,
     TruncatedPayload,
+    csv_table,
     read_dataset,
     read_pairs,
     scale_to_unit,
@@ -265,3 +266,18 @@ def test_writers_refuse_mixed_signals(tmp_path, lengths, rates, match):
     with pytest.raises(ValueError, match=match):
         write_pairs([SignalPair(s, s) for s in sigs], tmp_path / "p.ecg2")
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def test_csv_table_cell_rule():
+    """str as is, None empty, anything else repr(float(v)): an int metric
+    reads 0.0, a float32 its float's repr, inf and nan as Python spells them."""
+    f32 = np.float32(0.1)
+    rows = [("3", None, 0, f32, np.inf, -np.inf, np.nan), ("x", 1.5, None, "", 2, 0.1, "7")]
+    text = csv_table("a,b,c,d,e,f,g", rows)
+    assert text == f"a,b,c,d,e,f,g\n3,,0.0,{float(f32)!r},inf,-inf,nan\nx,1.5,,,2.0,0.1,7\n"
+    assert repr(float(f32)) == "0.10000000149011612"
+    assert csv_table("h", []) == "h\n"

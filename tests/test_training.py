@@ -159,12 +159,17 @@ def test_gradient_penalty_input_gradient_matches_fd():
         assert abs(fd - np.sum(x.grad * v)) < 1e-6 * max(1.0, abs(fd))
 
 
+_pruned_grad = ad.grad
+
+
 def _unpruned_grad(output, wrt, create_graph=False):
     """ad.grad without pruning: every parameter's gradient is computed too."""
-    keep = {id(t) for t in wrt}
-    hits = ad._reverse_walk(output, Tensor(np.ones_like(output.data)), keep, create_graph,
-                            release=False, prune=False)
-    return [hits[id(t)][1] for t in wrt]
+    wants = ad._wants
+    ad._wants = lambda t: t.requires_grad
+    try:
+        return _pruned_grad(output, wrt, create_graph=create_graph)
+    finally:
+        ad._wants = wants
 
 
 def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
@@ -175,7 +180,7 @@ def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
     fake = data.normal(size=(4, 96, 1)).astype(ad.DTYPE)
 
     def penalty_and_grads():
-        critic = models.Network(models.critic_spec(2, signal_length=96), seed=1)
+        critic = models.Network(models.critic_spec(2, signal_length=96, phase_shuffle_n=2), seed=1)
         gp = gradient_penalty(critic, real, fake, np.random.default_rng(4))
         ad.backward(gp)
         return gp.data.tobytes(), {k: None if p.grad is None else p.grad.tobytes()
@@ -378,7 +383,7 @@ def test_denoiser_rejects_non_finite_pair():
     bad = Signal(np.full(96, np.inf), 64.0)
     pairs[5] = SignalPair(pairs[5].clean, bad)
     with pytest.raises(ValueError, match="training pair 5 holds NaN or inf"):
-        train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), seed=0)
+        train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), "baseline", seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -386,7 +391,7 @@ def test_denoiser_divergence_names_step_and_kind():
     # the tanh output keeps the loss finite until the activations overflow
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4, adam_lr=1e100)
     with pytest.raises(training.DivergenceError, match=r"^denoiser loss is (nan|inf) at step 2$"):
-        train_denoiser(_identity_pairs(), cfg, seed=0)
+        train_denoiser(_identity_pairs(), cfg, "baseline", seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -395,7 +400,7 @@ def test_denoiser_non_finite_validation_loss_raises():
     # leaves parameters whose held-out output is NaN
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=64, adam_lr=1e100)
     with pytest.raises(training.DivergenceError, match=r"^denoiser validation loss is nan at epoch 0$"):
-        train_denoiser(_identity_pairs(), cfg, seed=0)
+        train_denoiser(_identity_pairs(), cfg, "baseline", seed=0)
 
 
 def test_inception_rejects_non_finite_signal():
@@ -459,7 +464,7 @@ def test_inception_best_checkpoint_retained():
 def test_hold_out_of_every_record_is_rejected():
     # round(0.75 * 2) == 2: nothing would be left to train on
     with pytest.raises(ValueError, match="^val_fraction 0.75 holds out all 2 records"):
-        train_denoiser(_identity_pairs(n=2), RunConfig(model_dim=2, val_fraction=0.75), seed=0)
+        train_denoiser(_identity_pairs(n=2), RunConfig(model_dim=2, val_fraction=0.75), "baseline", seed=0)
 
 
 def test_pretrained_variant_runs_and_copies_encoder():
