@@ -261,9 +261,7 @@ def sample_noise_params(seed: int, gamma: float, cfg: RunConfig | None = None) -
     """One draw of the noise parameters from `cfg`'s ranges (None: the defaults)."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    if cfg is None:
-        cfg = RunConfig()
-    return _draw_noise_params(np.random.default_rng(seed), gamma, cfg)
+    return _draw_noise_params(np.random.default_rng(seed), gamma, cfg or RunConfig())
 
 
 def noise_components(p: NoiseParams, length: int, sample_rate_hz: float) -> np.ndarray:
@@ -300,6 +298,5 @@ def make_training_pairs(
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     rng = np.random.default_rng(seed)
-    if cfg is None:
-        cfg = RunConfig()
+    cfg = cfg or RunConfig()
     return [SignalPair(s, apply_noise(s, _draw_noise_params(rng, gamma, cfg))) for s in clean]

@@ -324,5 +324,4 @@ def test_from_checkpoint_signal_length_replaces_the_stored_one():
     assert other.spec == models.build("denoiser", d=2, signal_length=96).spec
     del state["meta.signal_length"]
     assert models.from_checkpoint("denoiser", state, signal_length=96).spec == other.spec
-    x = Tensor(rng.normal(size=(2, 96, 1)))
-    assert models.infer(other, x.data).shape == (2, 96, 1)
+    assert models.infer(other, rng.normal(size=(2, 96, 1))).shape == (2, 96, 1)
