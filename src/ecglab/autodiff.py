@@ -457,7 +457,7 @@ def _one_group(k_group: int, n_out: int, transposed: bool) -> bool:
     return k_group <= 2 * n_out
 
 
-def _window_blocks(xp: np.ndarray, step: int, rows: int, width: int, out_width: int = 0):
+def _window_blocks(xp: np.ndarray, step: int, rows: int, width: int, out_width: int):
     """Yield (b0, b1, r0, r1, windows): windows[(b - b0)*(r1 - r0) + r - r0]
     is the `width` elements of sample b of the contiguous xp [n, ...] that
     start at element r*step. Each block holds whole samples, or rows of one
@@ -508,7 +508,7 @@ def conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_l
     if _one_group(stride * ci, co, transposed=False):
         y = np.empty((n, out_len, co), dtype=DTYPE)
         y2, w2 = y.reshape(n * out_len, co), w.data.reshape(k * ci, co)
-        for b0, b1, r0, r1, win in _window_blocks(xf.reshape(n, rows, stride * ci), stride * ci, out_len, k * ci):
+        for b0, b1, r0, r1, win in _window_blocks(xf.reshape(n, rows, stride * ci), stride * ci, out_len, k * ci, 0):
             np.matmul(win, w2, out=y2[b0 * out_len + r0 : (b1 - 1) * out_len + r1])
     else:
         # one matrix over the whole batch: the rows past out_len in each
@@ -615,17 +615,17 @@ def unfold_rows(a: Tensor, kh: int, stride: int, pt: int, out_h: int) -> Tensor:
     out = np.empty((n, out_h, W, kh, c), dtype=DTYPE)
     for i in range(kh):
         out[:, :, :, i] = xp[:, i : i + span : stride]
-    return _make(out.reshape(n * out_h, W, kh * c), (a,), lambda g: (fold_rows(g, kh, stride, pt, (n, H)),))
+    return _make(out.reshape(n * out_h, W, kh * c), (a,), lambda g: (fold_rows(g, kh, stride, pt, out_h, (n, H)),))
 
 
-def fold_rows(g: Tensor, kh: int, stride: int, pt: int, nh: tuple[int, int]) -> Tensor:
+def fold_rows(g: Tensor, kh: int, stride: int, pt: int, out_h: int, nh: tuple[int, int]) -> Tensor:
     """Adjoint of unfold_rows: each row tap of g is added back onto its row.
 
     g [n*out_h, W, kh*c] -> [n, H, W, c] for nh = (n, H).
     """
     n, H = nh
     _, W, khc = g.shape
-    out_h, c = g.shape[0] // n, khc // kh
+    c = khc // kh
     span = stride * (out_h - 1) + 1
     acc = np.zeros((n, max(span + kh - 1, pt + H), W, c), dtype=DTYPE)
     taps = g.data.reshape(n, out_h, W, kh, c)

@@ -90,12 +90,12 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(sample_rate_hz: float, n_fft: int = STFT_WINDOW, n_bands: int = MEL_BANDS) -> np.ndarray:
+def mel_filterbank(sample_rate_hz: float) -> np.ndarray:
     """Triangular filters over rfft power bins, rows = bands (cached, read-only)."""
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
-    points = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), n_bands + 2))
-    fb = np.zeros((n_bands, freqs.size))
-    for m in range(n_bands):
+    freqs = np.fft.rfftfreq(STFT_WINDOW, d=1.0 / sample_rate_hz)
+    points = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), MEL_BANDS + 2))
+    fb = np.zeros((MEL_BANDS, freqs.size))
+    for m in range(MEL_BANDS):
         lo, mid, hi = points[m], points[m + 1], points[m + 2]
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)

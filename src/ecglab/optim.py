@@ -13,9 +13,9 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    alpha: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
+    alpha: float
+    beta1: float
+    beta2: float
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)

@@ -145,7 +145,7 @@ def scale_to_unit(s: Signal) -> Signal:
 # the record codec shared by both containers
 
 
-def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Signal]], tail: bytes = b"") -> None:
+def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Signal]], tail: bytes) -> None:
     """Write the header, then each record's signals as little-endian f32
     samples straight to the file, then ``tail``. Every signal must share
     the first one's length and sample rate, which the header stores."""
@@ -204,7 +204,7 @@ def read_dataset(path: str | Path) -> LabeledDataset:
 
 
 def write_pairs(pairs: list[SignalPair], path: str | Path) -> None:
-    _write_records(path, b"ECG2", [(p.clean, p.noisy) for p in pairs])
+    _write_records(path, b"ECG2", [(p.clean, p.noisy) for p in pairs], b"")
 
 
 def read_pairs(path: str | Path) -> list[SignalPair]:

@@ -1,6 +1,7 @@
 import gc
 import struct
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ecglab.autodiff import Tensor
 from ecglab.checkpoint import load_params, save_params
 from ecglab.optim import AdamState, adam_step
 
-from conftest import numeric_grad, rel_err
+from conftest import assert_grads_match_fd
 
 rng = np.random.default_rng(1234)
 
@@ -37,25 +38,12 @@ def test_trans_conv1d_lengths(length):
     assert nn.trans_conv1d(x, w, None, 4).shape == (2, length * 4, 1)
 
 
-@pytest.mark.float64
-def test_conv1d_identity_kernel():
-    x = rng.normal(size=(3, 17, 4))
-    w = np.zeros((1, 4, 4))
-    w[0] = np.eye(4)
-    out = nn.conv1d(Tensor(x), Tensor(w), None, 1)
-    assert np.array_equal(out.data, x)
-
-
-def test_conv_transconv_adjoint():
-    x = rng.normal(size=(2, 16, 3))
-    w = rng.normal(size=(5, 3, 4))
-    y = rng.normal(size=(2, 4, 4))
-    conv = nn.conv1d(Tensor(x), Tensor(w), None, 4)
-    w_swapped = np.transpose(w, (0, 2, 1))
-    back = nn.trans_conv1d(Tensor(y), Tensor(w_swapped), None, 4)
-    lhs = np.sum(conv.data * y)
-    rhs = np.sum(x * back.data)
-    assert abs(lhs - rhs) < 1e-6
+def test_same_pads_put_the_extra_sample_on_the_right():
+    """(out_len, left, right) for (L, k, stride); the conv properties take
+    their SAME pads from this split, so it is pinned here."""
+    cases = {(30, 25, 4): (8, 11, 12), (5000, 25, 4): (1250, 10, 11), (4, 5, 4): (1, 0, 1),
+             (7, 3, 2): (4, 1, 1), (8, 2, 2): (4, 0, 0), (10, 1, 4): (3, 0, 0)}
+    assert {args: nn.same_pads_1d(*args) for args in cases} == cases
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +115,18 @@ def test_shift_ops_are_bit_equal_to_index_gather(L, n_max):
 @pytest.mark.float64
 @pytest.mark.parametrize("L", [1, 3, 9])
 def test_shift_len_vjp_and_its_vjp_match_fd(L):
-    """d<shift(x), p>/dx = unshift(p), and, through create_graph,
-    d<unshift(p), q>/dp = shift(q)."""
+    """shift_len's gradient and, through create_graph, the gradient of
+    that gradient (unshift_len's VJP)."""
     shifts = np.array([[2, -1], [0, -2], [1, 2]])
     x0, p0 = rng.normal(size=(3, L, 2)), rng.normal(size=(3, L, 2))
-    q = rng.normal(size=(3, L, 2))
-    x, p = Tensor(x0, requires_grad=True), Tensor(p0, requires_grad=True)
-    (gx,) = ad.grad(ad.sum_(ad.mul(ad.shift_len(x, shifts, 2), p)), [x], create_graph=True)
-    ad.backward(ad.sum_(ad.mul(gx, Tensor(q))))
 
-    def shifted(v):
-        return float(np.sum(ad.shift_len(Tensor(v), shifts, 2).data * p0))
+    def unshift_by_grad(p):
+        x = Tensor(x0, requires_grad=True)
+        (gx,) = ad.grad(ad.sum_(ad.mul(ad.shift_len(x, shifts, 2), p)), [x], create_graph=True)
+        return gx
 
-    def unshifted(v):
-        return float(np.sum(ad.unshift_len(Tensor(v), shifts, 2).data * q))
-
-    assert rel_err(gx.data, numeric_grad(shifted, x0)) < 1e-8
-    assert rel_err(p.grad, numeric_grad(unshifted, p0)) < 1e-8
+    assert_grads_match_fd(lambda x: ad.shift_len(x, shifts, 2), {"x": x0}, 1e-8)
+    assert_grads_match_fd(unshift_by_grad, {"p": p0}, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +197,9 @@ BN_SHAPES = [(4, 6, 2), (3, 4, 5, 2)]  # the generator's [n, L, c] and the class
 @pytest.mark.float64
 def test_batch_norm_gradient_matches_fd():
     for shape in BN_SHAPES:
-        arrays = _bn_arrays(shape)
-        probe = rng.normal(size=shape)
-        _, _, grads = _bn_grads(_train_bn, arrays, probe)
-        for target, arr in arrays.items():
-            def loss(v):
-                args = dict(arrays, **{target: v})
-                running = {"mean": np.zeros(shape[-1]), "var": np.ones(shape[-1])}
-                out = _train_bn(Tensor(args["x"]), Tensor(args["gamma"]), Tensor(args["beta"]), running)
-                return float(np.sum(np.tanh(out.data) * probe))
-
-            assert rel_err(grads[target], numeric_grad(loss, arr)) < 1e-6, (shape, target)
+        running = {"mean": np.zeros(shape[-1]), "var": np.ones(shape[-1])}
+        assert_grads_match_fd(lambda x, gamma, beta: ad.tanh(_train_bn(x, gamma, beta, running)),
+                              _bn_arrays(shape), 1e-6)
 
 
 @pytest.mark.float64
@@ -278,15 +253,9 @@ def test_infer_batch_norm_matches_reference_and_fd(shape):
     y, running, grads = _bn_grads(_infer_bn, arrays, probe)
     y_ref, _, grads_ref = _bn_grads(_reference_infer_bn, arrays, probe)
     assert np.max(np.abs(y - y_ref)) < 1e-12
-    for target, arr in arrays.items():
+    for target in arrays:
         assert np.max(np.abs(grads[target] - grads_ref[target])) < 1e-12, target
-
-        def loss(v):
-            args = dict(arrays, **{target: v})
-            out = _infer_bn(Tensor(args["x"]), Tensor(args["gamma"]), Tensor(args["beta"]), running)
-            return float(np.sum(np.tanh(out.data) * probe))
-
-        assert rel_err(grads[target], numeric_grad(loss, arr)) < 1e-6, target
+    assert_grads_match_fd(lambda x, gamma, beta: ad.tanh(_infer_bn(x, gamma, beta, running)), arrays, 1e-6)
     empty = _infer_bn(Tensor(np.zeros((0, *shape[1:]))), Tensor(arrays["gamma"]), Tensor(arrays["beta"]), running)
     assert empty.shape == (0, *shape[1:])
 
@@ -423,16 +392,7 @@ def _layer_cases():
 @pytest.mark.float64
 @pytest.mark.parametrize("name,shape,layer", _layer_cases(), ids=lambda c: c if isinstance(c, str) else "")
 def test_layer_gradients_match_fd(name, shape, layer):
-    x0 = rng.normal(size=shape)
-    probe = rng.normal(size=layer(Tensor(x0)).shape)
-
-    def loss(xv):
-        with ad.no_grad():
-            return float(np.sum(layer(Tensor(xv)).data * probe))
-
-    xt = Tensor(x0, requires_grad=True)
-    ad.backward(ad.sum_(ad.mul(layer(xt), Tensor(probe))))
-    assert rel_err(xt.grad, numeric_grad(loss, x0)) < 1e-4, name
+    assert_grads_match_fd(lambda x: layer(x), {"x": rng.normal(size=shape)}, 1e-4)
 
 
 def test_maxpool2d_tie_sends_gradient_to_top_left():
@@ -517,49 +477,12 @@ def test_composed_network_gradient_matches_fd():
     w2 = rng.normal(size=(5, 2, 3)) * 0.4
     wd = rng.normal(size=(9, 1)) * 0.4
 
-    def forward(t, w1t, w2t, wdt):
-        h = ad.leaky_relu(nn.conv1d(t, w1t, None, 2), 0.2)
-        h = ad.tanh(nn.conv1d(h, w2t, None, 2))
-        return ad.sum_(nn.dense(ad.reshape(h, (h.shape[0], 9)), wdt, None))
+    def forward(x, w1, w2, wd):
+        h = ad.leaky_relu(nn.conv1d(x, w1, None, 2), 0.2)
+        h = ad.tanh(nn.conv1d(h, w2, None, 2))
+        return ad.sum_(nn.dense(ad.reshape(h, (h.shape[0], 9)), wd, None))
 
-    x0 = rng.normal(size=(3, 12, 1))
-    for target, arr in [("x", x0), ("w1", w1), ("w2", w2), ("wd", wd)]:
-        def loss(v):
-            args = {"x": x0, "w1": w1, "w2": w2, "wd": wd}
-            args[target] = v
-            with ad.no_grad():
-                return float(forward(Tensor(args["x"]), Tensor(args["w1"]),
-                                     Tensor(args["w2"]), Tensor(args["wd"])).data)
-
-        tensors = {"x": Tensor(x0, requires_grad=True), "w1": Tensor(w1, requires_grad=True),
-                   "w2": Tensor(w2, requires_grad=True), "wd": Tensor(wd, requires_grad=True)}
-        ad.backward(forward(tensors["x"], tensors["w1"], tensors["w2"], tensors["wd"]))
-        assert rel_err(tensors[target].grad, numeric_grad(loss, arr)) < 1e-4, target
-
-
-@pytest.mark.parametrize("op,x_shape,w_shape", [
-    (nn.conv1d, (2, 30, 2), (25, 2, 3)),        # 30 % 4 != 0: uneven SAME pads
-    (nn.trans_conv1d, (2, 7, 3), (25, 3, 2)),
-])
-@pytest.mark.float64
-def test_paper_kernel_gradients_match_fd(op, x_shape, w_shape):
-    """k=25, stride 4: input, weight and bias gradients against finite differences."""
-    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.3,
-              "b": rng.normal(size=w_shape[2])}
-    probe = rng.normal(size=op(Tensor(arrays["x"]), Tensor(arrays["w"]), None, 4).shape)
-
-    def loss(target, v):
-        args = dict(arrays, **{target: v})
-        with ad.no_grad():
-            out = op(Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), 4)
-        return float(np.sum(out.data * probe))
-
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    out = op(tensors["x"], tensors["w"], tensors["b"], 4)
-    ad.backward(ad.sum_(ad.mul(out, Tensor(probe))))
-    for target, arr in arrays.items():
-        fd = numeric_grad(lambda v: loss(target, v), arr)
-        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+    assert_grads_match_fd(forward, {"x": rng.normal(size=(3, 12, 1)), "w1": w1, "w2": w2, "wd": wd}, 1e-4)
 
 
 @pytest.mark.float64
@@ -567,53 +490,11 @@ def test_kernel_corr_gradients_match_fd():
     """The kernel-gradient op's own VJPs, used when a weight gradient is
     differentiated again."""
     arrays = {"a": rng.normal(size=(2, 30, 2)), "g": rng.normal(size=(2, 8, 3))}
-    probe = rng.normal(size=(25, 2, 3))
-
-    def loss(target, v):
-        args = dict(arrays, **{target: v})
-        out = ad.kernel_corr_len(Tensor(args["a"]), Tensor(args["g"]), 4, 11, 25)
-        return float(np.sum(out.data * probe))
-
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    out = ad.kernel_corr_len(tensors["a"], tensors["g"], 4, 11, 25)
-    ad.backward(ad.sum_(ad.mul(out, Tensor(probe))))
-    for target, arr in arrays.items():
-        fd = numeric_grad(lambda v: loss(target, v), arr)
-        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+    assert_grads_match_fd(lambda a, g: ad.kernel_corr_len(a, g, 4, 11, 25), arrays, 1e-6)
 
 
 # ---------------------------------------------------------------------------
-# thin convolutions: one group of all the taps, as overlapping windows
-
-
-def _grouped_conv_len(x, w, stride, pl, out_len):
-    """conv_len by stride-wide tap groups, the loop it used for every shape
-    before thin layers took one group (reference)."""
-    n, _, _ = x.shape
-    k, _, co = w.shape
-    groups = ad._tap_groups(k, stride)
-    rows = out_len + len(groups) - 1
-    R = n * rows - len(groups) + 1
-    xf = ad._polyphase(x, stride, pl, rows)
-    acc = np.zeros((n * rows, co), dtype=ad.DTYPE)
-    for t, taps in groups:
-        wt = w[taps].reshape(-1, co)
-        acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
-    return acc.reshape(n, rows, co)[:, :out_len].copy()
-
-
-def _grouped_trans_conv_len(x, w, stride, pl, out_len):
-    """trans_conv_len by stride-wide tap groups (reference, as above)."""
-    n, L, ci = x.shape
-    k, _, co = w.shape
-    groups = ad._tap_groups(k, stride)
-    rows = max(L + len(groups) - 1, -(-(pl + out_len) // stride))
-    acc = np.zeros((n, rows, stride * co), dtype=ad.DTYPE)
-    x2 = x.reshape(n * L, ci)
-    for t, taps in groups:
-        wt = w[taps].transpose(1, 0, 2).reshape(ci, -1)
-        acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
-    return acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
+# conv group widths: one group of all the taps, or stride-wide groups
 
 
 def _conv_args(op, L, k, stride):
@@ -643,95 +524,31 @@ def _run_conv(op, x, w, b, stride):
     return f(x, w, b, stride, pl, out_len)
 
 
-def _spy_width(monkeypatch):
-    picked = []
-    one_group = ad._one_group
-
-    def spy(*args, **kwargs):
-        picked.append(one_group(*args, **kwargs))
-        return picked[-1]
-
-    monkeypatch.setattr(ad, "_one_group", spy)
-    return picked
-
-
-@pytest.mark.float64
 @pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
-def test_conv_group_width_matches_grouped_loop(op, x_shape, w_shape, stride, one, monkeypatch):
-    """The rule picks the expected width; stride-wide groups reproduce the
-    old loop bit for bit, one group agrees with it to rounding."""
-    picked = _spy_width(monkeypatch)
-    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-    y = _run_conv(op, Tensor(x), Tensor(w), None, stride).data
-    assert picked == [one]
-    pl, out_len = _conv_args(op, x_shape[1], w_shape[0], stride)
-    ref = (_grouped_conv_len if op == "conv" else _grouped_trans_conv_len)(x, w, stride, pl, out_len)
-    if one:
-        assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+def test_conv_group_width_rule(op, x_shape, w_shape, stride, one):
+    """The width rule, from the shapes conv_len and trans_conv_len pass it."""
+    _, ci, co = w_shape
+    if op == "conv":
+        assert ad._one_group(stride * ci, co, transposed=False) == one
     else:
-        assert y.tobytes() == ref.tobytes()
+        assert ad._one_group(ci, stride * co, transposed=True) == one
 
 
 @pytest.mark.float64
 @pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
-def test_conv_group_widths_match_fd(op, x_shape, w_shape, stride, one):
-    """Input, kernel and bias gradients of both widths; then, through
-    create_graph, the input gradient's own gradients in the kernel and
-    in the cotangent."""
-    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.3,
-              "b": rng.normal(size=w_shape[2])}
-    probe = rng.normal(size=_run_conv(op, Tensor(arrays["x"]), Tensor(arrays["w"]), None, stride).shape)
+def test_conv_group_widths_match_fd(op, x_shape, w_shape, stride, one, monkeypatch):
+    """Through create_graph, the input gradient's own gradients in the
+    kernel and in the cotangent, at the width each case names."""
+    monkeypatch.setattr(ad, "_one_group", lambda *args, **kwargs: one)
+    x0, w0 = rng.normal(size=x_shape), rng.normal(size=w_shape) * 0.3
+    p0 = rng.normal(size=_run_conv(op, Tensor(x0), Tensor(w0), None, stride).shape)
 
-    def loss(target, v):
-        args = dict(arrays, **{target: v})
-        with ad.no_grad():
-            out = _run_conv(op, Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), stride)
-        return float(np.sum(out.data * probe))
+    def input_grad(w, p):
+        x = Tensor(x0, requires_grad=True)
+        (gx,) = ad.grad(ad.sum_(ad.mul(_run_conv(op, x, w, None, stride), p)), [x], create_graph=True)
+        return gx
 
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    ad.backward(ad.sum_(ad.mul(_run_conv(op, *tensors.values(), stride), Tensor(probe))))
-    for target, arr in arrays.items():
-        assert rel_err(tensors[target].grad, numeric_grad(lambda v: loss(target, v), arr)) < 1e-6, target
-
-    q = rng.normal(size=x_shape)
-
-    def input_grad_dot_q(w, p):
-        x = Tensor(arrays["x"], requires_grad=True)
-        out = _run_conv(op, x, w, None, stride)
-        (gx,) = ad.grad(ad.sum_(ad.mul(out, p)), [x], create_graph=True)
-        return ad.sum_(ad.mul(gx, Tensor(q)))
-
-    w, p = Tensor(arrays["w"], requires_grad=True), Tensor(probe, requires_grad=True)
-    ad.backward(input_grad_dot_q(w, p))
-    fd_w = numeric_grad(lambda v: input_grad_dot_q(Tensor(v), Tensor(probe)).item(), arrays["w"])
-    fd_p = numeric_grad(lambda v: input_grad_dot_q(Tensor(arrays["w"]), Tensor(v)).item(), probe)
-    assert rel_err(w.grad, fd_w) < 1e-6
-    assert rel_err(p.grad, fd_p) < 1e-6
-
-
-@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", _WIDTH_CASES, ids=_width_ids)
-def test_conv_group_widths_take_zero_row_batches(op, x_shape, w_shape, stride, one):
-    x = Tensor(np.zeros((0, *x_shape[1:])), requires_grad=True)
-    w, b = Tensor(rng.normal(size=w_shape), requires_grad=True), Tensor(np.ones(w_shape[2]), requires_grad=True)
-    y = _run_conv(op, x, w, b, stride)
-    assert y.shape == (0, _conv_args(op, x_shape[1], w_shape[0], stride)[1], w_shape[2])
-    ad.backward(ad.sum_(y))
-    assert x.grad.shape == x.shape and not w.grad.any() and not b.grad.any()
-
-
-@pytest.mark.float64
-@pytest.mark.parametrize("op,x_shape,w_shape,stride,one", [c for c in _WIDTH_CASES if c[4]],
-                         ids=[i for i, c in zip(_width_ids, _WIDTH_CASES) if c[4]])
-@pytest.mark.parametrize("rows_per_block", [1, 3, 8])
-def test_one_group_blocks_agree(op, x_shape, w_shape, stride, one, rows_per_block, monkeypatch):
-    """Blocks of single rows, of part of a sample and of whole samples
-    give the same output as one block of the whole batch."""
-    x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
-    whole = _run_conv(op, x, w, None, stride).data
-    width = w_shape[0] * w_shape[1] if op == "conv" else -(-w_shape[0] // stride) * w_shape[1]
-    out = 0 if op == "conv" else stride * w_shape[2]
-    monkeypatch.setattr(ad, "_CHUNK_BYTES", rows_per_block * (width + out) * 8)
-    assert np.allclose(_run_conv(op, x, w, None, stride).data, whole, rtol=1e-12, atol=1e-12)
+    assert_grads_match_fd(input_grad, {"w": w0, "p": p0}, 1e-6)
 
 
 def test_one_group_buffer_is_bounded_by_the_chunk():
@@ -756,37 +573,6 @@ def test_one_group_buffer_is_bounded_by_the_chunk():
     assert y.shape == (64, out_len, 16)
     assert unrolled_bytes > ad._CHUNK_BYTES
     assert peak < out_bytes + padded_bytes + ad._CHUNK_BYTES + 2**16
-
-
-def _index_map(n_out, k, stride, pl, n_in):
-    """(o, j, i): output sample o meets input sample i through tap j."""
-    return [(o, j, o * stride + j - pl) for o in range(n_out) for j in range(k)
-            if 0 <= o * stride + j - pl < n_in]
-
-
-# (n, L, c_in, c_out, stride, k, pl, out_len): left pads at or past every
-# computed row, which no SAME layer makes
-_FAR_PAD_CASES = [(1, 9, 7, 7, 1, 4, 6, 2), (2, 9, 3, 2, 1, 4, 6, 2), (2, 10, 2, 3, 2, 5, 7, 2),
-                  (1, 5, 2, 2, 2, 3, 12, 3)]
-
-
-@pytest.mark.float64
-@pytest.mark.parametrize("one", [True, False], ids=["one", "stride"])
-@pytest.mark.parametrize("n,L,ci,co,stride,k,pl,out_len", _FAR_PAD_CASES)
-def test_conv_ops_take_a_left_pad_past_every_row(n, L, ci, co, stride, k, pl, out_len, one, monkeypatch):
-    """conv_len, trans_conv_len (out_len -> L) and kernel_corr_len against
-    direct sums over the index map, at either group width."""
-    monkeypatch.setattr(ad, "_one_group", lambda *a, **kw: one)
-    x, w, g = rng.normal(size=(n, L, ci)), rng.normal(size=(k, ci, co)), rng.normal(size=(n, out_len, co))
-    y, gx, gw = np.zeros(g.shape), np.zeros(x.shape), np.zeros(w.shape)
-    for o, j, i in _index_map(out_len, k, stride, pl, L):
-        y[:, o] += x[:, i] @ w[j]
-        gx[:, i] += g[:, o] @ w[j].T
-        gw[j] += x[:, i].T @ g[:, o]
-    wt = Tensor(w.transpose(0, 2, 1).copy())
-    assert np.allclose(ad.conv_len(Tensor(x), Tensor(w), None, stride, pl, out_len).data, y, rtol=0, atol=1e-12)
-    assert np.allclose(ad.trans_conv_len(Tensor(g), wt, None, stride, pl, L).data, gx, rtol=0, atol=1e-12)
-    assert np.allclose(ad.kernel_corr_len(Tensor(x), Tensor(g), stride, pl, k).data, gw, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -829,41 +615,148 @@ def test_conv2d_gradients_match_fd(x_shape, w_shape, stride):
     """Input, kernel and bias gradients against finite differences."""
     arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape) * 0.5,
               "b": rng.normal(size=w_shape[3])}
-    probe = rng.normal(size=nn.conv2d(Tensor(arrays["x"]), Tensor(arrays["w"]), None, stride).shape)
-
-    def loss(target, v):
-        args = dict(arrays, **{target: v})
-        with ad.no_grad():
-            out = nn.conv2d(Tensor(args["x"]), Tensor(args["w"]), Tensor(args["b"]), stride)
-        return float(np.sum(out.data * probe))
-
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    ad.backward(ad.sum_(ad.mul(nn.conv2d(tensors["x"], tensors["w"], tensors["b"], stride), Tensor(probe))))
-    for target, arr in arrays.items():
-        fd = numeric_grad(lambda v: loss(target, v), arr)
-        assert rel_err(tensors[target].grad, fd) < 1e-6, target
+    assert_grads_match_fd(lambda x, w, b: nn.conv2d(x, w, b, stride), arrays, 1e-6)
 
 
 @pytest.mark.float64
 @pytest.mark.parametrize("H,out_h,pt", [(7, 4, 1), (5, 2, 0), (4, 3, 0), (1, 1, 1)])
 def test_unfold_rows_vjp_and_its_vjp_match_fd(H, out_h, pt):
-    """d<unfold(x), p>/dx = fold(p), and, through create_graph,
-    d<fold(p), q>/dp = unfold(q). (4, 3, 0) reads past the last row."""
+    """unfold_rows' gradient and, through create_graph, the gradient of
+    that gradient (fold_rows' VJP). (4, 3, 0) reads past the last row."""
     kh, stride = 3, 2
-    x0 = rng.normal(size=(2, H, 3, 2))
-    p0, q = rng.normal(size=(2 * out_h, 3, kh * 2)), rng.normal(size=x0.shape)
-    x, p = Tensor(x0, requires_grad=True), Tensor(p0, requires_grad=True)
-    (gx,) = ad.grad(ad.sum_(ad.mul(ad.unfold_rows(x, kh, stride, pt, out_h), p)), [x], create_graph=True)
-    ad.backward(ad.sum_(ad.mul(gx, Tensor(q))))
+    x0, p0 = rng.normal(size=(2, H, 3, 2)), rng.normal(size=(2 * out_h, 3, kh * 2))
 
-    def unfolded(v):
-        return float(np.sum(ad.unfold_rows(Tensor(v), kh, stride, pt, out_h).data * p0))
+    def fold_by_grad(p):
+        x = Tensor(x0, requires_grad=True)
+        (gx,) = ad.grad(ad.sum_(ad.mul(ad.unfold_rows(x, kh, stride, pt, out_h), p)), [x], create_graph=True)
+        return gx
 
-    def folded(v):
-        return float(np.sum(ad.fold_rows(Tensor(v), kh, stride, pt, (2, H)).data * q))
+    assert_grads_match_fd(lambda x: ad.unfold_rows(x, kh, stride, pt, out_h), {"x": x0}, 1e-8)
+    assert_grads_match_fd(fold_by_grad, {"p": p0}, 1e-8)
 
-    assert rel_err(gx.data, numeric_grad(unfolded, x0)) < 1e-8
-    assert rel_err(p.grad, numeric_grad(folded, p0)) < 1e-8
+
+# ---------------------------------------------------------------------------
+# the linear ops against direct sums and gathers, with each VJP as their adjoint
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _assert_linear_op(op, args, expect, r):
+    """op(*args) equals `expect`, and each argument's VJP, run through
+    ad.grad, is the op's adjoint in that argument: for a random cotangent
+    c, <op(a, b), c> = <a, vjp_a(c)> = <b, vjp_b(c)>."""
+    tensors = [Tensor(a, requires_grad=True) for a in args]
+    out = op(*tensors)
+    assert out.shape == expect.shape
+    assert np.allclose(out.data, expect, rtol=0, atol=1e-10)
+    c = r.normal(size=out.shape)
+    value = np.sum(out.data * c)
+    for a, g in zip(args, ad.grad(out, tensors, cotangent=Tensor(c))):
+        assert np.isclose(np.sum(a * g.data), value, rtol=1e-9, atol=1e-9)
+
+
+def _index_map(n_out, k, stride, pad, n_in):
+    """m[o, j, i] = 1 where output o meets input i through tap j of a
+    stride-`stride` window, i = o*stride + j - pad, for i in [0, n_in)."""
+    o, j = np.ogrid[:n_out, :k]
+    return ((o * stride + j - pad)[..., None] == np.arange(n_in)).astype(float)
+
+
+@st.composite
+def _conv_cases(draw):
+    """(n, L, c_in, c_out, stride, k, pl, out_len, same). A SAME case has L a
+    multiple of the stride, k >= stride and the pads of nn.same_pads_1d;
+    otherwise pl may pass every row the output reads."""
+    same, stride = draw(st.booleans()), draw(st.integers(1, 4))
+    k, L = draw(st.integers(stride if same else 1, 25)), draw(st.integers(1, 40))
+    if same:
+        L = -(-L // stride) * stride
+        out_len, pl, _ = nn.same_pads_1d(L, k, stride)
+    else:
+        pl, out_len = draw(st.integers(0, 30)), draw(st.integers(1, 14))
+    n, ci, co = draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return n, L, ci, co, stride, k, pl, out_len, same
+
+
+@pytest.mark.float64
+@settings(_PROPERTY, max_examples=100)
+@given(case=_conv_cases(), one=st.booleans(), chunk=st.sampled_from([64, 512, 4 * 2**20]), seed=_SEEDS)
+def test_conv_ops_match_index_map_sums(case, one, chunk, seed):
+    """conv_len with and without bias, trans_conv_len (out_len -> L, kernel
+    channels swapped) and kernel_corr_len against sums over the index map,
+    at either group width and with window blocks of 64 B to 4 MiB. A SAME
+    case goes through nn.conv1d and nn.trans_conv1d."""
+    n, L, ci, co, stride, k, pl, out_len, same = case
+    r = np.random.default_rng(seed)
+    x, w, b, g = (r.normal(size=s) for s in ((n, L, ci), (k, ci, co), co, (n, out_len, co)))
+    m = _index_map(out_len, k, stride, pl, L)
+    if same:
+        def conv(x, w, b=None):
+            return nn.conv1d(x, w, b, stride)
+
+        def trans(g, w):
+            return nn.trans_conv1d(g, w, None, stride)
+    else:
+        def conv(x, w, b=None):
+            return ad.conv_len(x, w, b, stride, pl, out_len)
+
+        def trans(g, w):
+            return ad.trans_conv_len(g, w, None, stride, pl, L)
+
+    def bias(b):
+        return ad.sub(conv(Tensor(x), Tensor(w), b), conv(Tensor(x), Tensor(w)))
+
+    with mock.patch.object(ad, "_one_group", lambda *args, **kwargs: one), mock.patch.object(ad, "_CHUNK_BYTES", chunk):
+        _assert_linear_op(conv, (x, w), np.einsum("oji,nic,jcd->nod", m, x, w), r)
+        _assert_linear_op(bias, (b,), np.broadcast_to(b, (n, out_len, co)), r)
+        _assert_linear_op(trans, (g, w.transpose(0, 2, 1)), np.einsum("oji,nod,jcd->nic", m, g, w), r)
+        _assert_linear_op(lambda x, g: ad.kernel_corr_len(x, g, stride, pl, k), (x, g),
+                          np.einsum("oji,nic,nod->jcd", m, x, g), r)
+
+
+@pytest.mark.float64
+@settings(_PROPERTY, max_examples=50)
+@given(b=st.integers(0, 3), L=st.integers(1, 9), c=st.integers(1, 3), n=st.integers(1, 3), seed=_SEEDS)
+def test_shift_ops_match_the_reflected_gather(b, L, c, n, seed):
+    """shift_len against the gather of a[min(s, 2L-1-s)], s = (t + shift)
+    mod 2L, and unshift_len against its scatter-add; L < n occurs."""
+    r = np.random.default_rng(seed)
+    shifts = r.integers(-n, n + 1, size=(b, c))
+    s = (np.arange(L)[:, None, None] + shifts) % (2 * L)
+    m = (np.minimum(s, 2 * L - 1 - s)[..., None] == np.arange(L)).astype(float)  # [t, b, c, source]
+    x, g = r.normal(size=(b, L, c)), r.normal(size=(b, L, c))
+    _assert_linear_op(lambda x: ad.shift_len(x, shifts, n), (x,), np.einsum("tbcl,blc->btc", m, x), r)
+    _assert_linear_op(lambda g: ad.unshift_len(g, shifts, n), (g,), np.einsum("tbcl,btc->blc", m, g), r)
+
+
+@pytest.mark.float64
+@settings(_PROPERTY, max_examples=50)
+@given(n=st.integers(0, 2), H=st.integers(1, 7), W=st.integers(1, 3), c=st.integers(1, 2),
+       kh=st.integers(1, 4), stride=st.integers(1, 3), pt=st.integers(0, 4), out_h=st.integers(1, 5), seed=_SEEDS)
+def test_unfold_ops_match_the_row_gather(n, H, W, c, kh, stride, pt, out_h, seed):
+    """unfold_rows against a direct gather of rows o*stride + i - pt and
+    fold_rows against its scatter-add, n = 0 included."""
+    r = np.random.default_rng(seed)
+    m = _index_map(out_h, kh, stride, pt, H)
+    a, g = r.normal(size=(n, H, W, c)), r.normal(size=(n * out_h, W, kh * c))
+    _assert_linear_op(lambda a: ad.unfold_rows(a, kh, stride, pt, out_h), (a,),
+                      np.einsum("oih,nhwc->nowic", m, a).reshape(g.shape), r)
+    _assert_linear_op(lambda g: ad.fold_rows(g, kh, stride, pt, out_h, (n, H)), (g,),
+                      np.einsum("oih,nowic->nhwc", m, g.reshape(n, out_h, W, kh, c)), r)
+
+
+@pytest.mark.float64
+@settings(_PROPERTY, max_examples=50)
+@given(n=st.integers(0, 2), L=st.integers(1, 9), c=st.integers(1, 3), left=st.integers(0, 4),
+       right=st.integers(0, 4), seed=_SEEDS)
+def test_pad_and_crop_match_their_slices(n, L, c, left, right, seed):
+    """pad_len against np.pad and crop_len against a slice."""
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, L, c))
+    start, stop = sorted(int(v) for v in r.integers(0, L + 1, size=2))
+    _assert_linear_op(lambda x: ad.pad_len(x, left, right), (x,), np.pad(x, ((0, 0), (left, right), (0, 0))), r)
+    _assert_linear_op(lambda x: ad.crop_len(x, start, stop), (x,), x[:, start:stop], r)
 
 
 # ---------------------------------------------------------------------------
@@ -949,20 +842,20 @@ def _param(values, grad):
 def test_adam_zero_gradient_keeps_params():
     p = {"w": _param([1.0, -2.0], np.zeros(2))}
     before = p["w"].data.copy()
-    adam_step(p, AdamState())
+    adam_step(p, AdamState(alpha=1e-4, beta1=0.9, beta2=0.999))
     assert np.array_equal(p["w"].data, before)
 
 
 def test_adam_skips_a_parameter_without_gradient():
     p = {"w": _param([1.0], [1.0]), "b": Tensor(np.array([2.0]), requires_grad=True)}
-    state = adam_step(p, AdamState())
+    state = adam_step(p, AdamState(alpha=1e-4, beta1=0.9, beta2=0.999))
     assert p["b"].data[0] == 2.0 and list(state.first_moment) == ["w"]
 
 
 @pytest.mark.float64
 def test_adam_first_step_is_minus_alpha():
     p = {"w": _param([0.5], np.ones(1))}
-    state = AdamState(alpha=1e-4)
+    state = AdamState(alpha=1e-4, beta1=0.9, beta2=0.999)
     adam_step(p, state)
     delta = p["w"].data[0] - 0.5
     assert abs(delta + 1e-4) < 1e-9
@@ -972,7 +865,7 @@ def test_adam_deterministic():
     def run():
         g = np.random.default_rng(5)
         p = {"w": Tensor(g.normal(size=4), requires_grad=True)}
-        state = AdamState(alpha=1e-2)
+        state = AdamState(alpha=1e-2, beta1=0.9, beta2=0.999)
         for _ in range(10):
             p["w"].grad = g.normal(size=4).astype(ad.DTYPE)
             adam_step(p, state)
@@ -984,7 +877,7 @@ def test_adam_deterministic():
 def test_adam_shape_mismatch():
     p = {"w": _param(np.zeros(3), np.zeros(4))}
     with pytest.raises(ValueError):
-        adam_step(p, AdamState())
+        adam_step(p, AdamState(alpha=1e-4, beta1=0.9, beta2=0.999))
 
 
 # ---------------------------------------------------------------------------

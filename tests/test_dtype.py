@@ -65,7 +65,7 @@ def _train_step_and_infer(name, net, seed=0):
     ad.backward(loss)
     grads = [p.grad for p in net.params.values() if p.grad is not None]
     assert grads and all(g.dtype == F32 for g in grads)
-    adam_step(net.params, AdamState())
+    adam_step(net.params, AdamState(alpha=1e-4, beta1=0.9, beta2=0.999))
     assert all(v.dtype == F32 for v in net.state_dict().values())
     assert models.infer(net, x).dtype == F32
 

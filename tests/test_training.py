@@ -304,6 +304,24 @@ def test_gan_deterministic_rerun():
         assert np.array_equal(c1.params[k].data, c2.params[k].data)
 
 
+def test_gan_returns_the_generator_of_its_best_inception_score(monkeypatch):
+    # 32 signals in batches of 8 and three generator steps: 15 critic
+    # updates over epochs 0-3, each scored once
+    snapshots, scores = [], iter([1.0, 3.0, 2.0, 1.5])
+
+    def score(generator, *args):
+        snapshots.append(generator.state_dict())
+        return next(scores)
+
+    monkeypatch.setattr(training, "_inception_of_generator", score)
+    cfg = tiny_gan_cfg(generator_steps=None, epochs=4, is_eval_every=1)
+    generator, _, _ = train_gan(make_sines(n=32), cfg, seed=11, classifier=object())
+    final = generator.state_dict()
+    assert len(snapshots) == 4
+    assert all(np.array_equal(final[k], snapshots[1][k]) for k in final)
+    assert not all(np.array_equal(final[k], snapshots[3][k]) for k in final)
+
+
 def test_gan_insufficient_data():
     with pytest.raises(ValueError):
         train_gan(make_sines(n=4), tiny_gan_cfg(), seed=0)
