@@ -13,15 +13,23 @@ gradients (needed for the critic's gradient penalty) come for free via
 ``grad(..., create_graph=True)``. Linear ops come in pairs whose VJPs are
 each other: ``conv_len``/``trans_conv_len``, the phase-shuffle pair
 ``shift_len``/``unshift_len`` and the 2-D row unfold ``unfold_rows``/``fold_rows``.
-Two VJPs are plain numpy, train-mode ``batch_norm_train``'s closed form and
-``max_pool_2x2``'s; they are first order only and raise GraphError under
+Two VJPs are plain numpy: that of ``batch_norm_train``, train-mode batch
+norm and the (leaky) ReLU after it as one node, is its closed form behind
+the activation's slope, and ``max_pool_2x2``'s routes each cotangent to its
+window's winner. They are first order only and raise GraphError under
 ``create_graph``. No second-order path crosses them: the critic, the one
 network differentiated twice, has no batch norm and no pool.
 
 VJPs read their inputs' data when they run, not when the node is
 recorded (``relu`` and ``leaky_relu`` rebuild their mask or slope from
-their input then), so nothing may write an activation in place between
-the forward pass and the walk that differentiates it.
+their input then, ``batch_norm_train`` its slope from the normalized
+input it keeps), so nothing may write an activation in place between
+the forward pass and the walk that differentiates it. There is one
+exception, for a buffer its owner hands over: ``batch_norm_train`` with
+``overwrite_x`` writes the normalized input over x's buffer.
+``models.Network.forward`` asks for it only on a kernel layer's output,
+which no other layer reads and whose own VJP reads only that layer's
+input and kernel.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -289,20 +297,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), vjp)
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Train-mode batch norm over every axis but the last (channel) axis.
+def batch_norm_train(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, alpha: float, overwrite_x: bool
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode batch norm over every axis but the last (channel) axis,
+    and the leaky ReLU of slope `alpha` in [0, 1] after it, as one node.
 
-    Returns y = (x - mu) / sqrt(var + eps) * gamma + beta and the batch mean
-    mu and biased variance var per channel. The VJP is the closed form of
-    Ioffe & Szegedy in numpy, so it is first order only: it raises
-    GraphError when called while a graph is recorded (create_graph=True).
+    Returns act(y) for y = xhat * gamma + beta, xhat = (x - mu) / sqrt(var + eps),
+    and the batch mean mu and biased variance var per channel. act(y) is
+    max(y, alpha*y), as ``leaky_relu`` computes it; alpha = 0 is ``relu``'s
+    max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
+    no activation. The node keeps xhat and its output only: its VJP
+    rebuilds y from xhat with the forward's expression, takes the slope
+    from it as ``leaky_relu`` does, and applies the closed form of Ioffe &
+    Szegedy in numpy, so it is first order only: it raises GraphError when
+    called while a graph is recorded (create_graph=True).
+
+    With overwrite_x, xhat is written over x's buffer, so the caller must
+    own that buffer: nothing may read x.data afterwards, the VJP of the
+    node that made x included.
     """
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
     c = x.shape[-1]
     # one row per sample, so that per-channel vectors tiled to a row broadcast
     # with long inner loops, and channel sums add each position's batch sum
     x2 = x.data.reshape(x.shape[0], -1)
     reps = x2.shape[1] // c
     m = x.size // c
+    dt = x2.dtype.type
 
     def channel_sum(v):
         return v.reshape(reps, c).sum(0)
@@ -311,17 +334,33 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
         return np.tile(v, reps)
 
     mu = channel_sum(np.einsum("ij->j", x2)) / m
-    xhat = x2 - row(mu)
+    xhat = np.subtract(x2, row(mu), out=x2 if overwrite_x else None)
     var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
-    y = xhat * row(gamma.data)
-    y += row(beta.data)
+
+    def affine():
+        y = xhat * row(gamma.data)
+        y += row(beta.data)
+        return y
+
+    y = affine()
+    if alpha == 0:
+        np.maximum(y, 0, out=y)
+    elif alpha < 1:
+        np.maximum(y, y * dt(alpha), out=y)
 
     def vjp(g):
         if _grad_enabled:
             raise GraphError("batch_norm in train mode has no second-order gradient")
-        g2 = g.data.reshape(x2.shape)
+        g2 = g.data.reshape(xhat.shape)
+        if alpha < 1:
+            # the slope, 1 or alpha, built in y's rebuilt buffer as leaky_relu builds it
+            slope = affine()
+            np.greater(slope, 0, out=slope)
+            slope *= dt(1.0 - alpha)
+            slope += dt(alpha)
+            g2 = np.multiply(g2, slope, out=slope)
         dbeta = channel_sum(np.einsum("ij->j", g2))
         dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
         gx = None

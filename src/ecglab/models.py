@@ -19,6 +19,14 @@ Nor has a spec's last layer, a kernel layer in the critic only (``dense1``): its
 score enters the WGAN loss only as mean(real) - mean(fake), and the gradient
 penalty only through its input gradient, so that bias's gradient is exactly 0.
 
+A batch norm layer ends in the activation that follows it (``alpha``: the
+generator's leaky ReLU, the classifier's ReLU at 0), so a generator stage
+is tconv -> batch norm and a classifier stage conv2d -> batch norm -> pool.
+In train mode ``Network.forward`` lets the batch norm normalize in place
+over the kernel layer's output, a buffer the forward made and that only
+the batch norm reads: each such stage keeps two activation-sized buffers
+(the normalized input and the activation) and two graph nodes.
+
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element
 ``meta.<field>`` array: ``d``, ``z_len``, ``signal_length`` for the
@@ -49,6 +57,7 @@ INFER_BATCH = 128
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
 _NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d"}
+_REQUIRED = {"kernel": _NEEDS_KERNEL, "stride": _NEEDS_STRIDE, "alpha": {"batch_norm"}}
 
 
 @dataclass(frozen=True)
@@ -60,12 +69,12 @@ class LayerSpec:
     target: int | None = None
     shape: tuple[int, ...] | None = None
     param: str | None = None
+    alpha: float | None = None  # slope of the activation a batch norm ends in
 
     def __post_init__(self):
-        if (self.kernel is not None) != (self.kind in _NEEDS_KERNEL):
-            raise ValueError(f"layer {self.kind!r}: kernel {'required' if self.kind in _NEEDS_KERNEL else 'not allowed'}")
-        if (self.stride is not None) != (self.kind in _NEEDS_STRIDE):
-            raise ValueError(f"layer {self.kind!r}: stride {'required' if self.kind in _NEEDS_STRIDE else 'not allowed'}")
+        for field, kinds in _REQUIRED.items():
+            if (getattr(self, field) is not None) != (self.kind in kinds):
+                raise ValueError(f"layer {self.kind!r}: {field} {'required' if self.kind in kinds else 'not allowed'}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,7 @@ def generator_spec(d: int, z_len: int, signal_length: int) -> NetworkSpec:
             LayerSpec("trans_conv1d", kernel=(KERNEL_1D, ci, co), stride=STRIDE_1D, param=f"tconv{i}")
         )
         if i < stages:
-            layers.append(LayerSpec("batch_norm", param=f"bn{i}"))
-            layers.append(LayerSpec("leaky_relu"))
+            layers.append(LayerSpec("batch_norm", param=f"bn{i}", alpha=LRELU_ALPHA))
     layers.append(LayerSpec("crop", target=signal_length))
     layers.append(LayerSpec("tanh"))
     return NetworkSpec("generator", d, z_len, signal_length, tuple(layers))
@@ -128,8 +136,7 @@ def inception_spec() -> NetworkSpec:
     ci = 1
     for i in range(3):
         layers.append(LayerSpec("conv2d", kernel=(3, 3, ci, c), stride=2, param=f"conv{i + 1}"))
-        layers.append(LayerSpec("batch_norm", param=f"bn{i + 1}"))
-        layers.append(LayerSpec("relu"))
+        layers.append(LayerSpec("batch_norm", param=f"bn{i + 1}", alpha=0.0))
         layers.append(LayerSpec("maxpool2d"))
         ci = c
     layers.append(LayerSpec("reshape", shape=(c,)))
@@ -201,6 +208,7 @@ class Network:
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
         h = x
+        owned = False  # whether h is a kernel layer's output, which a batch norm may overwrite
         for i, layer in enumerate(self.spec.layers):
             k = layer.kind
             if stop_at is not None and k == stop_at:
@@ -217,11 +225,11 @@ class Network:
                     self.params[f"{layer.param}.beta"],
                     self.running[layer.param],
                     mode,
+                    layer.alpha,
+                    overwrite_x=owned,
                 )
             elif k == "leaky_relu":
                 h = ad.leaky_relu(h, LRELU_ALPHA)
-            elif k == "relu":
-                h = ad.relu(h)
             elif k == "tanh":
                 h = ad.tanh(h)
             elif k == "sigmoid":
@@ -234,6 +242,7 @@ class Network:
                 h = ad.reshape(h, (h.shape[0],) + layer.shape)
             else:
                 raise ValueError(f"unknown layer kind {k!r}")
+            owned = k in _NEEDS_KERNEL
             if trace is not None:
                 trace.append((i, k, h.shape))
         return h

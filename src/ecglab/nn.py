@@ -32,11 +32,14 @@ as kw taps of kh*c input channels. The row unfold's adjoint,
 (sample, channel) row is gathered as one length-L window of the
 symmetrically padded row, and its adjoint writes the rows back into
 their windows and folds the padding onto the samples it reflects.
-Train-mode ``batch_norm`` is one node (``autodiff.batch_norm_train``)
-whose VJP is the closed form, first order only; inference mode folds
-the running statistics into one scale and shift per channel
-(``autodiff.scale_shift``), through which gamma and beta still get
-gradients. ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
+``batch_norm`` ends in the (leaky) ReLU that follows it in the networks.
+In train mode the two are one node (``autodiff.batch_norm_train``) that
+keeps the normalized input and the activation only, whose VJP is the
+closed form, first order only; given ``overwrite_x``, it normalizes in
+place over the conv output it is handed. Inference mode folds the running
+statistics into one scale and shift per channel (``autodiff.scale_shift``),
+through which gamma and beta still get gradients, and then applies the
+activation as its own node. ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
 whose VJP, like train-mode batch norm's, is first order only.
 """
 
@@ -117,12 +120,19 @@ def batch_norm(
     beta: Tensor,
     running: dict[str, np.ndarray],
     mode: str,
+    alpha: float = 1.0,
+    overwrite_x: bool = False,
 ) -> Tensor:
-    """Per-channel standardization over batch and spatial axes (channel last)."""
+    """Per-channel standardization over batch and spatial axes (channel last),
+    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none).
+
+    With `overwrite_x`, train mode writes the normalized input over x's
+    buffer, which the caller must own (``autodiff.batch_norm_train``).
+    """
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs batch size >= 2")
-        out, mu, var = ad.batch_norm_train(x, gamma, beta, BN_EPS)
+        out, mu, var = ad.batch_norm_train(x, gamma, beta, BN_EPS, alpha, overwrite_x)
         running["mean"] = BN_MOMENTUM * running["mean"] + (1 - BN_MOMENTUM) * mu
         running["var"] = BN_MOMENTUM * running["var"] + (1 - BN_MOMENTUM) * var
         return out
@@ -130,7 +140,10 @@ def batch_norm(
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + BN_EPS)))
     shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
-    return ad.scale_shift(x, scale, shift)
+    out = ad.scale_shift(x, scale, shift)
+    if alpha == 1:
+        return out
+    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha)
 
 
 def phase_shuffle(

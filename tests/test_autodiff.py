@@ -285,6 +285,98 @@ def test_batch_norm_train_is_one_node_with_first_order_vjp_only():
 
 
 # ---------------------------------------------------------------------------
+# batch norm and its activation as one node
+
+_BN_ACTS = [(0.2, lambda t: ad.leaky_relu(t, 0.2)), (0.0, ad.relu)]
+_bn_act_ids = ["leaky_relu", "relu"]
+
+
+def _signed_zero_bn_arrays(shape):
+    """x, gamma and beta over 4 channels, where y = xhat * gamma + beta is
+    exactly +0 or -0 on the last three: gamma 0 and beta -0 (xhat's sign
+    decides), a constant x (xhat +0) with gamma < 0 and beta -0 (all -0),
+    and gamma 0 and beta +0 (all +0)."""
+    x = rng.normal(loc=0.5, scale=1.5, size=shape)
+    x[..., 2] = 1.0
+    return {"x": x, "gamma": np.array([rng.normal(), 0.0, -1.5, 0.0]),
+            "beta": np.array([rng.normal(), -0.0, -0.0, 0.0])}
+
+
+@pytest.mark.parametrize("alpha,act", _BN_ACTS, ids=_bn_act_ids)
+@pytest.mark.parametrize("shape", [(4, 6, 4), (3, 4, 5, 4)])
+def test_batch_norm_activation_node_is_bit_equal_to_the_composition(alpha, act, shape):
+    """The one node against batch norm followed by the activation's own node:
+    the same output, running statistics and gradients of x, gamma and beta,
+    byte for byte, with and without xhat written over x's buffer."""
+    arrays = {k: np.asarray(v, dtype=ad.DTYPE) for k, v in _signed_zero_bn_arrays(shape).items()}
+    g0 = rng.normal(size=shape).astype(ad.DTYPE)
+
+    def run(bn):
+        running = {"mean": np.linspace(-1, 1, 4, dtype=ad.DTYPE), "var": np.linspace(0.5, 2, 4, dtype=ad.DTYPE)}
+        t = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+        out = bn(t["x"], t["gamma"], t["beta"], running)
+        grads = ad.grad(out, list(t.values()), cotangent=Tensor(g0))
+        return out.data, [out.data.tobytes(), running["mean"].tobytes(), running["var"].tobytes(),
+                          *(g.data.tobytes() for g in grads)]
+
+    pre, _ = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train"))
+    zeros = pre[pre == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both zeros meet the activation
+    _, ref = run(lambda x, gamma, beta, r: act(nn.batch_norm(x, gamma, beta, r, "train")))
+    for overwrite in (False, True):
+        _, got = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train", alpha, overwrite))
+        assert got == ref, overwrite
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("alpha", [0.2, 0.0], ids=_bn_act_ids)
+def test_batch_norm_activation_gradients_match_fd(alpha):
+    """On a leaf, and written over a transposed conv's output as
+    Network.forward runs it; the checker feeds the same leaf arrays to every
+    evaluation, so an overwritten leaf would show here too."""
+    running = {"mean": np.zeros(3), "var": np.ones(3)}
+    local = np.random.default_rng(18)
+    assert_grads_match_fd(lambda x, gamma, beta: nn.batch_norm(x, gamma, beta, running, "train", alpha),
+                          {"x": local.normal(size=(4, 6, 3)), "gamma": local.normal(size=3),
+                           "beta": local.normal(size=3)}, 1e-6)
+
+    def staged(x, w, gamma, beta):
+        return nn.batch_norm(nn.trans_conv1d(x, w, None, 2), gamma, beta, running, "train", alpha, True)
+
+    assert_grads_match_fd(staged, {"x": local.normal(size=(3, 4, 2)), "w": local.normal(size=(5, 2, 3)) * 0.5,
+                                   "gamma": local.normal(size=3), "beta": local.normal(size=3)}, 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0], ids=_bn_act_ids)
+def test_batch_norm_activation_has_no_second_order_gradient(alpha):
+    x = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+    out = nn.batch_norm(x, gamma, beta, {"mean": np.zeros(3), "var": np.ones(3)}, "train", alpha)
+    assert out._parents == (x, gamma, beta)
+    loss = ad.sum_(ad.mul(out, out))
+    ad.grad(loss, [x, gamma, beta])
+    with pytest.raises(ad.GraphError, match="second-order"):
+        ad.grad(loss, [x], create_graph=True)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.2, 0.0])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_leaves_a_leaf_input_unchanged(alpha, mode):
+    x0 = rng.normal(size=(4, 6, 3)).astype(ad.DTYPE)
+    x = Tensor(x0.copy(), requires_grad=True)
+    nn.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), {"mean": np.zeros(3), "var": np.ones(3)}, mode, alpha)
+    assert x.data.tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        nn.batch_norm(Tensor(np.ones((2, 3, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                      {"mean": np.zeros(1), "var": np.ones(1)}, mode, alpha)
+
+
+# ---------------------------------------------------------------------------
 # leaky relu
 
 

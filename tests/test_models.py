@@ -20,10 +20,10 @@ def shapes_of(net, x, mode="infer", rng_=None):
 # architecture tables
 GENERATOR_SHAPES = [
     (2, 2048), (2, 8, 256),
-    (2, 32, 128), (2, 32, 128), (2, 32, 128),
-    (2, 128, 64), (2, 128, 64), (2, 128, 64),
-    (2, 512, 32), (2, 512, 32), (2, 512, 32),
-    (2, 2048, 16), (2, 2048, 16), (2, 2048, 16),
+    (2, 32, 128), (2, 32, 128),
+    (2, 128, 64), (2, 128, 64),
+    (2, 512, 32), (2, 512, 32),
+    (2, 2048, 16), (2, 2048, 16),
     (2, 8192, 1), (2, 5000, 1), (2, 5000, 1),
 ]
 
@@ -37,9 +37,9 @@ CRITIC_SHAPES = [
 ]
 
 INCEPTION_SHAPES = [
-    (2, 32, 32, 64), (2, 32, 32, 64), (2, 32, 32, 64), (2, 16, 16, 64),
-    (2, 8, 8, 64), (2, 8, 8, 64), (2, 8, 8, 64), (2, 4, 4, 64),
-    (2, 2, 2, 64), (2, 2, 2, 64), (2, 2, 2, 64), (2, 1, 1, 64),
+    (2, 32, 32, 64), (2, 32, 32, 64), (2, 16, 16, 64),
+    (2, 8, 8, 64), (2, 8, 8, 64), (2, 4, 4, 64),
+    (2, 2, 2, 64), (2, 2, 2, 64), (2, 1, 1, 64),
     (2, 64), (2, 5),
     (2, 5),
 ]
@@ -253,7 +253,7 @@ def test_load_state_dict_rejects_a_key_the_network_lacks():
 
 
 def test_batch_norm_without_a_kernel_layer_before_it_raises():
-    spec = models.NetworkSpec("bad", 0, 0, 8, (models.LayerSpec("batch_norm", param="bn1"),))
+    spec = models.NetworkSpec("bad", 0, 0, 8, (models.LayerSpec("batch_norm", param="bn1", alpha=0.0),))
     with pytest.raises(ValueError, match="no preceding"):
         models.Network(spec)
 
@@ -263,6 +263,66 @@ def test_layer_spec_validation():
         models.LayerSpec("conv1d", kernel=(25, 1, 1))  # missing stride
     with pytest.raises(ValueError):
         models.LayerSpec("tanh", stride=2)  # stride not allowed
+    with pytest.raises(ValueError, match="^layer 'batch_norm': alpha required$"):
+        models.LayerSpec("batch_norm", param="bn1")
+    with pytest.raises(ValueError, match="^layer 'leaky_relu': alpha not allowed$"):
+        models.LayerSpec("leaky_relu", alpha=0.2)
+
+
+# ---------------------------------------------------------------------------
+# batch norm written over the kernel layer's output
+
+
+def _graph(root):
+    """Every tensor reachable from `root` through `_parents`."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_train_generator_stage_holds_two_buffers_and_two_nodes():
+    """Each tconv -> batch norm stage of a train-mode graph is two nodes, and
+    holds two buffers of its size: the normalized input, written over the
+    tconv output, and the activation the next tconv reads."""
+    net = models.build("generator", d=2, z_len=8, signal_length=512, seed=0)
+    nodes = _graph(net.forward(Tensor(rng.uniform(-1, 1, size=(4, 8))), mode="train"))
+    stages = [layer.param for layer in net.spec.layers if layer.kind == "batch_norm"]
+    assert stages == ["bn1", "bn2"]
+    for i, _ in enumerate(stages, 1):
+        (bn,) = [t for t in nodes if any(p is net.params[f"bn{i}.gamma"] for p in t._parents)]
+        tconv = bn._parents[0]
+        assert any(p is net.params[f"tconv{i}.w"] for p in tconv._parents)
+        (reader,) = [t for t in nodes if any(p is bn for p in t._parents)]
+        assert any(p is net.params[f"tconv{i + 1}.w"] for p in reader._parents)
+        held = [tconv.data, bn.data] + [
+            c.cell_contents for c in bn._vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.size >= tconv.size]
+        buffers = []
+        for arr in held:
+            if not any(np.shares_memory(arr, b) for b in buffers):
+                buffers.append(arr)
+        assert len(buffers) == 2, f"bn{i}"
+
+
+@pytest.mark.parametrize("name", ["generator", "inception"])
+def test_a_batch_norm_run_alone_leaves_its_leaf_input_unchanged(name):
+    """A spec holding only the batch norm layer, as the benchmark's layer
+    table runs it: its input is a leaf, not a kernel layer's output."""
+    import dataclasses
+
+    net = models.build(name, d=2, z_len=8, signal_length=128, seed=0)
+    layer = next(layer for layer in net.spec.layers if layer.kind == "batch_norm")
+    net.spec = dataclasses.replace(net.spec, layers=(layer,))
+    c = net.params[f"{layer.param}.gamma"].size
+    shape = (4, 32, c) if name == "generator" else (4, 8, 8, c)
+    x0 = rng.normal(size=shape).astype(ad.DTYPE)
+    x = Tensor(x0.copy(), requires_grad=True)
+    ad.backward(ad.sum_(net.forward(x, mode="train")))
+    assert x.data.tobytes() == x0.tobytes()
 
 
 # ---------------------------------------------------------------------------
