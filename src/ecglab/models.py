@@ -30,8 +30,10 @@ the batch norm reads: each such stage keeps two activation-sized buffers
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element
 ``meta.<field>`` array: ``d``, ``z_len``, ``signal_length`` for the
-generator, ``d``, ``signal_length`` for the critic and the denoiser, none
-for the classifier. ``from_checkpoint`` reads them back by name, so their
+generator, ``d``, ``signal_length``, ``phase_shuffle_n`` for the critic,
+``d``, ``signal_length`` for the denoiser (whose phase shuffle acts in
+train mode only, and no subcommand trains a loaded denoiser), none for
+the classifier. ``from_checkpoint`` reads them back by name, so their
 order in the file does not matter.
 """
 
@@ -84,6 +86,7 @@ class NetworkSpec:
     z_len: int
     signal_length: int
     layers: tuple[LayerSpec, ...]
+    phase_shuffle_n: int = 0
 
 
 def _upsample_stages(signal_length: int) -> int:
@@ -127,7 +130,7 @@ def critic_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSpec
     flat = length * channels[-1]
     layers.append(LayerSpec("reshape", shape=(flat,)))
     layers.append(LayerSpec("dense", kernel=(flat, 1), param="dense1"))
-    return NetworkSpec("critic", d, 0, signal_length, tuple(layers))
+    return NetworkSpec("critic", d, 0, signal_length, tuple(layers), phase_shuffle_n)
 
 
 def inception_spec() -> NetworkSpec:
@@ -163,7 +166,7 @@ def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSp
         layers.append(LayerSpec("leaky_relu"))
     layers.append(LayerSpec("crop", target=signal_length))
     layers.append(LayerSpec("tanh"))
-    return NetworkSpec("denoiser", d, 0, signal_length, tuple(layers))
+    return NetworkSpec("denoiser", d, 0, signal_length, tuple(layers), phase_shuffle_n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def build(
 # the spec fields each network's checkpoint records, in the order written
 _META_FIELDS = {
     "generator": ("d", "z_len", "signal_length"),
-    "critic": ("d", "signal_length"),
+    "critic": ("d", "signal_length", "phase_shuffle_n"),
     "inception": (),
     "denoiser": ("d", "signal_length"),
 }

@@ -331,7 +331,8 @@ def test_a_batch_norm_run_alone_leaves_its_leaf_input_unchanged(name):
 
 _META_CASES = {
     "generator": (dict(d=2, z_len=8, signal_length=128), ["d", "z_len", "signal_length"]),
-    "critic": (dict(d=3, signal_length=96), ["d", "signal_length"]),
+    # phase shuffle 1, not build's default 2: the file must carry it
+    "critic": (dict(d=3, signal_length=96, phase_shuffle_n=1), ["d", "signal_length", "phase_shuffle_n"]),
     "inception": ({}, []),
     "denoiser": (dict(d=2, signal_length=96), ["d", "signal_length"]),
 }
@@ -367,7 +368,8 @@ def test_from_checkpoint_reads_metadata_by_name_in_any_order():
 
 
 @pytest.mark.parametrize("name,missing", [("generator", "d"), ("generator", "z_len"),
-                                          ("generator", "signal_length"), ("denoiser", "d")])
+                                          ("generator", "signal_length"), ("denoiser", "d"),
+                                          ("critic", "phase_shuffle_n")])
 def test_from_checkpoint_names_the_missing_metadata(name, missing):
     state = models.checkpoint_state(models.build(name, d=2, signal_length=128))
     del state[f"meta.{missing}"]
