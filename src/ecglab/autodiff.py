@@ -22,14 +22,18 @@ network differentiated twice, has no batch norm and no pool.
 
 VJPs read their inputs' data when they run, not when the node is
 recorded (``relu`` and ``leaky_relu`` rebuild their mask or slope from
-their input then, ``batch_norm_train`` its slope from the normalized
-input it keeps), so nothing may write an activation in place between
-the forward pass and the walk that differentiates it. There is one
-exception, for a buffer its owner hands over: ``batch_norm_train`` with
-``overwrite_x`` writes the normalized input over x's buffer.
-``models.Network.forward`` asks for it only on a kernel layer's output,
-which no other layer reads and whose own VJP reads only that layer's
-input and kernel.
+their input then, ``batch_norm_train`` its slope from the output it
+keeps), so nothing may write an activation in place between the forward
+pass and the walk that differentiates it. There are two exceptions, for
+a buffer its owner hands over, both asked for with ``overwrite_x``:
+``batch_norm_train`` writes the normalized input over x's buffer, and
+``leaky_relu`` writes its output over its input's. The mask that
+``leaky_relu``'s VJP then reads at backward time is the output's sign,
+which is the input's (see ``leaky_relu``). ``models.Network.forward``
+asks for either only on a kernel layer's output or the phase shuffle of
+one: no other layer reads it, and neither the kernel layer's VJP nor the
+shuffle's reads its own output. Inference-mode ``nn.batch_norm`` asks
+``leaky_relu`` for it on ``scale_shift``'s fresh output.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -222,13 +226,22 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
 
 
-def leaky_relu(a: Tensor, alpha: float) -> Tensor:
+def leaky_relu(a: Tensor, alpha: float, overwrite_x: bool) -> Tensor:
+    """max(a, alpha*a), which is a*1 or a*alpha bit for bit for alpha in [0, 1].
+
+    With overwrite_x the result is written over a's buffer, so the caller
+    must own it as in ``batch_norm_train``: nothing but this node's VJP may
+    read a.data afterwards. That VJP reads a.data > 0, which is then the
+    output's sign and the same mask: the output is positive exactly where
+    a is, for ±0, NaN and -inf too. Only +inf at alpha = 0 differs, where
+    0*inf makes the output NaN either way; ``relu`` is the alpha = 0 op.
+    """
     if not 0 <= alpha <= 1:
         raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha}")
     dt = a.data.dtype.type
 
     def vjp(g):
-        # 1 or alpha, built arithmetically from the input at backward time:
+        # 1 or alpha, built arithmetically from a.data at backward time:
         # np.where on a data-dependent mask is several times slower, and for
         # alpha in [0, 1] (1 - alpha) + alpha rounds to exactly 1
         slope = (a.data > 0).astype(dt)
@@ -236,8 +249,8 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
         slope += dt(alpha)
         return (mul(g, Tensor(slope)),)
 
-    # max(a, alpha*a) is a*1 or a*alpha, bit for bit, when alpha is in [0, 1]
-    return _make(np.maximum(a.data, a.data * dt(alpha)), (a,), vjp)
+    y = np.maximum(a.data, a.data * dt(alpha), out=a.data if overwrite_x else None)
+    return _make(y, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +320,13 @@ def batch_norm_train(
     and the batch mean mu and biased variance var per channel. act(y) is
     max(y, alpha*y), as ``leaky_relu`` computes it; alpha = 0 is ``relu``'s
     max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
-    no activation. The node keeps xhat and its output only: its VJP
-    rebuilds y from xhat with the forward's expression, takes the slope
-    from it as ``leaky_relu`` does, and applies the closed form of Ioffe &
-    Szegedy in numpy, so it is first order only: it raises GraphError when
-    called while a graph is recorded (create_graph=True).
+    no activation. The node keeps xhat and its output only: its VJP takes
+    the slope from the output's sign as ``leaky_relu`` does (act(y) > 0
+    exactly where y > 0, for signed zeros, infinities and NaN too), and
+    applies the closed form of Ioffe & Szegedy in numpy, so it is first
+    order only: it raises GraphError when called while a graph is recorded
+    (create_graph=True). Since the VJP reads the output, nothing may write
+    over it.
 
     With overwrite_x, xhat is written over x's buffer, so the caller must
     own that buffer: nothing may read x.data afterwards, the VJP of the
@@ -338,13 +353,8 @@ def batch_norm_train(
     var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
-
-    def affine():
-        y = xhat * row(gamma.data)
-        y += row(beta.data)
-        return y
-
-    y = affine()
+    y = xhat * row(gamma.data)
+    y += row(beta.data)
     if alpha == 0:
         np.maximum(y, 0, out=y)
     elif alpha < 1:
@@ -355,9 +365,9 @@ def batch_norm_train(
             raise GraphError("batch_norm in train mode has no second-order gradient")
         g2 = g.data.reshape(xhat.shape)
         if alpha < 1:
-            # the slope, 1 or alpha, built in y's rebuilt buffer as leaky_relu builds it
-            slope = affine()
-            np.greater(slope, 0, out=slope)
+            # the slope, 1 or alpha, built as leaky_relu builds it; act(y) > 0
+            # exactly where y > 0, so the kept output gives the mask
+            slope = np.greater(y, 0, out=np.empty_like(y))
             slope *= dt(1.0 - alpha)
             slope += dt(alpha)
             g2 = np.multiply(g2, slope, out=slope)

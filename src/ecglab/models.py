@@ -27,6 +27,16 @@ over the kernel layer's output, a buffer the forward made and that only
 the batch norm reads: each such stage keeps two activation-sized buffers
 (the normalized input and the activation) and two graph nodes.
 
+A leaky ReLU (critic and denoiser) writes its output over the kernel
+layer's output it follows in the same way, in either mode, so a denoiser
+conv -> leaky ReLU stage holds one activation-sized buffer. The critic's
+train-mode phase shuffle between the two is a fresh gather, so a critic
+stage holds two: the conv output and the shuffled activation. The rule is
+that ``forward`` marks a layer's output as owned when the layer is a
+kernel layer, or a phase shuffle of an owned input; never at layer 0,
+whose input is the caller's, and never after a batch norm, whose output
+its own VJP reads.
+
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element
 ``meta.<field>`` array: ``d``, ``z_len``, ``signal_length`` for the
@@ -211,7 +221,9 @@ class Network:
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
         h = x
-        owned = False  # whether h is a kernel layer's output, which a batch norm may overwrite
+        # whether h is a kernel layer's output, or the phase shuffle of one,
+        # which the batch norm or leaky ReLU after it may overwrite
+        owned = False
         for i, layer in enumerate(self.spec.layers):
             k = layer.kind
             if stop_at is not None and k == stop_at:
@@ -232,7 +244,7 @@ class Network:
                     overwrite_x=owned,
                 )
             elif k == "leaky_relu":
-                h = ad.leaky_relu(h, LRELU_ALPHA)
+                h = ad.leaky_relu(h, LRELU_ALPHA, overwrite_x=owned)
             elif k == "tanh":
                 h = ad.tanh(h)
             elif k == "sigmoid":
@@ -245,7 +257,10 @@ class Network:
                 h = ad.reshape(h, (h.shape[0],) + layer.shape)
             else:
                 raise ValueError(f"unknown layer kind {k!r}")
-            owned = k in _NEEDS_KERNEL
+            # a train-mode shuffle's output is a fresh gather no VJP reads, and
+            # an inference one is its input; a batch norm's output is read by
+            # its own VJP, so it is never owned
+            owned = k in _NEEDS_KERNEL or (k == "phase_shuffle" and owned)
             if trace is not None:
                 trace.append((i, k, h.shape))
         return h

@@ -39,7 +39,10 @@ closed form, first order only; given ``overwrite_x``, it normalizes in
 place over the conv output it is handed. Inference mode folds the running
 statistics into one scale and shift per channel (``autodiff.scale_shift``),
 through which gamma and beta still get gradients, and then applies the
-activation as its own node. ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
+activation as its own node. A leaky ReLU there writes over
+``scale_shift``'s fresh output, which only it reads (``scale_shift``'s VJP
+reads its input), so that pair holds one activation-sized buffer.
+``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
 whose VJP, like train-mode batch norm's, is first order only.
 """
 
@@ -143,7 +146,7 @@ def batch_norm(
     out = ad.scale_shift(x, scale, shift)
     if alpha == 1:
         return out
-    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha)
+    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha, overwrite_x=True)
 
 
 def phase_shuffle(

@@ -287,7 +287,7 @@ def test_batch_norm_train_is_one_node_with_first_order_vjp_only():
 # ---------------------------------------------------------------------------
 # batch norm and its activation as one node
 
-_BN_ACTS = [(0.2, lambda t: ad.leaky_relu(t, 0.2)), (0.0, ad.relu)]
+_BN_ACTS = [(0.2, lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False)), (0.0, ad.relu)]
 _bn_act_ids = ["leaky_relu", "relu"]
 
 
@@ -383,27 +383,33 @@ def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
 @pytest.mark.parametrize("alpha", [0.2, 0.01, 0.3, 0.7])
 @pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
 def test_leaky_relu_is_bit_equal_to_where_form(alpha, dtype):
+    """Output and gradient bytes, with the output in a fresh buffer and
+    written over x's (whose VJP then reads the output's sign as its mask)."""
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-30, -1e-30]
     x0 = np.concatenate([special, rng.normal(size=200)]).astype(ad.DTYPE)
     g0 = rng.normal(size=x0.shape).astype(ad.DTYPE)
     slope = np.where(x0 > 0, ad.DTYPE(1.0), ad.DTYPE(alpha))
-    x = Tensor(x0, requires_grad=True)
-    y = ad.leaky_relu(x, alpha)
-    (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
-    assert y.data.dtype == np.dtype(dtype)
-    assert y.data.tobytes() == (x0 * slope).tobytes()
-    assert gx.data.tobytes() == (g0 * slope).tobytes()
+    for overwrite in (False, True):
+        x = Tensor(x0.copy(), requires_grad=True)
+        y = ad.leaky_relu(x, alpha, overwrite_x=overwrite)
+        (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+        assert y.data.dtype == np.dtype(dtype)
+        assert y.data.tobytes() == (x0 * slope).tobytes(), overwrite
+        assert gx.data.tobytes() == (g0 * slope).tobytes(), overwrite
+        assert np.shares_memory(y.data, x.data) == overwrite
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
 def test_leaky_relu_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match="alpha"):
-        ad.leaky_relu(Tensor(np.ones(3)), alpha)
+        ad.leaky_relu(Tensor(np.ones(3)), alpha, overwrite_x=False)
 
 
-@pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2), ad.relu], ids=["leaky_relu", "relu"])
+@pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False), ad.relu],
+                         ids=["leaky_relu", "relu"])
 def test_relu_node_holds_no_activation_sized_array(op):
-    """The slope or mask is rebuilt from the input at backward time, so the
+    """The slope or mask is rebuilt from the parent's data at backward time
+    (the input, or with overwrite_x the output written over it), so the
     recorded node keeps no array of the activation's size besides its parent."""
     x = Tensor(rng.normal(size=(4, 50, 3)), requires_grad=True)
     y = op(x)
@@ -470,7 +476,7 @@ def _layer_cases():
         ("conv2d", (2, 7, 5, 2), lambda t: nn.conv2d(t, Tensor(k2), Tensor(np.zeros(3)), 2)),
         ("maxpool2d", (2, 4, 4, 3), lambda t: nn.maxpool2d(t)),
         ("dense", (3, 6), lambda t: nn.dense(t, Tensor(wd), Tensor(np.ones(4)))),
-        ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2)),
+        ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False)),
         ("relu", (3, 7, 2), lambda t: ad.relu(t)),
         ("tanh", (3, 7), lambda t: ad.tanh(t)),
         ("sigmoid", (3, 7), lambda t: ad.sigmoid(t)),
@@ -570,7 +576,7 @@ def test_composed_network_gradient_matches_fd():
     wd = rng.normal(size=(9, 1)) * 0.4
 
     def forward(x, w1, w2, wd):
-        h = ad.leaky_relu(nn.conv1d(x, w1, None, 2), 0.2)
+        h = ad.leaky_relu(nn.conv1d(x, w1, None, 2), 0.2, overwrite_x=True)
         h = ad.tanh(nn.conv1d(h, w2, None, 2))
         return ad.sum_(nn.dense(ad.reshape(h, (h.shape[0], 9)), wd, None))
 

@@ -181,8 +181,8 @@ def test_transfer_copies_encoder_activations():
         # walk the shared four convolutions of both nets, shuffle disabled
         hc, hd = Tensor(x), Tensor(x)
         for name in models.ENCODER_CONVS:
-            hc = ad.leaky_relu(nn.conv1d(hc, critic.params[f"{name}.w"], critic.params[f"{name}.b"], 4), 0.2)
-            hd = ad.leaky_relu(nn.conv1d(hd, den.params[f"{name}.w"], den.params[f"{name}.b"], 4), 0.2)
+            hc = ad.leaky_relu(nn.conv1d(hc, critic.params[f"{name}.w"], critic.params[f"{name}.b"], 4), 0.2, True)
+            hd = ad.leaky_relu(nn.conv1d(hd, den.params[f"{name}.w"], den.params[f"{name}.b"], 4), 0.2, True)
     assert np.max(np.abs(hc.data - hd.data)) < 1e-12
 
 
@@ -308,17 +308,46 @@ def test_train_generator_stage_holds_two_buffers_and_two_nodes():
         assert len(buffers) == 2, f"bn{i}"
 
 
-@pytest.mark.parametrize("name", ["generator", "inception"])
+def test_train_leaky_relu_stages_hold_one_buffer_in_the_denoiser_and_two_in_the_critic():
+    """A denoiser conv -> leaky ReLU stage writes the activation over the
+    conv output, so the two share one buffer; a critic conv -> shuffle ->
+    leaky ReLU stage keeps the conv output and the activation, written over
+    the shuffle's fresh gather. The input leaf is never written."""
+    for name, shuffled, per_stage in (("denoiser", False, 1), ("critic", True, 2)):
+        net = models.build(name, d=2, signal_length=256, seed=0, phase_shuffle_n=2)
+        x0 = rng.normal(size=(3, 256, 1)).astype(ad.DTYPE)
+        x = Tensor(x0.copy(), requires_grad=True)
+        nodes = _graph(net.forward(x, mode="train", rng=np.random.default_rng(0)))
+        kernels = [layer.param for layer in net.spec.layers if layer.kind in ("conv1d", "trans_conv1d")]
+        assert len(kernels) == (8 if name == "denoiser" else 5)
+        for param in kernels:
+            stage = [t for t in nodes if any(p is net.params[f"{param}.w"] for p in t._parents)]
+            assert len(stage) == 1, param
+            for _ in range(1 + shuffled):
+                (reader,) = [t for t in nodes if any(p is stage[-1] for p in t._parents)]
+                stage.append(reader)
+            assert stage[-1]._vjp.__qualname__.startswith("leaky_relu."), param
+            buffers = []
+            for t in stage:
+                if not any(np.shares_memory(t.data, b) for b in buffers):
+                    buffers.append(t.data)
+            assert len(buffers) == per_stage, f"{name} {param}"
+        assert x.data.tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("name", ["generator", "inception", "critic", "denoiser"])
 def test_a_batch_norm_run_alone_leaves_its_leaf_input_unchanged(name):
-    """A spec holding only the batch norm layer, as the benchmark's layer
-    table runs it: its input is a leaf, not a kernel layer's output."""
+    """A spec holding only the batch norm layer (generator, classifier) or
+    leaky ReLU layer (critic, denoiser), as the benchmark's layer table runs
+    it: its input is a leaf, not a kernel layer's output."""
     import dataclasses
 
     net = models.build(name, d=2, z_len=8, signal_length=128, seed=0)
-    layer = next(layer for layer in net.spec.layers if layer.kind == "batch_norm")
+    kind = "batch_norm" if name in ("generator", "inception") else "leaky_relu"
+    layer = next(layer for layer in net.spec.layers if layer.kind == kind)
     net.spec = dataclasses.replace(net.spec, layers=(layer,))
-    c = net.params[f"{layer.param}.gamma"].size
-    shape = (4, 32, c) if name == "generator" else (4, 8, 8, c)
+    c = net.params[f"{layer.param}.gamma"].size if kind == "batch_norm" else 3
+    shape = (4, 8, 8, c) if name == "inception" else (4, 32, c)
     x0 = rng.normal(size=shape).astype(ad.DTYPE)
     x = Tensor(x0.copy(), requires_grad=True)
     ad.backward(ad.sum_(net.forward(x, mode="train")))
