@@ -44,10 +44,14 @@ sums for the critic's parameters. The recorded gradient graph still
 depends on those parameters.
 
 ``backward`` consumes the graph: it sets ``.grad`` on leaves only
-(interior nodes keep ``.grad`` None) and unlinks each node as soon as
-its VJP has run, so activations are freed during the walk rather than
-when the cyclic garbage collector next runs. Walking a consumed graph
-again raises GraphError.
+(interior nodes keep ``.grad`` None) and unlinks each node as it walks
+it, so activations are freed during the walk rather than when the cyclic
+garbage collector next runs. The walk drops its own reference to each
+node before that node's VJP runs, and the VJP's closure holds only what
+it reads: an output that no VJP reads (a conv output holding batch
+norm's xhat once that VJP has run, the generator's last transposed conv
+output before the crop) is freed before the next VJP allocates. Walking
+a consumed graph again raises GraphError.
 """
 
 from __future__ import annotations
@@ -227,17 +231,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float, overwrite_x: bool) -> Tensor:
-    """max(a, alpha*a), which is a*1 or a*alpha bit for bit for alpha in [0, 1].
+    """max(a, alpha*a), which is a*1 or a*alpha bit for bit for alpha in (0, 1].
 
     With overwrite_x the result is written over a's buffer, so the caller
     must own it as in ``batch_norm_train``: nothing but this node's VJP may
     read a.data afterwards. That VJP reads a.data > 0, which is then the
     output's sign and the same mask: the output is positive exactly where
-    a is, for ±0, NaN and -inf too. Only +inf at alpha = 0 differs, where
-    0*inf makes the output NaN either way; ``relu`` is the alpha = 0 op.
+    a is, for ±0, ±inf and NaN too. alpha = 0 is refused, since 0*inf
+    would make max(+inf, 0*inf) NaN; ``relu`` is the op for slope 0.
     """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha}")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"leaky_relu alpha must be in (0, 1], got {alpha}; relu is the op for slope 0")
     dt = a.data.dtype.type
 
     def vjp(g):
@@ -310,6 +314,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), vjp)
 
 
+# the block of sample rows batch norm's input gradient is computed in: its
+# four passes then run in cache (the VJP of a (64, 2048, 16) node timed
+# 8-9 ms against 10-11 over whole arrays), and its one temporary is small
+_BN_BLOCK_BYTES = 2**18
+
+
 def batch_norm_train(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float, alpha: float, overwrite_x: bool
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -331,6 +341,13 @@ def batch_norm_train(
     With overwrite_x, xhat is written over x's buffer, so the caller must
     own that buffer: nothing may read x.data afterwards, the VJP of the
     node that made x included.
+
+    The VJP allocates one activation-sized buffer: the slope, which the
+    cotangent is multiplied into and x's gradient is then written over.
+    At alpha = 1 there is no slope, and x's gradient gets that buffer
+    instead. Besides it, the VJP allocates one block of at most
+    _BN_BLOCK_BYTES (a whole sample row if one is larger) and a few
+    row-sized channel vectors.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
@@ -375,11 +392,20 @@ def batch_norm_train(
         dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
         gx = None
         if x.requires_grad:
-            # gamma * inv * (g - dbeta / m - xhat * dgamma / m)
-            gx = xhat * row(dgamma / m)
-            np.subtract(g2, gx, out=gx)
-            gx -= row(dbeta / m)
-            gx *= row(gamma.data * inv)
+            # gamma * inv * (g - dbeta / m - xhat * dgamma / m), written over
+            # the slope buffer one block of sample rows at a time, with the
+            # same four elementwise ops as over the whole array; at alpha = 1
+            # g2 is g's own buffer, so gx gets a fresh one
+            gx = g2 if alpha < 1 else np.empty_like(g2)
+            scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
+            step = max(1, _BN_BLOCK_BYTES // (g2.shape[1] * g2.itemsize))
+            block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
+            for r in range(0, len(g2), step):
+                rows = gx[r : r + step]
+                t = np.multiply(xhat[r : r + step], scale, out=block[: len(rows)])
+                np.subtract(g2[r : r + step], t, out=rows)
+                rows -= shift
+                rows *= factor
             gx = Tensor(gx.reshape(x.shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
@@ -740,6 +766,16 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _accumulate(pending: dict[int, tuple[Tensor, Tensor]], parents, grads) -> None:
+    """Add each parent's gradient into `pending`. A function of its own, so
+    its loop variables die with it instead of pinning the next node."""
+    for p, pg in zip(parents, grads):
+        if pg is None or not _wants(p):
+            continue
+        prev = pending.get(id(p))
+        pending[id(p)] = (p, pg if prev is None else add(prev[1], pg))
+
+
 def _reverse_walk(
     root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
 ) -> dict[int, tuple[Tensor, Tensor]]:
@@ -767,18 +803,18 @@ def _reverse_walk(
     try:
         while order:
             node = order.pop()
-            # every consumer of `node` has run, so its cotangent is complete
-            hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
-            vjp, parents = node._vjp, node._parents
+            key, vjp, parents = id(node), node._vjp, node._parents
             if release and vjp is not None:
                 node._vjp, node._parents = _consumed, ()
-            if hit is None or vjp is None:
-                continue
-            for p, pg in zip(parents, vjp(hit[1])):
-                if pg is None or not _wants(p):
-                    continue
-                prev_hit = pending.get(id(p))
-                pending[id(p)] = (p, pg if prev_hit is None else add(prev_hit[1], pg))
+            # every consumer of `node` has run, so its cotangent is complete
+            hit = pending.get(key) if key in keep else pending.pop(key, None)
+            g = None if hit is None else hit[1]
+            # the walk holds no reference to the node while its VJP runs (the
+            # VJP's closure holds what it reads), so under backward an output
+            # no VJP reads is freed here, before the VJP allocates
+            del node, hit
+            if g is not None and vjp is not None:
+                _accumulate(pending, parents, vjp(g))
     finally:
         _grad_enabled, _walk_to = prev
     # leaves are never in `order`, so they and the kept nodes are what is left

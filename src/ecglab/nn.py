@@ -141,6 +141,8 @@ def batch_norm(
         return out
     if mode != "infer":
         raise ValueError(f"unknown batch_norm mode {mode!r}")
+    if not 0 <= alpha <= 1:  # batch_norm_train checks train mode; leaky_relu alone refuses 0
+        raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
     scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + BN_EPS)))
     shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
     out = ad.scale_shift(x, scale, shift)

@@ -162,6 +162,7 @@ def train_gan(
     _require_finite(data, "training signal")
     vi, ti = _hold_out(rng, len(real), cfg.val_fraction)
     val_data, train_data = data[vi], data[ti]
+    del data  # both parts are copies
     if train_data.shape[0] < cfg.batch_size:
         raise ValueError(
             f"{train_data.shape[0]} training signals cannot fill one batch of {cfg.batch_size}"
@@ -202,24 +203,10 @@ def train_gan(
             if epoch > epoch_seen:
                 end_epoch(epoch_seen)
                 epoch_seen = epoch
-            real_batch = train_data[idx]
-            z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
-            with ad.no_grad():
-                fake_batch = generator.forward(z, mode="train", rng=rng).data
-
-            zero_grads(critic.params)
-            c_real = critic.forward(Tensor(real_batch), mode="train", rng=rng)
-            c_fake = critic.forward(Tensor(fake_batch), mode="train", rng=rng)
-            gp = gradient_penalty(critic, real_batch, fake_batch, rng)
-            w_est = ad.sub(ad.mean_(c_real), ad.mean_(c_fake))
-            loss_c = ad.add(ad.neg(w_est), ad.mul(Tensor(cfg.gp_lambda), gp))
             step += 1
-            critic_loss = _finite_loss(loss_c, step, "critic")
-            ad.backward(loss_c)
-            adam_step(critic.params, opt_c)
+            critic_loss, w_est, gp = _critic_step(generator, critic, opt_c, train_data[idx], cfg, rng, step)
             log.add(step=step, kind="critic", epoch=epoch,
-                    critic_loss=critic_loss, wasserstein_estimate=w_est.item(),
-                    gp_term=gp.item())
+                    critic_loss=critic_loss, wasserstein_estimate=w_est, gp_term=gp)
 
         z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
         zero_grads(generator.params)
@@ -236,6 +223,27 @@ def train_gan(
     if best_gen_state is not None:
         generator.load_state_dict(best_gen_state)
     return generator, critic, log
+
+
+def _critic_step(generator, critic, opt_c, real_batch, cfg, rng, step) -> tuple[float, float, float]:
+    """One critic update on a real batch and a fresh fake one; returns the
+    critic loss, the Wasserstein estimate and the gradient penalty. Its
+    batches, scores and losses die when it returns, before the generator
+    step allocates."""
+    z = models.sample_latent(rng, cfg.batch_size, cfg.z_len, cfg.latent)
+    with ad.no_grad():
+        fake_batch = generator.forward(z, mode="train", rng=rng).data
+
+    zero_grads(critic.params)
+    c_real = critic.forward(Tensor(real_batch), mode="train", rng=rng)
+    c_fake = critic.forward(Tensor(fake_batch), mode="train", rng=rng)
+    gp = gradient_penalty(critic, real_batch, fake_batch, rng)
+    w_est = ad.sub(ad.mean_(c_real), ad.mean_(c_fake))
+    loss_c = ad.add(ad.neg(w_est), ad.mul(Tensor(cfg.gp_lambda), gp))
+    critic_loss = _finite_loss(loss_c, step, "critic")
+    ad.backward(loss_c)
+    adam_step(critic.params, opt_c)
+    return critic_loss, w_est.item(), gp.item()
 
 
 def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng):

@@ -368,6 +368,61 @@ def test_batch_norm_leaves_a_leaf_input_unchanged(alpha, mode):
     assert x.data.tobytes() == x0.tobytes()
 
 
+def _bn_vjp_whole_array(xhat, y, g, gamma, inv, alpha):
+    """(gx, dgamma, dbeta) of batch_norm_train's VJP, computed over whole
+    arrays as it was before it wrote gx over its slope buffer by blocks."""
+    n, c = len(xhat), gamma.size
+    x2, y2, g2 = (a.reshape(n, -1) for a in (xhat, y, g))
+    reps, m = x2.shape[1] // c, xhat.size // c
+
+    def channel_sum(v):
+        return v.reshape(reps, c).sum(0)
+
+    def row(v):
+        return np.tile(v, reps)
+
+    if alpha < 1:
+        g2 = g2 * np.where(y2 > 0, ad.DTYPE(1), ad.DTYPE(alpha))
+    dbeta = channel_sum(np.einsum("ij->j", g2))
+    dgamma = channel_sum(np.einsum("ij,ij->j", g2, x2))
+    gx = x2 * row(dgamma / m)
+    np.subtract(g2, gx, out=gx)
+    gx -= row(dbeta / m)
+    gx *= row(gamma * inv)
+    return gx.reshape(xhat.shape), dgamma, dbeta
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.0])
+@pytest.mark.parametrize("n", [40, 42], ids=["whole_blocks", "short_last_block"])
+def test_batch_norm_vjp_writes_the_input_gradient_blockwise_over_its_slope(alpha, n, monkeypatch):
+    """Byte-equal to the whole-array form, with blocks of 4 sample rows.
+    Beyond the arrays it returns, the VJP allocates one block and a few
+    channel rows: gx is the slope buffer (at alpha = 1, its one fresh
+    buffer), not a second activation-sized array."""
+    import tracemalloc
+
+    L, c = 1024, 4
+    row_bytes = L * c * np.dtype(ad.DTYPE).itemsize
+    monkeypatch.setattr(ad, "_BN_BLOCK_BYTES", 4 * row_bytes)
+    local = np.random.default_rng(20)
+    x = Tensor(local.normal(loc=0.5, scale=1.5, size=(n, L, c)), requires_grad=True)
+    gamma = Tensor(local.normal(size=c), requires_grad=True)
+    beta = Tensor(local.normal(size=c), requires_grad=True)
+    out, _, var = ad.batch_norm_train(x, gamma, beta, nn.BN_EPS, alpha, overwrite_x=True)
+    g = Tensor(local.normal(size=(n, L, c)))
+    # x's buffer holds the very xhat the VJP reads
+    want = _bn_vjp_whole_array(x.data, out.data, g.data, gamma.data, 1 / np.sqrt(var + nn.BN_EPS), alpha)
+    tracemalloc.start()
+    try:
+        grads = ad.grad(out, [x, gamma, beta], cotangent=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.data.tobytes() for t in grads] == [a.tobytes() for a in want]
+    returned = sum(t.data.nbytes for t in grads)
+    assert peak - returned < 4 * row_bytes + 8 * row_bytes
+
+
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
@@ -399,10 +454,12 @@ def test_leaky_relu_is_bit_equal_to_where_form(alpha, dtype):
         assert np.shares_memory(y.data, x.data) == overwrite
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), 0.0])
 def test_leaky_relu_rejects_alpha_outside_unit_interval(alpha):
-    with pytest.raises(ValueError, match="alpha"):
+    """0 too: max(+inf, 0*inf) would be NaN, and relu is the op for slope 0."""
+    with pytest.raises(ValueError, match="alpha.*relu is the op for slope 0") as err:
         ad.leaky_relu(Tensor(np.ones(3)), alpha, overwrite_x=False)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False), ad.relu],
@@ -878,6 +935,46 @@ def test_backward_frees_graph_without_gc():
         del loss
         assert alive() is None
         assert w.grad is not None
+    finally:
+        gc.enable()
+
+
+def _spied_conv_graph():
+    """A conv whose output only tanh's node holds (tanh's VJP reads its own
+    output, not its input); returns w, the loss, a weakref to the conv
+    output's array and a list the conv's VJP appends to when it runs:
+    whether that array was still alive."""
+    x = Tensor(rng.normal(size=(2, 9, 1)))
+    w = Tensor(rng.normal(size=(3, 1, 2)), requires_grad=True)
+    h = nn.conv1d(x, w, None, 2)
+    alive, seen, vjp = weakref.ref(h.data), [], h._vjp
+
+    def spy(g):
+        seen.append(alive() is not None)
+        return vjp(g)
+
+    h._vjp = spy
+    t = ad.tanh(h)
+    return w, ad.sum_(ad.mul(t, t)), alive, seen
+
+
+def test_backward_frees_an_unread_output_before_its_own_vjp_runs():
+    """No VJP reads the conv output, and under backward the walk holds no
+    reference to a node while its VJP runs, so the array is already dead
+    then. grad keeps the graph, and so the array, for a second walk."""
+    gc.disable()
+    try:
+        w, loss, alive, seen = _spied_conv_graph()
+        ad.backward(loss)
+        assert seen == [False]
+        assert w.grad is not None
+
+        w, loss, alive, seen = _spied_conv_graph()
+        (g1,) = ad.grad(loss, [w])
+        (g2,) = ad.grad(loss, [w])
+        assert seen == [True, True]
+        assert alive() is not None
+        assert g1.data.tobytes() == g2.data.tobytes()
     finally:
         gc.enable()
 
