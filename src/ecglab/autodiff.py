@@ -20,45 +20,41 @@ window's winner. They are first order only and raise GraphError under
 ``create_graph``. No second-order path crosses them: the critic, the one
 network differentiated twice, has no batch norm and no pool.
 
-VJPs read their inputs' data when they run, not when the node is
-recorded (``relu`` and ``leaky_relu`` rebuild their mask or slope from
-their input then, ``batch_norm_train`` its slope from the output it
-keeps), so nothing may write an activation in place between the forward
-pass and the walk that differentiates it. There are two exceptions, for
-a buffer its owner hands over, both asked for with ``overwrite_x``:
-``batch_norm_train`` writes the normalized input over x's buffer, and
-``leaky_relu`` writes its output over its input's. The mask that
-``leaky_relu``'s VJP then reads at backward time is the output's sign,
-which is the input's (see ``leaky_relu``). ``models.Network.forward``
-asks for either only on a kernel layer's output or the phase shuffle of
-one: no other layer reads it, and neither the kernel layer's VJP nor the
-shuffle's reads its own output. Inference-mode ``nn.batch_norm`` asks
-``leaky_relu`` for it on ``scale_shift``'s fresh output.
+Each recorded op is a node that holds its VJP and its parents' graph
+vertices, and nothing else: a vertex is a parent's node, or the parent
+itself when it is a leaf (a Tensor no op recorded). The Tensor an op
+returns keeps its data and its node; its ``_vjp`` and ``_parents`` are
+read from that node. So the one memory rule is PyTorch's (Paszke et al.
+2019): an activation lives while the forward holds its Tensor or a VJP
+closure reads it, and no longer. A VJP closure captures the arrays or
+Tensors it reads (``leaky_relu``'s its output, whose sign is the mask;
+``batch_norm_train``'s xhat and its output) and only shapes of the
+rest, so an output that no VJP reads (a conv output once batch norm,
+the phase shuffle or the leaky ReLU after it has read it) is freed as
+soon as the forward drops it. VJPs read what they captured when they
+run, so nothing may write an activation in place between the forward
+pass and the walk that differentiates it; no op writes over its input.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
-from). It prunes its walk to the tensors on a path to ``wrt``: the VJPs
-ask ``_wants`` rather than ``requires_grad`` whether a parent needs a
-gradient, so the penalty's walk computes no kernel correlations or bias
-sums for the critic's parameters. The recorded gradient graph still
+from). It prunes its walk to the vertices on a path to ``wrt``: the walk
+hands each VJP one flag per parent, whether that parent needs a gradient
+(``_wants``), so the penalty's walk computes no kernel correlations or
+bias sums for the critic's parameters. The recorded gradient graph still
 depends on those parameters.
 
 ``backward`` consumes the graph: it sets ``.grad`` on leaves only
-(interior nodes keep ``.grad`` None) and unlinks each node as it walks
-it, so activations are freed during the walk rather than when the cyclic
-garbage collector next runs. The walk drops its own reference to each
-node before that node's VJP runs, and the VJP's closure holds only what
-it reads: an output that no VJP reads (a conv output holding batch
-norm's xhat once that VJP has run, the generator's last transposed conv
-output before the crop) is freed before the next VJP allocates. Walking
-a consumed graph again raises GraphError.
+(interior tensors keep ``.grad`` None) and unlinks each node as it walks
+it, so each VJP's closure, and what it reads, is freed once the VJP has
+run rather than when the cyclic garbage collector next runs. Walking a
+consumed graph again raises GraphError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -86,15 +82,35 @@ class GraphError(RuntimeError):
     """Raised when a value has no recorded graph, or backward() consumed it."""
 
 
+class _Node:
+    """A recorded op: its VJP, called as vjp(g, need) with one flag per
+    parent (whether the walk needs that parent's gradient), and its
+    parents' graph vertices. Only ops a gradient flows through record one."""
+
+    __slots__ = ("_vjp", "_parents")
+    requires_grad = True
+
+    def __init__(self, vjp, parents: tuple):
+        self._vjp = vjp
+        self._parents = parents
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[Tensor], Sequence[Tensor | None]] | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _vjp(self) -> Callable | None:
+        return None if self._node is None else self._node._vjp
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,24 +127,31 @@ class Tensor:
         return float(self.data)
 
 
+# a graph vertex: a recorded op's node, or a leaf Tensor
+Vertex = _Node | Tensor
+
+
+def _vertex(t: Tensor) -> Vertex:
+    """t's vertex in the graph: its node, or t itself when it is a leaf."""
+    return t if t._node is None else t._node
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._parents = ()
-    out._vjp = None
+    out._node = None
     out.requires_grad = False
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple(_vertex(p) for p in parents))
     return out
 
 
-def _wants(t: Tensor) -> bool:
-    """Whether the running walk needs the gradient of t. VJPs test this
-    before computing a parent's gradient, so grad skips parameters."""
-    return t.requires_grad and (_walk_to is None or id(t) in _walk_to)
+def _wants(v: Vertex) -> bool:
+    """Whether the running walk needs the gradient of vertex v. The walk
+    passes it to each VJP per parent, so grad skips parameters."""
+    return v.requires_grad and (_walk_to is None or id(v) in _walk_to)
 
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -149,33 +172,37 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (_unbroadcast(g, a.shape) if _wants(a) else None,
-                _unbroadcast(g, b.shape) if _wants(b) else None)
+    sa, sb = a.shape, b.shape
+
+    def vjp(g, need):
+        return (_unbroadcast(g, sa) if need[0] else None,
+                _unbroadcast(g, sb) if need[1] else None)
 
     return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)
+    sa, sb = a.shape, b.shape
+
+    def vjp(g, need):
+        return _unbroadcast(g, sa), _unbroadcast(neg(g), sb)
 
     return _make(a.data - b.data, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (neg(g),))
+    return _make(-a.data, (a,), lambda g, need: (neg(g),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, need):
         return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
 
     return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, need):
         ga = _unbroadcast(div(g, b), a.shape)
         gb = _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
         return ga, gb
@@ -184,76 +211,75 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, mul(Tensor(np.asarray(p, dtype=DTYPE)), pow_const(a, p - 1))),)
 
     return _make(a.data**p, (a,), vjp)
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    out = _make(out_data, (a,), None)
-    if out._parents:
-        out._vjp = lambda g: (mul(g, out),)
+    out = _make(np.exp(a.data), (a,), None)
+    if out._node is not None:  # the VJP reads the output, which exists only now
+        out._node._vjp = lambda g, need: (mul(g, out),)
     return out
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (div(g, a),))
+    return _make(np.log(a.data), (a,), lambda g, need: (div(g, a),))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = _make(np.sqrt(a.data), (a,), None)
-    if out._parents:
-        out._vjp = lambda g: (div(mul(g, Tensor(0.5)), out),)
+    if out._node is not None:
+        out._node._vjp = lambda g, need: (div(mul(g, Tensor(0.5)), out),)
     return out
 
 
 def tanh(a: Tensor) -> Tensor:
     out = _make(np.tanh(a.data), (a,), None)
-    if out._parents:
-        out._vjp = lambda g: (mul(g, sub(Tensor(1.0), mul(out, out))),)
+    if out._node is not None:
+        out._node._vjp = lambda g, need: (mul(g, sub(Tensor(1.0), mul(out, out))),)
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    out = _make(out_data, (a,), None)
-    if out._parents:
-        out._vjp = lambda g: (mul(g, mul(out, sub(Tensor(1.0), out))),)
+    out = _make(1.0 / (1.0 + np.exp(-a.data)), (a,), None)
+    if out._node is not None:
+        out._node._vjp = lambda g, need: (mul(g, mul(out, sub(Tensor(1.0), out))),)
     return out
 
 
 def relu(a: Tensor) -> Tensor:
     # max(a, 0) is +0.0 for every a <= 0, -inf included; the VJP rebuilds
     # the mask from the input, so the node holds none
-    return _make(np.maximum(a.data, 0), (a,), lambda g: (mul(g, Tensor(a.data > 0)),))
+    return _make(np.maximum(a.data, 0), (a,), lambda g, need: (mul(g, Tensor(a.data > 0)),))
 
 
-def leaky_relu(a: Tensor, alpha: float, overwrite_x: bool) -> Tensor:
+def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     """max(a, alpha*a), which is a*1 or a*alpha bit for bit for alpha in (0, 1].
 
-    With overwrite_x the result is written over a's buffer, so the caller
-    must own it as in ``batch_norm_train``: nothing but this node's VJP may
-    read a.data afterwards. That VJP reads a.data > 0, which is then the
-    output's sign and the same mask: the output is positive exactly where
-    a is, for ±0, ±inf and NaN too. alpha = 0 is refused, since 0*inf
-    would make max(+inf, 0*inf) NaN; ``relu`` is the op for slope 0.
+    alpha*a goes into a fresh buffer and the maximum into the same buffer,
+    which is the output. The node keeps that output: its VJP reads its
+    sign, which is the mask a > 0 bit for bit (the output is positive
+    exactly where a is, for ±0, ±inf and NaN too). alpha = 0 is refused,
+    since 0*inf would make max(+inf, 0*inf) NaN; ``relu`` is the op for
+    slope 0.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"leaky_relu alpha must be in (0, 1], got {alpha}; relu is the op for slope 0")
     dt = a.data.dtype.type
+    y = np.multiply(a.data, dt(alpha))
+    np.maximum(a.data, y, out=y)
 
-    def vjp(g):
-        # 1 or alpha, built arithmetically from a.data at backward time:
-        # np.where on a data-dependent mask is several times slower, and for
-        # alpha in [0, 1] (1 - alpha) + alpha rounds to exactly 1
-        slope = (a.data > 0).astype(dt)
+    def vjp(g, need):
+        # 1 or alpha, built arithmetically from the output's sign: np.where on
+        # a data-dependent mask is several times slower, and for alpha in
+        # [0, 1] (1 - alpha) + alpha rounds to exactly 1
+        slope = (y > 0).astype(dt)
         slope *= dt(1.0 - alpha)
         slope += dt(alpha)
         return (mul(g, Tensor(slope)),)
 
-    y = np.maximum(a.data, a.data * dt(alpha), out=a.data if overwrite_x else None)
     return _make(y, (a,), vjp)
 
 
@@ -264,7 +290,7 @@ def leaky_relu(a: Tensor, alpha: float, overwrite_x: bool) -> Tensor:
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, need):
         if axis is not None and not keepdims:
             axes = {ax % len(in_shape) for ax in (axis if isinstance(axis, tuple) else (axis,))}
             g = reshape(g, tuple(1 if i in axes else n for i, n in enumerate(in_shape)))
@@ -286,42 +312,40 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def expand(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Broadcast to `shape` (copying); adjoint of sum over broadcast axes."""
-
-    def vjp(g):
-        return (_unbroadcast(g, a.shape),)
-
-    return _make(np.broadcast_to(a.data, shape).copy(), (a,), vjp)
+    in_shape = a.shape
+    return _make(np.broadcast_to(a.data, shape).copy(), (a,), lambda g, need: (_unbroadcast(g, in_shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     in_shape = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (reshape(g, in_shape),))
+    return _make(a.data.reshape(shape), (a,), lambda g, need: (reshape(g, in_shape),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = tuple(int(i) for i in np.argsort(axes))
-    return _make(np.transpose(a.data, axes), (a,), lambda g: (transpose(g, inv),))
+    return _make(np.transpose(a.data, axes), (a,), lambda g, need: (transpose(g, inv),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
 
-    def vjp(g):
-        return (matmul(g, transpose(b, (1, 0))) if _wants(a) else None,
-                matmul(transpose(a, (1, 0)), g) if _wants(b) else None)
+    def vjp(g, need):
+        return (matmul(g, transpose(b, (1, 0))) if need[0] else None,
+                matmul(transpose(a, (1, 0)), g) if need[1] else None)
 
     return _make(a.data @ b.data, (a, b), vjp)
 
 
-# the block of sample rows batch norm's input gradient is computed in: its
-# four passes then run in cache (the VJP of a (64, 2048, 16) node timed
-# 8-9 ms against 10-11 over whole arrays), and its one temporary is small
+# the block of sample rows that batch norm's activation and input gradient
+# are computed in: the gradient's four passes then run in cache (the VJP of
+# a (64, 2048, 16) node timed 8-9 ms against 10-11 over whole arrays), and
+# the one temporary of either is small
 _BN_BLOCK_BYTES = 2**18
 
 
 def batch_norm_train(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, alpha: float, overwrite_x: bool
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, alpha: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Train-mode batch norm over every axis but the last (channel) axis,
     and the leaky ReLU of slope `alpha` in [0, 1] after it, as one node.
@@ -330,34 +354,32 @@ def batch_norm_train(
     and the batch mean mu and biased variance var per channel. act(y) is
     max(y, alpha*y), as ``leaky_relu`` computes it; alpha = 0 is ``relu``'s
     max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
-    no activation. The node keeps xhat and its output only: its VJP takes
-    the slope from the output's sign as ``leaky_relu`` does (act(y) > 0
+    no activation. The node keeps xhat and its output only, not x: its VJP
+    takes the slope from the output's sign as ``leaky_relu`` does (act(y) > 0
     exactly where y > 0, for signed zeros, infinities and NaN too), and
     applies the closed form of Ioffe & Szegedy in numpy, so it is first
     order only: it raises GraphError when called while a graph is recorded
-    (create_graph=True). Since the VJP reads the output, nothing may write
-    over it.
+    (create_graph=True).
 
-    With overwrite_x, xhat is written over x's buffer, so the caller must
-    own that buffer: nothing may read x.data afterwards, the VJP of the
-    node that made x included.
-
-    The VJP allocates one activation-sized buffer: the slope, which the
-    cotangent is multiplied into and x's gradient is then written over.
-    At alpha = 1 there is no slope, and x's gradient gets that buffer
-    instead. Besides it, the VJP allocates one block of at most
-    _BN_BLOCK_BYTES (a whole sample row if one is larger) and a few
-    row-sized channel vectors.
+    The forward allocates xhat and y, and applies the activation over y
+    one block of sample rows at a time, so alpha*y needs no third
+    activation-sized buffer. The VJP allocates one activation-sized
+    buffer: the slope, which the cotangent is multiplied into and x's
+    gradient is then written over. At alpha = 1 there is no slope, and x's
+    gradient gets that buffer instead. Besides it, each pass allocates one
+    block of at most _BN_BLOCK_BYTES (a whole sample row if one is larger)
+    and a few row-sized channel vectors.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
-    c = x.shape[-1]
+    shape, c = x.shape, x.shape[-1]
     # one row per sample, so that per-channel vectors tiled to a row broadcast
     # with long inner loops, and channel sums add each position's batch sum
-    x2 = x.data.reshape(x.shape[0], -1)
+    x2 = x.data.reshape(shape[0], -1)
     reps = x2.shape[1] // c
     m = x.size // c
     dt = x2.dtype.type
+    step = max(1, _BN_BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
 
     def channel_sum(v):
         return v.reshape(reps, c).sum(0)
@@ -366,7 +388,7 @@ def batch_norm_train(
         return np.tile(v, reps)
 
     mu = channel_sum(np.einsum("ij->j", x2)) / m
-    xhat = np.subtract(x2, row(mu), out=x2 if overwrite_x else None)
+    xhat = x2 - row(mu)
     var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
@@ -375,9 +397,11 @@ def batch_norm_train(
     if alpha == 0:
         np.maximum(y, 0, out=y)
     elif alpha < 1:
-        np.maximum(y, y * dt(alpha), out=y)
+        for r in range(0, len(y), step):
+            rows = y[r : r + step]
+            np.maximum(rows, rows * dt(alpha), out=rows)
 
-    def vjp(g):
+    def vjp(g, need):
         if _grad_enabled:
             raise GraphError("batch_norm in train mode has no second-order gradient")
         g2 = g.data.reshape(xhat.shape)
@@ -391,14 +415,13 @@ def batch_norm_train(
         dbeta = channel_sum(np.einsum("ij->j", g2))
         dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
         gx = None
-        if x.requires_grad:
+        if need[0]:
             # gamma * inv * (g - dbeta / m - xhat * dgamma / m), written over
             # the slope buffer one block of sample rows at a time, with the
             # same four elementwise ops as over the whole array; at alpha = 1
             # g2 is g's own buffer, so gx gets a fresh one
             gx = g2 if alpha < 1 else np.empty_like(g2)
             scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
-            step = max(1, _BN_BLOCK_BYTES // (g2.shape[1] * g2.itemsize))
             block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
             for r in range(0, len(g2), step):
                 rows = gx[r : r + step]
@@ -406,10 +429,10 @@ def batch_norm_train(
                 np.subtract(g2[r : r + step], t, out=rows)
                 rows -= shift
                 rows *= factor
-            gx = Tensor(gx.reshape(x.shape))
+            gx = Tensor(gx.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
-    return _make(y.reshape(x.shape), (x, gamma, beta), vjp), mu, var
+    return _make(y.reshape(shape), (x, gamma, beta), vjp), mu, var
 
 
 def scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
@@ -420,10 +443,10 @@ def scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     y = x.data.reshape(n, reps * c) * np.tile(scale.data, reps)
     y += np.tile(shift.data, reps)
 
-    def vjp(g):
-        return (mul(g, scale) if _wants(x) else None,
-                _unbroadcast(mul(g, x), scale.shape) if _wants(scale) else None,
-                _unbroadcast(g, shift.shape) if _wants(shift) else None)
+    def vjp(g, need):
+        return (mul(g, scale) if need[0] else None,
+                _unbroadcast(mul(g, x), scale.shape) if need[1] else None,
+                _unbroadcast(g, shift.shape) if need[2] else None)
 
     return _make(y.reshape(x.shape), (x, scale, shift), vjp)
 
@@ -436,16 +459,12 @@ def pad_len(a: Tensor, left: int, right: int) -> Tensor:
     n, L, c = a.shape
     out = np.zeros((n, L + left + right, c), dtype=DTYPE)
     out[:, left : left + L] = a.data
-    return _make(out, (a,), lambda g: (crop_len(g, left, left + L),))
+    return _make(out, (a,), lambda g, need: (crop_len(g, left, left + L),))
 
 
 def crop_len(a: Tensor, start: int, stop: int) -> Tensor:
-    n, L, c = a.shape
-
-    def vjp(g):
-        return (pad_len(g, start, L - stop),)
-
-    return _make(a.data[:, start:stop].copy(), (a,), vjp)
+    L = a.shape[1]
+    return _make(a.data[:, start:stop].copy(), (a,), lambda g, need: (pad_len(g, start, L - stop),))
 
 
 def shift_len(a: Tensor, shifts: np.ndarray, n: int) -> Tensor:
@@ -459,7 +478,7 @@ def shift_len(a: Tensor, shifts: np.ndarray, n: int) -> Tensor:
     xp = np.pad(a.data, ((0, 0), (n, n), (0, 0)), mode="symmetric")
     rows = sliding_window_view(xp, L, axis=1)[np.arange(b)[:, None], shifts + n, np.arange(c)]
     y = np.ascontiguousarray(rows.transpose(0, 2, 1))
-    return _make(y, (a,), lambda g: (unshift_len(g, shifts, n),))
+    return _make(y, (a,), lambda g, need: (unshift_len(g, shifts, n),))
 
 
 def unshift_len(g: Tensor, shifts: np.ndarray, n: int) -> Tensor:
@@ -475,7 +494,7 @@ def unshift_len(g: Tensor, shifts: np.ndarray, n: int) -> Tensor:
         q = (p - n) % (2 * L)  # the reflection has period 2L, which covers L < n
         out[:, min(q, 2 * L - 1 - q)] += acc[:, p]
     # adding 0 copies out contiguously and turns -0 into +0, as summing into zeros does
-    return _make(out + out.dtype.type(0), (g,), lambda gg: (shift_len(gg, shifts, n),))
+    return _make(out + out.dtype.type(0), (g,), lambda gg, need: (shift_len(gg, shifts, n),))
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +583,8 @@ def _with_bias(x: Tensor, w: Tensor, b: Tensor | None, y: np.ndarray, vjp) -> Te
     rows = y.reshape(n, m * c)  # a view: y is a fresh contiguous buffer
     rows += np.tile(b.data, m)
 
-    def vjp_b(g):
-        return (*vjp(g), _unbroadcast(g, b.shape) if _wants(b) else None)
+    def vjp_b(g, need):
+        return (*vjp(g, need), _unbroadcast(g, b.shape) if need[2] else None)
 
     return _make(y, (x, w, b), vjp_b)
 
@@ -595,9 +614,9 @@ def conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int, out_l
             acc[:R] += xf[t : t + R, : wt.shape[0]] @ wt
         y = acc.reshape(n, rows, co)[:, :out_len].copy()
 
-    def vjp(g):
-        gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None
-        gw = kernel_corr_len(x, g, stride, pl, k) if _wants(w) else None
+    def vjp(g, need):
+        gx = trans_conv_len(g, _swap_channels(w), None, stride, pl, L) if need[0] else None
+        gw = kernel_corr_len(x, g, stride, pl, k) if need[1] else None
         return gx, gw
 
     return _with_bias(x, w, b, y, vjp)
@@ -638,9 +657,9 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
             acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
         y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
 
-    def vjp(g):
-        gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if _wants(x) else None
-        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if _wants(w) else None
+    def vjp(g, need):
+        gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if need[0] else None
+        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if need[1] else None
         return gx, gw
 
     return _with_bias(x, w, b, y, vjp)
@@ -665,9 +684,9 @@ def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tenso
         ot = out[taps].reshape(-1, cg)
         np.matmul(af[t : t + R, : ot.shape[0]].T, gf[:R], out=ot)
 
-    def vjp(gk):
-        ga = trans_conv_len(g, _swap_channels(gk), None, stride, pl, La) if _wants(a) else None
-        gg = conv_len(a, gk, None, stride, pl, Lg) if _wants(g) else None
+    def vjp(gk, need):
+        ga = trans_conv_len(g, _swap_channels(gk), None, stride, pl, La) if need[0] else None
+        gg = conv_len(a, gk, None, stride, pl, Lg) if need[1] else None
         return ga, gg
 
     return _make(out, (a, g), vjp)
@@ -690,7 +709,7 @@ def unfold_rows(a: Tensor, kh: int, stride: int, pt: int, out_h: int) -> Tensor:
     out = np.empty((n, out_h, W, kh, c), dtype=DTYPE)
     for i in range(kh):
         out[:, :, :, i] = xp[:, i : i + span : stride]
-    return _make(out.reshape(n * out_h, W, kh * c), (a,), lambda g: (fold_rows(g, kh, stride, pt, out_h, (n, H)),))
+    return _make(out.reshape(n * out_h, W, kh * c), (a,), lambda g, need: (fold_rows(g, kh, stride, pt, out_h, (n, H)),))
 
 
 def fold_rows(g: Tensor, kh: int, stride: int, pt: int, out_h: int, nh: tuple[int, int]) -> Tensor:
@@ -706,7 +725,7 @@ def fold_rows(g: Tensor, kh: int, stride: int, pt: int, out_h: int, nh: tuple[in
     taps = g.data.reshape(n, out_h, W, kh, c)
     for i in range(kh):
         acc[:, i : i + span : stride] += taps[:, :, :, i]
-    return _make(acc[:, pt : pt + H].copy(), (g,), lambda gg: (unfold_rows(gg, kh, stride, pt, out_h),))
+    return _make(acc[:, pt : pt + H].copy(), (g,), lambda gg, need: (unfold_rows(gg, kh, stride, pt, out_h),))
 
 
 def max_pool_2x2(x: Tensor) -> Tensor:
@@ -726,7 +745,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
         best = np.where(take, win[:, :, i, :, j], best)
         arg = np.where(take, np.uint8(k), arg)
 
-    def vjp(g):
+    def vjp(g, need):
         if _grad_enabled:
             raise GraphError("max pooling has no second-order gradient")
         gx = np.empty((n, H, W, c), dtype=DTYPE)
@@ -743,14 +762,14 @@ def max_pool_2x2(x: Tensor) -> Tensor:
 # graph traversal
 
 
-def _consumed(g):
+def _consumed(g, need):
     raise GraphError("graph already consumed by backward(); run the forward pass again")
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: Vertex) -> list[Vertex]:
+    order: list[Vertex] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Vertex, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -766,29 +785,19 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(pending: dict[int, tuple[Tensor, Tensor]], parents, grads) -> None:
-    """Add each parent's gradient into `pending`. A function of its own, so
-    its loop variables die with it instead of pinning the next node."""
-    for p, pg in zip(parents, grads):
-        if pg is None or not _wants(p):
-            continue
-        prev = pending.get(id(p))
-        pending[id(p)] = (p, pg if prev is None else add(prev[1], pg))
-
-
 def _reverse_walk(
-    root: Tensor, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
-) -> dict[int, tuple[Tensor, Tensor]]:
-    """Push `cotangent` from `root` back through its recorded graph.
+    root: Vertex, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
+) -> dict[int, tuple[Vertex, Tensor]]:
+    """Push `cotangent` from vertex `root` back through its recorded graph.
 
-    Returns {id: (tensor, cotangent)} for every leaf reached and for every
-    interior tensor whose id is in `keep`. With release=True (``backward``)
-    each node drops its VJP and parent links as it is walked, so
-    activations are freed during the walk and a second walk raises
-    GraphError. With release=False (``grad``) the graph is kept and only
-    the tensors on a path to one in `keep` get a gradient.
+    Returns {id: (vertex, cotangent)} for every leaf reached and for every
+    node whose id is in `keep`. With release=True (``backward``) each node
+    drops its VJP and parent links as it is walked, so what the VJP read
+    is freed during the walk and a second walk raises GraphError. With
+    release=False (``grad``) the graph is kept and only the vertices on a
+    path to one in `keep` get a gradient.
     """
-    pending: dict[int, tuple[Tensor, Tensor]] = {id(root): (root, cotangent)}
+    pending: dict[int, tuple[Vertex, Tensor]] = {id(root): (root, cotangent)}
     order = _topo_order(root)
     to = None
     if not release:
@@ -803,18 +812,18 @@ def _reverse_walk(
     try:
         while order:
             node = order.pop()
-            key, vjp, parents = id(node), node._vjp, node._parents
+            vjp, parents = node._vjp, node._parents
             if release and vjp is not None:
                 node._vjp, node._parents = _consumed, ()
             # every consumer of `node` has run, so its cotangent is complete
-            hit = pending.get(key) if key in keep else pending.pop(key, None)
-            g = None if hit is None else hit[1]
-            # the walk holds no reference to the node while its VJP runs (the
-            # VJP's closure holds what it reads), so under backward an output
-            # no VJP reads is freed here, before the VJP allocates
-            del node, hit
-            if g is not None and vjp is not None:
-                _accumulate(pending, parents, vjp(g))
+            hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
+            if hit is None or vjp is None:
+                continue
+            need = [_wants(p) for p in parents]
+            for p, wanted, pg in zip(parents, need, vjp(hit[1], need)):
+                if wanted and pg is not None:
+                    acc = pending.get(id(p))
+                    pending[id(p)] = (p, pg if acc is None else add(acc[1], pg))
     finally:
         _grad_enabled, _walk_to = prev
     # leaves are never in `order`, so they and the kept nodes are what is left
@@ -837,8 +846,9 @@ def grad(
         raise GraphError("output is not part of a recorded computation")
     if cotangent is None:
         cotangent = Tensor(np.ones_like(output.data))
-    hits = _reverse_walk(output, cotangent, {id(t) for t in wrt}, create_graph, release=False)
-    return [hits[id(t)][1] if id(t) in hits else Tensor(np.zeros_like(t.data)) for t in wrt]
+    ids = [id(_vertex(t)) for t in wrt]
+    hits = _reverse_walk(_vertex(output), cotangent, set(ids), create_graph, release=False)
+    return [hits[i][1] if i in hits else Tensor(np.zeros_like(t.data)) for i, t in zip(ids, wrt)]
 
 
 def backward(loss: Tensor) -> None:
@@ -852,6 +862,6 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward expects a scalar loss")
     if loss._vjp is None:
         raise GraphError("loss is not part of a recorded computation")
-    hits = _reverse_walk(loss, Tensor(np.ones_like(loss.data)), set(), False, release=True)
+    hits = _reverse_walk(loss._node, Tensor(np.ones_like(loss.data)), set(), False, release=True)
     for leaf, g in hits.values():
         leaf.grad = g.data.copy() if leaf.grad is None else leaf.grad + g.data

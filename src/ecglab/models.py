@@ -22,29 +22,20 @@ penalty only through its input gradient, so that bias's gradient is exactly 0.
 A batch norm layer ends in the activation that follows it (``alpha``: the
 generator's leaky ReLU, the classifier's ReLU at 0), so a generator stage
 is tconv -> batch norm and a classifier stage conv2d -> batch norm -> pool.
-In train mode ``Network.forward`` lets the batch norm normalize in place
-over the kernel layer's output, a buffer the forward made and that only
-the batch norm reads: each such stage keeps two activation-sized buffers
-(the normalized input and the activation) and two graph nodes.
-
-A leaky ReLU (critic and denoiser) writes its output over the kernel
-layer's output it follows in the same way, in either mode, so a denoiser
-conv -> leaky ReLU stage holds one activation-sized buffer. The critic's
-train-mode phase shuffle between the two is a fresh gather, so a critic
-stage holds two: the conv output and the shuffled activation. The rule is
-that ``forward`` marks a layer's output as owned when the layer is a
-kernel layer, or a phase shuffle of an owned input; never at layer 0,
-whose input is the caller's, and never after a batch norm, whose output
-its own VJP reads.
+A train-mode graph keeps only what its VJPs read (see ``autodiff``), so
+no kernel layer's output outlives the forward: a generator stage keeps
+two activation-sized buffers (batch norm's normalized input and its
+activation), and a denoiser conv -> leaky ReLU or critic conv -> phase
+shuffle -> leaky ReLU stage one (the activation).
 
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element
 ``meta.<field>`` array: ``d``, ``z_len``, ``signal_length`` for the
-generator, ``d``, ``signal_length``, ``phase_shuffle_n`` for the critic,
-``d``, ``signal_length`` for the denoiser (whose phase shuffle acts in
-train mode only, and no subcommand trains a loaded denoiser), none for
-the classifier. ``from_checkpoint`` reads them back by name, so their
-order in the file does not matter.
+generator, ``d``, ``signal_length``, ``phase_shuffle_n`` for the critic
+and the denoiser, none for the classifier. ``from_checkpoint`` reads them
+back by name, so their order in the file does not matter. A denoiser
+checkpoint without ``phase_shuffle_n`` (written before it was recorded,
+or by hand) loads with 0: its shuffle acts in train mode only.
 """
 
 from __future__ import annotations
@@ -217,13 +208,11 @@ class Network:
         stop_at: str | None = None,
     ) -> Tensor:
         """Run the layer stack; `stop_at` halts before the first layer of that
-        kind (used to read pre-sigmoid logits)."""
+        kind (used to read pre-sigmoid logits), and a `trace` list gets
+        (index, kind, output shape) of each layer run."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
         h = x
-        # whether h is a kernel layer's output, or the phase shuffle of one,
-        # which the batch norm or leaky ReLU after it may overwrite
-        owned = False
         for i, layer in enumerate(self.spec.layers):
             k = layer.kind
             if stop_at is not None and k == stop_at:
@@ -241,10 +230,9 @@ class Network:
                     self.running[layer.param],
                     mode,
                     layer.alpha,
-                    overwrite_x=owned,
                 )
             elif k == "leaky_relu":
-                h = ad.leaky_relu(h, LRELU_ALPHA, overwrite_x=owned)
+                h = ad.leaky_relu(h, LRELU_ALPHA)
             elif k == "tanh":
                 h = ad.tanh(h)
             elif k == "sigmoid":
@@ -257,10 +245,6 @@ class Network:
                 h = ad.reshape(h, (h.shape[0],) + layer.shape)
             else:
                 raise ValueError(f"unknown layer kind {k!r}")
-            # a train-mode shuffle's output is a fresh gather no VJP reads, and
-            # an inference one is its input; a batch norm's output is read by
-            # its own VJP, so it is never owned
-            owned = k in _NEEDS_KERNEL or (k == "phase_shuffle" and owned)
             if trace is not None:
                 trace.append((i, k, h.shape))
         return h
@@ -320,8 +304,10 @@ _META_FIELDS = {
     "generator": ("d", "z_len", "signal_length"),
     "critic": ("d", "signal_length", "phase_shuffle_n"),
     "inception": (),
-    "denoiser": ("d", "signal_length"),
+    "denoiser": ("d", "signal_length", "phase_shuffle_n"),
 }
+# the meta keys a checkpoint may lack, with the value they then take
+_META_ABSENT = {("denoiser", "phase_shuffle_n"): 0}
 
 
 def checkpoint_state(net: Network) -> dict[str, np.ndarray]:
@@ -339,9 +325,12 @@ def from_checkpoint(name: str, state: dict[str, np.ndarray], signal_length: int 
     for key in _META_FIELDS[name]:
         if key not in sizes:
             arr = state.get(f"meta.{key}")
-            if arr is None:
+            if arr is not None:
+                sizes[key] = int(float(np.asarray(arr).reshape(-1)[0]))
+            elif (name, key) in _META_ABSENT:
+                sizes[key] = _META_ABSENT[name, key]
+            else:
                 raise ValueError(f"checkpoint is missing metadata {key!r}")
-            sizes[key] = int(float(np.asarray(arr).reshape(-1)[0]))
     net = build(name, **sizes)
     net.load_state_dict(state)
     return net

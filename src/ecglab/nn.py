@@ -35,13 +35,10 @@ their windows and folds the padding onto the samples it reflects.
 ``batch_norm`` ends in the (leaky) ReLU that follows it in the networks.
 In train mode the two are one node (``autodiff.batch_norm_train``) that
 keeps the normalized input and the activation only, whose VJP is the
-closed form, first order only; given ``overwrite_x``, it normalizes in
-place over the conv output it is handed. Inference mode folds the running
+closed form, first order only. Inference mode folds the running
 statistics into one scale and shift per channel (``autodiff.scale_shift``),
 through which gamma and beta still get gradients, and then applies the
-activation as its own node. A leaky ReLU there writes over
-``scale_shift``'s fresh output, which only it reads (``scale_shift``'s VJP
-reads its input), so that pair holds one activation-sized buffer.
+activation as its own node.
 ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
 whose VJP, like train-mode batch norm's, is first order only.
 """
@@ -124,18 +121,13 @@ def batch_norm(
     running: dict[str, np.ndarray],
     mode: str,
     alpha: float = 1.0,
-    overwrite_x: bool = False,
 ) -> Tensor:
     """Per-channel standardization over batch and spatial axes (channel last),
-    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none).
-
-    With `overwrite_x`, train mode writes the normalized input over x's
-    buffer, which the caller must own (``autodiff.batch_norm_train``).
-    """
+    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none)."""
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs batch size >= 2")
-        out, mu, var = ad.batch_norm_train(x, gamma, beta, BN_EPS, alpha, overwrite_x)
+        out, mu, var = ad.batch_norm_train(x, gamma, beta, BN_EPS, alpha)
         running["mean"] = BN_MOMENTUM * running["mean"] + (1 - BN_MOMENTUM) * mu
         running["var"] = BN_MOMENTUM * running["var"] + (1 - BN_MOMENTUM) * var
         return out
@@ -148,7 +140,7 @@ def batch_norm(
     out = ad.scale_shift(x, scale, shift)
     if alpha == 1:
         return out
-    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha, overwrite_x=True)
+    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha)
 
 
 def phase_shuffle(

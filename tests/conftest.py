@@ -4,40 +4,30 @@ import pytest
 from ecglab import autodiff, synth
 
 
-def _float32_tensor_in(root):
-    """A float32 tensor of the graph recorded under `root`, or None."""
-    stack, seen = [root], set()
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t.data.dtype == np.float32:
-            return t
-        stack.extend(t._parents)
-    return None
-
-
 @pytest.fixture(autouse=True)
 def _float64_when_marked(request, monkeypatch):
     """Run tests marked `float64` with the autodiff in double precision.
 
-    A marked test fails when `autodiff.backward` or `autodiff.grad` walks a
-    graph that holds a float32 tensor, e.g. parameters built before the
-    marker took effect: that check would not run at the precision it claims.
+    A marked test fails as soon as an op records a float32 array into a
+    graph, as its output or as an operand, e.g. a parameter built before
+    the marker took effect: the check would not run at the precision it
+    claims. Values recorded inside VJPs, as create_graph does, are checked
+    the same way.
     """
     if not request.node.get_closest_marker("float64"):
         return
     monkeypatch.setattr(autodiff, "DTYPE", np.float64)
-    walk = autodiff._reverse_walk
+    make = autodiff._make
 
-    def float64_walk(root, *args, **kwargs):
-        leak = _float32_tensor_in(root)
-        if leak is not None:
-            pytest.fail(f"float64 test differentiates a float32 tensor of shape {leak.shape}")
-        return walk(root, *args, **kwargs)
+    def float64_make(data, parents, vjp):
+        out = make(data, parents, vjp)
+        if out.requires_grad:
+            for t in (out, *parents):
+                if t.data.dtype == np.float32:
+                    pytest.fail(f"float64 test records a float32 array of shape {t.shape} into a graph")
+        return out
 
-    monkeypatch.setattr(autodiff, "_reverse_walk", float64_walk)
+    monkeypatch.setattr(autodiff, "_make", float64_make)
 
 
 def numeric_grad(f, x, eps=1e-5):

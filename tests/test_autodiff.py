@@ -287,7 +287,7 @@ def test_batch_norm_train_is_one_node_with_first_order_vjp_only():
 # ---------------------------------------------------------------------------
 # batch norm and its activation as one node
 
-_BN_ACTS = [(0.2, lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False)), (0.0, ad.relu)]
+_BN_ACTS = [(0.2, lambda t: ad.leaky_relu(t, 0.2)), (0.0, ad.relu)]
 _bn_act_ids = ["leaky_relu", "relu"]
 
 
@@ -307,7 +307,7 @@ def _signed_zero_bn_arrays(shape):
 def test_batch_norm_activation_node_is_bit_equal_to_the_composition(alpha, act, shape):
     """The one node against batch norm followed by the activation's own node:
     the same output, running statistics and gradients of x, gamma and beta,
-    byte for byte, with and without xhat written over x's buffer."""
+    byte for byte."""
     arrays = {k: np.asarray(v, dtype=ad.DTYPE) for k, v in _signed_zero_bn_arrays(shape).items()}
     g0 = rng.normal(size=shape).astype(ad.DTYPE)
 
@@ -323,17 +323,16 @@ def test_batch_norm_activation_node_is_bit_equal_to_the_composition(alpha, act, 
     zeros = pre[pre == 0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both zeros meet the activation
     _, ref = run(lambda x, gamma, beta, r: act(nn.batch_norm(x, gamma, beta, r, "train")))
-    for overwrite in (False, True):
-        _, got = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train", alpha, overwrite))
-        assert got == ref, overwrite
+    _, got = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train", alpha))
+    assert got == ref
 
 
 @pytest.mark.float64
 @pytest.mark.parametrize("alpha", [0.2, 0.0], ids=_bn_act_ids)
 def test_batch_norm_activation_gradients_match_fd(alpha):
-    """On a leaf, and written over a transposed conv's output as
-    Network.forward runs it; the checker feeds the same leaf arrays to every
-    evaluation, so an overwritten leaf would show here too."""
+    """On a leaf, and on a transposed conv's output as Network.forward runs
+    it; the checker feeds the same leaf arrays to every evaluation, so an
+    overwritten leaf would show here too."""
     running = {"mean": np.zeros(3), "var": np.ones(3)}
     local = np.random.default_rng(18)
     assert_grads_match_fd(lambda x, gamma, beta: nn.batch_norm(x, gamma, beta, running, "train", alpha),
@@ -341,7 +340,7 @@ def test_batch_norm_activation_gradients_match_fd(alpha):
                            "beta": local.normal(size=3)}, 1e-6)
 
     def staged(x, w, gamma, beta):
-        return nn.batch_norm(nn.trans_conv1d(x, w, None, 2), gamma, beta, running, "train", alpha, True)
+        return nn.batch_norm(nn.trans_conv1d(x, w, None, 2), gamma, beta, running, "train", alpha)
 
     assert_grads_match_fd(staged, {"x": local.normal(size=(3, 4, 2)), "w": local.normal(size=(5, 2, 3)) * 0.5,
                                    "gamma": local.normal(size=3), "beta": local.normal(size=3)}, 1e-6)
@@ -408,10 +407,13 @@ def test_batch_norm_vjp_writes_the_input_gradient_blockwise_over_its_slope(alpha
     x = Tensor(local.normal(loc=0.5, scale=1.5, size=(n, L, c)), requires_grad=True)
     gamma = Tensor(local.normal(size=c), requires_grad=True)
     beta = Tensor(local.normal(size=c), requires_grad=True)
-    out, _, var = ad.batch_norm_train(x, gamma, beta, nn.BN_EPS, alpha, overwrite_x=True)
+    out, mu, var = ad.batch_norm_train(x, gamma, beta, nn.BN_EPS, alpha)
     g = Tensor(local.normal(size=(n, L, c)))
-    # x's buffer holds the very xhat the VJP reads
-    want = _bn_vjp_whole_array(x.data, out.data, g.data, gamma.data, 1 / np.sqrt(var + nn.BN_EPS), alpha)
+    # the xhat the VJP reads, by the forward's own two ops
+    inv = 1 / np.sqrt(var + nn.BN_EPS)
+    xhat = x.data.reshape(n, -1) - np.tile(mu, L)
+    xhat *= np.tile(inv, L)
+    want = _bn_vjp_whole_array(xhat.reshape(x.shape), out.data, g.data, gamma.data, inv, alpha)
     tracemalloc.start()
     try:
         grads = ad.grad(out, [x, gamma, beta], cotangent=g)
@@ -438,41 +440,45 @@ def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
 @pytest.mark.parametrize("alpha", [0.2, 0.01, 0.3, 0.7])
 @pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
 def test_leaky_relu_is_bit_equal_to_where_form(alpha, dtype):
-    """Output and gradient bytes, with the output in a fresh buffer and
-    written over x's (whose VJP then reads the output's sign as its mask)."""
+    """Output and gradient bytes; the VJP reads the output's sign as its
+    mask, and x is left as it was."""
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-30, -1e-30]
     x0 = np.concatenate([special, rng.normal(size=200)]).astype(ad.DTYPE)
     g0 = rng.normal(size=x0.shape).astype(ad.DTYPE)
     slope = np.where(x0 > 0, ad.DTYPE(1.0), ad.DTYPE(alpha))
-    for overwrite in (False, True):
-        x = Tensor(x0.copy(), requires_grad=True)
-        y = ad.leaky_relu(x, alpha, overwrite_x=overwrite)
-        (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
-        assert y.data.dtype == np.dtype(dtype)
-        assert y.data.tobytes() == (x0 * slope).tobytes(), overwrite
-        assert gx.data.tobytes() == (g0 * slope).tobytes(), overwrite
-        assert np.shares_memory(y.data, x.data) == overwrite
+    x = Tensor(x0.copy(), requires_grad=True)
+    y = ad.leaky_relu(x, alpha)
+    (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+    assert y.data.dtype == np.dtype(dtype)
+    assert y.data.tobytes() == (x0 * slope).tobytes()
+    assert gx.data.tobytes() == (g0 * slope).tobytes()
+    assert x.data.tobytes() == x0.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), 0.0])
 def test_leaky_relu_rejects_alpha_outside_unit_interval(alpha):
     """0 too: max(+inf, 0*inf) would be NaN, and relu is the op for slope 0."""
     with pytest.raises(ValueError, match="alpha.*relu is the op for slope 0") as err:
-        ad.leaky_relu(Tensor(np.ones(3)), alpha, overwrite_x=False)
+        ad.leaky_relu(Tensor(np.ones(3)), alpha)
     assert "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False), ad.relu],
+@pytest.mark.parametrize("op", [lambda t: ad.leaky_relu(t, 0.2), ad.relu],
                          ids=["leaky_relu", "relu"])
 def test_relu_node_holds_no_activation_sized_array(op):
-    """The slope or mask is rebuilt from the parent's data at backward time
-    (the input, or with overwrite_x the output written over it), so the
-    recorded node keeps no array of the activation's size besides its parent."""
+    """The slope or mask is rebuilt at backward time from the one array the
+    node keeps: relu's input, or leaky_relu's output, whose sign is the
+    same mask. Neither builds and keeps a mask array of the activation's
+    size, and leaky_relu keeps no Tensor, so its node holds no input."""
     x = Tensor(rng.normal(size=(4, 50, 3)), requires_grad=True)
     y = op(x)
     held = [c.cell_contents for c in y._vjp.__closure__]
-    assert not [v for v in held if isinstance(v, np.ndarray) and v.size >= x.size]
-    assert [v for v in held if isinstance(v, Tensor)] == [x]
+    arrays = [v for v in held if isinstance(v, np.ndarray) and v.size >= x.size]
+    tensors = [v for v in held if isinstance(v, Tensor)]
+    if op is ad.relu:
+        assert arrays == [] and tensors == [x]
+    else:
+        assert len(arrays) == 1 and arrays[0] is y.data and tensors == []
 
 
 @pytest.mark.parametrize("dtype", ["float32", pytest.param("float64", marks=pytest.mark.float64)])
@@ -533,7 +539,7 @@ def _layer_cases():
         ("conv2d", (2, 7, 5, 2), lambda t: nn.conv2d(t, Tensor(k2), Tensor(np.zeros(3)), 2)),
         ("maxpool2d", (2, 4, 4, 3), lambda t: nn.maxpool2d(t)),
         ("dense", (3, 6), lambda t: nn.dense(t, Tensor(wd), Tensor(np.ones(4)))),
-        ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2, overwrite_x=False)),
+        ("leaky_relu", (3, 7, 2), lambda t: ad.leaky_relu(t, 0.2)),
         ("relu", (3, 7, 2), lambda t: ad.relu(t)),
         ("tanh", (3, 7), lambda t: ad.tanh(t)),
         ("sigmoid", (3, 7), lambda t: ad.sigmoid(t)),
@@ -633,7 +639,7 @@ def test_composed_network_gradient_matches_fd():
     wd = rng.normal(size=(9, 1)) * 0.4
 
     def forward(x, w1, w2, wd):
-        h = ad.leaky_relu(nn.conv1d(x, w1, None, 2), 0.2, overwrite_x=True)
+        h = ad.leaky_relu(nn.conv1d(x, w1, None, 2), 0.2)
         h = ad.tanh(nn.conv1d(h, w2, None, 2))
         return ad.sum_(nn.dense(ad.reshape(h, (h.shape[0], 9)), wd, None))
 
@@ -939,41 +945,34 @@ def test_backward_frees_graph_without_gc():
         gc.enable()
 
 
-def _spied_conv_graph():
-    """A conv whose output only tanh's node holds (tanh's VJP reads its own
-    output, not its input); returns w, the loss, a weakref to the conv
-    output's array and a list the conv's VJP appends to when it runs:
-    whether that array was still alive."""
+def _unread_conv_graph():
+    """A conv whose output only tanh reads (tanh's VJP reads its own output,
+    not its input), with the conv output dropped as Network.forward drops
+    it; returns w, the loss and a weakref to the conv output's array."""
     x = Tensor(rng.normal(size=(2, 9, 1)))
     w = Tensor(rng.normal(size=(3, 1, 2)), requires_grad=True)
     h = nn.conv1d(x, w, None, 2)
-    alive, seen, vjp = weakref.ref(h.data), [], h._vjp
-
-    def spy(g):
-        seen.append(alive() is not None)
-        return vjp(g)
-
-    h._vjp = spy
+    alive = weakref.ref(h.data)
     t = ad.tanh(h)
-    return w, ad.sum_(ad.mul(t, t)), alive, seen
+    del h
+    return w, ad.sum_(ad.mul(t, t)), alive
 
 
 def test_backward_frees_an_unread_output_before_its_own_vjp_runs():
-    """No VJP reads the conv output, and under backward the walk holds no
-    reference to a node while its VJP runs, so the array is already dead
-    then. grad keeps the graph, and so the array, for a second walk."""
+    """No VJP reads the conv output and no node holds data, so the array is
+    dead as soon as the forward drops it, before either walk starts; both
+    walks still reach w, and two grad walks agree byte for byte."""
     gc.disable()
     try:
-        w, loss, alive, seen = _spied_conv_graph()
+        w, loss, alive = _unread_conv_graph()
+        assert alive() is None
         ad.backward(loss)
-        assert seen == [False]
         assert w.grad is not None
 
-        w, loss, alive, seen = _spied_conv_graph()
+        w, loss, alive = _unread_conv_graph()
+        assert alive() is None
         (g1,) = ad.grad(loss, [w])
         (g2,) = ad.grad(loss, [w])
-        assert seen == [True, True]
-        assert alive() is not None
         assert g1.data.tobytes() == g2.data.tobytes()
     finally:
         gc.enable()

@@ -136,6 +136,19 @@ def test_checkpoint_round_trips_float32_parameters_bit_exact(tmp_path):
 
 
 @pytest.mark.float64
+def test_float64_marker_fails_on_a_float32_parameter():
+    """A network built under the marker, with one kernel cast back to
+    float32: the conv's output is float64, but the guard sees the float32
+    operand as the forward records it, before any walk."""
+    net = _build("critic")
+    w = net.params["conv2.w"]
+    w.data = w.data.astype(np.float32)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, LENGTH, 1)))
+    with pytest.raises(pytest.fail.Exception, match="float32 array of shape"):
+        net.forward(x, mode="train", rng=np.random.default_rng(0))
+
+
+@pytest.mark.float64
 def test_float64_marker_fails_on_a_float32_leaf():
     w = Tensor(np.ones(3), requires_grad=True)
     w.data = w.data.astype(np.float32)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,8 +184,8 @@ def test_transfer_copies_encoder_activations():
         # walk the shared four convolutions of both nets, shuffle disabled
         hc, hd = Tensor(x), Tensor(x)
         for name in models.ENCODER_CONVS:
-            hc = ad.leaky_relu(nn.conv1d(hc, critic.params[f"{name}.w"], critic.params[f"{name}.b"], 4), 0.2, True)
-            hd = ad.leaky_relu(nn.conv1d(hd, den.params[f"{name}.w"], den.params[f"{name}.b"], 4), 0.2, True)
+            hc = ad.leaky_relu(nn.conv1d(hc, critic.params[f"{name}.w"], critic.params[f"{name}.b"], 4), 0.2)
+            hd = ad.leaky_relu(nn.conv1d(hd, den.params[f"{name}.w"], den.params[f"{name}.b"], 4), 0.2)
     assert np.max(np.abs(hc.data - hd.data)) < 1e-12
 
 
@@ -270,69 +273,77 @@ def test_layer_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# batch norm written over the kernel layer's output
+# what a train-mode graph keeps
 
 
-def _graph(root):
-    """Every tensor reachable from `root` through `_parents`."""
-    seen, stack = {}, [root]
+def _held_arrays(root):
+    """Every array that root's graph keeps alive: those its VJP closures hold,
+    directly or as a captured Tensor's data, and those its vertices carry."""
+    arrays, seen, stack = [], set(), list(root._parents)
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
-    return list(seen.values())
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        stack.extend(v._parents)
+        if hasattr(v, "data"):
+            arrays.append(v.data)
+        cells = list(getattr(v._vjp, "__closure__", None) or ())
+        while cells:
+            held = cells.pop().cell_contents
+            if isinstance(held, np.ndarray):
+                arrays.append(held)
+            elif isinstance(held, Tensor):
+                arrays.append(held.data)
+            elif callable(held):  # a helper or an inner VJP that the VJP calls
+                cells.extend(getattr(held, "__closure__", None) or ())
+    return arrays
 
 
-def test_train_generator_stage_holds_two_buffers_and_two_nodes():
-    """Each tconv -> batch norm stage of a train-mode graph is two nodes, and
-    holds two buffers of its size: the normalized input, written over the
-    tconv output, and the activation the next tconv reads."""
-    net = models.build("generator", d=2, z_len=8, signal_length=512, seed=0)
-    nodes = _graph(net.forward(Tensor(rng.uniform(-1, 1, size=(4, 8))), mode="train"))
-    stages = [layer.param for layer in net.spec.layers if layer.kind == "batch_norm"]
-    assert stages == ["bn1", "bn2"]
-    for i, _ in enumerate(stages, 1):
-        (bn,) = [t for t in nodes if any(p is net.params[f"bn{i}.gamma"] for p in t._parents)]
-        tconv = bn._parents[0]
-        assert any(p is net.params[f"tconv{i}.w"] for p in tconv._parents)
-        (reader,) = [t for t in nodes if any(p is bn for p in t._parents)]
-        assert any(p is net.params[f"tconv{i + 1}.w"] for p in reader._parents)
-        held = [tconv.data, bn.data] + [
-            c.cell_contents for c in bn._vjp.__closure__
-            if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.size >= tconv.size]
+@pytest.mark.parametrize("name,per_stage", [("generator", 2), ("denoiser", 1), ("critic", 1)])
+def test_train_graph_holds_only_what_its_vjps_read(name, per_stage, monkeypatch):
+    """No kernel layer's output outlives a train-mode forward, since no VJP
+    reads it: not batch norm's, the phase shuffle's or the leaky ReLU's.
+    Each stage's graph holds `per_stage` buffers of its activation's size:
+    batch norm's normalized input and its activation in a generator stage,
+    the leaky ReLU's activation in a denoiser or critic stage (the critic's
+    shuffled conv output is gone too). The input leaf is never written."""
+    kernel_outputs = []
+
+    def recording(op):
+        def run(*args):
+            out = op(*args)
+            kernel_outputs.append(weakref.ref(out.data))
+            return out
+
+        return run
+
+    for op in ("conv_len", "trans_conv_len"):
+        monkeypatch.setattr(ad, op, recording(getattr(ad, op)))
+    # 250 samples: no stage's activation has the input's or the output's shape
+    net = models.build(name, d=2, z_len=8, signal_length=250, seed=0)
+    x0 = rng.uniform(-1, 1, size=(3, 8) if name == "generator" else (3, 250, 1)).astype(ad.DTYPE)
+    x = Tensor(x0.copy(), requires_grad=True)
+    trace = []
+    gc.disable()
+    try:
+        out = net.forward(x, mode="train", rng=np.random.default_rng(0), trace=trace)
+        assert kernel_outputs and [ref() for ref in kernel_outputs] == [None] * len(kernel_outputs)
+        held = _held_arrays(out)
+    finally:
+        gc.enable()
+    kinds = [kind for _, kind, _ in trace]
+    stages = [shape for i, (_, kind, shape) in enumerate(trace)
+              if kind in ("conv1d", "trans_conv1d") and kinds[i + 1] != "crop"]
+    assert len(stages) == {"generator": 2, "denoiser": 8, "critic": 5}[name]
+    for shape in stages:
+        flat = (shape[0], int(np.prod(shape[1:])))  # batch norm keeps xhat as one row per sample
         buffers = []
         for arr in held:
-            if not any(np.shares_memory(arr, b) for b in buffers):
+            if arr.dtype == ad.DTYPE and arr.shape in (shape, flat) and not any(np.shares_memory(arr, b) for b in buffers):
                 buffers.append(arr)
-        assert len(buffers) == 2, f"bn{i}"
-
-
-def test_train_leaky_relu_stages_hold_one_buffer_in_the_denoiser_and_two_in_the_critic():
-    """A denoiser conv -> leaky ReLU stage writes the activation over the
-    conv output, so the two share one buffer; a critic conv -> shuffle ->
-    leaky ReLU stage keeps the conv output and the activation, written over
-    the shuffle's fresh gather. The input leaf is never written."""
-    for name, shuffled, per_stage in (("denoiser", False, 1), ("critic", True, 2)):
-        net = models.build(name, d=2, signal_length=256, seed=0, phase_shuffle_n=2)
-        x0 = rng.normal(size=(3, 256, 1)).astype(ad.DTYPE)
-        x = Tensor(x0.copy(), requires_grad=True)
-        nodes = _graph(net.forward(x, mode="train", rng=np.random.default_rng(0)))
-        kernels = [layer.param for layer in net.spec.layers if layer.kind in ("conv1d", "trans_conv1d")]
-        assert len(kernels) == (8 if name == "denoiser" else 5)
-        for param in kernels:
-            stage = [t for t in nodes if any(p is net.params[f"{param}.w"] for p in t._parents)]
-            assert len(stage) == 1, param
-            for _ in range(1 + shuffled):
-                (reader,) = [t for t in nodes if any(p is stage[-1] for p in t._parents)]
-                stage.append(reader)
-            assert stage[-1]._vjp.__qualname__.startswith("leaky_relu."), param
-            buffers = []
-            for t in stage:
-                if not any(np.shares_memory(t.data, b) for b in buffers):
-                    buffers.append(t.data)
-            assert len(buffers) == per_stage, f"{name} {param}"
-        assert x.data.tobytes() == x0.tobytes()
+        assert len(buffers) == per_stage, shape
+    assert x.data.tobytes() == x0.tobytes()
 
 
 @pytest.mark.parametrize("name", ["generator", "inception", "critic", "denoiser"])
@@ -363,7 +374,8 @@ _META_CASES = {
     # phase shuffle 1, not build's default 2: the file must carry it
     "critic": (dict(d=3, signal_length=96, phase_shuffle_n=1), ["d", "signal_length", "phase_shuffle_n"]),
     "inception": ({}, []),
-    "denoiser": (dict(d=2, signal_length=96), ["d", "signal_length"]),
+    # phase shuffle 2, not build's default 0: the file must carry it
+    "denoiser": (dict(d=2, signal_length=96, phase_shuffle_n=2), ["d", "signal_length", "phase_shuffle_n"]),
 }
 
 
@@ -404,6 +416,17 @@ def test_from_checkpoint_names_the_missing_metadata(name, missing):
     del state[f"meta.{missing}"]
     with pytest.raises(ValueError, match=rf"^checkpoint is missing metadata '{missing}'$"):
         models.from_checkpoint(name, state)
+
+
+def test_a_denoiser_checkpoint_without_phase_shuffle_loads_without_one():
+    """Denoiser checkpoints written before the key was recorded, or by hand
+    with d and signal_length only, load with phase shuffle 0."""
+    net = models.build("denoiser", d=2, signal_length=96, seed=1, phase_shuffle_n=2)
+    state = models.checkpoint_state(net)
+    del state["meta.phase_shuffle_n"]
+    back = models.from_checkpoint("denoiser", state)
+    assert back.spec == models.build("denoiser", d=2, signal_length=96).spec
+    assert back.spec.phase_shuffle_n == 0
 
 
 def test_from_checkpoint_signal_length_replaces_the_stored_one():
