@@ -28,12 +28,16 @@ read from that node. So the one memory rule is PyTorch's (Paszke et al.
 2019): an activation lives while the forward holds its Tensor or a VJP
 closure reads it, and no longer. A VJP closure captures the arrays or
 Tensors it reads (``leaky_relu``'s its output, whose sign is the mask;
-``batch_norm_train``'s xhat and its output) and only shapes of the
-rest, so an output that no VJP reads (a conv output once batch norm,
-the phase shuffle or the leaky ReLU after it has read it) is freed as
-soon as the forward drops it. VJPs read what they captured when they
-run, so nothing may write an activation in place between the forward
-pass and the walk that differentiates it; no op writes over its input.
+``batch_norm_train``'s xhat) and only shapes of the rest, so an output
+that no VJP reads (a conv output once batch norm, the phase shuffle or
+the leaky ReLU after it has read it) is freed as soon as the forward
+drops it. Batch norm's output is not kept either: its node can rebuild
+it from xhat bit for bit (``_rebuild``), and a transposed conv whose
+input it is captures that node instead of the data (``_reader``), so the
+output is recomputed where a VJP reads it, the cheap-op recomputation of
+Chen et al. (arXiv:1604.06174). VJPs read what they captured when they run, so
+nothing may write an activation in place between the forward pass and
+the walk that differentiates it; no op writes over its input.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -85,14 +89,17 @@ class GraphError(RuntimeError):
 class _Node:
     """A recorded op: its VJP, called as vjp(g, need) with one flag per
     parent (whether the walk needs that parent's gradient), and its
-    parents' graph vertices. Only ops a gradient flows through record one."""
+    parents' graph vertices. Only ops a gradient flows through record one.
+    A node whose output no closure keeps also has `_rebuild(tail)`, which
+    computes that output again (see ``_reader``); other nodes have None."""
 
-    __slots__ = ("_vjp", "_parents")
+    __slots__ = ("_vjp", "_parents", "_rebuild")
     requires_grad = True
 
     def __init__(self, vjp, parents: tuple):
         self._vjp = vjp
         self._parents = parents
+        self._rebuild = None
 
 
 class Tensor:
@@ -148,6 +155,24 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
+def _reader(x: Tensor) -> Callable[[int], Tensor]:
+    """What a VJP that reads x's data captures: a function of `tail` that
+    returns x. When x's node can rebuild its output, the function rebuilds
+    it into a fresh buffer with `tail` zero rows per sample after it (the
+    Tensor's data is the head of that buffer, its node x's node), and the
+    closure holds the node, not x's data. Otherwise it returns x itself."""
+    node = x._node
+    if node is None or node._rebuild is None:
+        return lambda tail: x
+
+    def rebuilt(tail):
+        t = Tensor.__new__(Tensor)
+        t.data, t.grad, t.requires_grad, t._node = node._rebuild(tail), None, True, node
+        return t
+
+    return rebuilt
+
+
 def _wants(v: Vertex) -> bool:
     """Whether the running walk needs the gradient of vertex v. The walk
     passes it to each VJP per parent, so grad skips parameters."""
@@ -185,7 +210,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
 
     def vjp(g, need):
-        return _unbroadcast(g, sa), _unbroadcast(neg(g), sb)
+        return (_unbroadcast(g, sa) if need[0] else None,
+                _unbroadcast(neg(g), sb) if need[1] else None)
 
     return _make(a.data - b.data, (a, b), vjp)
 
@@ -196,16 +222,16 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, need):
-        return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+        return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
+                _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
     return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, need):
-        ga = _unbroadcast(div(g, b), a.shape)
-        gb = _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
-        return ga, gb
+        return (_unbroadcast(div(g, b), a.shape) if need[0] else None,
+                _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape) if need[1] else None)
 
     return _make(a.data / b.data, (a, b), vjp)
 
@@ -354,21 +380,26 @@ def batch_norm_train(
     and the batch mean mu and biased variance var per channel. act(y) is
     max(y, alpha*y), as ``leaky_relu`` computes it; alpha = 0 is ``relu``'s
     max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
-    no activation. The node keeps xhat and its output only, not x: its VJP
-    takes the slope from the output's sign as ``leaky_relu`` does (act(y) > 0
-    exactly where y > 0, for signed zeros, infinities and NaN too), and
-    applies the closed form of Ioffe & Szegedy in numpy, so it is first
-    order only: it raises GraphError when called while a graph is recorded
-    (create_graph=True).
+    no activation. The node keeps xhat only, not x and not its output: the
+    output is rebuilt from xhat where it is read, by the forward's own
+    function (``activate``), so its bits are the forward's. The VJP takes
+    the slope from the sign of the rebuilt output as ``leaky_relu`` does
+    (act(y) > 0 exactly where y > 0, for signed zeros, infinities and NaN
+    too), and applies the closed form of Ioffe & Szegedy in numpy, so it
+    is first order only: it raises GraphError when called while a graph is
+    recorded (create_graph=True). A transposed conv that reads the output
+    in its kernel VJP rebuilds it there through the node's `_rebuild` (see
+    ``_reader``).
 
-    The forward allocates xhat and y, and applies the activation over y
-    one block of sample rows at a time, so alpha*y needs no third
+    The forward allocates xhat and the output, which it computes one
+    block of sample rows at a time, so alpha*y needs no third
     activation-sized buffer. The VJP allocates one activation-sized
-    buffer: the slope, which the cotangent is multiplied into and x's
-    gradient is then written over. At alpha = 1 there is no slope, and x's
-    gradient gets that buffer instead. Besides it, each pass allocates one
-    block of at most _BN_BLOCK_BYTES (a whole sample row if one is larger)
-    and a few row-sized channel vectors.
+    buffer: the slope, rebuilt block by block and multiplied by the
+    cotangent there, over which x's gradient is then written. At alpha = 1
+    there is no slope, and x's gradient gets that buffer instead. Besides
+    it, each pass allocates one block of at most _BN_BLOCK_BYTES (a whole
+    sample row if one is larger) and a few row-sized channel vectors. A
+    rebuild for a transposed conv allocates the output plus its zero rows.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
@@ -392,26 +423,43 @@ def batch_norm_train(
     var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
-    y = xhat * row(gamma.data)
-    y += row(beta.data)
-    if alpha == 0:
-        np.maximum(y, 0, out=y)
-    elif alpha < 1:
-        for r in range(0, len(y), step):
-            rows = y[r : r + step]
-            np.maximum(rows, rows * dt(alpha), out=rows)
+    scale, shift = row(gamma.data), row(beta.data)
+
+    def activate(r, out):
+        """act(xhat * gamma + beta) of the sample rows from r into out: the
+        forward's output, and every rebuild of it."""
+        np.multiply(xhat[r : r + len(out)], scale, out=out)
+        out += shift
+        if alpha == 0:
+            np.maximum(out, 0, out=out)
+        elif alpha < 1:
+            np.maximum(out, out * dt(alpha), out=out)
+        return out
+
+    def rebuild(tail):
+        # the output, then `tail` zero rows per sample, in one buffer
+        buf = np.empty((shape[0], shape[1] + tail, *shape[2:]), dtype=xhat.dtype)
+        rows = buf.reshape(shape[0], -1)
+        rows[:, xhat.shape[1] :] = 0
+        for r in range(0, len(rows), step):
+            activate(r, rows[r : r + step, : xhat.shape[1]])
+        return buf[:, : shape[1]]
 
     def vjp(g, need):
         if _grad_enabled:
             raise GraphError("batch_norm in train mode has no second-order gradient")
         g2 = g.data.reshape(xhat.shape)
         if alpha < 1:
-            # the slope, 1 or alpha, built as leaky_relu builds it; act(y) > 0
-            # exactly where y > 0, so the kept output gives the mask
-            slope = np.greater(y, 0, out=np.empty_like(y))
-            slope *= dt(1.0 - alpha)
-            slope += dt(alpha)
-            g2 = np.multiply(g2, slope, out=slope)
+            # g times the slope, 1 or alpha, built as leaky_relu builds it
+            # from the rebuilt output's sign, one block of sample rows at a time
+            slope = np.empty_like(xhat)
+            for r in range(0, len(slope), step):
+                rows = activate(r, slope[r : r + step])
+                np.greater(rows, 0, out=rows)
+                rows *= dt(1.0 - alpha)
+                rows += dt(alpha)
+                np.multiply(g2[r : r + step], rows, out=rows)
+            g2 = slope
         dbeta = channel_sum(np.einsum("ij->j", g2))
         dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
         gx = None
@@ -421,18 +469,24 @@ def batch_norm_train(
             # same four elementwise ops as over the whole array; at alpha = 1
             # g2 is g's own buffer, so gx gets a fresh one
             gx = g2 if alpha < 1 else np.empty_like(g2)
-            scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
+            scale_g, shift_g, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
             block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
             for r in range(0, len(g2), step):
                 rows = gx[r : r + step]
-                t = np.multiply(xhat[r : r + step], scale, out=block[: len(rows)])
+                t = np.multiply(xhat[r : r + step], scale_g, out=block[: len(rows)])
                 np.subtract(g2[r : r + step], t, out=rows)
-                rows -= shift
+                rows -= shift_g
                 rows *= factor
             gx = Tensor(gx.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
-    return _make(y.reshape(shape), (x, gamma, beta), vjp), mu, var
+    y = np.empty_like(xhat)
+    for r in range(0, len(y), step):
+        activate(r, y[r : r + step])
+    out = _make(y.reshape(shape), (x, gamma, beta), vjp)
+    if out._node is not None:
+        out._node._rebuild = rebuild
+    return out, mu, var
 
 
 def scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
@@ -528,6 +582,21 @@ def _polyphase(x: np.ndarray, stride: int, pl: int, rows: int) -> np.ndarray:
     m = max(0, min(L, rows * stride - pl))  # a left pad past every row reads none of x
     xp[:, pl : pl + m] = x[:, :m]
     return xp.reshape(n * rows, stride * c)
+
+
+def _zero_tailed(x: np.ndarray, rows: int) -> np.ndarray:
+    """``_polyphase(x, 1, 0, rows)``: [n, L, c] followed by rows - L zero
+    rows per sample, as an [n*rows, c] matrix. When x is already the head
+    of such a buffer, one C-contiguous [n, rows, c] array whose tail rows
+    hold +0 (a rebuilt batch norm output, see ``_reader``), that buffer is
+    the matrix and nothing is copied."""
+    n, L, c = x.shape
+    base = x.base
+    if (isinstance(base, np.ndarray) and base.shape == (n, rows, c) and base.dtype == DTYPE
+            and base.flags.c_contiguous and x.ctypes.data == base.ctypes.data
+            and x.strides == base.strides and not base[:, L:].view(np.uint8).any()):
+        return base.reshape(n * rows, c)
+    return _polyphase(x, 1, 0, rows)
 
 
 def _tap_groups(k: int, stride: int) -> list[tuple[int, slice]]:
@@ -657,9 +726,15 @@ def trans_conv_len(x: Tensor, w: Tensor, b: Tensor | None, stride: int, pl: int,
             acc[:, t : t + L, : wt.shape[1]] += (x2 @ wt).reshape(n, L, wt.shape[1])
         y = acc.reshape(n, rows * stride, co)[:, pl : pl + out_len].copy()
 
+    read_x = _reader(x)
+
     def vjp(g, need):
+        # the kernel gradient first, so that a rebuilt x is freed before gx
+        # is allocated; a rebuilt x comes with the T-1 zero rows per sample
+        # that kernel_corr_len appends to its second operand, so it is read
+        # with no copy
+        gw = _swap_channels(kernel_corr_len(g, read_x(T - 1), stride, pl, k)) if need[1] else None
         gx = conv_len(g, _swap_channels(w), None, stride, pl, L) if need[0] else None
-        gw = _swap_channels(kernel_corr_len(g, x, stride, pl, k)) if need[1] else None
         return gx, gw
 
     return _with_bias(x, w, b, y, vjp)
@@ -678,7 +753,7 @@ def kernel_corr_len(a: Tensor, g: Tensor, stride: int, pl: int, k: int) -> Tenso
     rows = Lg + len(groups) - 1
     R = n * rows - len(groups) + 1
     af = _polyphase(a.data, stride, pl, rows)
-    gf = _polyphase(g.data, 1, 0, rows)
+    gf = _zero_tailed(g.data, rows)
     out = np.empty((k, ca, cg), dtype=DTYPE)
     for t, taps in groups:
         ot = out[taps].reshape(-1, cg)
@@ -814,7 +889,7 @@ def _reverse_walk(
             node = order.pop()
             vjp, parents = node._vjp, node._parents
             if release and vjp is not None:
-                node._vjp, node._parents = _consumed, ()
+                node._vjp, node._parents, node._rebuild = _consumed, (), None
             # every consumer of `node` has run, so its cotangent is complete
             hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
             if hit is None or vjp is None:

@@ -24,9 +24,10 @@ generator's leaky ReLU, the classifier's ReLU at 0), so a generator stage
 is tconv -> batch norm and a classifier stage conv2d -> batch norm -> pool.
 A train-mode graph keeps only what its VJPs read (see ``autodiff``), so
 no kernel layer's output outlives the forward: a generator stage keeps
-two activation-sized buffers (batch norm's normalized input and its
-activation), and a denoiser conv -> leaky ReLU or critic conv -> phase
-shuffle -> leaky ReLU stage one (the activation).
+one activation-sized buffer (batch norm's normalized input, from which
+its activation is rebuilt in the backward), and a denoiser conv -> leaky
+ReLU or critic conv -> phase shuffle -> leaky ReLU stage one (the
+activation).
 
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element

@@ -34,8 +34,10 @@ symmetrically padded row, and its adjoint writes the rows back into
 their windows and folds the padding onto the samples it reflects.
 ``batch_norm`` ends in the (leaky) ReLU that follows it in the networks.
 In train mode the two are one node (``autodiff.batch_norm_train``) that
-keeps the normalized input and the activation only, whose VJP is the
-closed form, first order only. Inference mode folds the running
+keeps the normalized input only, whose VJP is the closed form, first
+order only. The activation is rebuilt from the normalized input where a
+VJP reads it: batch norm's own for its slope, and the kernel VJP of the
+transposed conv it feeds. Inference mode folds the running
 statistics into one scale and shift per channel (``autodiff.scale_shift``),
 through which gamma and beta still get gradients, and then applies the
 activation as its own node.

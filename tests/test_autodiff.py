@@ -434,6 +434,116 @@ def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
 
 
 # ---------------------------------------------------------------------------
+# batch norm's output, rebuilt where a VJP reads it
+
+
+def _special_bn(alpha):
+    """A train-mode batch norm node over 6 channels whose pre-activation
+    y = xhat * gamma + beta holds +0, -0, +inf, -inf and NaN: gamma 0 with
+    beta +0 and -0, gamma +inf and -inf (no xhat is 0 there), and beta NaN."""
+    x = rng.normal(loc=0.5, scale=1.5, size=(5, 7, 6))
+    gamma = np.array([rng.normal(), 0.0, 0.0, np.inf, -np.inf, 1.0])
+    beta = np.array([rng.normal(), 0.0, -0.0, 0.0, 0.0, np.nan])
+    out, _, _ = ad.batch_norm_train(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                                    Tensor(beta), nn.BN_EPS, alpha)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("tail", [0, 3])
+def test_rebuilt_batch_norm_output_is_the_forward_output_byte_for_byte(alpha, tail):
+    """Rebuilt by the forward's own function, into the head of a buffer
+    whose `tail` rows per sample are +0, with the batch norm's node."""
+    out = _special_bn(alpha)
+    y = out.data
+    assert np.isnan(y).any() and np.isposinf(y).any() and np.signbit(y[y == 0]).any() != (alpha == 0)
+    if alpha == 1:
+        assert np.isneginf(y).any()
+    rebuilt = ad._reader(out)(tail)
+    assert rebuilt._node is out._node and rebuilt.requires_grad
+    assert rebuilt.data.tobytes() == y.tobytes()
+    buf = rebuilt.data.base
+    assert buf.shape == (5, 7 + tail, 6) and buf.flags.c_contiguous
+    assert not buf[:, 7:].view(np.uint8).any()
+
+
+@pytest.mark.parametrize("tail_value", [None, -0.0, 1.0], ids=["rebuilt", "neg_zero", "one"])
+def test_kernel_gradient_reads_a_zero_tailed_input_without_a_copy(tail_value):
+    """kernel_corr_len reads batch norm's rebuilt output, which comes with
+    its zero tail rows, in place, and its gradient is byte-equal to the one
+    over the zero-padded copy of the forward's output. A head view whose
+    tail is not +0 bit for bit is copied instead."""
+    x = Tensor(rng.normal(loc=0.5, scale=1.5, size=(5, 7, 6)), requires_grad=True)
+    gamma, beta = Tensor(rng.normal(size=6), requires_grad=True), Tensor(rng.normal(size=6))
+    out = ad.batch_norm_train(x, gamma, beta, nn.BN_EPS, 0.2)[0]
+    a = Tensor(rng.normal(size=(5, 14, 4)))
+    rows = 7 + 2  # T - 1 = 2 zero rows per sample for k = 5 taps at stride 2
+    rebuilt = ad._reader(out)(rows - 7)
+    if tail_value is not None:
+        rebuilt.data.base[:, 7:] = tail_value
+    got = ad._zero_tailed(rebuilt.data, rows)
+    assert np.shares_memory(got, rebuilt.data) == (tail_value is None)
+    assert got.tobytes() == ad._polyphase(out.data, 1, 0, rows).tobytes()
+    want = ad.kernel_corr_len(a, Tensor(out.data.copy()), 2, 1, 5)
+    assert ad.kernel_corr_len(a, rebuilt, 2, 1, 5).data.tobytes() == want.data.tobytes()
+
+
+def test_trans_conv_kernel_vjp_rebuilds_its_input_without_a_copy():
+    """After the forward, no array holds batch norm's output. The trans
+    conv's kernel VJP (B=8, L=2048, c=16, one stage buffer of 1 MiB)
+    rebuilds it once with its zero tail rows and reads it in place: its
+    peak is that buffer, the cotangent's polyphase rows and one batch norm
+    block, not a second stage buffer. The kernel gradient is byte-equal to
+    one taken over the forward's output."""
+    import tracemalloc
+
+    n, L, c = 8, 2048, 16
+    local = np.random.default_rng(22)
+    x = Tensor(local.normal(size=(n, L, c)), requires_grad=True)
+    w = Tensor(local.normal(size=(25, c, 1)) * 0.1, requires_grad=True)
+    h, _, _ = ad.batch_norm_train(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), nn.BN_EPS, 0.2)
+    y = ad.trans_conv_len(h, w, None, 4, 10, 4 * L)
+    forward_out, h_data = weakref.ref(h.data), h.data.copy()
+    del h
+    assert forward_out() is None
+    g = Tensor(local.normal(size=y.shape))
+    item = np.dtype(ad.DTYPE).itemsize
+    rebuilt_bytes = n * (L + 6) * c * item  # T - 1 = 6 zero rows per sample
+    polyphase_bytes = n * (L + 6) * 4 * item
+    tracemalloc.start()
+    try:
+        (gw,) = ad.grad(y, [w], cotangent=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rebuilt_bytes + polyphase_bytes + ad._BN_BLOCK_BYTES + 2**16
+    assert peak < 2 * n * L * c * item
+    plain = ad.trans_conv_len(Tensor(h_data), w, None, 4, 10, 4 * L)
+    (want,) = ad.grad(plain, [w], cotangent=g)
+    assert gw.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.float64
+@pytest.mark.parametrize("alpha", [0.2, 0.0], ids=_bn_act_ids)
+def test_kernel_gradient_over_a_rebuilt_input_is_differentiable(alpha):
+    """The input a transposed conv's kernel VJP rebuilds is batch norm's
+    graph vertex, so under create_graph the kernel gradient's own gradients
+    in x, gamma and beta flow through batch norm's VJP."""
+    running = {"mean": np.zeros(3), "var": np.ones(3)}
+    local = np.random.default_rng(23)
+    w0, probe = local.normal(size=(5, 3, 2)) * 0.5, Tensor(local.normal(size=(3, 8, 2)))
+
+    def kernel_grad(x, gamma, beta):
+        w = Tensor(w0, requires_grad=True)
+        h = nn.batch_norm(x, gamma, beta, running, "train", alpha)
+        (gw,) = ad.grad(ad.sum_(ad.mul(nn.trans_conv1d(h, w, None, 2), probe)), [w], create_graph=True)
+        return gw
+
+    assert_grads_match_fd(kernel_grad, {"x": local.normal(size=(3, 4, 3)), "gamma": local.normal(size=3),
+                                        "beta": local.normal(size=3)}, 1e-6)
+
+
+# ---------------------------------------------------------------------------
 # leaky relu
 
 
@@ -526,6 +636,20 @@ def test_backward_accumulates_shared_input():
     y = ad.add(ad.mul(x, x), ad.mul(Tensor(3.0), x))  # x^2 + 3x -> 2x + 3 = 7
     ad.backward(ad.sum_(y))
     assert np.allclose(x.grad, [7.0])
+
+
+@pytest.mark.parametrize("op", [ad.mul, ad.sub, ad.div])
+def test_binary_vjps_skip_a_constant_operand(op):
+    """Under backward, a mul, sub or div by a constant returns None for the
+    constant instead of computing its full-size gradient and dropping it."""
+    x = Tensor(rng.uniform(1, 2, size=(3, 4)), requires_grad=True)
+    for args, const in (((x, Tensor(rng.uniform(1, 2, size=(3, 4)))), 1),
+                        ((Tensor(rng.uniform(1, 2, size=4)), x), 0)):
+        out = op(*args)
+        vjp, seen = out._node._vjp, []
+        out._node._vjp = lambda g, need: seen.append(vjp(g, need)) or seen[-1]
+        ad.backward(ad.sum_(out))
+        assert seen[0][const] is None and seen[0][1 - const] is not None
 
 
 def _layer_cases():
