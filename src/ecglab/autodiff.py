@@ -423,13 +423,13 @@ def batch_norm_train(
     var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
-    scale, shift = row(gamma.data), row(beta.data)
+    gamma_row, beta_row = row(gamma.data), row(beta.data)
 
     def activate(r, out):
         """act(xhat * gamma + beta) of the sample rows from r into out: the
         forward's output, and every rebuild of it."""
-        np.multiply(xhat[r : r + len(out)], scale, out=out)
-        out += shift
+        np.multiply(xhat[r : r + len(out)], gamma_row, out=out)
+        out += beta_row
         if alpha == 0:
             np.maximum(out, 0, out=out)
         elif alpha < 1:
@@ -469,13 +469,13 @@ def batch_norm_train(
             # same four elementwise ops as over the whole array; at alpha = 1
             # g2 is g's own buffer, so gx gets a fresh one
             gx = g2 if alpha < 1 else np.empty_like(g2)
-            scale_g, shift_g, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
+            scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
             block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
             for r in range(0, len(g2), step):
                 rows = gx[r : r + step]
-                t = np.multiply(xhat[r : r + step], scale_g, out=block[: len(rows)])
+                t = np.multiply(xhat[r : r + step], scale, out=block[: len(rows)])
                 np.subtract(g2[r : r + step], t, out=rows)
-                rows -= shift_g
+                rows -= shift
                 rows *= factor
             gx = Tensor(gx.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)

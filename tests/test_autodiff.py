@@ -456,6 +456,7 @@ def test_rebuilt_batch_norm_output_is_the_forward_output_byte_for_byte(alpha, ta
     whose `tail` rows per sample are +0, with the batch norm's node."""
     out = _special_bn(alpha)
     y = out.data
+    # relu's max(y, 0) turns -0 into +0; a slope keeps it
     assert np.isnan(y).any() and np.isposinf(y).any() and np.signbit(y[y == 0]).any() != (alpha == 0)
     if alpha == 1:
         assert np.isneginf(y).any()
