@@ -31,10 +31,7 @@ from .metrics import (
     MetricReport,
     delta_hr,
     evaluate_denoiser,
-    inception_score,
     mse,
-    nn_distance_self,
-    nn_distance_train,
     snr_db,
 )
 from .models import Network, build, count_params, transfer_critic_to_denoiser
@@ -58,14 +55,11 @@ __all__ = [
     "delta_hr",
     "detect_qrs",
     "evaluate_denoiser",
-    "inception_score",
     "make_training_pairs",
     "mcsharry_batch",
     "mcsharry_generate",
     "mel_spectrogram",
     "mse",
-    "nn_distance_self",
-    "nn_distance_train",
     "read_dataset",
     "read_pairs",
     "sample_noise_params",

@@ -125,8 +125,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    if args.gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {args.gamma}")
     cfg = load_config(args.config)
     ds = read_dataset(args.input)
     pairs = make_training_pairs(list(ds.signals), args.gamma, args.seed, cfg)

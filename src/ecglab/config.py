@@ -10,10 +10,10 @@ that read it (`train` abbreviated to its network):
     key               default   valid            read by
     batch_size        64        integer >= 1     gan, inception, denoiser, sweep
     model_dim         16        integer >= 1     gan, denoiser, sweep
-    gp_lambda         10.0      >= 0             gan
+    gp_lambda         10.0      finite, >= 0     gan
     critic_updates    5         integer >= 1     gan
     phase_shuffle     2         integer >= 0     gan; denoiser --variant phase_shuffle
-    adam_lr           1e-4      > 0              gan, inception, denoiser, sweep
+    adam_lr           1e-4      finite, > 0      gan, inception, denoiser, sweep
     adam_beta1        0.9       [0, 1)           gan, inception, denoiser, sweep
     adam_beta2        0.999     [0, 1)           gan, inception, denoiser, sweep
     epochs            1         integer >= 1     gan, inception, denoiser, sweep
@@ -21,17 +21,12 @@ that read it (`train` abbreviated to its network):
     latent            uniform   uniform, normal  gan; synth --model gan
     z_len             100       integer >= 1     gan
     val_fraction      0.1       [0, 1)           gan, inception, denoiser, sweep
-    is_eval_every     10        integer >= 1     none (see below)
-    is_eval_batch     1024      integer >= 1     none (see below)
     bw_freq_max_hz    0.5       [0, 0.5]         noise
-    bw_amp_max        0.3       >= 0             noise
-    pl_amp_max        0.1       >= 0             noise
-    chirp_amp_max     0.1       >= 0             noise
-    chirp_mod_min_hz  0.1       > 0              noise
-    chirp_mod_max_hz  2.0       >= the min       noise
-
-is_eval_every and is_eval_batch drive inception-score model selection in
-`training.train_gan(classifier=...)`, which no subcommand passes yet.
+    bw_amp_max        0.3       finite, >= 0     noise
+    pl_amp_max        0.1       finite, >= 0     noise
+    chirp_amp_max     0.1       finite, >= 0     noise
+    chirp_mod_min_hz  0.1       finite, > 0      noise
+    chirp_mod_max_hz  2.0       finite, >= min   noise
 
 The six noise keys reach the noise model as the RunConfig itself:
 `synth.make_training_pairs` draws each noise parameter uniformly from
@@ -41,6 +36,7 @@ module imports no other ecglab module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 from pathlib import Path
@@ -71,8 +67,6 @@ class RunConfig:
     latent: str = "uniform"
     z_len: int = 100
     val_fraction: float = 0.1
-    is_eval_every: int = 10
-    is_eval_batch: int = 1024
     # noise-model sampling ranges
     bw_freq_max_hz: float = 0.5
     bw_amp_max: float = 0.3
@@ -87,24 +81,27 @@ class RunConfig:
             if not ok(value):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
 
-        for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len",
-                    "is_eval_every", "is_eval_batch"):
+        def require_finite(key, ok, what):  # a range with no upper end lets +inf through
+            require(key, ok, what)
+            require(key, math.isfinite, "finite")
+
+        for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len"):
             require(key, _positive_int, "a positive integer")
         if self.generator_steps is not None:
             require("generator_steps", _positive_int, "a positive integer")
         require("phase_shuffle", lambda v: isinstance(v, Integral) and v >= 0, "a non-negative integer")
         # comparisons written so that NaN fails them
-        require("gp_lambda", lambda v: v >= 0, "non-negative")
+        require_finite("gp_lambda", lambda v: v >= 0, "non-negative")
         require("val_fraction", lambda v: 0 <= v < 1, "in [0, 1)")
-        require("adam_lr", lambda v: v > 0, "positive")
+        require_finite("adam_lr", lambda v: v > 0, "positive")
         for key in ("adam_beta1", "adam_beta2"):
             require(key, lambda v: 0 <= v < 1, "in [0, 1)")
         require("bw_freq_max_hz", lambda v: 0 <= v <= 0.5, "in [0, 0.5]")
         for key in ("bw_amp_max", "pl_amp_max", "chirp_amp_max"):
-            require(key, lambda v: v >= 0, "non-negative")
-        require("chirp_mod_min_hz", lambda v: v > 0, "positive")
-        require("chirp_mod_max_hz", lambda v: v >= self.chirp_mod_min_hz,
-                f"at least chirp_mod_min_hz ({self.chirp_mod_min_hz!r})")
+            require_finite(key, lambda v: v >= 0, "non-negative")
+        require_finite("chirp_mod_min_hz", lambda v: v > 0, "positive")
+        require_finite("chirp_mod_max_hz", lambda v: v >= self.chirp_mod_min_hz,
+                       f"at least chirp_mod_min_hz ({self.chirp_mod_min_hz!r})")
         require("latent", lambda v: v in LATENTS, f"one of {', '.join(LATENTS)}")
 
 

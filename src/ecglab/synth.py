@@ -235,8 +235,8 @@ class NoiseParams:
     phases: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if not 0 <= self.bw_freq_hz <= 0.5:
             raise ValueError("bw_freq_hz outside [0, 0.5]")
         if self.chirp_amp < 0 or self.chirp_mod_freq_hz <= 0:
@@ -259,8 +259,6 @@ def _draw_noise_params(rng: np.random.Generator, gamma: float, cfg: RunConfig) -
 
 def sample_noise_params(seed: int, gamma: float, cfg: RunConfig | None = None) -> NoiseParams:
     """One draw of the noise parameters from `cfg`'s ranges (None: the defaults)."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
     return _draw_noise_params(np.random.default_rng(seed), gamma, cfg or RunConfig())
 
 
@@ -295,8 +293,6 @@ def make_training_pairs(
     defaults)."""
     if not clean:
         raise ValueError("clean signal list is empty")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
     rng = np.random.default_rng(seed)
     cfg = cfg or RunConfig()
     return [SignalPair(s, apply_noise(s, _draw_noise_params(rng, gamma, cfg))) for s in clean]

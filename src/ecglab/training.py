@@ -16,7 +16,7 @@ from . import models
 from .autodiff import Tensor
 from .config import RunConfig
 from .dsp import mel_spectrogram
-from .metrics import MetricReport, evaluate_denoiser, inception_score
+from .metrics import MetricReport, evaluate_denoiser
 from .models import Network
 from .optim import AdamState, adam_step, zero_grads
 from .signals import LabeledDataset, Signal, SignalPair, csv_table
@@ -67,7 +67,8 @@ def _signals_to_array(signals: list[Signal]) -> np.ndarray:
 
 
 def _require_finite(records, what: str) -> None:
-    """ValueError naming the first record (array) that holds NaN or inf."""
+    """ValueError naming the first record (an array, or a tuple of arrays)
+    that holds NaN or inf."""
     for i, rec in enumerate(records):
         if not np.isfinite(rec).all():
             raise ValueError(f"{what} {i} holds NaN or inf")
@@ -139,23 +140,19 @@ def train_gan(
     real: list[Signal],
     cfg: RunConfig,
     seed: int,
-    classifier: Network | None = None,
 ) -> tuple[Network, Network, TrainLog]:
     """Adversarial training: `critic_updates` critic steps per generator step.
 
     The critic minimizes E[C(fake)] - E[C(real)] + lambda * GP, the
     generator minimizes -E[C(fake)]. Phase shuffle is active in the
-    critic during training only. When a spectrogram classifier is given,
-    generator checkpoints are scored by inception score every
-    `cfg.is_eval_every` epochs (on `cfg.is_eval_batch` samples) and the
-    best one is returned; no CLI subcommand passes a classifier yet.
+    critic during training only. The generator of the last step is
+    returned.
     """
     if not real:
         raise ValueError("no training signals")
     length = real[0].length
     if any(s.length != length for s in real):
         raise ValueError("all training signals must share one length")
-    rate = real[0].sample_rate_hz
 
     rng = np.random.default_rng(seed)
     data = _signals_to_array(real)
@@ -183,25 +180,11 @@ def train_gan(
     stream = _epoch_batches(rng, train_data.shape[0], cfg.batch_size)
     step = 0
     epoch_seen = 0
-    best_is = -np.inf
-    best_gen_state: dict[str, np.ndarray] | None = None
-
-    def end_epoch(done: int) -> None:
-        """Validate the epoch just trained; every is_eval_every epochs, keep
-        the generator with the best inception score."""
-        nonlocal best_is, best_gen_state
-        _log_gan_validation(log, step, done, generator, critic, val_data, cfg, rng)
-        if classifier is not None and (done + 1) % cfg.is_eval_every == 0:
-            score = _inception_of_generator(generator, classifier, cfg, rate, rng)
-            if score > best_is:
-                best_is = score
-                best_gen_state = generator.state_dict()
-
     for _ in range(total_gen_steps):
         for _ in range(cfg.critic_updates):
             epoch, idx = next(stream)
             if epoch > epoch_seen:
-                end_epoch(epoch_seen)
+                _log_gan_validation(log, step, epoch_seen, generator, critic, val_data, cfg, rng)
                 epoch_seen = epoch
             step += 1
             critic_loss, w_est, gp = _critic_step(generator, critic, opt_c, train_data[idx], cfg, rng, step)
@@ -218,10 +201,7 @@ def train_gan(
             ad.backward(loss_g)
         adam_step(generator.params, opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
-    end_epoch(epoch_seen)
-
-    if best_gen_state is not None:
-        generator.load_state_dict(best_gen_state)
+    _log_gan_validation(log, step, epoch_seen, generator, critic, val_data, cfg, rng)
     return generator, critic, log
 
 
@@ -254,14 +234,6 @@ def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng)
     fake = models.infer(generator, z.data)
     w = float(models.infer(critic, val_data[:n]).mean() - models.infer(critic, fake).mean())
     log.add(step=step, kind="validation", epoch=epoch, val_loss=w)
-
-
-def _inception_of_generator(generator, classifier, cfg, sample_rate, rng) -> float:
-    z = models.sample_latent(rng, cfg.is_eval_batch, cfg.z_len, cfg.latent)
-    fakes = models.infer(generator, z.data)[:, :, 0]
-    grids = _spectrogram_batch([Signal(row, sample_rate) for row in fakes])
-    mean, _ = inception_score(models.infer(classifier, grids), splits=10)
-    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +367,7 @@ def train_denoiser(
 
     noisy = _signals_to_array([p.noisy for p in pairs])
     clean = _signals_to_array([p.clean for p in pairs])
-    _require_finite(np.concatenate([noisy, clean], axis=2), "training pair")
+    _require_finite(zip(noisy, clean), "training pair")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
     net = models.build("denoiser", d=cfg.model_dim, signal_length=length, seed=seed,
@@ -470,6 +442,10 @@ def ablation_sweep(
     for comp in compositions:
         if comp not in COMPOSITIONS:
             raise ValueError(f"unknown composition {comp!r}")
+    if not sizes:
+        raise ValueError("no sizes to sweep")
+    if min(sizes) < 1:
+        raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
     rng = np.random.default_rng(seed)
     real = [real[i] for i in rng.permutation(len(real))]
     synthetic = [synthetic[i] for i in rng.permutation(len(synthetic))]

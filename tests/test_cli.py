@@ -110,6 +110,7 @@ def test_train_nan_validation_loss_exits_1_without_checkpoint(tmp_path, capsys):
         ("bw_amp_max=-1", "bw_amp_max must be non-negative, got -1.0"),
         ("pl_amp_max=nan", "pl_amp_max must be non-negative, got nan"),
         ("bw_freq_max_hz=2", "bw_freq_max_hz must be in [0, 0.5], got 2.0"),
+        ("bw_amp_max=inf", "bw_amp_max must be finite, got inf"),
     )
 ])
 def test_noise_bad_range_exits_1_naming_the_key(tmp_path, capsys, line, message):
@@ -120,6 +121,33 @@ def test_noise_bad_range_exits_1_naming_the_key(tmp_path, capsys, line, message)
     assert main(["noise", "--config", str(cfg), "--in", str(clean), "--out", str(pairs)]) == 1
     assert capsys.readouterr().err == f"ecglab: error: {message}\n"
     assert not pairs.exists()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+def test_noise_bad_gamma_exits_1_without_output(tmp_path, capsys, gamma):
+    clean, pairs = tmp_path / "c.ecgd", tmp_path / "p.ecgp"
+    assert _synth(clean) == 0
+    capsys.readouterr()
+    assert main(["noise", "--gamma", gamma, "--in", str(clean), "--out", str(pairs)]) == 1
+    value = float(gamma)
+    assert capsys.readouterr().err == f"ecglab: error: gamma must be finite and non-negative, got {value}\n"
+    assert not pairs.exists()
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("-3", "sizes must be at least 1, got -3"),
+    ("4,0", "sizes must be at least 1, got 0"),
+    ("", "no sizes to sweep"),
+])
+def test_sweep_bad_sizes_exit_1_without_output(tmp_path, capsys, sizes, message):
+    clean, pairs, out = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "sweep.csv"
+    assert _synth(clean) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--real", str(pairs), "--synthetic", str(pairs), f"--sizes={sizes}",
+                 "--compositions", "real-only", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert not out.exists()
 
 
 def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
@@ -182,6 +210,7 @@ def mel_data(tmp_path_factory):
         ("adam_beta2", "nan", "in [0, 1)"),
         ("bw_freq_max_hz", "2.0", "in [0, 0.5]"),
         ("pl_amp_max", "nan", "non-negative"),
+        ("adam_lr", "inf", "finite"),
     )
 ])
 def test_train_bad_config_value_exits_1_without_output(tmp_path, capsys, mel_data, network, key, value, rule):

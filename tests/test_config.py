@@ -116,6 +116,16 @@ def test_section_takes_every_field_from_its_key(tmp_path, section, cls):
         assert str(getattr(loaded, key)) == value, key
 
 
+def test_every_key_names_a_reader():
+    """Each RunConfig key names at least one subcommand that reads it in
+    the table in ecglab.config, so a setting nothing reads cannot be added
+    without notice."""
+    readers = _documented_readers()
+    assert set(readers) == _KEYS
+    for key, names in readers.items():
+        assert names and names <= {"gan", "inception", "denoiser", "sweep", "noise", "synth"}, (key, names)
+
+
 @pytest.mark.parametrize("text,lineno,message", [
     ("epochs = 2\nwarp = 9\n", 2, "unknown configuration key 'warp'"),
     ("# comment\n\nepochs 2\n", 3, "expected key=value, got 'epochs 2'"),
@@ -130,8 +140,7 @@ def test_config_error_names_the_line(tmp_path, text, lineno, message):
 
 @pytest.mark.parametrize("key,value,rule", [
     *((key, value, "a positive integer")
-      for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len",
-                  "is_eval_every", "is_eval_batch", "generator_steps")
+      for key in ("batch_size", "model_dim", "critic_updates", "epochs", "z_len", "generator_steps")
       for value in (0, -4)),
     ("batch_size", 2.5, "a positive integer"),
     ("phase_shuffle", -1, "a non-negative integer"),
@@ -150,6 +159,8 @@ def test_config_error_names_the_line(tmp_path, text, lineno, message):
       for value in (-1.0, float("nan"))),
     *(("chirp_mod_min_hz", value, "positive") for value in (0.0, float("nan"))),
     *(("chirp_mod_max_hz", value, "at least chirp_mod_min_hz (0.1)") for value in (0.05, float("nan"))),
+    *((key, float("inf"), "finite") for key in ("gp_lambda", "adam_lr", "bw_amp_max", "pl_amp_max",
+                                                "chirp_amp_max", "chirp_mod_min_hz", "chirp_mod_max_hz")),
 ])
 def test_run_config_rejects_bad_value(key, value, rule):
     with pytest.raises(ConfigError, match=f"^{key} must be {re.escape(rule)}, got {re.escape(repr(value))}$"):

@@ -11,10 +11,7 @@ from ecglab.metrics import (
     MetricReport,
     delta_hr,
     evaluate_denoiser,
-    inception_score,
     mse,
-    nn_distance_self,
-    nn_distance_train,
     reports_to_csv,
     snr_db,
 )
@@ -25,106 +22,6 @@ rng = np.random.default_rng(7)
 
 def sig(values, rate=500.0):
     return Signal(np.asarray(values, dtype=np.float64), rate)
-
-
-# ---------------------------------------------------------------------------
-# inception score
-
-
-def test_inception_score_identical_rows_is_one():
-    probs = np.tile([0.2, 0.1, 0.4, 0.05, 0.25], (40, 1))
-    mean, std = inception_score(probs, splits=10)
-    assert abs(mean - 1.0) < 1e-9
-    assert std < 1e-9
-
-
-def test_inception_score_one_hot_is_class_count():
-    probs = np.eye(5)
-    mean, _ = inception_score(probs, splits=1)
-    assert abs(mean - 5.0) < 1e-6
-
-
-def test_inception_score_rejects_zero_row():
-    probs = np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0, 0, 0, 0]])
-    with pytest.raises(ValueError):
-        inception_score(probs, splits=1)
-
-
-def test_inception_score_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        inception_score(np.array([[1.5, 0, 0, 0, 0]]), splits=1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
-def test_inception_score_bounds(seed, n):
-    g = np.random.default_rng(seed)
-    probs = g.uniform(0.001, 1.0, size=(n, 5))
-    mean, _ = inception_score(probs, splits=1)
-    assert 1.0 - 1e-9 <= mean <= 5.0 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# nearest-neighbor distances
-
-
-def test_nn_self_two_identical_is_zero():
-    s = sig([0.5, -0.5, 0.25])
-    assert nn_distance_self([s, s]) == 0.0
-
-
-def test_nn_self_3_4_5_triangle():
-    a = sig([0.0, 0.0])
-    b = sig([3.0, 4.0])
-    assert nn_distance_self([a, b]) == 5.0
-
-
-def test_nn_train_self_match_is_zero():
-    sigs = [sig(rng.normal(size=16)) for _ in range(5)]
-    assert nn_distance_train(sigs, sigs) == 0.0
-
-
-def test_nn_train_single_pair_distance():
-    assert nn_distance_train([sig([2.0, 0.0])], [sig([0.0, 0.0])]) == 2.0
-
-
-def _brute_force_self(mat):
-    n = mat.shape[0]
-    total = 0.0
-    for i in range(n):
-        best = math.inf
-        for j in range(n):
-            if i == j:
-                continue
-            best = min(best, math.sqrt(float(np.sum((mat[i] - mat[j]) ** 2))))
-        total += best
-    return total / n
-
-
-def _brute_force_train(mat, train):
-    total = 0.0
-    for i in range(mat.shape[0]):
-        best = math.inf
-        for j in range(train.shape[0]):
-            best = min(best, math.sqrt(float(np.sum((mat[i] - train[j]) ** 2))))
-        total += best
-    return total / mat.shape[0]
-
-
-def test_nn_distances_match_brute_force():
-    mat = rng.normal(size=(100, 24))
-    train = rng.normal(size=(40, 24))
-    sigs = [sig(row) for row in mat]
-    train_sigs = [sig(row) for row in train]
-    assert abs(nn_distance_self(sigs) - _brute_force_self(mat)) < 1e-12
-    assert abs(nn_distance_train(sigs, train_sigs) - _brute_force_train(mat, train)) < 1e-12
-
-
-def test_nn_distance_errors():
-    with pytest.raises(ValueError):
-        nn_distance_self([sig([1.0])])
-    with pytest.raises(ValueError):
-        nn_distance_train([], [sig([1.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +127,10 @@ def test_metrics_permutation_invariant(ecg_60bpm, ecg_90bpm):
 
 
 def test_csv_header_and_row_shape():
-    rep = MetricReport("tag", mse=0.25, snr_db=3.0, delta_hr_hz=0.1,
-                       inception_score=(1.2, 0.01), d_self=18.0, d_train=20.0)
+    rep = MetricReport("tag", mse=0.25, snr_db=3.0, delta_hr_hz=0.1)
     csv = reports_to_csv([rep])
     lines = csv.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "dataset_tag,mse,snr_db,delta_hr_hz"
     assert lines[1].split(",")[0] == "tag"
     assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
 
@@ -242,5 +138,3 @@ def test_csv_header_and_row_shape():
 def test_report_validation():
     with pytest.raises(ValueError):
         MetricReport("bad", delta_hr_hz=-0.1)
-    with pytest.raises(ValueError):
-        MetricReport("bad", inception_score=(0.5, 0.0))

@@ -286,9 +286,19 @@ def test_sample_noise_params_ranges_monte_carlo():
 
 def test_noise_params_validate():
     with pytest.raises(ValueError):
-        flat_params(gamma=-1.0)
-    with pytest.raises(ValueError):
         flat_params(bw_freq_hz=0.7)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+def test_gamma_is_checked_once_by_noise_params(ecg_60bpm, gamma):
+    """NoiseParams holds the one gamma check; the samplers reach it."""
+    message = f"^gamma must be finite and non-negative, got {gamma}$"
+    with pytest.raises(ValueError, match=message):
+        flat_params(gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        sample_noise_params(0, gamma)
+    with pytest.raises(ValueError, match=message):
+        make_training_pairs([ecg_60bpm], gamma, seed=0)
 
 
 # ---------------------------------------------------------------------------

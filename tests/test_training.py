@@ -7,8 +7,6 @@ from ecglab import autodiff as ad
 from ecglab import models, nn, training
 from ecglab.autodiff import Tensor
 from ecglab.config import RunConfig
-from ecglab.dsp import mel_spectrogram
-from ecglab.metrics import inception_score
 from ecglab.signals import LabeledDataset, Signal, SignalPair
 from ecglab.training import (
     bce_with_logits,
@@ -304,24 +302,6 @@ def test_gan_deterministic_rerun():
         assert np.array_equal(c1.params[k].data, c2.params[k].data)
 
 
-def test_gan_returns_the_generator_of_its_best_inception_score(monkeypatch):
-    # 32 signals in batches of 8 and three generator steps: 15 critic
-    # updates over epochs 0-3, each scored once
-    snapshots, scores = [], iter([1.0, 3.0, 2.0, 1.5])
-
-    def score(generator, *args):
-        snapshots.append(generator.state_dict())
-        return next(scores)
-
-    monkeypatch.setattr(training, "_inception_of_generator", score)
-    cfg = tiny_gan_cfg(generator_steps=None, epochs=4, is_eval_every=1)
-    generator, _, _ = train_gan(make_sines(n=32), cfg, seed=11, classifier=object())
-    final = generator.state_dict()
-    assert len(snapshots) == 4
-    assert all(np.array_equal(final[k], snapshots[1][k]) for k in final)
-    assert not all(np.array_equal(final[k], snapshots[3][k]) for k in final)
-
-
 def test_gan_insufficient_data():
     with pytest.raises(ValueError):
         train_gan(make_sines(n=4), tiny_gan_cfg(), seed=0)
@@ -397,11 +377,12 @@ def test_denoiser_unknown_variant():
 
 
 def test_denoiser_rejects_non_finite_pair():
-    pairs = _identity_pairs()
     bad = Signal(np.full(96, np.inf), 64.0)
-    pairs[5] = SignalPair(pairs[5].clean, bad)
-    with pytest.raises(ValueError, match="training pair 5 holds NaN or inf"):
-        train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), "baseline", seed=0)
+    for i, make in ((5, lambda p: SignalPair(p.clean, bad)), (2, lambda p: SignalPair(bad, p.noisy))):
+        pairs = _identity_pairs()
+        pairs[i] = make(pairs[i])
+        with pytest.raises(ValueError, match=f"training pair {i} holds NaN or inf"):
+            train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), "baseline", seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -515,19 +496,15 @@ def test_ablation_sweep_grid_and_determinism():
     assert csv1.splitlines()[0] == training.SWEEP_CSV_HEADER
 
 
-def test_ablation_sweep_size_exceeds_data():
+def test_ablation_sweep_size_exceeds_data(monkeypatch):
     real = _identity_pairs(n=6, seed=1)
     synth_pairs = _identity_pairs(n=6, seed=2)
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
         training.ablation_sweep(real, synth_pairs, [100], cfg, seed=0)
-
-
-def test_inception_of_generator_scores_mel_grids_of_its_samples():
-    gen = models.build("generator", d=1, z_len=8, signal_length=1024, seed=0)
-    clf = models.build("inception", d=1, signal_length=1024, seed=0)
-    cfg = RunConfig(z_len=8, is_eval_batch=20)
-    score = training._inception_of_generator(gen, clf, cfg, 500.0, np.random.default_rng(5))
-    z = models.sample_latent(np.random.default_rng(5), 20, 8, cfg.latent)
-    grids = np.stack([mel_spectrogram(Signal(row, 500.0)).bins for row in models.infer(gen, z.data)[:, :, 0]])
-    assert score == inception_score(models.infer(clf, grids[:, :, :, None]), splits=10)[0]
+    # sizes below 1 fail before anything is trained
+    monkeypatch.setattr(training, "train_denoiser", None)
+    for sizes, message in (([], "no sizes to sweep"), ([2, -3], "sizes must be at least 1, got -3"),
+                           ([0], "sizes must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            training.ablation_sweep(real, synth_pairs, sizes, cfg, seed=0)
