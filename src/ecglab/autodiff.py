@@ -18,7 +18,8 @@ norm and the (leaky) ReLU after it as one node, is its closed form behind
 the activation's slope, and ``max_pool_2x2``'s routes each cotangent to its
 window's winner. They are first order only and raise GraphError under
 ``create_graph``. No second-order path crosses them: the critic, the one
-network differentiated twice, has no batch norm and no pool.
+network differentiated twice, has no batch norm and no pool. Inference-mode
+batch norm, ``batch_norm_infer``, records no graph at all.
 
 Each recorded op is a node that holds its VJP and its parents' graph
 vertices, and nothing else: a vertex is a parent's node, or the parent
@@ -370,6 +371,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _BN_BLOCK_BYTES = 2**18
 
 
+def _affine_act(x2: np.ndarray, scale: np.ndarray, shift: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """act(x2 * scale + shift) into out, one block of sample rows at a time,
+    for [n, row] x2 and out and per-channel vectors tiled to a row: batch
+    norm's output in either mode, and every rebuild of it in train mode."""
+    step = max(1, _BN_BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
+    for r in range(0, len(out), step):
+        rows = np.multiply(x2[r : r + step], scale, out=out[r : r + step])
+        rows += shift
+        if alpha == 0:
+            np.maximum(rows, 0, out=rows)
+        elif alpha < 1:
+            np.maximum(rows, rows * rows.dtype.type(alpha), out=rows)
+    return out
+
+
 def batch_norm_train(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float, alpha: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -382,7 +398,7 @@ def batch_norm_train(
     max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
     no activation. The node keeps xhat only, not x and not its output: the
     output is rebuilt from xhat where it is read, by the forward's own
-    function (``activate``), so its bits are the forward's. The VJP takes
+    pass (``_affine_act``), so its bits are the forward's. The VJP takes
     the slope from the sign of the rebuilt output as ``leaky_relu`` does
     (act(y) > 0 exactly where y > 0, for signed zeros, infinities and NaN
     too), and applies the closed form of Ioffe & Szegedy in numpy, so it
@@ -401,8 +417,6 @@ def batch_norm_train(
     sample row if one is larger) and a few row-sized channel vectors. A
     rebuild for a transposed conv allocates the output plus its zero rows.
     """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
     shape, c = x.shape, x.shape[-1]
     # one row per sample, so that per-channel vectors tiled to a row broadcast
     # with long inner loops, and channel sums add each position's batch sum
@@ -425,24 +439,12 @@ def batch_norm_train(
     xhat *= row(inv)
     gamma_row, beta_row = row(gamma.data), row(beta.data)
 
-    def activate(r, out):
-        """act(xhat * gamma + beta) of the sample rows from r into out: the
-        forward's output, and every rebuild of it."""
-        np.multiply(xhat[r : r + len(out)], gamma_row, out=out)
-        out += beta_row
-        if alpha == 0:
-            np.maximum(out, 0, out=out)
-        elif alpha < 1:
-            np.maximum(out, out * dt(alpha), out=out)
-        return out
-
     def rebuild(tail):
         # the output, then `tail` zero rows per sample, in one buffer
         buf = np.empty((shape[0], shape[1] + tail, *shape[2:]), dtype=xhat.dtype)
         rows = buf.reshape(shape[0], -1)
         rows[:, xhat.shape[1] :] = 0
-        for r in range(0, len(rows), step):
-            activate(r, rows[r : r + step, : xhat.shape[1]])
+        _affine_act(xhat, gamma_row, beta_row, alpha, rows[:, : xhat.shape[1]])
         return buf[:, : shape[1]]
 
     def vjp(g, need):
@@ -454,7 +456,7 @@ def batch_norm_train(
             # from the rebuilt output's sign, one block of sample rows at a time
             slope = np.empty_like(xhat)
             for r in range(0, len(slope), step):
-                rows = activate(r, slope[r : r + step])
+                rows = _affine_act(xhat[r : r + step], gamma_row, beta_row, alpha, slope[r : r + step])
                 np.greater(rows, 0, out=rows)
                 rows *= dt(1.0 - alpha)
                 rows += dt(alpha)
@@ -480,29 +482,27 @@ def batch_norm_train(
             gx = Tensor(gx.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
-    y = np.empty_like(xhat)
-    for r in range(0, len(y), step):
-        activate(r, y[r : r + step])
+    y = _affine_act(xhat, gamma_row, beta_row, alpha, np.empty_like(xhat))
     out = _make(y.reshape(shape), (x, gamma, beta), vjp)
     if out._node is not None:
         out._node._rebuild = rebuild
     return out, mu, var
 
 
-def scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """y = x * scale + shift per channel (the last axis), with the two
-    channel vectors tiled to one row per sample as in batch_norm_train."""
-    n, c = x.shape[0], x.shape[-1]
+def batch_norm_infer(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var: np.ndarray,
+                     eps: float, alpha: float) -> Tensor:
+    """Inference-mode batch norm over the running `mean` and `var` and its
+    activation, act(x * scale + shift) per channel for scale = gamma / sqrt(var + eps)
+    and shift = beta - mean * scale, into one fresh buffer by train mode's pass.
+    It records no graph: while recording, an input that requires grad raises GraphError."""
+    if _grad_enabled and any(t.requires_grad for t in (x, gamma, beta)):
+        raise GraphError("batch_norm in infer mode records no graph; run it under no_grad")
+    scale = gamma.data * np.asarray(1 / np.sqrt(var + eps), dtype=DTYPE)
+    shift = beta.data - np.asarray(mean, dtype=DTYPE) * scale
     reps = math.prod(x.shape[1:-1])
-    y = x.data.reshape(n, reps * c) * np.tile(scale.data, reps)
-    y += np.tile(shift.data, reps)
-
-    def vjp(g, need):
-        return (mul(g, scale) if need[0] else None,
-                _unbroadcast(mul(g, x), scale.shape) if need[1] else None,
-                _unbroadcast(g, shift.shape) if need[2] else None)
-
-    return _make(y.reshape(x.shape), (x, scale, shift), vjp)
+    x2 = x.data.reshape(x.shape[0], reps * x.shape[-1])
+    y = _affine_act(x2, np.tile(scale, reps), np.tile(shift, reps), alpha, np.empty_like(x2))
+    return Tensor(y.reshape(x.shape))
 
 
 # ---------------------------------------------------------------------------

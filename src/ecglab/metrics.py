@@ -16,12 +16,12 @@ CSV_HEADER = "dataset_tag,mse,snr_db,delta_hr_hz"
 @dataclass(frozen=True)
 class MetricReport:
     dataset_tag: str
-    mse: float | None = None
-    snr_db: float | None = None
-    delta_hr_hz: float | None = None
+    mse: float
+    snr_db: float
+    delta_hr_hz: float
 
     def __post_init__(self):
-        if self.delta_hr_hz is not None and self.delta_hr_hz < 0:
+        if self.delta_hr_hz < 0:
             raise ValueError("delta_hr_hz must be non-negative")
 
 

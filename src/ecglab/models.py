@@ -27,7 +27,9 @@ no kernel layer's output outlives the forward: a generator stage keeps
 one activation-sized buffer (batch norm's normalized input, from which
 its activation is rebuilt in the backward), and a denoiser conv -> leaky
 ReLU or critic conv -> phase shuffle -> leaky ReLU stage one (the
-activation).
+activation). An inference-mode forward records no graph at all. The
+crop's target and the phase shuffle's reach are the ``NetworkSpec``'s
+``signal_length`` and ``phase_shuffle_n``.
 
 A checkpoint (``checkpoint_state``) is a network's ``state_dict`` plus the
 ``NetworkSpec`` fields that rebuild it, each as a one-element
@@ -41,6 +43,7 @@ or by hand) loads with 0: its shuffle acts in train mode only.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +72,6 @@ class LayerSpec:
     kind: str
     kernel: tuple[int, ...] | None = None
     stride: int | None = None
-    n_max: int | None = None
-    target: int | None = None
     shape: tuple[int, ...] | None = None
     param: str | None = None
     alpha: float | None = None  # slope of the activation a batch norm ends in
@@ -113,7 +114,7 @@ def generator_spec(d: int, z_len: int, signal_length: int) -> NetworkSpec:
         )
         if i < stages:
             layers.append(LayerSpec("batch_norm", param=f"bn{i}", alpha=LRELU_ALPHA))
-    layers.append(LayerSpec("crop", target=signal_length))
+    layers.append(LayerSpec("crop"))
     layers.append(LayerSpec("tanh"))
     return NetworkSpec("generator", d, z_len, signal_length, tuple(layers))
 
@@ -126,7 +127,7 @@ def critic_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSpec
         layers.append(
             LayerSpec("conv1d", kernel=(KERNEL_1D, channels[i], channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
         )
-        layers.append(LayerSpec("phase_shuffle", n_max=phase_shuffle_n))
+        layers.append(LayerSpec("phase_shuffle"))
         layers.append(LayerSpec("leaky_relu"))
         length = -(-length // STRIDE_1D)
     flat = length * channels[-1]
@@ -155,7 +156,7 @@ def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSp
     layers = []
     for i in range(4):
         if phase_shuffle_n > 0:
-            layers.append(LayerSpec("phase_shuffle", n_max=phase_shuffle_n))
+            layers.append(LayerSpec("phase_shuffle"))
         layers.append(
             LayerSpec("conv1d", kernel=(KERNEL_1D, enc_channels[i], enc_channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
         )
@@ -166,7 +167,7 @@ def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSp
             LayerSpec("trans_conv1d", kernel=(KERNEL_1D, dec_channels[i], dec_channels[i + 1]), stride=STRIDE_1D, param=f"tconv{i + 1}")
         )
         layers.append(LayerSpec("leaky_relu"))
-    layers.append(LayerSpec("crop", target=signal_length))
+    layers.append(LayerSpec("crop"))
     layers.append(LayerSpec("tanh"))
     return NetworkSpec("denoiser", d, 0, signal_length, tuple(layers), phase_shuffle_n)
 
@@ -210,45 +211,41 @@ class Network:
     ) -> Tensor:
         """Run the layer stack; `stop_at` halts before the first layer of that
         kind (used to read pre-sigmoid logits), and a `trace` list gets
-        (index, kind, output shape) of each layer run."""
+        (index, kind, output shape) of each layer run. Infer mode runs under
+        ``no_grad``: it records no graph and returns a Tensor with no node."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
-        h = x
-        for i, layer in enumerate(self.spec.layers):
-            k = layer.kind
-            if stop_at is not None and k == stop_at:
-                return h
-            if k in _NEEDS_KERNEL:  # the three convolutions are the nn functions of their kind's name
-                w, b = self.params[f"{layer.param}.w"], self.params.get(f"{layer.param}.b")
-                h = nn.dense(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
-            elif k == "maxpool2d":
-                h = nn.maxpool2d(h)
-            elif k == "batch_norm":
-                h = nn.batch_norm(
-                    h,
-                    self.params[f"{layer.param}.gamma"],
-                    self.params[f"{layer.param}.beta"],
-                    self.running[layer.param],
-                    mode,
-                    layer.alpha,
-                )
-            elif k == "leaky_relu":
-                h = ad.leaky_relu(h, LRELU_ALPHA)
-            elif k == "tanh":
-                h = ad.tanh(h)
-            elif k == "sigmoid":
-                h = ad.sigmoid(h)
-            elif k == "phase_shuffle":
-                h = nn.phase_shuffle(h, layer.n_max, rng, mode)
-            elif k == "crop":
-                h = nn.crop_center(h, layer.target)
-            elif k == "reshape":
-                h = ad.reshape(h, (h.shape[0],) + layer.shape)
-            else:
-                raise ValueError(f"unknown layer kind {k!r}")
-            if trace is not None:
-                trace.append((i, k, h.shape))
-        return h
+        with ad.no_grad() if mode == "infer" else contextlib.nullcontext():
+            h = x
+            for i, layer in enumerate(self.spec.layers):
+                k = layer.kind
+                if stop_at is not None and k == stop_at:
+                    return h
+                if k in _NEEDS_KERNEL:  # the three convolutions are the nn functions of their kind's name
+                    w, b = self.params[f"{layer.param}.w"], self.params.get(f"{layer.param}.b")
+                    h = nn.dense(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
+                elif k == "maxpool2d":
+                    h = nn.maxpool2d(h)
+                elif k == "batch_norm":
+                    h = nn.batch_norm(h, self.params[f"{layer.param}.gamma"], self.params[f"{layer.param}.beta"],
+                                      self.running[layer.param], mode, layer.alpha)
+                elif k == "leaky_relu":
+                    h = ad.leaky_relu(h, LRELU_ALPHA)
+                elif k == "tanh":
+                    h = ad.tanh(h)
+                elif k == "sigmoid":
+                    h = ad.sigmoid(h)
+                elif k == "phase_shuffle":
+                    h = nn.phase_shuffle(h, self.spec.phase_shuffle_n, rng, mode)
+                elif k == "crop":
+                    h = nn.crop_center(h, self.spec.signal_length)
+                elif k == "reshape":
+                    h = ad.reshape(h, (h.shape[0],) + layer.shape)
+                else:
+                    raise ValueError(f"unknown layer kind {k!r}")
+                if trace is not None:
+                    trace.append((i, k, h.shape))
+            return h
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {name: p.data.copy() for name, p in self.params.items()}
@@ -338,13 +335,13 @@ def from_checkpoint(name: str, state: dict[str, np.ndarray], signal_length: int 
 
 
 def infer(net: Network, x: np.ndarray, stop_at: str | None = None) -> np.ndarray:
-    """Inference-mode forward of `x` in chunks of INFER_BATCH, recording no
-    graph. An empty `x` runs one empty forward: zero rows of the output shape."""
-    with ad.no_grad():
-        return np.concatenate([
-            net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer", stop_at=stop_at).data
-            for i in range(0, max(len(x), 1), INFER_BATCH)
-        ])
+    """Inference-mode forward of `x` in chunks of INFER_BATCH; like every
+    inference forward it records no graph. An empty `x` runs one empty
+    forward: zero rows of the output shape."""
+    return np.concatenate([
+        net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer", stop_at=stop_at).data
+        for i in range(0, max(len(x), 1), INFER_BATCH)
+    ])
 
 
 def count_params(net: Network) -> int:

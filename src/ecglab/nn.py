@@ -37,10 +37,12 @@ In train mode the two are one node (``autodiff.batch_norm_train``) that
 keeps the normalized input only, whose VJP is the closed form, first
 order only. The activation is rebuilt from the normalized input where a
 VJP reads it: batch norm's own for its slope, and the kernel VJP of the
-transposed conv it feeds. Inference mode folds the running
-statistics into one scale and shift per channel (``autodiff.scale_shift``),
-through which gamma and beta still get gradients, and then applies the
-activation as its own node.
+transposed conv it feeds. Inference mode (``autodiff.batch_norm_infer``)
+folds the running statistics into one scale and shift per channel and
+writes act(x * scale + shift) into one fresh buffer, by the same blockwise
+pass that writes train mode's output. It records no graph: called while
+recording with an input that requires grad, it raises GraphError, and
+``Network.forward`` runs inference mode under ``no_grad``.
 ``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
 whose VJP, like train-mode batch norm's, is first order only.
 """
@@ -125,7 +127,10 @@ def batch_norm(
     alpha: float = 1.0,
 ) -> Tensor:
     """Per-channel standardization over batch and spatial axes (channel last),
-    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none)."""
+    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none).
+    Infer mode records no graph (see the module docstring)."""
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs batch size >= 2")
@@ -135,14 +140,7 @@ def batch_norm(
         return out
     if mode != "infer":
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    if not 0 <= alpha <= 1:  # batch_norm_train checks train mode; leaky_relu alone refuses 0
-        raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
-    scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + BN_EPS)))
-    shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
-    out = ad.scale_shift(x, scale, shift)
-    if alpha == 1:
-        return out
-    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha)
+    return ad.batch_norm_infer(x, gamma, beta, running["mean"], running["var"], BN_EPS, alpha)
 
 
 def phase_shuffle(

@@ -11,11 +11,13 @@ a tail:
 * ``ECG2``  - clean/noisy pair dataset: per = 2, each record's clean
   samples immediately followed by its noisy samples; no tail.
 
-Every signal in a file shares one length and one sample rate; the writer
-refuses anything else. The reader checks the magic, the version, the
-payload and tail lengths and that every sample is finite. Sample payloads
-are f32, so round-trips are bit-exact for data that is representable in
-single precision (everything these containers are meant to hold).
+Every signal in a file shares one length and one sample rate, and no
+finite sample may overflow f32 (it would be written as inf); the writer
+refuses anything else, naming the record, before it opens the file. The
+reader checks the magic, the version, the payload and tail lengths and
+that every sample is finite. Sample payloads are f32, so round-trips are
+bit-exact for data that is representable in single precision (everything
+these containers are meant to hold).
 
 Every CSV table the pipeline writes (the training logs, ``eval`` and
 ``sweep``) is made by ``csv_table``: a header line, then one line per row,
@@ -148,15 +150,20 @@ def scale_to_unit(s: Signal) -> Signal:
 def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Signal]], tail: bytes) -> None:
     """Write the header, then each record's signals as little-endian f32
     samples straight to the file, then ``tail``. Every signal must share
-    the first one's length and sample rate, which the header stores."""
+    the first one's length and sample rate, which the header stores, and
+    no finite sample may overflow f32; all of it is checked, one signal at
+    a time, before the file is opened."""
     sigs = [s for rec in records for s in rec]
     length = sigs[0].length if sigs else 0
     rate = sigs[0].sample_rate_hz if sigs else 0.0
-    for s in sigs:
+    for i, s in enumerate(sigs):
         if s.length != length:
             raise ValueError(f"all signals in a file must share one length, found {length} and {s.length}")
         if s.sample_rate_hz != rate:
             raise ValueError(f"all signals in a file must share one sample rate, found {rate} and {s.sample_rate_hz} Hz")
+        with np.errstate(over="ignore"):
+            if np.any(np.isinf(s.samples.astype("<f4")) & np.isfinite(s.samples)):
+                raise ValueError(f"record {i // len(records[0])} holds a sample that overflows float32")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(magic, 1, len(records), length, rate))
         for s in sigs:

@@ -446,6 +446,10 @@ def ablation_sweep(
         raise ValueError("no sizes to sweep")
     if min(sizes) < 1:
         raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
+    for kind, values in (("size", sizes), ("composition", compositions)):
+        twice = [v for i, v in enumerate(values) if v in values[:i]]
+        if twice:
+            raise ValueError(f"{kind} {twice[0]!r} is given twice")
     rng = np.random.default_rng(seed)
     real = [real[i] for i in rng.permutation(len(real))]
     synthetic = [synthetic[i] for i in rng.permutation(len(synthetic))]

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import struct
 import weakref
@@ -246,18 +247,73 @@ def _reference_infer_bn(x, gamma, beta, running, eps=1e-5):
 @pytest.mark.float64
 @pytest.mark.parametrize("shape", BN_SHAPES)
 def test_infer_batch_norm_matches_reference_and_fd(shape):
-    """One scale and shift per channel: same values and gradients as the
-    normalize-then-scale composition, and gradients flow to gamma and beta."""
+    """One scale and shift per channel: the same values as the
+    normalize-then-scale composition."""
     arrays = _bn_arrays(shape)
-    probe = rng.normal(size=shape)
-    y, running, grads = _bn_grads(_infer_bn, arrays, probe)
-    y_ref, _, grads_ref = _bn_grads(_reference_infer_bn, arrays, probe)
+    running = {"mean": np.linspace(-1, 1, shape[-1]), "var": np.linspace(0.5, 2, shape[-1])}
+    t = {k: Tensor(v) for k, v in arrays.items()}
+    y = _infer_bn(t["x"], t["gamma"], t["beta"], running).data
+    y_ref = _reference_infer_bn(t["x"], t["gamma"], t["beta"], running).data
     assert np.max(np.abs(y - y_ref)) < 1e-12
-    for target in arrays:
-        assert np.max(np.abs(grads[target] - grads_ref[target])) < 1e-12, target
-    assert_grads_match_fd(lambda x, gamma, beta: ad.tanh(_infer_bn(x, gamma, beta, running)), arrays, 1e-6)
-    empty = _infer_bn(Tensor(np.zeros((0, *shape[1:]))), Tensor(arrays["gamma"]), Tensor(arrays["beta"]), running)
+    empty = _infer_bn(Tensor(np.zeros((0, *shape[1:]))), t["gamma"], t["beta"], running)
     assert empty.shape == (0, *shape[1:])
+
+
+def _composed_infer_bn(x, gamma, beta, running, alpha):
+    """Inference-mode batch norm as the five nodes it was built from before
+    it became one pass: scale and shift by mul, mul and sub, their product
+    and sum with x with both vectors tiled to one row per sample, and then
+    the activation's own node."""
+    scale = ad.mul(gamma, Tensor(1 / np.sqrt(running["var"] + nn.BN_EPS)))
+    shift = ad.sub(beta, ad.mul(Tensor(running["mean"]), scale))
+    reps = int(np.prod(x.shape[1:-1]))
+    y = x.data.reshape(x.shape[0], reps * x.shape[-1]) * np.tile(scale.data, reps)
+    y += np.tile(shift.data, reps)
+    out = Tensor(y.reshape(x.shape))
+    if alpha == 1:
+        return out
+    return ad.relu(out) if alpha == 0 else ad.leaky_relu(out, alpha)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("shape", [(5, 7, 3), (3, 4, 5, 3), (0, 7, 3)], ids=["nlc", "nhwc", "empty"])
+def test_infer_batch_norm_is_bit_equal_to_the_composition(shape, alpha, dtype, monkeypatch):
+    """Byte for byte, with +0, -0, +inf, -inf and NaN in the pre-activation
+    x * scale + shift: channel 1 has gamma 1, beta -0 and mean 0, so its
+    shift is -0 and its x values keep their sign and class."""
+    monkeypatch.setattr(ad, "DTYPE", dtype)
+    local = np.random.default_rng(24)
+    x = local.normal(loc=0.5, scale=1.5, size=shape)
+    x[..., 1] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], shape[:-1])
+    gamma, beta = Tensor([local.normal(), 1.0, -0.7]), Tensor([local.normal(), -0.0, 0.3])
+    running = {"mean": np.array([0.4, 0.0, -1.2], dtype=dtype), "var": np.array([0.5, 1.0, 2.0], dtype=dtype)}
+    want = _composed_infer_bn(Tensor(x), gamma, beta, running, alpha)
+    got = nn.batch_norm(Tensor(x), gamma, beta, running, "infer", alpha)
+    assert got.data.dtype == want.data.dtype == dtype
+    assert got.shape == shape and got.data.tobytes() == want.data.tobytes()
+    if shape[0]:
+        pre = _composed_infer_bn(Tensor(x), gamma, beta, running, 1.0).data
+        assert np.isnan(pre).any() and np.isposinf(pre).any() and np.isneginf(pre).any()
+        assert np.signbit(pre[pre == 0]).any() and not np.signbit(pre[pre == 0]).all()
+
+
+@pytest.mark.parametrize("grad_input", ["x", "gamma", "beta"])
+def test_infer_batch_norm_refuses_to_record(grad_input):
+    """It records no graph, so called while recording with an input that
+    requires grad it raises a one-line GraphError instead of dropping that
+    gradient; under no_grad it runs. Its slope check comes first."""
+    arrays = {"x": rng.normal(size=(4, 6, 3)), "gamma": np.ones(3), "beta": np.zeros(3)}
+    t = {k: Tensor(v, requires_grad=k == grad_input) for k, v in arrays.items()}
+    running = {"mean": np.zeros(3), "var": np.ones(3)}
+    with pytest.raises(ad.GraphError, match="^batch_norm in infer mode records no graph") as err:
+        nn.batch_norm(t["x"], t["gamma"], t["beta"], running, "infer", 0.2)
+    assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        nn.batch_norm(t["x"], t["gamma"], t["beta"], running, "infer", 1.5)
+    with ad.no_grad():
+        out = nn.batch_norm(t["x"], t["gamma"], t["beta"], running, "infer", 0.2)
+    assert out._node is None and not out.requires_grad
 
 
 def test_batch_norm_float32_statistics_stay_accurate():
@@ -361,9 +417,11 @@ def test_batch_norm_activation_has_no_second_order_gradient(alpha):
 @pytest.mark.parametrize("alpha", [1.0, 0.2, 0.0])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batch_norm_leaves_a_leaf_input_unchanged(alpha, mode):
+    """Train mode while recording; infer mode, which records no graph, under no_grad."""
     x0 = rng.normal(size=(4, 6, 3)).astype(ad.DTYPE)
     x = Tensor(x0.copy(), requires_grad=True)
-    nn.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), {"mean": np.zeros(3), "var": np.ones(3)}, mode, alpha)
+    with ad.no_grad() if mode == "infer" else contextlib.nullcontext():
+        nn.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), {"mean": np.zeros(3), "var": np.ones(3)}, mode, alpha)
     assert x.data.tobytes() == x0.tobytes()
 
 

@@ -134,6 +134,17 @@ def test_noise_bad_gamma_exits_1_without_output(tmp_path, capsys, gamma):
     assert not pairs.exists()
 
 
+def test_noise_gamma_past_float32_exits_1_without_output(tmp_path, capsys):
+    """A finite gamma whose noisy samples overflow float32 passes the gamma
+    check, and the pair writer refuses the record before it opens the file."""
+    clean, pairs = tmp_path / "c.ecgd", tmp_path / "p.ecgp"
+    assert _synth(clean) == 0
+    capsys.readouterr()
+    assert main(["noise", "--gamma", "1e40", "--in", str(clean), "--out", str(pairs)]) == 1
+    assert capsys.readouterr().err == "ecglab: error: record 0 holds a sample that overflows float32\n"
+    assert not pairs.exists()
+
+
 @pytest.mark.parametrize("sizes,message", [
     ("-3", "sizes must be at least 1, got -3"),
     ("4,0", "sizes must be at least 1, got 0"),
@@ -146,6 +157,22 @@ def test_sweep_bad_sizes_exit_1_without_output(tmp_path, capsys, sizes, message)
     capsys.readouterr()
     assert main(["sweep", "--real", str(pairs), "--synthetic", str(pairs), f"--sizes={sizes}",
                  "--compositions", "real-only", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes,compositions,message", [
+    ("2,2", "real-only", "size 2 is given twice"),
+    ("2", "mixed,real-only,mixed", "composition 'mixed' is given twice"),
+])
+def test_sweep_duplicate_sizes_or_compositions_exit_1_without_output(tmp_path, capsys, sizes, compositions,
+                                                                     message):
+    clean, pairs, out = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "sweep.csv"
+    assert _synth(clean) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--real", str(pairs), "--synthetic", str(pairs), "--sizes", sizes,
+                 "--compositions", compositions, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ecglab: error: {message}\n"
     assert not out.exists()
 

@@ -137,4 +137,4 @@ def test_csv_header_and_row_shape():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        MetricReport("bad", delta_hr_hz=-0.1)
+        MetricReport("bad", mse=0.0, snr_db=0.0, delta_hr_hz=-0.1)

@@ -133,8 +133,23 @@ def test_infer_chunks_equal_one_whole_batch_forward():
         assert type(out) is np.ndarray
         assert np.array_equal(out, whole)
     assert models.infer(den, x[:0]).shape == (0, 128, 1)
-    # recording is back on after the graph-free forwards
-    assert den.forward(Tensor(x[:2]), mode="infer")._vjp is not None
+
+
+@pytest.mark.parametrize("name,shape", [("generator", (3, 100)), ("critic", (3, 128, 1)),
+                                        ("denoiser", (3, 128, 1)), ("inception", (3, 64, 64, 1))])
+def test_infer_forward_records_no_graph(name, shape):
+    """With recording on, an inference forward returns a Tensor with no
+    node, byte-equal to models.infer's output, and recording is on again
+    after it: a train forward records."""
+    net = models.build(name, d=2, signal_length=128, seed=3)
+    for stats in net.running.values():  # away from the identity map
+        stats["mean"][:] = rng.normal(size=stats["mean"].shape)
+        stats["var"][:] = rng.uniform(0.5, 2, size=stats["var"].shape)
+    x = rng.uniform(-1, 1, size=shape)
+    out = net.forward(Tensor(x), mode="infer")
+    assert out._node is None and not out.requires_grad
+    assert out.data.tobytes() == models.infer(net, x).tobytes()
+    assert net.forward(Tensor(x), mode="train", rng=np.random.default_rng(0))._node is not None
 
 
 def test_invalid_network_name_and_d():

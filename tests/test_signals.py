@@ -268,6 +268,23 @@ def test_writers_refuse_mixed_signals(tmp_path, lengths, rates, match):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("big", [1e39, -1e39, 3.5e38])
+def test_writers_refuse_a_sample_that_overflows_float32(tmp_path, big):
+    """Checked before the file is opened, naming the record; the largest
+    float32 and non-finite samples are still written (the readers refuse
+    the latter)."""
+    ok = sig(np.zeros(4))
+    bad = sig([0.0, big, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^record 2 holds a sample that overflows float32$"):
+        write_dataset(LabeledDataset((ok, ok, bad), np.zeros((3, 5), dtype=np.uint8)), tmp_path / "d.ecgd")
+    with pytest.raises(ValueError, match="^record 1 holds a sample that overflows float32$"):
+        write_pairs([SignalPair(ok, ok), SignalPair(ok, bad)], tmp_path / "p.ecg2")
+    assert list(tmp_path.iterdir()) == []
+    edge = sig([float(np.finfo(np.float32).max), np.inf, np.nan, 0.0])
+    write_pairs([SignalPair(edge, ok)], tmp_path / "p.ecg2")
+    assert (tmp_path / "p.ecg2").exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV tables
 

@@ -502,9 +502,12 @@ def test_ablation_sweep_size_exceeds_data(monkeypatch):
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
         training.ablation_sweep(real, synth_pairs, [100], cfg, seed=0)
-    # sizes below 1 fail before anything is trained
+    # sizes below 1, and a size or composition given twice, fail before anything is trained
     monkeypatch.setattr(training, "train_denoiser", None)
-    for sizes, message in (([], "no sizes to sweep"), ([2, -3], "sizes must be at least 1, got -3"),
-                           ([0], "sizes must be at least 1, got 0")):
+    for sizes, comps, message in (([], training.COMPOSITIONS, "no sizes to sweep"),
+                                  ([2, -3], training.COMPOSITIONS, "sizes must be at least 1, got -3"),
+                                  ([0], training.COMPOSITIONS, "sizes must be at least 1, got 0"),
+                                  ([2, 3, 2], training.COMPOSITIONS, "size 2 is given twice"),
+                                  ([2], ("mixed", "mixed"), "composition 'mixed' is given twice")):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            training.ablation_sweep(real, synth_pairs, sizes, cfg, seed=0)
+            training.ablation_sweep(real, synth_pairs, sizes, cfg, seed=0, compositions=comps)
