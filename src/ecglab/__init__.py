@@ -16,8 +16,6 @@ from .synth import (
     apply_noise,
     make_training_pairs,
     mcsharry_batch,
-    mcsharry_generate,
-    sample_noise_params,
 )
 from .dsp import (
     QrsAnnotation,
@@ -34,7 +32,7 @@ from .metrics import (
     mse,
     snr_db,
 )
-from .models import Network, build, count_params, transfer_critic_to_denoiser
+from .models import Network, build, transfer_critic_to_denoiser
 
 __version__ = "0.1.0"
 
@@ -51,18 +49,15 @@ __all__ = [
     "apply_noise",
     "bandpass_filter",
     "build",
-    "count_params",
     "delta_hr",
     "detect_qrs",
     "evaluate_denoiser",
     "make_training_pairs",
     "mcsharry_batch",
-    "mcsharry_generate",
     "mel_spectrogram",
     "mse",
     "read_dataset",
     "read_pairs",
-    "sample_noise_params",
     "scale_to_unit",
     "snr_db",
     "transfer_critic_to_denoiser",

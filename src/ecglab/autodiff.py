@@ -237,13 +237,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data / b.data, (a, b), vjp)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    def vjp(g, need):
-        return (mul(g, mul(Tensor(np.asarray(p, dtype=DTYPE)), pow_const(a, p - 1))),)
-
-    return _make(a.data**p, (a,), vjp)
-
-
 def exp(a: Tensor) -> Tensor:
     out = _make(np.exp(a.data), (a,), None)
     if out._node is not None:  # the VJP reads the output, which exists only now
@@ -326,15 +319,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims)), (a,), vjp)
 
 
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.shape[ax]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+def mean_(a: Tensor) -> Tensor:
+    return mul(sum_(a), Tensor(1.0 / a.size))
 
 
 def expand(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -278,7 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "synth" and args.model == "gan" and not args.checkpoint:
         parser.error("--model gan requires --checkpoint")
     try:
-        return args.fn(args)
+        # a diverging run overflows and makes NaNs before the trainers' checks
+        # report it; numpy's warnings about that would break the one-line rule
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"ecglab: error: {exc}", file=sys.stderr)
         return 1

@@ -4,13 +4,11 @@ Channel ladders and kernel sizes follow the reference architecture:
 25-tap stride-4 one-dimensional stages everywhere, batch norm in the
 generator only, phase shuffle in the critic only (and optionally before
 the denoiser's encoder convolutions), and a 3x3 stride-2 2-D stack for
-the spectrogram classifier, each stage ending in a 2x2 max pool. Every
-convolution is one ``autodiff.conv_len`` or ``trans_conv_len`` node, and
-every pool one ``max_pool_2x2`` node (see ``nn``). For
-the standard 5000-sample signal length the generator upsamples 8 -> 8192
-in five stride-4 stages and crops back to 5000; shorter training lengths
-use the fewest stride-4 stages that reach the target so desk-scale runs
-stay cheap.
+the spectrogram classifier, each stage ending in a 2x2 max pool (the
+layers are ``nn``'s). For the standard 5000-sample signal length the
+generator upsamples 8 -> 8192 in five stride-4 stages and crops back to
+5000; shorter training lengths use the fewest stride-4 stages that reach
+the target so desk-scale runs stay cheap.
 
 A kernel layer followed by a batch norm (generator ``tconv1``-``tconv4``,
 classifier ``conv1``-``conv3``) has no bias: batch norm subtracts each
@@ -22,12 +20,8 @@ penalty only through its input gradient, so that bias's gradient is exactly 0.
 A batch norm layer ends in the activation that follows it (``alpha``: the
 generator's leaky ReLU, the classifier's ReLU at 0), so a generator stage
 is tconv -> batch norm and a classifier stage conv2d -> batch norm -> pool.
-A train-mode graph keeps only what its VJPs read (see ``autodiff``), so
-no kernel layer's output outlives the forward: a generator stage keeps
-one activation-sized buffer (batch norm's normalized input, from which
-its activation is rebuilt in the backward), and a denoiser conv -> leaky
-ReLU or critic conv -> phase shuffle -> leaky ReLU stage one (the
-activation). An inference-mode forward records no graph at all. The
+What a train-mode graph keeps of each stage is ``autodiff``'s rule; an
+inference-mode forward runs under ``no_grad`` and records none. The
 crop's target and the phase shuffle's reach are the ``NetworkSpec``'s
 ``signal_length`` and ``phase_shuffle_n``.
 
@@ -178,7 +172,7 @@ def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSp
 class Network:
     """A spec plus its parameters, running statistics and forward pass."""
 
-    def __init__(self, spec: NetworkSpec, seed: int = 0):
+    def __init__(self, spec: NetworkSpec, seed: int):
         self.spec = spec
         self.params: dict[str, Tensor] = {}
         self.running: dict[str, dict[str, np.ndarray]] = {}
@@ -342,10 +336,6 @@ def infer(net: Network, x: np.ndarray, stop_at: str | None = None) -> np.ndarray
         net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer", stop_at=stop_at).data
         for i in range(0, max(len(x), 1), INFER_BATCH)
     ])
-
-
-def count_params(net: Network) -> int:
-    return sum(p.data.size for p in net.params.values())
 
 
 def sample_latent(rng: np.random.Generator, n: int, z_len: int, dist: str) -> Tensor:

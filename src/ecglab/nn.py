@@ -5,46 +5,21 @@ samples, transposed convs emit exactly L*stride, and the zero padding is
 split evenly with the extra sample on the right. These are the only
 conventions that reproduce the architecture tables' output shapes.
 
-``conv1d`` and ``trans_conv1d`` are one graph node each
-(``autodiff.conv_len`` / ``trans_conv_len``), computed in polyphase
-form: the zero-padded signal is read as rows of ``stride`` samples and
-the kernel as T = ceil(k/stride) groups of taps. Wide layers use
-stride-wide groups (7 for the 25-tap stride-4 stages, the last holding
-a single tap): the output is T accumulated matmuls over contiguous row
-slices, with no unrolled buffer. Thin layers, whose stride-wide matmul
-has few input channels per output column (one input channel into 16,
-or the GP's one into one), use one group of all the taps: each output
-row is an overlapping window of the flat padded input (im2col), and one
-matmul writes the output once. Those windows are copied in blocks of at
-most ``autodiff._CHUNK_BYTES`` (4 MB), so no full unrolled matrix is
-ever held. The width depends on the shapes only. The input VJP of each
-op is the other with the kernel's channel axes swapped (carrying the
-conv's own left pad and input length when L is not a multiple of the
-stride), and the kernel VJP is one per-tap correlation.
+Each layer is one ``autodiff`` op, and that op's docstring or section
+comment says how it is computed and what its graph node keeps:
+``conv1d`` and ``trans_conv1d`` are ``conv_len`` and ``trans_conv_len``
+over the SAME pads, and ``maxpool2d`` is ``max_pool_2x2``. ``conv2d`` is
+``conv_len`` along the width: ``autodiff.unfold_rows`` sets the kh padded
+input rows that feed each output row side by side in the channel axis
+([n, H, W, c] -> [n*Ho, W, kh*c]), and the kernel is read as kw taps of
+kh*c input channels. ``phase_shuffle`` draws one shift per (sample,
+channel) and applies them with ``shift_len``.
 
-``conv2d`` is the same ``conv_len`` along the width: ``autodiff.unfold_rows``
-sets the kh padded input rows that feed each output row side by side in
-the channel axis ([n, H, W, c] -> [n*Ho, W, kh*c]), and the kernel is read
-as kw taps of kh*c input channels. The row unfold's adjoint,
-``fold_rows``, adds each row tap back onto its input row.
-
-``phase_shuffle`` is one node too (``autodiff.shift_len``): each
-(sample, channel) row is gathered as one length-L window of the
-symmetrically padded row, and its adjoint writes the rows back into
-their windows and folds the padding onto the samples it reflects.
 ``batch_norm`` ends in the (leaky) ReLU that follows it in the networks.
-In train mode the two are one node (``autodiff.batch_norm_train``) that
-keeps the normalized input only, whose VJP is the closed form, first
-order only. The activation is rebuilt from the normalized input where a
-VJP reads it: batch norm's own for its slope, and the kernel VJP of the
-transposed conv it feeds. Inference mode (``autodiff.batch_norm_infer``)
-folds the running statistics into one scale and shift per channel and
-writes act(x * scale + shift) into one fresh buffer, by the same blockwise
-pass that writes train mode's output. It records no graph: called while
-recording with an input that requires grad, it raises GraphError, and
-``Network.forward`` runs inference mode under ``no_grad``.
-``maxpool2d`` is one 2x2, stride-2 node (``autodiff.max_pool_2x2``)
-whose VJP, like train-mode batch norm's, is first order only.
+Its train mode is ``autodiff.batch_norm_train``, whose batch statistics
+this module folds into the running ones; its inference mode,
+``autodiff.batch_norm_infer``, records no graph, and ``Network.forward``
+runs it under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -124,10 +99,10 @@ def batch_norm(
     beta: Tensor,
     running: dict[str, np.ndarray],
     mode: str,
-    alpha: float = 1.0,
+    alpha: float,
 ) -> Tensor:
     """Per-channel standardization over batch and spatial axes (channel last),
-    then a leaky ReLU of slope `alpha` (0 is ReLU, the default 1 none).
+    then a leaky ReLU of slope `alpha` (0 is ReLU, 1 none).
     Infer mode records no graph (see the module docstring)."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"batch_norm activation slope must be in [0, 1], got {alpha}")
@@ -143,34 +118,20 @@ def batch_norm(
     return ad.batch_norm_infer(x, gamma, beta, running["mean"], running["var"], BN_EPS, alpha)
 
 
-def phase_shuffle(
-    x: Tensor,
-    n_max: int,
-    rng: np.random.Generator | None,
-    mode: str,
-    shifts: np.ndarray | None = None,
-) -> Tensor:
+def phase_shuffle(x: Tensor, n_max: int, rng: np.random.Generator | None, mode: str) -> Tensor:
     """Shift each (sample, channel) series by a uniform integer in [-n, n].
 
-    Edges are filled by symmetric reflection. Identity (and no rng draw)
-    when n_max == 0 or at inference time. `shifts` overrides the random
-    per-(sample, channel) draw.
+    Edges are filled by symmetric reflection (``autodiff.shift_len``).
+    Identity (and no rng draw) when n_max == 0 or at inference time.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max == 0 or mode != "train":
         return x
+    if rng is None:
+        raise ValueError("phase_shuffle in train mode needs an rng")
     n, _, c = x.shape
-    if shifts is None:
-        if rng is None:
-            raise ValueError("phase_shuffle in train mode needs an rng")
-        shifts = rng.integers(-n_max, n_max + 1, size=(n, c))
-    else:
-        shifts = np.asarray(shifts)
-        if (shifts.shape != (n, c) or not np.issubdtype(shifts.dtype, np.integer)
-                or np.abs(shifts).max(initial=0) > n_max):
-            raise ValueError(f"phase_shuffle shifts must be integers in [-{n_max}, {n_max}] of shape {(n, c)}")
-    return ad.shift_len(x, shifts, n_max)
+    return ad.shift_len(x, rng.integers(-n_max, n_max + 1, size=(n, c)), n_max)
 
 
 def crop_center(x: Tensor, target: int) -> Tensor:

@@ -5,9 +5,13 @@ McSharry et al. (IEEE TBME 2003): a trajectory circles the unit cycle in
 the (x, y) plane at the commanded heart rate while Gaussian events
 attached to five angular positions (P, Q, R, S, T) pull the z coordinate
 up or down. The z coordinate, rescaled to [-1, 1], is the output
-waveform. The trajectory starts on the unit cycle, so its phase is
-analytic and z obeys a linear ODE with a known forcing: its RK4 steps are
-one first-order linear recurrence, solved by one filter call per signal.
+waveform. The events' angles, amplitudes and widths and the baseline
+coupling are the paper's published values (the PQRST_* and
+BASELINE_COUPLING constants), so a signal is set by its heart rate,
+sample rate and duration alone (`McSharryParams`). The trajectory starts
+on the unit cycle, so its phase is analytic and z obeys a linear ODE with
+a known forcing: its RK4 steps are one first-order linear recurrence,
+solved by one filter call per signal.
 
 The forcing needs each event's phase offset reduced modulo 2*pi. The
 remainder is computed exactly, with a Cody-Waite split of 2*pi (Cody and
@@ -36,10 +40,12 @@ from scipy import signal as sps
 from .config import RunConfig
 from .signals import Signal, SignalPair, scale_to_unit
 
-# P, Q, R, S, T event defaults: angular positions (rad), amplitudes, widths
-DEFAULT_ANGLES = tuple(np.deg2rad([-70.0, -15.0, 0.0, 15.0, 100.0]))
-DEFAULT_AMPLITUDES = (1.2, -5.0, 30.0, -7.5, 0.75)
-DEFAULT_WIDTHS = (0.25, 0.1, 0.1, 0.1, 0.4)
+# P, Q, R, S, T events of McSharry et al. 2003: angular positions (rad),
+# amplitudes, widths; and the coupling of z to its baseline
+PQRST_ANGLES = tuple(np.deg2rad([-70.0, -15.0, 0.0, 15.0, 100.0]))
+PQRST_AMPLITUDES = (1.2, -5.0, 30.0, -7.5, 0.75)
+PQRST_WIDTHS = (0.25, 0.1, 0.1, 0.1, 0.4)
+BASELINE_COUPLING = 1.0
 
 RESP_FREQ_HZ = 0.25
 RESP_AMP = 0.005
@@ -59,22 +65,21 @@ CHIRP_F1_HZ = 120.0
 
 
 class IntegrationError(RuntimeError):
-    """The z recurrence blew up: |a| > 1 once baseline_coupling / sample
-    rate exceeds about 2.785, the RK4 stability limit."""
+    """The z recurrence blew up: |a| > 1 once BASELINE_COUPLING / sample
+    rate exceeds about 2.785, the RK4 stability limit, that is below about
+    0.36 Hz."""
 
 
 @dataclass(frozen=True)
 class McSharryParams:
-    heart_rate_bpm: float = 60.0
-    sample_rate_hz: float = 500.0
-    duration_s: float = 10.0
-    pqrst_angles: tuple[float, ...] = DEFAULT_ANGLES
-    pqrst_amplitudes: tuple[float, ...] = DEFAULT_AMPLITUDES
-    pqrst_widths: tuple[float, ...] = DEFAULT_WIDTHS
-    baseline_coupling: float = 1.0
+    """One clean signal; its events are the PQRST_* constants."""
+
+    heart_rate_bpm: float
+    sample_rate_hz: float
+    duration_s: float
 
     def __post_init__(self):
-        for name in ("heart_rate_bpm", "sample_rate_hz", "duration_s", "baseline_coupling"):
+        for name in ("heart_rate_bpm", "sample_rate_hz", "duration_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -89,16 +94,6 @@ class McSharryParams:
                 f"heart_rate_bpm / 60 * duration_s must stay below 2**26 beats, got {self.heart_rate_bpm}"
                 f" bpm over {self.duration_s} s"
             )
-        for name in ("pqrst_angles", "pqrst_amplitudes", "pqrst_widths"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        ang = np.asarray(self.pqrst_angles, dtype=np.float64)
-        if len(ang) != 5 or len(self.pqrst_amplitudes) != 5 or len(self.pqrst_widths) != 5:
-            raise ValueError("exactly five PQRST events are required")
-        if np.any(np.asarray(self.pqrst_widths) <= 0):
-            raise ValueError("event widths must be strictly positive")
-        if np.any(np.diff(ang) <= 0) or ang[0] <= -np.pi or ang[-1] > np.pi:
-            raise ValueError("angles must be strictly increasing within (-pi, pi]")
 
     @property
     def sample_count(self) -> int:
@@ -174,10 +169,10 @@ def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
     amplitude, so g has the bits of the 5-wide sum -(...).sum(axis=1).
     """
     dt = 1.0 / p.sample_rate_hz
-    c = p.baseline_coupling
+    c = BASELINE_COUPLING
     t, resp = _half_step_grid(n, p.sample_rate_hz)
     wt = TWO_PI * p.heart_rate_bpm / 60.0 * t
-    rows = (_event_term(wt, *e) for e in zip(p.pqrst_angles, p.pqrst_amplitudes, p.pqrst_widths))
+    rows = (_event_term(wt, *e) for e in zip(PQRST_ANGLES, PQRST_AMPLITUDES, PQRST_WIDTHS))
     g = next(rows)
     for row in rows:
         g += row
@@ -212,12 +207,6 @@ def mcsharry_batch(params: list[McSharryParams]) -> list[Signal]:
         raise ValueError("batch entries must share sample rate and duration")
     n = params[0].sample_count
     return [scale_to_unit(Signal(_mcsharry_z(p, n), fs)) for p in params]
-
-
-def mcsharry_generate(p: McSharryParams) -> Signal:
-    """One clean signal: analytic phase, exact RK4 recurrence for z, as in
-    `mcsharry_batch`."""
-    return mcsharry_batch([p])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +244,6 @@ def _draw_noise_params(rng: np.random.Generator, gamma: float, cfg: RunConfig) -
         chirp_mod_freq_hz=rng.uniform(cfg.chirp_mod_min_hz, cfg.chirp_mod_max_hz),
         phases=tuple(rng.uniform(0.0, 2.0 * np.pi, size=4)),
     )
-
-
-def sample_noise_params(seed: int, gamma: float, cfg: RunConfig | None = None) -> NoiseParams:
-    """One draw of the noise parameters from `cfg`'s ranges (None: the defaults)."""
-    return _draw_noise_params(np.random.default_rng(seed), gamma, cfg or RunConfig())
 
 
 def noise_components(p: NoiseParams, length: int, sample_rate_hz: float) -> np.ndarray:

@@ -44,9 +44,6 @@ class TrainLog:
     def add(self, **kw) -> None:
         self.rows.append(LogRow(**kw))
 
-    def of_kind(self, kind: str) -> list[LogRow]:
-        return [r for r in self.rows if r.kind == kind]
-
     def to_csv(self) -> str:
         return csv_table(self.CSV_HEADER, [
             (str(r.step), r.kind, str(r.epoch), r.critic_loss, r.generator_loss, r.wasserstein_estimate,
@@ -59,11 +56,12 @@ class TrainLog:
 
 
 class DivergenceError(RuntimeError):
-    """A training or validation loss became NaN or inf."""
+    """A training loss, a validation score or a trained parameter became NaN or inf."""
 
 
 def _signals_to_array(signals: list[Signal]) -> np.ndarray:
-    return np.stack([s.samples for s in signals])[:, :, None]
+    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``."""
+    return np.stack([s.samples for s in signals], dtype=ad.DTYPE)[:, :, None]
 
 
 def _require_finite(records, what: str) -> None:
@@ -94,7 +92,8 @@ def gradient_penalty(
     score = critic.forward(x_hat, mode="train", rng=rng)
     (gx,) = ad.grad(ad.sum_(score), [x_hat], create_graph=True)
     norms = ad.sqrt(ad.sum_(ad.mul(gx, gx), axis=(1, 2)))
-    return ad.mean_(ad.pow_const(ad.sub(norms, Tensor(1.0)), 2))
+    d = ad.sub(norms, Tensor(1.0))
+    return ad.mean_(ad.mul(d, d))
 
 
 @contextlib.contextmanager
@@ -146,7 +145,8 @@ def train_gan(
     The critic minimizes E[C(fake)] - E[C(real)] + lambda * GP, the
     generator minimizes -E[C(fake)]. Phase shuffle is active in the
     critic during training only. The generator of the last step is
-    returned.
+    returned. A non-finite loss, validation estimate, or parameter after
+    the last step raises DivergenceError.
     """
     if not real:
         raise ValueError("no training signals")
@@ -202,6 +202,10 @@ def train_gan(
         adam_step(generator.params, opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
     _log_gan_validation(log, step, epoch_seen, generator, critic, val_data, cfg, rng)
+    for net in (generator, critic):
+        for name, p in net.params.items():
+            if not np.isfinite(p.data).all():
+                raise DivergenceError(f"{net.spec.name} parameter {name} holds NaN or inf after step {step}")
     return generator, critic, log
 
 
@@ -233,6 +237,8 @@ def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng)
     z = models.sample_latent(rng, n, cfg.z_len, cfg.latent)
     fake = models.infer(generator, z.data)
     w = float(models.infer(critic, val_data[:n]).mean() - models.infer(critic, fake).mean())
+    if not np.isfinite(w):
+        raise DivergenceError(f"gan validation estimate is {w} at step {step}")
     log.add(step=step, kind="validation", epoch=epoch, val_loss=w)
 
 
@@ -382,7 +388,8 @@ def train_denoiser(
 
 
 def _mse_numpy(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((pred - target) ** 2))
+    # pred and target are float32; their difference is not rounded to float32
+    return float(np.mean(np.subtract(pred, target, dtype=np.float64) ** 2))
 
 
 def network_denoiser(net: Network):
@@ -432,7 +439,7 @@ def ablation_sweep(
     sizes: list[int],
     cfg: RunConfig,
     seed: int,
-    compositions: tuple[str, ...] = COMPOSITIONS,
+    compositions: tuple[str, ...],
 ) -> list[SweepRow]:
     """One trained denoiser per (composition, size); rows sorted by both keys.
 

@@ -73,9 +73,9 @@ def assert_grads_match_fd(f, arrays, tol):
 
 @pytest.fixture(scope="session")
 def ecg_60bpm():
-    return synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=60))
+    return synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=60, sample_rate_hz=500.0, duration_s=10.0)])[0]
 
 
 @pytest.fixture(scope="session")
 def ecg_90bpm():
-    return synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=90))
+    return synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=90, sample_rate_hz=500.0, duration_s=10.0)])[0]

@@ -64,9 +64,9 @@ def test_phase_shuffle_infer_is_identity():
 
 def test_phase_shuffle_forced_shift_reflects():
     x = Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
-    out = nn.phase_shuffle(x, 2, None, "train", shifts=np.array([[1]]))
+    out = ad.shift_len(x, np.array([[1]]), 2)
     assert out.data[:, :, 0].tolist() == [[2.0, 3.0, 4.0, 4.0]]
-    out = nn.phase_shuffle(x, 2, None, "train", shifts=np.array([[-2]]))
+    out = ad.shift_len(x, np.array([[-2]]), 2)
     assert out.data[:, :, 0].tolist() == [[2.0, 1.0, 1.0, 2.0]]
 
 
@@ -74,14 +74,6 @@ def test_phase_shuffle_preserves_shape():
     g = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 33, 5)))
     assert nn.phase_shuffle(x, 2, g, "train").shape == (4, 33, 5)
-
-
-@pytest.mark.parametrize("shifts", [[[5]], [[-3]], [[1, 0]], [[1], [0]], [[1.0]], [[True]]])
-def test_phase_shuffle_rejects_bad_shifts(shifts):
-    x = Tensor(rng.normal(size=(1, 4, 1)))
-    with pytest.raises(ValueError, match=r"integers in \[-2, 2\] of shape \(1, 1\)") as err:
-        nn.phase_shuffle(x, 2, None, "train", shifts=np.array(shifts))
-    assert "\n" not in str(err.value)
 
 
 def _reference_shuffle_index(L, shifts):
@@ -137,7 +129,7 @@ def test_shift_len_vjp_and_its_vjp_match_fd(L):
 def test_batch_norm_standardizes():
     x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(8, 20, 4)))
     running = {"mean": np.zeros(4), "var": np.ones(4)}
-    out = nn.batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), running, "train")
+    out = nn.batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), running, "train", 1.0)
     mean = out.data.mean(axis=(0, 1))
     var = out.data.var(axis=(0, 1))
     assert np.all(np.abs(mean) < 1e-6)
@@ -148,7 +140,7 @@ def test_batch_norm_identity_on_standardized():
     x = rng.normal(size=(64, 16, 2))
     x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
     running = {"mean": np.zeros(2), "var": np.ones(2)}
-    out = nn.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train")
+    out = nn.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train", 1.0)
     assert np.allclose(out.data, x, atol=1e-4)
 
 
@@ -156,15 +148,16 @@ def test_batch_norm_batch_one_raises():
     x = Tensor(rng.normal(size=(1, 8, 2)))
     running = {"mean": np.zeros(2), "var": np.ones(2)}
     with pytest.raises(ValueError):
-        nn.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train")
+        nn.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running, "train", 1.0)
 
 
 def _reference_batch_norm(x, gamma, beta, running, momentum=0.9, eps=1e-5):
     """The 11-node composition train-mode batch_norm was built from."""
     axes = tuple(range(x.data.ndim - 1))
-    mu = ad.mean_(x, axis=axes, keepdims=True)
+    inv_m = Tensor(1.0 / (x.size // x.shape[-1]))
+    mu = ad.mul(ad.sum_(x, axis=axes, keepdims=True), inv_m)
     xc = ad.sub(x, mu)
-    var = ad.mean_(ad.mul(xc, xc), axis=axes, keepdims=True)
+    var = ad.mul(ad.sum_(ad.mul(xc, xc), axis=axes, keepdims=True), inv_m)
     y = ad.div(xc, ad.sqrt(ad.add(var, Tensor(eps))))
     running["mean"] = momentum * running["mean"] + (1 - momentum) * mu.data.reshape(-1)
     running["var"] = momentum * running["var"] + (1 - momentum) * var.data.reshape(-1)
@@ -189,7 +182,7 @@ def _bn_grads(bn, arrays, probe):
 
 
 def _train_bn(x, gamma, beta, running):
-    return nn.batch_norm(x, gamma, beta, running, "train")
+    return nn.batch_norm(x, gamma, beta, running, "train", 1.0)
 
 
 BN_SHAPES = [(4, 6, 2), (3, 4, 5, 2)]  # the generator's [n, L, c] and the classifier's [n, H, W, c]
@@ -235,7 +228,7 @@ def test_batch_norm_cancels_a_per_channel_bias(shape):
 
 
 def _infer_bn(x, gamma, beta, running):
-    return nn.batch_norm(x, gamma, beta, running, "infer")
+    return nn.batch_norm(x, gamma, beta, running, "infer", 1.0)
 
 
 def _reference_infer_bn(x, gamma, beta, running, eps=1e-5):
@@ -321,7 +314,7 @@ def test_batch_norm_float32_statistics_stay_accurate():
     one running float32 sum over all of them is off by about 7e-5 here."""
     x = np.random.default_rng(5).normal(loc=3.0, scale=2.0, size=(16, 8192, 4))
     running = {"mean": np.zeros(4), "var": np.ones(4)}
-    y = nn.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), running, "train")
+    y = nn.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), running, "train", 1.0)
     truth = (x - x.mean(axis=(0, 1))) / np.sqrt(x.var(axis=(0, 1)) + 1e-5)
     assert y.data.dtype == np.float32
     assert np.max(np.abs(y.data - truth)) < 1e-5
@@ -331,7 +324,7 @@ def test_batch_norm_train_is_one_node_with_first_order_vjp_only():
     x = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
     gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
     running = {"mean": np.zeros(3), "var": np.ones(3)}
-    out = nn.batch_norm(x, gamma, beta, running, "train")
+    out = nn.batch_norm(x, gamma, beta, running, "train", 1.0)
     assert out._parents == (x, gamma, beta)
     loss = ad.sum_(ad.mul(out, out))
     ad.grad(loss, [x, gamma, beta])
@@ -375,10 +368,10 @@ def test_batch_norm_activation_node_is_bit_equal_to_the_composition(alpha, act, 
         return out.data, [out.data.tobytes(), running["mean"].tobytes(), running["var"].tobytes(),
                           *(g.data.tobytes() for g in grads)]
 
-    pre, _ = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train"))
+    pre, _ = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train", 1.0))
     zeros = pre[pre == 0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both zeros meet the activation
-    _, ref = run(lambda x, gamma, beta, r: act(nn.batch_norm(x, gamma, beta, r, "train")))
+    _, ref = run(lambda x, gamma, beta, r: act(nn.batch_norm(x, gamma, beta, r, "train", 1.0)))
     _, got = run(lambda x, gamma, beta, r: nn.batch_norm(x, gamma, beta, r, "train", alpha))
     assert got == ref
 
@@ -729,7 +722,7 @@ def _layer_cases():
         ("crop", (2, 11, 2), lambda t: nn.crop_center(t, 7)),
         ("reshape", (2, 6, 2), lambda t: ad.reshape(t, (2, 12))),
         ("phase_shuffle", (2, 9, 2),
-         lambda t: nn.phase_shuffle(t, 2, None, "train", shifts=np.array([[1, -2], [0, 2]]))),
+         lambda t: ad.shift_len(t, np.array([[1, -2], [0, 2]]), 2)),
     ]
 
 

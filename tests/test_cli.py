@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecglab import cli, dsp, metrics, models
+from ecglab import cli, dsp, metrics, models, training
 from ecglab.checkpoint import save_params
 from ecglab.cli import main
 
@@ -71,7 +71,6 @@ def test_synth_gan_without_checkpoint_exits_2(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     clean, pairs, out = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "run"
     assert main(["synth", "--model", "mcsharry", "--count", "16", "--duration", "0.5",
@@ -88,7 +87,6 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_nan_validation_loss_exits_1_without_checkpoint(tmp_path, capsys):
     clean, pairs, out = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "run"
     assert main(["synth", "--model", "mcsharry", "--count", "16", "--duration", "0.5",
@@ -102,6 +100,55 @@ def test_train_nan_validation_loss_exits_1_without_checkpoint(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "ecglab: error: denoiser validation loss is nan at epoch 0\n"
     assert not out.exists()
+
+
+def test_train_gan_non_finite_last_update_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    """A NaN written by the last generator update, which no loss sees."""
+    clean, out = tmp_path / "c.ecgd", tmp_path / "run"
+    assert main(["synth", "--model", "mcsharry", "--count", "12", "--duration", "0.5",
+                 "--sample-rate", "192", "--out", str(clean)]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("model_dim = 2\nbatch_size = 4\ngenerator_steps = 1\nval_fraction = 0\n")
+    adam = training.adam_step
+
+    def poisoned(params, state):
+        adam(params, state)
+        if "tconv1.w" in params:
+            params["tconv1.w"].data[0, 0, 0] = np.nan
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
+    capsys.readouterr()
+    code = main(["train", "gan", "--config", str(cfg), "--data", str(clean), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "ecglab: error: generator parameter tconv1.w holds NaN or inf after step 6\n"
+    assert not out.exists()
+
+
+_DIVERGING_TRAIN = """
+import sys
+from ecglab.cli import main
+work = sys.argv[1]
+for argv in (["synth", "--model", "mcsharry", "--count", "12", "--duration", "0.5", "--sample-rate", "192",
+              "--out", f"{work}/c.ecgd"],
+             ["noise", "--in", f"{work}/c.ecgd", "--out", f"{work}/p.ecgp"]):
+    assert main(argv) == 0
+sys.stdout.flush()
+sys.exit(main(["train", "denoiser", "--config", f"{work}/cfg.txt", "--data", f"{work}/p.ecgp",
+               "--out", f"{work}/run"]))
+"""
+
+
+def test_diverging_train_prints_one_stderr_line_in_a_fresh_process(tmp_path):
+    """With Python's default warning filters, not the suite's: numpy's
+    overflow and invalid-value warnings stay off stderr."""
+    (tmp_path / "cfg.txt").write_text("model_dim = 2\nbatch_size = 4\nepochs = 1\nadam_lr = 1e39\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-c", _DIVERGING_TRAIN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "ecglab: error: denoiser loss is nan at step 2\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("line,message", [

@@ -164,7 +164,8 @@ def test_wavelet_linear_with_zero_thresholds():
 
 def test_wavelet_improves_mse_on_noisy_ecg():
     hrs = np.random.default_rng(17).uniform(55, 95, size=20)
-    cleans = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=h) for h in hrs])
+    cleans = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=h, sample_rate_hz=500.0, duration_s=10.0)
+                                   for h in hrs])
     pairs = synth.make_training_pairs(cleans, 1.0, seed=3)
     wins = 0
     for p in pairs:
@@ -215,7 +216,7 @@ def test_qrs_annotation_requires_increasing_indices():
 @settings(max_examples=10, deadline=None)
 @given(hr=st.floats(55, 110))
 def test_qrs_tracks_commanded_rate(hr):
-    s = synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=hr, duration_s=10.0))
+    (s,) = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=hr, sample_rate_hz=500.0, duration_s=10.0)])
     ann = detect_qrs(s)
     assert abs(ann.heart_rate_hz - hr / 60.0) < 0.07
 
@@ -243,7 +244,8 @@ QRS_GOLDEN = {
 @pytest.fixture(scope="module")
 def golden_pairs():
     rates = (62.0, 78.0, 94.0)
-    cleans = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=hr) for hr in rates])
+    cleans = synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=hr, sample_rate_hz=500.0, duration_s=10.0)
+                                   for hr in rates])
     return dict(zip(rates, synth.make_training_pairs(cleans, 2.0, seed=3)))
 
 
@@ -286,7 +288,7 @@ def test_filters_follow_the_sample_rate():
         q = detect_qrs(s)
         return q.peak_indices.tolist(), q.heart_rate_hz, mel_spectrogram(s).bins, wavelet_filter(s).samples
 
-    signals = [synth.mcsharry_generate(synth.McSharryParams(heart_rate_bpm=70, sample_rate_hz=fs))
+    signals = [synth.mcsharry_batch([synth.McSharryParams(heart_rate_bpm=70, sample_rate_hz=fs, duration_s=10.0)])[0]
                for fs in (500.0, 128.0)]
     fresh = []
     for s in signals:

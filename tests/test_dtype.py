@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ecglab import autodiff as ad
-from ecglab import models
+from ecglab import models, training
 from ecglab.autodiff import Tensor
 from ecglab.checkpoint import load_params, save_params
 from ecglab.optim import AdamState, adam_step, zero_grads
+from ecglab.signals import Signal
 from ecglab.training import bce_with_logits, gradient_penalty, mse_loss
 
 from conftest import rel_err
@@ -154,3 +155,23 @@ def test_float64_marker_fails_on_a_float32_leaf():
     w.data = w.data.astype(np.float32)
     with pytest.raises(pytest.fail.Exception, match="float32"):
         ad.backward(ad.sum_(ad.mul(w, w)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_arrays_are_stacked_once_in_the_network_dtype(dtype, monkeypatch):
+    """The trainers' [N, L, 1] arrays come straight in autodiff.DTYPE, looked
+    up at call time, each sample its rounding to it."""
+    monkeypatch.setattr(ad, "DTYPE", dtype)
+    samples = np.random.default_rng(3).normal(size=(3, 7))
+    arr = training._signals_to_array([Signal(s, 100.0) for s in samples])
+    assert arr.dtype == dtype and arr.shape == (3, 7, 1)
+    assert arr[:, :, 0].tobytes() == samples.astype(dtype).tobytes()
+
+
+def test_validation_mse_subtracts_in_float64():
+    """Scoring float32 outputs against float32 targets subtracts in float64,
+    as it did against the float64 targets of float32-representable samples."""
+    pred = np.float32([[0.1], [3.0]])
+    target = np.float32([[1.0 + 2.0**-23], [-0.3]])  # neither difference is a float32
+    wide = np.float64(pred) - np.float64(target)
+    assert training._mse_numpy(pred, target) == float(np.mean(wide**2))

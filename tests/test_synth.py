@@ -8,13 +8,13 @@ from scipy import signal as sps
 
 from ecglab import dsp, synth
 from ecglab.signals import Signal, scale_to_unit
+from ecglab.config import RunConfig
 from ecglab.synth import (
     McSharryParams,
     NoiseParams,
     apply_noise,
     make_training_pairs,
-    mcsharry_generate,
-    sample_noise_params,
+    mcsharry_batch,
 )
 
 
@@ -32,6 +32,14 @@ def flat_params(**kw):
     return NoiseParams(**defaults)
 
 
+def ecg(hr=60.0, fs=500.0, duration=10.0):
+    return McSharryParams(heart_rate_bpm=hr, sample_rate_hz=fs, duration_s=duration)
+
+
+def draw_noise(seed, gamma):
+    return synth._draw_noise_params(np.random.default_rng(seed), gamma, RunConfig())
+
+
 # ---------------------------------------------------------------------------
 # waveform model
 
@@ -42,7 +50,7 @@ def test_mcsharry_peak_count_matches_rate(ecg_60bpm):
 
 
 def test_mcsharry_rr_halves_at_double_rate():
-    s = mcsharry_generate(McSharryParams(heart_rate_bpm=120))
+    (s,) = mcsharry_batch([ecg(hr=120)])
     peaks = dsp.detect_qrs(s).peak_indices
     rr = np.diff(peaks) / s.sample_rate_hz
     assert abs(rr.mean() - 0.5) < 0.05
@@ -63,17 +71,13 @@ def test_mcsharry_periodicity_via_autocorrelation(ecg_60bpm):
 
 def test_mcsharry_rejects_bad_params():
     with pytest.raises(ValueError):
-        McSharryParams(pqrst_widths=(0.25, 0.1, -0.1, 0.1, 0.4))
-    with pytest.raises(ValueError):
-        McSharryParams(pqrst_angles=(0.3, 0.2, 0.1, 0.4, 1.7))
-    with pytest.raises(ValueError):
-        McSharryParams(heart_rate_bpm=0)
+        ecg(hr=0)
 
 
 def test_mcsharry_batch_matches_single():
-    p = McSharryParams(heart_rate_bpm=72, duration_s=2.0)
-    single = mcsharry_generate(p)
-    batched = synth.mcsharry_batch([p, McSharryParams(heart_rate_bpm=60, duration_s=2.0)])
+    p = ecg(hr=72, duration=2.0)
+    (single,) = mcsharry_batch([p])
+    batched = mcsharry_batch([p, ecg(hr=60, duration=2.0)])
     assert np.array_equal(single.samples, batched[0].samples)
 
 
@@ -83,10 +87,8 @@ def _rk4_reference(params: list[McSharryParams]) -> np.ndarray:
     n = int(round(params[0].duration_s * fs))
     dt = 1.0 / fs
     omega = np.array([2.0 * np.pi * p.heart_rate_bpm / 60.0 for p in params])
-    coupling = np.array([p.baseline_coupling for p in params])
-    ai = np.array([p.pqrst_amplitudes for p in params])
-    bi = np.array([p.pqrst_widths for p in params])
-    thetai = np.array([p.pqrst_angles for p in params])
+    coupling = synth.BASELINE_COUPLING
+    ai, bi, thetai = np.array(synth.PQRST_AMPLITUDES), np.array(synth.PQRST_WIDTHS), np.array(synth.PQRST_ANGLES)
 
     def deriv(state, t):
         x, y, z = state
@@ -111,9 +113,8 @@ def _rk4_reference(params: list[McSharryParams]) -> np.ndarray:
 
 
 def test_mcsharry_batch_matches_full_rk4_reference():
-    params = [McSharryParams(heart_rate_bpm=hr, duration_s=2.0) for hr in (48.0, 75.0, 130.0)]
-    params.append(McSharryParams(heart_rate_bpm=66.0, duration_s=2.0, baseline_coupling=40.0))
-    got = synth.mcsharry_batch(params)
+    params = [ecg(hr=hr, duration=2.0) for hr in (48.0, 66.0, 75.0, 130.0)]
+    got = mcsharry_batch(params)
     ref = _rk4_reference(params)
     for s, z in zip(got, ref):
         want = scale_to_unit(Signal(z, s.sample_rate_hz)).samples
@@ -121,8 +122,9 @@ def test_mcsharry_batch_matches_full_rk4_reference():
 
 
 def test_mcsharry_unstable_step_raises_integration_error():
+    # at coupling 1 the RK4 recurrence is unstable below about 0.36 Hz
     with pytest.raises(synth.IntegrationError) as info:
-        mcsharry_generate(McSharryParams(duration_s=2.0, baseline_coupling=5e3))
+        mcsharry_batch([ecg(fs=0.3, duration=4000.0)])
     msg = str(info.value)
     assert "\n" not in msg
     assert re.fullmatch(r"non-finite state at t=\d+\.\d{4}s", msg)
@@ -168,11 +170,12 @@ def _np_mod_z(p: McSharryParams, n: int) -> np.ndarray:
     """The np.mod form of `synth._mcsharry_z`: one np.mod over the
     (2n+1, 5) grid and a 5-wide sum."""
     dt = 1.0 / p.sample_rate_hz
-    c = p.baseline_coupling
+    c = synth.BASELINE_COUPLING
     t = np.arange(2 * n + 1) * (0.5 * dt)
     omega = 2.0 * np.pi * p.heart_rate_bpm / 60.0
-    dtheta = np.mod(omega * t[:, None] - p.pqrst_angles, 2.0 * np.pi) - np.pi
-    g = -(p.pqrst_amplitudes * dtheta * np.exp(-0.5 * (dtheta / p.pqrst_widths) ** 2)).sum(axis=1)
+    dtheta = np.mod(omega * t[:, None] - synth.PQRST_ANGLES, 2.0 * np.pi) - np.pi
+    amps, widths = synth.PQRST_AMPLITUDES, synth.PQRST_WIDTHS
+    g = -(amps * dtheta * np.exp(-0.5 * (dtheta / widths) ** 2)).sum(axis=1)
     g += c * synth.RESP_AMP * np.sin(2.0 * np.pi * synth.RESP_FREQ_HZ * t)
     k1, g_half, g1 = g[0:-1:2], g[1::2], g[2::2]
     h = c * dt
@@ -185,21 +188,12 @@ def _np_mod_z(p: McSharryParams, n: int) -> np.ndarray:
     return np.concatenate([[0.0], z[:-1]])
 
 
-_CUSTOM_EVENTS = dict(
-    pqrst_angles=(-3.1, -1.0, 0.2, 1.5, np.pi),
-    pqrst_amplitudes=(2, -1, 25, -3, 1),
-    pqrst_widths=(0.02, 0.3, 0.05, 0.1, 1.5),
-)
-
-
 @pytest.mark.parametrize("fs,duration", [(128.0, 3.0), (250.0, 7.3), (500.0, 1.5), (500.0, 10.0)])
 def test_mcsharry_batch_is_byte_equal_to_the_np_mod_form(fs, duration):
     rates = (31.7, 60.0, 72.5, 143.0, 220.0)
-    params = [McSharryParams(heart_rate_bpm=hr, sample_rate_hz=fs, duration_s=duration, baseline_coupling=c)
-              for hr in rates for c in (0.7, 1.0, 40.0)]
-    params.append(McSharryParams(heart_rate_bpm=88.0, sample_rate_hz=fs, duration_s=duration, **_CUSTOM_EVENTS))
+    params = [ecg(hr=hr, fs=fs, duration=duration) for hr in rates]
     n = round(duration * fs)
-    for p, s in zip(params, synth.mcsharry_batch(params)):
+    for p, s in zip(params, mcsharry_batch(params)):
         want = scale_to_unit(Signal(_np_mod_z(p, n), fs)).samples
         assert s.samples.tobytes() == want.tobytes()
 
@@ -208,7 +202,7 @@ def test_mcsharry_batch_is_byte_equal_to_the_np_mod_form(fs, duration):
     (500.0, 1 / 500), (500.0, 0.0011), (128.0, 0.0123), (250.0, 0.01), (500.0, 3.0),
 ])
 def test_mcsharry_length_is_the_rounded_sample_count(fs, duration):
-    s = mcsharry_generate(McSharryParams(sample_rate_hz=fs, duration_s=duration))
+    (s,) = mcsharry_batch([ecg(fs=fs, duration=duration)])
     assert s.length == round(duration * fs) >= 1
 
 
@@ -221,40 +215,33 @@ def test_half_step_grid_is_cached_and_read_only():
             a[0] = 1.0
 
 
-@pytest.mark.parametrize("field", ["heart_rate_bpm", "sample_rate_hz", "duration_s", "baseline_coupling"])
+@pytest.mark.parametrize("field", ["heart_rate_bpm", "sample_rate_hz", "duration_s"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
 def test_mcsharry_rejects_a_bad_scalar_naming_it(field, value):
+    good = {"heart_rate_bpm": 60.0, "sample_rate_hz": 500.0, "duration_s": 10.0}
     with pytest.raises(ValueError) as info:
-        McSharryParams(**{field: value})
+        McSharryParams(**{**good, field: value})
     assert str(info.value) == f"{field} must be finite and positive, got {value}"
 
 
 @pytest.mark.parametrize("fs,duration", [(500.0, 1e-9), (500.0, 0.0009), (1e300, 1e10)])
 def test_mcsharry_rejects_a_duration_without_samples(fs, duration):
     with pytest.raises(ValueError) as info:
-        McSharryParams(sample_rate_hz=fs, duration_s=duration)
+        ecg(fs=fs, duration=duration)
     assert str(info.value) == f"duration_s must give a finite, nonzero sample count at {fs} Hz, got {duration}"
 
 
 @pytest.mark.parametrize("hr,duration", [(60.0, 2.0**26), (1e308, 10.0), (6e9, 1.0)])
 def test_mcsharry_rejects_a_phase_past_the_exact_wrap(hr, duration):
     with pytest.raises(ValueError) as info:
-        McSharryParams(heart_rate_bpm=hr, sample_rate_hz=1.0, duration_s=duration)
+        ecg(hr=hr, fs=1.0, duration=duration)
     assert str(info.value) == (
         f"heart_rate_bpm / 60 * duration_s must stay below 2**26 beats, got {hr} bpm over {duration} s"
     )
 
 
 def test_mcsharry_accepts_a_phase_just_below_the_bound():
-    assert McSharryParams(heart_rate_bpm=60.0, sample_rate_hz=1.0, duration_s=2.0**26 - 1).sample_count == 2**26 - 1
-
-
-@pytest.mark.parametrize("field", ["pqrst_angles", "pqrst_amplitudes", "pqrst_widths"])
-def test_mcsharry_rejects_a_non_finite_event(field):
-    values = tuple(getattr(McSharryParams(), field)[:4]) + (float("nan"),)
-    with pytest.raises(ValueError) as info:
-        McSharryParams(**{field: values})
-    assert str(info.value) == f"{field} must be finite, got {values}"
+    assert ecg(hr=60.0, fs=1.0, duration=2.0**26 - 1).sample_count == 2**26 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +249,17 @@ def test_mcsharry_rejects_a_non_finite_event(field):
 
 
 def test_sample_noise_params_deterministic():
-    a = sample_noise_params(7, gamma=1.0)
-    b = sample_noise_params(7, gamma=1.0)
+    a = draw_noise(7, gamma=1.0)
+    b = draw_noise(7, gamma=1.0)
     assert a == b
 
 
 def test_sample_noise_params_gamma_passthrough():
-    assert sample_noise_params(3, gamma=0.25).gamma == 0.25
+    assert draw_noise(3, gamma=0.25).gamma == 0.25
 
 
 def test_sample_noise_params_ranges_monte_carlo():
-    draws = [sample_noise_params(seed, 1.0) for seed in range(10_000)]
+    draws = [draw_noise(seed, 1.0) for seed in range(10_000)]
     bw = np.array([d.bw_freq_hz for d in draws])
     assert bw.min() >= 0.0 and bw.max() <= 0.5
     assert abs(bw.mean() - 0.25) < 0.01
@@ -296,7 +283,7 @@ def test_gamma_is_checked_once_by_noise_params(ecg_60bpm, gamma):
     with pytest.raises(ValueError, match=message):
         flat_params(gamma=gamma)
     with pytest.raises(ValueError, match=message):
-        sample_noise_params(0, gamma)
+        draw_noise(0, gamma)
     with pytest.raises(ValueError, match=message):
         make_training_pairs([ecg_60bpm], gamma, seed=0)
 
@@ -306,7 +293,7 @@ def test_gamma_is_checked_once_by_noise_params(ecg_60bpm, gamma):
 
 
 def test_gamma_zero_is_identity(ecg_60bpm):
-    p = sample_noise_params(11, gamma=0.0)
+    p = draw_noise(11, gamma=0.0)
     out = apply_noise(ecg_60bpm, p)
     assert np.array_equal(out.samples, ecg_60bpm.samples)
 
@@ -348,7 +335,7 @@ def test_chirp_energy_in_band():
 def test_noise_linear_in_gamma(seed, gamma):
     rng = np.random.default_rng(seed)
     x = Signal(rng.normal(size=600), 500.0)
-    p1 = sample_noise_params(seed, gamma)
+    p1 = draw_noise(seed, gamma)
     p2 = NoiseParams(**{**p1.__dict__, "gamma": 2 * gamma})
     d1 = apply_noise(x, p1).samples - x.samples
     d2 = apply_noise(x, p2).samples - x.samples

@@ -28,6 +28,10 @@ def make_sines(seed=0, n=64, length=128, rate=64.0):
     return out
 
 
+def _rows(log, kind):
+    return [r for r in log.rows if r.kind == kind]
+
+
 def tiny_gan_cfg(**kw):
     base = dict(batch_size=8, model_dim=2, generator_steps=3, z_len=16, adam_lr=1e-3,
                 val_fraction=0.0)
@@ -146,7 +150,8 @@ def test_gradient_penalty_input_gradient_matches_fd():
         score = critic.forward(x)
         (gx,) = ad.grad(ad.sum_(score), [x], create_graph=True)
         norms = ad.sqrt(ad.sum_(ad.mul(gx, gx), axis=(1, 2)))
-        return ad.mean_(ad.pow_const(ad.sub(norms, Tensor(1.0)), 2))
+        d = ad.sub(norms, Tensor(1.0))
+        return ad.mean_(ad.mul(d, d))
 
     x = Tensor(x0, requires_grad=True)
     ad.backward(penalty(x))
@@ -269,7 +274,7 @@ def test_gan_schedule_five_critic_per_generator(tiny_gan_run):
 
 def test_gan_gp_term_non_negative(tiny_gan_run):
     _, _, log = tiny_gan_run
-    assert all(r.gp_term >= 0 for r in log.of_kind("critic"))
+    assert all(r.gp_term >= 0 for r in _rows(log, "critic"))
 
 
 def test_gan_log_steps_monotone(tiny_gan_run):
@@ -282,11 +287,11 @@ def test_gan_validates_every_trained_epoch_once():
     # 24 training signals in batches of 8: 3 batches per epoch, and the
     # 15 critic updates of three generator steps span epochs 0-4
     _, _, log = train_gan(make_sines(n=32), tiny_gan_cfg(val_fraction=0.25), seed=11)
-    trained = sorted({r.epoch for r in log.of_kind("critic")})
+    trained = sorted({r.epoch for r in _rows(log, "critic")})
     assert trained == [0, 1, 2, 3, 4]
-    assert [r.epoch for r in log.of_kind("validation")] == trained
-    for r in log.of_kind("validation"):
-        assert r.step >= max(c.step for c in log.of_kind("critic") if c.epoch == r.epoch)
+    assert [r.epoch for r in _rows(log, "validation")] == trained
+    for r in _rows(log, "validation"):
+        assert r.step >= max(c.step for c in _rows(log, "critic") if c.epoch == r.epoch)
         assert np.isfinite(r.val_loss)
     assert log.rows[-1].kind == "validation" and log.rows[-1].epoch == 4
 
@@ -325,6 +330,34 @@ def test_gan_divergence_names_step_and_kind():
     # a huge learning rate overflows the critic after its first update
     with pytest.raises(training.DivergenceError, match=r"^critic loss is (nan|inf) at step 2$"):
         train_gan(make_sines(n=16), tiny_gan_cfg(adam_lr=1e30), seed=0)
+
+
+def _nan_after_generator_step(monkeypatch):
+    """Patch training.adam_step to write NaN into the generator's tconv1.w
+    after each update it makes; with one generator step that is its last."""
+    adam = training.adam_step
+
+    def poisoned(params, state):
+        out = adam(params, state)
+        if "tconv1.w" in params:
+            params["tconv1.w"].data[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
+
+
+@pytest.mark.parametrize("val_fraction,message", [
+    (0.1, r"^gan validation estimate is nan at step 6$"),
+    (0.0, r"^generator parameter tconv1.w holds NaN or inf after step 6$"),
+], ids=["held-out", "no-hold-out"])
+def test_gan_non_finite_last_update_raises(monkeypatch, val_fraction, message):
+    """The last generator update is seen by no loss: the last validation
+    estimate, or with no hold-out the parameter check, reports it."""
+    _nan_after_generator_step(monkeypatch)
+    cfg = tiny_gan_cfg(batch_size=4, generator_steps=1, val_fraction=val_fraction)
+    with pytest.raises(training.DivergenceError, match=message) as err:
+        train_gan(make_sines(n=12), cfg, seed=0)
+    assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +467,10 @@ def test_denoiser_best_checkpoint_retained():
     pairs = _identity_pairs(n=30)
     cfg = RunConfig(model_dim=2, epochs=4, batch_size=8, adam_lr=3e-3, val_fraction=0.2)
     net, log = train_denoiser(pairs, cfg, "baseline", seed=2)
-    vals = [r.val_loss for r in log.of_kind("validation")]
+    vals = [r.val_loss for r in _rows(log, "validation")]
     rng = np.random.default_rng(2)
-    noisy = np.stack([p.noisy.samples for p in pairs])[:, :, None]
-    clean = np.stack([p.clean.samples for p in pairs])[:, :, None]
+    noisy = training._signals_to_array([p.noisy for p in pairs])
+    clean = training._signals_to_array([p.clean for p in pairs])
     # recomputed loss of the returned network equals the best logged epoch
     n_val = int(round(cfg.val_fraction * len(pairs)))
     vi = rng.permutation(len(pairs))[:n_val]
@@ -453,7 +486,7 @@ def test_inception_best_checkpoint_retained():
     cfg = RunConfig(epochs=3, batch_size=4, adam_lr=1e-2, val_fraction=0.25)
     net, log = training.train_inception(ds, cfg, seed=1)
     assert [r.kind for r in log.rows] == ["classifier", "validation"] * 3
-    vals = [r.val_loss for r in log.of_kind("validation")]
+    vals = [r.val_loss for r in _rows(log, "validation")]
     vi = np.random.default_rng(1).permutation(8)[:2]
     grids = training._spectrogram_batch([sigs[i] for i in vi])
     got = training._bce_numpy(models.infer(net, grids, stop_at="sigmoid"), ds.labels[vi].astype(np.float64))
@@ -482,7 +515,7 @@ def test_ablation_sweep_grid_and_determinism():
     real = _identity_pairs(n=14, seed=1)
     synth_pairs = _identity_pairs(n=14, seed=2)
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
-    rows = training.ablation_sweep(real, synth_pairs, [2, 4], cfg, seed=3)
+    rows = training.ablation_sweep(real, synth_pairs, [2, 4], cfg, 3, training.COMPOSITIONS)
     assert len(rows) == 6
     keys = [(r.composition, r.size) for r in rows]
     assert keys == sorted(keys)
@@ -491,7 +524,7 @@ def test_ablation_sweep_grid_and_determinism():
         assert r.synthetic_report.snr_db is not None
         assert r.real_report.delta_hr_hz is not None
     csv1 = training.sweep_to_csv(rows)
-    csv2 = training.sweep_to_csv(training.ablation_sweep(real, synth_pairs, [2, 4], cfg, seed=3))
+    csv2 = training.sweep_to_csv(training.ablation_sweep(real, synth_pairs, [2, 4], cfg, 3, training.COMPOSITIONS))
     assert csv1 == csv2
     assert csv1.splitlines()[0] == training.SWEEP_CSV_HEADER
 
@@ -501,7 +534,7 @@ def test_ablation_sweep_size_exceeds_data(monkeypatch):
     synth_pairs = _identity_pairs(n=6, seed=2)
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
-        training.ablation_sweep(real, synth_pairs, [100], cfg, seed=0)
+        training.ablation_sweep(real, synth_pairs, [100], cfg, 0, training.COMPOSITIONS)
     # sizes below 1, and a size or composition given twice, fail before anything is trained
     monkeypatch.setattr(training, "train_denoiser", None)
     for sizes, comps, message in (([], training.COMPOSITIONS, "no sizes to sweep"),
