@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecglab import autodiff, synth
+from ecglab import autodiff, synth, training
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +69,21 @@ def assert_grads_match_fd(f, arrays, tol):
     for name, arr in arrays.items():
         analytic = tensors[name].grad if tensors[name].grad is not None else np.zeros_like(arr)
         assert rel_err(analytic, numeric_grad(lambda v: dot_probe(name, v), arr)) < tol, name
+
+
+def poison_generator_updates(monkeypatch):
+    """Patch training.adam_step to write NaN into the generator's tconv1.w
+    after each update it makes: with one generator step, the last update,
+    which no loss sees."""
+    adam = training.adam_step
+
+    def poisoned(params, state):
+        out = adam(params, state)
+        if "tconv1.w" in params:
+            params["tconv1.w"].data[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecglab import cli, dsp, metrics, models, training
+from ecglab import cli, dsp, metrics, models
 from ecglab.checkpoint import save_params
 from ecglab.cli import main
+
+from conftest import poison_generator_updates
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -109,14 +111,7 @@ def test_train_gan_non_finite_last_update_exits_1_without_output(tmp_path, capsy
                  "--sample-rate", "192", "--out", str(clean)]) == 0
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("model_dim = 2\nbatch_size = 4\ngenerator_steps = 1\nval_fraction = 0\n")
-    adam = training.adam_step
-
-    def poisoned(params, state):
-        adam(params, state)
-        if "tconv1.w" in params:
-            params["tconv1.w"].data[0, 0, 0] = np.nan
-
-    monkeypatch.setattr(training, "adam_step", poisoned)
+    poison_generator_updates(monkeypatch)
     capsys.readouterr()
     code = main(["train", "gan", "--config", str(cfg), "--data", str(clean), "--out", str(out)])
     assert code == 1

@@ -16,6 +16,8 @@ from ecglab.training import (
     train_gan,
 )
 
+from conftest import poison_generator_updates
+
 
 def make_sines(seed=0, n=64, length=128, rate=64.0):
     rng = np.random.default_rng(seed)
@@ -332,20 +334,6 @@ def test_gan_divergence_names_step_and_kind():
         train_gan(make_sines(n=16), tiny_gan_cfg(adam_lr=1e30), seed=0)
 
 
-def _nan_after_generator_step(monkeypatch):
-    """Patch training.adam_step to write NaN into the generator's tconv1.w
-    after each update it makes; with one generator step that is its last."""
-    adam = training.adam_step
-
-    def poisoned(params, state):
-        out = adam(params, state)
-        if "tconv1.w" in params:
-            params["tconv1.w"].data[0, 0, 0] = np.nan
-        return out
-
-    monkeypatch.setattr(training, "adam_step", poisoned)
-
-
 @pytest.mark.parametrize("val_fraction,message", [
     (0.1, r"^gan validation estimate is nan at step 6$"),
     (0.0, r"^generator parameter tconv1.w holds NaN or inf after step 6$"),
@@ -353,7 +341,7 @@ def _nan_after_generator_step(monkeypatch):
 def test_gan_non_finite_last_update_raises(monkeypatch, val_fraction, message):
     """The last generator update is seen by no loss: the last validation
     estimate, or with no hold-out the parameter check, reports it."""
-    _nan_after_generator_step(monkeypatch)
+    poison_generator_updates(monkeypatch)
     cfg = tiny_gan_cfg(batch_size=4, generator_steps=1, val_fraction=val_fraction)
     with pytest.raises(training.DivergenceError, match=message) as err:
         train_gan(make_sines(n=12), cfg, seed=0)
