@@ -19,7 +19,6 @@ from .synth import (
 )
 from .dsp import (
     QrsAnnotation,
-    Spectrogram,
     bandpass_filter,
     detect_qrs,
     mel_spectrogram,
@@ -45,7 +44,6 @@ __all__ = [
     "QrsAnnotation",
     "Signal",
     "SignalPair",
-    "Spectrogram",
     "apply_noise",
     "bandpass_filter",
     "build",

@@ -13,6 +13,8 @@ gradients (needed for the critic's gradient penalty) come for free via
 ``grad(..., create_graph=True)``. Linear ops come in pairs whose VJPs are
 each other: ``conv_len``/``trans_conv_len``, the phase-shuffle pair
 ``shift_len``/``unshift_len`` and the 2-D row unfold ``unfold_rows``/``fold_rows``.
+A kernel op, ``matmul`` or a convolution, adds its optional bias in its
+own node (``_with_bias``), so a dense or conv layer is one node.
 Two VJPs are plain numpy: that of ``batch_norm_train``, train-mode batch
 norm and the (leaky) ReLU after it as one node, is its closed form behind
 the activation's slope, and ``max_pool_2x2``'s routes each cotangent to its
@@ -44,9 +46,10 @@ the walk that differentiates it; no op writes over its input.
 gradient penalty differentiates through the graph it was computed
 from). It prunes its walk to the vertices on a path to ``wrt``: the walk
 hands each VJP one flag per parent, whether that parent needs a gradient
-(``_wants``), so the penalty's walk computes no kernel correlations or
-bias sums for the critic's parameters. The recorded gradient graph still
-depends on those parameters.
+(it requires one and, under ``grad``, lies on such a path), so the
+penalty's walk computes no kernel correlations or bias sums for the
+critic's parameters. The recorded gradient graph still depends on those
+parameters.
 
 ``backward`` consumes the graph: it sets ``.grad`` on leaves only
 (interior tensors keep ``.grad`` None) and unlinks each node as it walks
@@ -67,8 +70,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 DTYPE = np.float32
 
 _grad_enabled = True
-# ids of the tensors on a path to grad's `wrt` while grad walks, else None
-_walk_to: set[int] | None = None
 
 
 @contextlib.contextmanager
@@ -174,12 +175,6 @@ def _reader(x: Tensor) -> Callable[[int], Tensor]:
     return rebuilt
 
 
-def _wants(v: Vertex) -> bool:
-    """Whether the running walk needs the gradient of vertex v. The walk
-    passes it to each VJP per parent, so grad skips parameters."""
-    return v.requires_grad and (_walk_to is None or id(v) in _walk_to)
-
-
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce gradient g back to `shape` after numpy broadcasting."""
     if g.shape == shape:
@@ -262,13 +257,6 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _make(1.0 / (1.0 + np.exp(-a.data)), (a,), None)
-    if out._node is not None:
-        out._node._vjp = lambda g, need: (mul(g, mul(out, sub(Tensor(1.0), out))),)
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     # max(a, 0) is +0.0 for every a <= 0, -inf included; the VJP rebuilds
     # the mask from the input, so the node holds none
@@ -339,15 +327,17 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(np.transpose(a.data, axes), (a,), lambda g, need: (transpose(g, inv),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
+    """a @ b (+ bias): [n, k] @ [k, m] -> [n, m], one node with the bias
+    (``_with_bias``), as each convolution is."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
 
     def vjp(g, need):
-        return (matmul(g, transpose(b, (1, 0))) if need[0] else None,
-                matmul(transpose(a, (1, 0)), g) if need[1] else None)
+        return (matmul(g, transpose(b, (1, 0)), None) if need[0] else None,
+                matmul(transpose(a, (1, 0)), g, None) if need[1] else None)
 
-    return _make(a.data @ b.data, (a, b), vjp)
+    return _with_bias(a, b, bias, a.data @ b.data, vjp)
 
 
 # the block of sample rows that batch norm's activation and input gradient
@@ -631,12 +621,13 @@ def _swap_channels(w: Tensor) -> Tensor:
 
 
 def _with_bias(x: Tensor, w: Tensor, b: Tensor | None, y: np.ndarray, vjp) -> Tensor:
+    """The node of a kernel op's fresh contiguous output y [n, ..., c], with
+    the bias b [c] added to y in place when there is one."""
     if b is None:
         return _make(y, (x, w), vjp)
     # b tiled to one row per sample broadcasts with a long inner loop
-    n, m, c = y.shape
-    rows = y.reshape(n, m * c)  # a view: y is a fresh contiguous buffer
-    rows += np.tile(b.data, m)
+    rows = y.reshape(len(y), math.prod(y.shape[1:]))  # a view: y is a fresh contiguous buffer
+    rows += np.tile(b.data, rows.shape[1] // b.size)
 
     def vjp_b(g, need):
         return (*vjp(g, need), _unbroadcast(g, b.shape) if need[2] else None)
@@ -867,9 +858,9 @@ def _reverse_walk(
             if any(id(p) in to for p in node._parents):
                 to.add(id(node))
 
-    global _grad_enabled, _walk_to
-    prev = _grad_enabled, _walk_to
-    _grad_enabled, _walk_to = create_graph, to
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = create_graph
     try:
         while order:
             node = order.pop()
@@ -880,13 +871,13 @@ def _reverse_walk(
             hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
             if hit is None or vjp is None:
                 continue
-            need = [_wants(p) for p in parents]
+            need = [p.requires_grad and (to is None or id(p) in to) for p in parents]
             for p, wanted, pg in zip(parents, need, vjp(hit[1], need)):
                 if wanted and pg is not None:
                     acc = pending.get(id(p))
                     pending[id(p)] = (p, pg if acc is None else add(acc[1], pg))
     finally:
-        _grad_enabled, _walk_to = prev
+        _grad_enabled = prev
     # leaves are never in `order`, so they and the kept nodes are what is left
     return pending
 

@@ -4,7 +4,8 @@ Every function works on one `Signal`. The fixed filters behind them (the
 QRS bandpass per sample rate, the mel filterbank per rate and FFT size,
 the a-trous wavelet spectra per length and depth) are designed once and
 cached. The cached arrays are read-only, so no caller can change what a
-later call sees.
+later call sees. ``mel_spectrogram`` returns its 64x64 grid as a plain
+read-only float64 array.
 """
 
 from __future__ import annotations
@@ -49,19 +50,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _HANN = _read_only(np.hanning(STFT_WINDOW))
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """64x64 time-by-Mel grid normalized to [-1, 1]."""
-
-    bins: np.ndarray
-    source_length: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
 
 
 @dataclass(frozen=True)
@@ -120,14 +108,17 @@ def mel_power(s: Signal) -> np.ndarray:
     return power @ mel_filterbank(s.sample_rate_hz).T
 
 
-def mel_spectrogram(s: Signal) -> Spectrogram:
+def mel_spectrogram(s: Signal) -> np.ndarray:
+    """The classifier's input: the 64x64 time-by-Mel power grid standardized,
+    clipped at SPEC_CLIP_STD standard deviations and scaled to [-1, 1]
+    (float64, read-only); all zeros for a grid of one value."""
     mel = mel_power(s)
     sd = mel.std()
     if sd == 0.0:
-        return Spectrogram(np.zeros((SPEC_FRAMES, MEL_BANDS)), s.length)
+        return _read_only(np.zeros((SPEC_FRAMES, MEL_BANDS)))
     normalized = (mel - mel.mean()) / sd
     clipped = np.clip(normalized, -SPEC_CLIP_STD, SPEC_CLIP_STD)
-    return Spectrogram(clipped / SPEC_CLIP_STD, s.length)
+    return _read_only(clipped / SPEC_CLIP_STD)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +268,23 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
 
     peaks: list[int] = []
     rr_history: deque[int] = deque(maxlen=8)
-    rr_sum = 0
     last = -refractory
     for idx, val in zip(candidates.tolist(), mwi[candidates].tolist()):
         if idx - last < refractory:
             continue
         if val > threshold:
             if peaks:
-                rr_sum += idx - last - (rr_history[0] if len(rr_history) == 8 else 0)
                 rr_history.append(idx - last)
             peaks.append(idx)
             last = idx
             spki = 0.125 * val + 0.875 * spki
         else:
             # searchback: a long silent gap means a beat fell below threshold
-            if rr_history and idx - last > 1.66 * (rr_sum / len(rr_history)):
+            if rr_history and idx - last > 1.66 * (sum(rr_history) / len(rr_history)):
                 lo = last + refractory
                 if lo < idx:
                     back = int(np.argmax(mwi[lo:idx])) + lo
                     if mwi[back] > 0.5 * threshold and back - last >= refractory:
-                        rr_sum += back - last - (rr_history[0] if len(rr_history) == 8 else 0)
                         rr_history.append(back - last)
                         peaks.append(back)
                         last = back

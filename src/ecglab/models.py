@@ -10,12 +10,14 @@ generator upsamples 8 -> 8192 in five stride-4 stages and crops back to
 5000; shorter training lengths use the fewest stride-4 stages that reach
 the target so desk-scale runs stay cheap.
 
-A kernel layer followed by a batch norm (generator ``tconv1``-``tconv4``,
-classifier ``conv1``-``conv3``) has no bias: batch norm subtracts each
-channel's mean, so a bias there has no effect (Ioffe & Szegedy 2015).
-Nor has a spec's last layer, a kernel layer in the critic only (``dense1``): its
-score enters the WGAN loss only as mean(real) - mean(fake), and the gradient
-penalty only through its input gradient, so that bias's gradient is exactly 0.
+Every kernel layer's spec says whether it has a bias (``LayerSpec.bias``).
+One rule decides it: a kernel layer followed by a batch norm (generator
+``tconv1``-``tconv4``, classifier ``conv1``-``conv3``) has none, since batch
+norm subtracts each channel's mean and so cancels it (Ioffe & Szegedy,
+arXiv:1502.03167). The critic's score layer, ``dense1``, has none either;
+its spec says why. The classifier ends in its ``dense1`` logits, which
+``training.train_inception``'s loss reads. A dense layer is one ``autodiff.matmul`` node with its
+bias, as a convolution is one node.
 
 A batch norm layer ends in the activation that follows it (``alpha``: the
 generator's leaky ReLU, the classifier's ReLU at 0), so a generator stage
@@ -58,7 +60,7 @@ INFER_BATCH = 128
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
 _NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d"}
-_REQUIRED = {"kernel": _NEEDS_KERNEL, "stride": _NEEDS_STRIDE, "alpha": {"batch_norm"}}
+_REQUIRED = {"kernel": _NEEDS_KERNEL, "stride": _NEEDS_STRIDE, "bias": _NEEDS_KERNEL, "alpha": {"batch_norm"}}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ class LayerSpec:
     stride: int | None = None
     shape: tuple[int, ...] | None = None
     param: str | None = None
+    bias: bool | None = None  # whether a kernel layer adds a per-channel bias
     alpha: float | None = None  # slope of the activation a batch norm ends in
 
     def __post_init__(self):
@@ -97,14 +100,16 @@ def generator_spec(d: int, z_len: int, signal_length: int) -> NetworkSpec:
     stages = _upsample_stages(signal_length)
     c0 = d * 2 ** (stages - 1)
     layers = [
-        LayerSpec("dense", kernel=(z_len, GENERATOR_SEED_LEN * c0), param="dense1"),
+        LayerSpec("dense", kernel=(z_len, GENERATOR_SEED_LEN * c0), bias=True, param="dense1"),
         LayerSpec("reshape", shape=(GENERATOR_SEED_LEN, c0)),
     ]
     for i in range(1, stages + 1):
         ci = d * 2 ** (stages - i)
         co = d * 2 ** (stages - 1 - i) if i < stages else 1
+        # a batch norm follows every stage but the last
         layers.append(
-            LayerSpec("trans_conv1d", kernel=(KERNEL_1D, ci, co), stride=STRIDE_1D, param=f"tconv{i}")
+            LayerSpec("trans_conv1d", kernel=(KERNEL_1D, ci, co), stride=STRIDE_1D, bias=i == stages,
+                      param=f"tconv{i}")
         )
         if i < stages:
             layers.append(LayerSpec("batch_norm", param=f"bn{i}", alpha=LRELU_ALPHA))
@@ -119,14 +124,17 @@ def critic_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSpec
     length = signal_length
     for i in range(5):
         layers.append(
-            LayerSpec("conv1d", kernel=(KERNEL_1D, channels[i], channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
+            LayerSpec("conv1d", kernel=(KERNEL_1D, channels[i], channels[i + 1]), stride=STRIDE_1D, bias=True,
+                      param=f"conv{i + 1}")
         )
         layers.append(LayerSpec("phase_shuffle"))
         layers.append(LayerSpec("leaky_relu"))
         length = -(-length // STRIDE_1D)
     flat = length * channels[-1]
     layers.append(LayerSpec("reshape", shape=(flat,)))
-    layers.append(LayerSpec("dense", kernel=(flat, 1), param="dense1"))
+    # the score enters the WGAN loss only as mean(real) - mean(fake), and the
+    # gradient penalty only through its input gradient: a bias's gradient is exactly 0
+    layers.append(LayerSpec("dense", kernel=(flat, 1), bias=False, param="dense1"))
     return NetworkSpec("critic", d, 0, signal_length, tuple(layers), phase_shuffle_n)
 
 
@@ -135,13 +143,12 @@ def inception_spec() -> NetworkSpec:
     layers = []
     ci = 1
     for i in range(3):
-        layers.append(LayerSpec("conv2d", kernel=(3, 3, ci, c), stride=2, param=f"conv{i + 1}"))
+        layers.append(LayerSpec("conv2d", kernel=(3, 3, ci, c), stride=2, bias=False, param=f"conv{i + 1}"))
         layers.append(LayerSpec("batch_norm", param=f"bn{i + 1}", alpha=0.0))
         layers.append(LayerSpec("maxpool2d"))
         ci = c
     layers.append(LayerSpec("reshape", shape=(c,)))
-    layers.append(LayerSpec("dense", kernel=(c, LABEL_COUNT), param="dense1"))
-    layers.append(LayerSpec("sigmoid"))
+    layers.append(LayerSpec("dense", kernel=(c, LABEL_COUNT), bias=True, param="dense1"))
     return NetworkSpec("inception", 0, 0, 64, tuple(layers))
 
 
@@ -152,13 +159,15 @@ def denoiser_spec(d: int, signal_length: int, phase_shuffle_n: int) -> NetworkSp
         if phase_shuffle_n > 0:
             layers.append(LayerSpec("phase_shuffle"))
         layers.append(
-            LayerSpec("conv1d", kernel=(KERNEL_1D, enc_channels[i], enc_channels[i + 1]), stride=STRIDE_1D, param=f"conv{i + 1}")
+            LayerSpec("conv1d", kernel=(KERNEL_1D, enc_channels[i], enc_channels[i + 1]), stride=STRIDE_1D, bias=True,
+                      param=f"conv{i + 1}")
         )
         layers.append(LayerSpec("leaky_relu"))
     dec_channels = [4 * d, 4 * d, 2 * d, d, 1]
     for i in range(4):
         layers.append(
-            LayerSpec("trans_conv1d", kernel=(KERNEL_1D, dec_channels[i], dec_channels[i + 1]), stride=STRIDE_1D, param=f"tconv{i + 1}")
+            LayerSpec("trans_conv1d", kernel=(KERNEL_1D, dec_channels[i], dec_channels[i + 1]), stride=STRIDE_1D,
+                      bias=True, param=f"tconv{i + 1}")
         )
         layers.append(LayerSpec("leaky_relu"))
     layers.append(LayerSpec("crop"))
@@ -178,15 +187,14 @@ class Network:
         self.running: dict[str, dict[str, np.ndarray]] = {}
         rng = np.random.default_rng(seed)
         ch = None  # output channels of the last kernel layer
-        next_kinds = [layer.kind for layer in spec.layers[1:]] + [None]
-        for layer, next_kind in zip(spec.layers, next_kinds):
+        for layer in spec.layers:
             if layer.kind in _NEEDS_KERNEL:
                 fan_in = int(np.prod(layer.kernel[:-1]))
                 bound = np.sqrt(6.0 / fan_in)
                 w = rng.uniform(-bound, bound, size=layer.kernel)
                 self.params[f"{layer.param}.w"] = Tensor(w, requires_grad=True)
                 ch = layer.kernel[-1]
-                if next_kind not in ("batch_norm", None):
+                if layer.bias:
                     self.params[f"{layer.param}.b"] = Tensor(np.zeros(ch), requires_grad=True)
             elif layer.kind == "batch_norm":
                 if ch is None:
@@ -204,9 +212,9 @@ class Network:
         stop_at: str | None = None,
     ) -> Tensor:
         """Run the layer stack; `stop_at` halts before the first layer of that
-        kind (used to read pre-sigmoid logits), and a `trace` list gets
-        (index, kind, output shape) of each layer run. Infer mode runs under
-        ``no_grad``: it records no graph and returns a Tensor with no node."""
+        kind, and a `trace` list gets (index, kind, output shape) of each
+        layer run. Infer mode runs under ``no_grad``: it records no graph and
+        returns a Tensor with no node."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
         with ad.no_grad() if mode == "infer" else contextlib.nullcontext():
@@ -216,8 +224,8 @@ class Network:
                 if stop_at is not None and k == stop_at:
                     return h
                 if k in _NEEDS_KERNEL:  # the three convolutions are the nn functions of their kind's name
-                    w, b = self.params[f"{layer.param}.w"], self.params.get(f"{layer.param}.b")
-                    h = nn.dense(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
+                    w, b = self.params[f"{layer.param}.w"], self.params[f"{layer.param}.b"] if layer.bias else None
+                    h = ad.matmul(h, w, b) if k == "dense" else getattr(nn, k)(h, w, b, layer.stride)
                 elif k == "maxpool2d":
                     h = nn.maxpool2d(h)
                 elif k == "batch_norm":
@@ -227,8 +235,6 @@ class Network:
                     h = ad.leaky_relu(h, LRELU_ALPHA)
                 elif k == "tanh":
                     h = ad.tanh(h)
-                elif k == "sigmoid":
-                    h = ad.sigmoid(h)
                 elif k == "phase_shuffle":
                     h = nn.phase_shuffle(h, self.spec.phase_shuffle_n, rng, mode)
                 elif k == "crop":
@@ -328,12 +334,12 @@ def from_checkpoint(name: str, state: dict[str, np.ndarray], signal_length: int 
     return net
 
 
-def infer(net: Network, x: np.ndarray, stop_at: str | None = None) -> np.ndarray:
+def infer(net: Network, x: np.ndarray) -> np.ndarray:
     """Inference-mode forward of `x` in chunks of INFER_BATCH; like every
     inference forward it records no graph. An empty `x` runs one empty
     forward: zero rows of the output shape."""
     return np.concatenate([
-        net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer", stop_at=stop_at).data
+        net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer").data
         for i in range(0, max(len(x), 1), INFER_BATCH)
     ])
 

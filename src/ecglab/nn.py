@@ -6,7 +6,8 @@ split evenly with the extra sample on the right. These are the only
 conventions that reproduce the architecture tables' output shapes.
 
 Each layer is one ``autodiff`` op, and that op's docstring or section
-comment says how it is computed and what its graph node keeps:
+comment says how it is computed and what its graph node keeps. A dense
+layer is ``autodiff.matmul`` itself, so it has no function here;
 ``conv1d`` and ``trans_conv1d`` are ``conv_len`` and ``trans_conv_len``
 over the SAME pads, and ``maxpool2d`` is ``max_pool_2x2``. ``conv2d`` is
 ``conv_len`` along the width: ``autodiff.unfold_rows`` sets the kh padded
@@ -84,13 +85,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     if x.shape[1] % 2 or x.shape[2] % 2:
         raise ValueError(f"maxpool2d needs even spatial dims, got {x.shape[1]} x {x.shape[2]}")
     return ad.max_pool_2x2(x)
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    out = ad.matmul(x, w)
-    if b is not None:
-        out = ad.add(out, b)
-    return out
 
 
 def batch_norm(

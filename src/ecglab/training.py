@@ -59,9 +59,16 @@ class DivergenceError(RuntimeError):
     """A training loss, a validation score or a trained parameter became NaN or inf."""
 
 
-def _signals_to_array(signals: list[Signal]) -> np.ndarray:
-    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``."""
-    return np.stack([s.samples for s in signals], dtype=ad.DTYPE)[:, :, None]
+def _signals_to_array(signals: list[Signal], what: str) -> np.ndarray:
+    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``.
+    ValueError naming the first signal with a finite sample that the cast
+    turned into inf, as ``signals.write_dataset`` refuses one."""
+    with np.errstate(over="ignore"):
+        out = np.stack([s.samples for s in signals], dtype=ad.DTYPE)[:, :, None]
+    for i in np.flatnonzero(np.isinf(out).any(axis=(1, 2))):
+        if np.isfinite(signals[i].samples[np.isinf(out[i, :, 0])]).any():
+            raise ValueError(f"{what} {i} holds a sample that overflows {out.dtype}")
+    return out
 
 
 def _require_finite(records, what: str) -> None:
@@ -155,7 +162,7 @@ def train_gan(
         raise ValueError("all training signals must share one length")
 
     rng = np.random.default_rng(seed)
-    data = _signals_to_array(real)
+    data = _signals_to_array(real, "training signal")
     _require_finite(data, "training signal")
     vi, ti = _hold_out(rng, len(real), cfg.val_fraction)
     val_data, train_data = data[vi], data[ti]
@@ -260,7 +267,7 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 def _spectrogram_batch(signals: Sequence[Signal]) -> np.ndarray:
     """The classifier's (N, 64, 64, 1) input: one mel spectrogram per signal."""
-    return np.stack([mel_spectrogram(s).bins for s in signals])[:, :, :, None]
+    return np.stack([mel_spectrogram(s) for s in signals])[:, :, :, None]
 
 
 def _fit(
@@ -272,11 +279,9 @@ def _fit(
     targets: np.ndarray,
     loss,
     val_loss,
-    stop_at: str | None = None,
 ) -> TrainLog:
     """Adam on `loss(output, targets)` (a Tensor) over shuffled batches of
-    the training rows for `cfg.epochs` epochs; `stop_at` ends the forward
-    early, as in `Network.forward`.
+    the training rows for `cfg.epochs` epochs.
 
     `val_loss(output, targets)` (numpy in, a float out) scores the held-out
     rows after every epoch, or the training rows when the hold-out rounds
@@ -304,14 +309,14 @@ def _fit(
             # of a paper-scale denoiser run, and 10-15 % slower). The CLI
             # pins malloc's thresholds (`cli._pin_malloc_thresholds`), which
             # also stops this, but library callers do not get that policy
-            out = net.forward(Tensor(inputs[idx]), mode="train", rng=rng, stop_at=stop_at)
+            out = net.forward(Tensor(inputs[idx]), mode="train", rng=rng)
             batch_loss = loss(out, targets[idx])
             step += 1
             value = _finite_loss(batch_loss, step, kind)
             ad.backward(batch_loss)
             adam_step(net.params, opt)
             log.add(step=step, kind=kind, epoch=epoch, loss=value)
-        value = val_loss(models.infer(net, inputs[vi], stop_at=stop_at), targets[vi])
+        value = val_loss(models.infer(net, inputs[vi]), targets[vi])
         if not np.isfinite(value):
             raise DivergenceError(f"{kind} validation loss is {value} at epoch {epoch}")
         log.add(step=step, kind="validation", epoch=epoch, val_loss=value)
@@ -324,7 +329,8 @@ def _fit(
 
 
 def train_inception(ds: LabeledDataset, cfg: RunConfig, seed: int) -> tuple[Network, TrainLog]:
-    """Multilabel classifier on mel spectrograms, binary cross-entropy loss.
+    """Multilabel classifier on mel spectrograms, binary cross-entropy loss
+    on the network's output logits.
 
     Validated after every epoch; the parameters with the lowest
     validation loss are returned. Batch norm uses batch statistics in
@@ -336,7 +342,7 @@ def train_inception(ds: LabeledDataset, cfg: RunConfig, seed: int) -> tuple[Netw
     rng = np.random.default_rng(seed)
     net = models.build("inception", seed=seed)
     log = _fit(net, cfg, rng, "classifier", _spectrogram_batch(ds.signals), ds.labels.astype(np.float64),
-               bce_with_logits, _bce_numpy, stop_at="sigmoid")
+               bce_with_logits, _bce_numpy)
     return net, log
 
 
@@ -371,8 +377,8 @@ def train_denoiser(
     length = pairs[0].clean.length
     rng = np.random.default_rng(seed)
 
-    noisy = _signals_to_array([p.noisy for p in pairs])
-    clean = _signals_to_array([p.clean for p in pairs])
+    noisy = _signals_to_array([p.noisy for p in pairs], "training pair")
+    clean = _signals_to_array([p.clean for p in pairs], "training pair")
     _require_finite(zip(noisy, clean), "training pair")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
@@ -397,7 +403,7 @@ def network_denoiser(net: Network):
     batched inference over the noisy signals."""
 
     def denoise(noisy: list[Signal]) -> list[Signal]:
-        out = models.infer(net, _signals_to_array(noisy))
+        out = models.infer(net, _signals_to_array(noisy, "noisy signal"))
         return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
 
     return denoise

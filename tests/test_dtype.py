@@ -52,7 +52,7 @@ def _loss(name, net, x, rng):
         score = ad.mean_(net.forward(Tensor(x), mode="train", rng=rng))
         return ad.add(score, gradient_penalty(net, x, x[::-1], rng))
     if name == "inception":
-        logits = net.forward(Tensor(x), mode="train", stop_at="sigmoid")
+        logits = net.forward(Tensor(x), mode="train")
         return bce_with_logits(logits, (x[:, :5, 0, 0] > 0).astype(np.float64))
     out = net.forward(Tensor(x), mode="train", rng=rng)
     return ad.mean_(out) if name == "generator" else mse_loss(out, np.tanh(x))
@@ -163,7 +163,7 @@ def test_training_arrays_are_stacked_once_in_the_network_dtype(dtype, monkeypatc
     up at call time, each sample its rounding to it."""
     monkeypatch.setattr(ad, "DTYPE", dtype)
     samples = np.random.default_rng(3).normal(size=(3, 7))
-    arr = training._signals_to_array([Signal(s, 100.0) for s in samples])
+    arr = training._signals_to_array([Signal(s, 100.0) for s in samples], "signal")
     assert arr.dtype == dtype and arr.shape == (3, 7, 1)
     assert arr[:, :, 0].tobytes() == samples.astype(dtype).tobytes()
 

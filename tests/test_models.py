@@ -44,7 +44,6 @@ INCEPTION_SHAPES = [
     (2, 8, 8, 64), (2, 8, 8, 64), (2, 4, 4, 64),
     (2, 2, 2, 64), (2, 2, 2, 64), (2, 1, 1, 64),
     (2, 64), (2, 5),
-    (2, 5),
 ]
 
 DENOISER_SHAPES = [
@@ -111,10 +110,10 @@ def test_output_ranges():
         g = gen.forward(Tensor(rng.uniform(-1, 1, size=(4, 100))))
     assert np.all(g.data >= -1.0) and np.all(g.data <= 1.0)
 
-    inc = models.build("inception", seed=1)
+    inc = models.build("inception", seed=1)  # ends in its dense layer's logits
     with ad.no_grad():
         p = inc.forward(Tensor(rng.normal(size=(4, 64, 64, 1))))
-    assert np.all(p.data >= 0.0) and np.all(p.data <= 1.0)
+    assert p.shape == (4, 5) and np.all(np.isfinite(p.data))
 
     den = models.build("denoiser", d=4, signal_length=512, seed=1)
     with ad.no_grad():
@@ -126,13 +125,20 @@ def test_output_ranges():
 def test_infer_chunks_equal_one_whole_batch_forward():
     den = models.build("denoiser", d=2, signal_length=128, seed=2)
     x = rng.normal(size=(2 * models.INFER_BATCH + 3, 128, 1))
-    for stop_at in (None, "tanh"):
-        with ad.no_grad():
-            whole = den.forward(Tensor(x), mode="infer", stop_at=stop_at).data
-        out = models.infer(den, x, stop_at=stop_at)
-        assert type(out) is np.ndarray
-        assert np.array_equal(out, whole)
+    with ad.no_grad():
+        whole = den.forward(Tensor(x), mode="infer").data
+    out = models.infer(den, x)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, whole)
     assert models.infer(den, x[:0]).shape == (0, 128, 1)
+
+
+def test_forward_stop_at_halts_before_the_first_layer_of_that_kind():
+    den = models.build("denoiser", d=2, signal_length=128, seed=2)
+    trace = []
+    out = den.forward(Tensor(rng.normal(size=(2, 128, 1))), trace=trace, stop_at="crop")
+    assert [kind for _, kind, _ in trace] == [layer.kind for layer in den.spec.layers[:-2]]
+    assert out.shape == trace[-1][2] == (2, 256, 1)  # the decoder overshoots 128
 
 
 @pytest.mark.parametrize("name,shape", [("generator", (3, 100)), ("critic", (3, 128, 1)),
@@ -248,13 +254,15 @@ def test_load_state_dict_checks_the_shape_of_running_stats():
 
 
 @pytest.mark.parametrize("name", models.NETWORK_NAMES)
-def test_kernel_layers_have_a_bias_unless_batch_norm_follows_or_they_end_the_spec(name):
+def test_no_kernel_layer_before_a_batch_norm_has_a_bias(name):
+    """Batch norm cancels a bias before it; a kernel layer has a bias
+    parameter exactly when its spec says so."""
     net = models.build(name, d=16, seed=0)
     layers = net.spec.layers
     for layer, following in zip(layers, layers[1:] + (None,)):
         if layer.kind in models._NEEDS_KERNEL:
-            unbiased = following is None or following.kind == "batch_norm"
-            assert (f"{layer.param}.b" in net.params) != unbiased, layer.param
+            assert not (layer.bias and following is not None and following.kind == "batch_norm"), layer.param
+            assert (f"{layer.param}.b" in net.params) == layer.bias, layer.param
     expected = {"generator": (16, {"tconv1", "tconv2", "tconv3", "tconv4"}), "critic": (11, {"dense1"}),
                 "inception": (11, {"conv1", "conv2", "conv3"}), "denoiser": (16, set())}[name]
     unbiased = {k[:-2] for k in net.params if k.endswith(".w") and k[:-2] + ".b" not in net.params}
@@ -285,6 +293,10 @@ def test_layer_spec_validation():
         models.LayerSpec("batch_norm", param="bn1")
     with pytest.raises(ValueError, match="^layer 'leaky_relu': alpha not allowed$"):
         models.LayerSpec("leaky_relu", alpha=0.2)
+    with pytest.raises(ValueError, match="^layer 'dense': bias required$"):
+        models.LayerSpec("dense", kernel=(4, 2), param="dense1")
+    with pytest.raises(ValueError, match="^layer 'tanh': bias not allowed$"):
+        models.LayerSpec("tanh", bias=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class UnitLinearCritic:
 
     def forward(self, x, mode="train", rng=None):
         n, L, c = x.shape
-        return ad.matmul(ad.reshape(x, (n, L * c)), self.w)
+        return ad.matmul(ad.reshape(x, (n, L * c)), self.w, None)
 
 
 def test_gradient_penalty_zero_for_unit_linear_critic():
@@ -98,7 +99,7 @@ class SmoothCritic:
         h = ad.tanh(nn.conv1d(x, p["w1"], p["b1"], 4))
         h = ad.tanh(nn.trans_conv1d(h, p["w2"], p["b2"], 4))
         h = nn.conv1d(nn.crop_center(h, x.shape[1]), p["w3"], None, 4)
-        return nn.dense(ad.reshape(h, (h.shape[0], -1)), p["wd"], None)
+        return ad.matmul(ad.reshape(h, (h.shape[0], -1)), p["wd"], None)
 
 
 def _directional_fd(f, x, direction, eps=1e-6):
@@ -167,14 +168,15 @@ def test_gradient_penalty_input_gradient_matches_fd():
 _pruned_grad = ad.grad
 
 
-def _unpruned_grad(output, wrt, create_graph=False):
-    """ad.grad without pruning: every parameter's gradient is computed too."""
-    wants = ad._wants
-    ad._wants = lambda t: t.requires_grad
-    try:
-        return _pruned_grad(output, wrt, create_graph=create_graph)
-    finally:
-        ad._wants = wants
+def _unpruned_grad(params):
+    """ad.grad with every tensor of `params` added to wrt, so that its walk
+    computes their gradients too; it returns those of the given wrt only."""
+
+    def grad(output, wrt, create_graph=False):
+        wrt = list(wrt)
+        return _pruned_grad(output, wrt + list(params.values()), create_graph=create_graph)[: len(wrt)]
+
+    return grad
 
 
 def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
@@ -184,8 +186,10 @@ def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
     real = data.normal(size=(4, 96, 1)).astype(ad.DTYPE)
     fake = data.normal(size=(4, 96, 1)).astype(ad.DTYPE)
 
-    def penalty_and_grads():
+    def penalty_and_grads(unpruned=False):
         critic = models.Network(models.critic_spec(2, signal_length=96, phase_shuffle_n=2), seed=1)
+        if unpruned:
+            monkeypatch.setattr(ad, "grad", _unpruned_grad(critic.params))
         gp = gradient_penalty(critic, real, fake, np.random.default_rng(4))
         ad.backward(gp)
         return gp.data.tobytes(), {k: None if p.grad is None else p.grad.tobytes()
@@ -211,8 +215,7 @@ def test_gradient_penalty_walk_skips_parameter_gradients(monkeypatch):
     monkeypatch.setattr(ad, "grad", counted_grad)
     pruned = penalty_and_grads()
     assert "grad ran" in calls and len(calls) > 1  # backward does correlate kernels
-    monkeypatch.setattr(ad, "grad", _unpruned_grad)
-    assert penalty_and_grads() == pruned
+    assert penalty_and_grads(unpruned=True) == pruned
 
 
 def test_generator_backward_skips_critic_parameter_gradients(monkeypatch):
@@ -406,6 +409,19 @@ def test_denoiser_rejects_non_finite_pair():
             train_denoiser(pairs, RunConfig(model_dim=2, epochs=1, batch_size=8), "baseline", seed=0)
 
 
+def test_denoiser_names_a_sample_that_overflows_float32():
+    """A finite sample beyond float32's range is refused by name, with no
+    numpy overflow warning, not reported as the inf the cast would make."""
+    pairs = _identity_pairs(n=8)
+    noisy = pairs[3].noisy.samples.copy()
+    noisy[40] = 1e39
+    pairs[3] = SignalPair(pairs[3].clean, Signal(noisy, 64.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^training pair 3 holds a sample that overflows float32$"):
+            train_denoiser(pairs, RunConfig(model_dim=2, batch_size=4), "baseline", seed=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_denoiser_divergence_names_step_and_kind():
     # the tanh output keeps the loss finite until the activations overflow
@@ -457,8 +473,8 @@ def test_denoiser_best_checkpoint_retained():
     net, log = train_denoiser(pairs, cfg, "baseline", seed=2)
     vals = [r.val_loss for r in _rows(log, "validation")]
     rng = np.random.default_rng(2)
-    noisy = training._signals_to_array([p.noisy for p in pairs])
-    clean = training._signals_to_array([p.clean for p in pairs])
+    noisy = training._signals_to_array([p.noisy for p in pairs], "pair")
+    clean = training._signals_to_array([p.clean for p in pairs], "pair")
     # recomputed loss of the returned network equals the best logged epoch
     n_val = int(round(cfg.val_fraction * len(pairs)))
     vi = rng.permutation(len(pairs))[:n_val]
@@ -477,8 +493,30 @@ def test_inception_best_checkpoint_retained():
     vals = [r.val_loss for r in _rows(log, "validation")]
     vi = np.random.default_rng(1).permutation(8)[:2]
     grids = training._spectrogram_batch([sigs[i] for i in vi])
-    got = training._bce_numpy(models.infer(net, grids, stop_at="sigmoid"), ds.labels[vi].astype(np.float64))
+    got = training._bce_numpy(models.infer(net, grids), ds.labels[vi].astype(np.float64))
     assert got == min(vals)
+
+
+def test_every_spec_layer_runs_in_the_trainers_and_in_infer(monkeypatch):
+    """Each trainer's train forwards, and every models.infer call the
+    trainers make, run every layer of the network's spec, in spec order."""
+    forward, runs = models.Network.forward, {}
+
+    def traced(net, x, mode="infer", rng=None, trace=None, stop_at=None):
+        layers = []
+        out = forward(net, x, mode=mode, rng=rng, trace=layers, stop_at=stop_at)
+        every_layer = [(i, layer.kind) for i, layer in enumerate(net.spec.layers)]
+        runs.setdefault((net.spec.name, mode), set()).add([(i, kind) for i, kind, _ in layers] == every_layer)
+        return out
+
+    monkeypatch.setattr(models.Network, "forward", traced)
+    train_gan(make_sines(n=16), tiny_gan_cfg(generator_steps=1, val_fraction=0.25), seed=0)
+    train_denoiser(_identity_pairs(n=8), RunConfig(model_dim=2, epochs=1, batch_size=4), "phase_shuffle", seed=0)
+    rng = np.random.default_rng(0)
+    sigs = tuple(Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8))
+    training.train_inception(LabeledDataset(sigs, rng.integers(0, 2, size=(8, 5)).astype(np.uint8)),
+                             RunConfig(epochs=1, batch_size=4, val_fraction=0.25), seed=0)
+    assert runs == {(name, mode): {True} for name in models.NETWORK_NAMES for mode in ("train", "infer")}
 
 
 def test_hold_out_of_every_record_is_rejected():
