@@ -56,7 +56,9 @@ STRIDE_1D = 4
 LRELU_ALPHA = 0.2
 GENERATOR_SEED_LEN = 8
 INCEPTION_CHANNELS = 64
-INFER_BATCH = 128
+# the training batch, at which autodiff's _one_group bounds, _THIN_K and
+# _CHUNK_BYTES were timed; one chunk's activations set inference memory
+INFER_BATCH = 64
 
 _NEEDS_KERNEL = {"dense", "conv1d", "trans_conv1d", "conv2d"}
 _NEEDS_STRIDE = {"conv1d", "trans_conv1d", "conv2d"}
@@ -335,9 +337,12 @@ def from_checkpoint(name: str, state: dict[str, np.ndarray], signal_length: int 
 
 
 def infer(net: Network, x: np.ndarray) -> np.ndarray:
-    """Inference-mode forward of `x` in chunks of INFER_BATCH; like every
-    inference forward it records no graph. An empty `x` runs one empty
-    forward: zero rows of the output shape."""
+    """Inference-mode forward of `x` in chunks of INFER_BATCH rows, the
+    training batch, so its memory is one chunk's activations plus the
+    output. Each row is computed on its own: the output bytes do not
+    depend on the chunk size. Like every inference forward it records no
+    graph. An empty `x` runs one empty forward: zero rows of the output
+    shape."""
     return np.concatenate([
         net.forward(Tensor(x[i : i + INFER_BATCH]), mode="infer").data
         for i in range(0, max(len(x), 1), INFER_BATCH)

@@ -12,8 +12,9 @@ a tail:
   samples immediately followed by its noisy samples; no tail.
 
 Every signal in a file shares one length and one sample rate, and no
-finite sample may overflow f32 (it would be written as inf); the writer
-refuses anything else, naming the record, before it opens the file. The
+finite sample may overflow f32 (it would be written as inf), nor the
+rate; the writer refuses anything else, naming the record or the rate,
+before it opens the file. A ``Signal``'s rate is finite and positive. The
 reader checks the magic, the version, the payload and tail lengths and
 that every sample is finite. Sample payloads are f32, so round-trips are
 bit-exact for data that is representable in single precision (everything
@@ -30,6 +31,7 @@ callers pass counts such as a step or a size as ``str``.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +73,8 @@ class Signal:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
 
     @property
     def length(self) -> int:
@@ -151,8 +153,8 @@ def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Si
     """Write the header, then each record's signals as little-endian f32
     samples straight to the file, then ``tail``. Every signal must share
     the first one's length and sample rate, which the header stores, and
-    no finite sample may overflow f32; all of it is checked, one signal at
-    a time, before the file is opened."""
+    no finite sample may overflow f32, nor the rate; all of it is checked,
+    one signal at a time, and the header packed before the file is opened."""
     sigs = [s for rec in records for s in rec]
     length = sigs[0].length if sigs else 0
     rate = sigs[0].sample_rate_hz if sigs else 0.0
@@ -164,8 +166,12 @@ def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Si
         with np.errstate(over="ignore"):
             if np.any(np.isinf(s.samples.astype("<f4")) & np.isfinite(s.samples)):
                 raise ValueError(f"record {i // len(records[0])} holds a sample that overflows float32")
+    try:
+        header = _HEADER.pack(magic, 1, len(records), length, rate)
+    except OverflowError:
+        raise ValueError(f"sample rate {rate} Hz overflows float32") from None
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(magic, 1, len(records), length, rate))
+        f.write(header)
         for s in sigs:
             f.write(s.samples.astype("<f4").data)
         f.write(tail)

@@ -235,6 +235,23 @@ def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
     assert not (tmp_path / "g.ecgd").exists()
 
 
+@pytest.mark.parametrize("rate,message", [
+    ("inf", "sample_rate_hz must be finite and positive, got inf"),
+    ("nan", "sample_rate_hz must be finite and positive, got nan"),
+    ("1e39", "sample rate 1e+39 Hz overflows float32"),
+])
+def test_synth_gan_bad_sample_rate_exits_1_without_output(tmp_path, capsys, rate, message):
+    """A rate that is not finite is refused by `Signal`, and one that is
+    finite but past float32 by the writer, before it opens the file."""
+    net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
+    save_params(tmp_path / "g.ecgw", models.checkpoint_state(net))
+    out = tmp_path / "g.ecgd"
+    assert main(["synth", "--model", "gan", "--count", "2", "--sample-rate", rate,
+                 "--checkpoint", str(tmp_path / "g.ecgw"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("network,missing", [("generator", "z_len"), ("denoiser", "d")])
 def test_checkpoint_without_metadata_exits_1_with_one_line(tmp_path, capsys, network, missing):
     """`synth --model gan` and `eval` name the metadata key a checkpoint lacks."""

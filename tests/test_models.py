@@ -121,8 +121,53 @@ def test_output_ranges():
     assert np.all(np.abs(y.data) <= 1.0)
 
 
+def _move_running_stats(net):
+    """Batch norm's running statistics, away from the identity map."""
+    for stats in net.running.values():
+        stats["mean"][:] = rng.normal(size=stats["mean"].shape)
+        stats["var"][:] = rng.uniform(0.5, 2, size=stats["var"].shape)
+
+
+def _infer_bytes(monkeypatch, net, x, batch):
+    monkeypatch.setattr(models, "INFER_BATCH", batch)
+    return models.infer(net, x).tobytes()
+
+
+def test_infer_chunks_equal_one_whole_batch_forward(monkeypatch):
+    """In float32, the precision the CLI runs, each network's output bytes
+    do not depend on the chunk size. At paper size (d=16, 64x64 classifier
+    grids) the matmuls are large enough for OpenBLAS to run on several
+    threads."""
+    for name, row in [("generator", (100,)), ("critic", (5000, 1)), ("denoiser", (5000, 1)),
+                      ("inception", (64, 64, 1))]:
+        net = models.build(name, seed=2)
+        _move_running_stats(net)
+        x = rng.uniform(-1, 1, size=(2 * 16 + 3, *row))
+        assert _infer_bytes(monkeypatch, net, x, 16) == _infer_bytes(monkeypatch, net, x, 128), name
+
+
+def test_infer_memory_is_one_chunk_plus_the_output():
+    """On 3 chunks of rows, models.infer's tracemalloc peak exceeds its peak
+    on one chunk by at most the output twice over: the chunk list and its
+    concatenation. A chunk's activations are not held three times."""
+    import tracemalloc
+
+    gen = models.build("generator", d=2, z_len=8, signal_length=256, seed=2)
+    peaks = []
+    for n in (models.INFER_BATCH, 3 * models.INFER_BATCH):
+        z = rng.uniform(-1, 1, size=(n, 8)).astype(ad.DTYPE)
+        tracemalloc.start()
+        try:
+            out = models.infer(gen, z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (3 * models.INFER_BATCH, 256, 1)
+    assert peaks[1] - peaks[0] <= 2 * out.nbytes
+
+
 @pytest.mark.float64
-def test_infer_chunks_equal_one_whole_batch_forward():
+def test_infer_chunks_equal_one_whole_batch_forward_in_float64():
     den = models.build("denoiser", d=2, signal_length=128, seed=2)
     x = rng.normal(size=(2 * models.INFER_BATCH + 3, 128, 1))
     with ad.no_grad():
@@ -148,9 +193,7 @@ def test_infer_forward_records_no_graph(name, shape):
     node, byte-equal to models.infer's output, and recording is on again
     after it: a train forward records."""
     net = models.build(name, d=2, signal_length=128, seed=3)
-    for stats in net.running.values():  # away from the identity map
-        stats["mean"][:] = rng.normal(size=stats["mean"].shape)
-        stats["var"][:] = rng.uniform(0.5, 2, size=stats["var"].shape)
+    _move_running_stats(net)
     x = rng.uniform(-1, 1, size=shape)
     out = net.forward(Tensor(x), mode="infer")
     assert out._node is None and not out.requires_grad
