@@ -26,7 +26,6 @@ from .dsp import (
 )
 from .metrics import (
     MetricReport,
-    delta_hr,
     evaluate_denoiser,
     mse,
     snr_db,
@@ -47,7 +46,6 @@ __all__ = [
     "apply_noise",
     "bandpass_filter",
     "build",
-    "delta_hr",
     "detect_qrs",
     "evaluate_denoiser",
     "make_training_pairs",

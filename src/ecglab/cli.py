@@ -115,6 +115,7 @@ def cmd_synth(args) -> int:
         ]
         sigs = mcsharry_batch(params)
     else:
+        Signal((), args.sample_rate)  # refuses a bad rate before the checkpoint is loaded and run
         generator = models.from_checkpoint("generator", load_params(args.checkpoint))
         z = models.sample_latent(rng, args.count, generator.spec.z_len, cfg.latent)
         sigs = [Signal(row, args.sample_rate) for row in models.infer(generator, z.data)[:, :, 0]]

@@ -51,12 +51,8 @@ def snr_db(clean: Signal, test: Signal) -> float:
     return 10.0 * math.log10(signal_energy / residual)
 
 
-def delta_hr(clean: Signal, denoised: Signal) -> float:
-    """Absolute heart-rate difference in Hz, rates from the QRS detector."""
-    return _delta_hr_from(detect_qrs(clean).heart_rate_hz, clean, denoised)
-
-
 def _delta_hr_from(clean_hr: float, clean: Signal, denoised: Signal) -> float:
+    """Absolute heart-rate difference in Hz between `clean_hr` and the QRS-detected rate of `denoised`."""
     if clean.sample_rate_hz != denoised.sample_rate_hz:
         raise ValueError("sample rate mismatch")
     return abs(clean_hr - detect_qrs(denoised).heart_rate_hz)

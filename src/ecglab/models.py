@@ -281,7 +281,7 @@ def build(
     z_len: int = 100,
     signal_length: int = 5000,
     seed: int = 0,
-    phase_shuffle_n: int | None = None,
+    phase_shuffle_n: int = 0,
 ) -> Network:
     """Construct one of the four networks with freshly initialized parameters."""
     if d < 1:
@@ -289,11 +289,11 @@ def build(
     if name == "generator":
         spec = generator_spec(d, z_len, signal_length)
     elif name == "critic":
-        spec = critic_spec(d, signal_length, 2 if phase_shuffle_n is None else phase_shuffle_n)
+        spec = critic_spec(d, signal_length, phase_shuffle_n)
     elif name == "inception":
         spec = inception_spec()
     elif name == "denoiser":
-        spec = denoiser_spec(d, signal_length, 0 if phase_shuffle_n is None else phase_shuffle_n)
+        spec = denoiser_spec(d, signal_length, phase_shuffle_n)
     else:
         raise ValueError(f"unknown network {name!r}; expected one of {NETWORK_NAMES}")
     return Network(spec, seed=seed)

@@ -11,14 +11,15 @@ a tail:
 * ``ECG2``  - clean/noisy pair dataset: per = 2, each record's clean
   samples immediately followed by its noisy samples; no tail.
 
-Every signal in a file shares one length and one sample rate, and no
-finite sample may overflow f32 (it would be written as inf), nor the
-rate; the writer refuses anything else, naming the record or the rate,
-before it opens the file. A ``Signal``'s rate is finite and positive. The
-reader checks the magic, the version, the payload and tail lengths and
-that every sample is finite. Sample payloads are f32, so round-trips are
-bit-exact for data that is representable in single precision (everything
-these containers are meant to hold).
+``Signal`` owns the rule for a valid signal, so no stage checks it again:
+finite samples, and a finite, positive rate that fits the header's f32
+field. Before it opens the file, the writer refuses signals whose lengths
+or rates differ and, naming the record, a sample that overflows f32 (it
+would be written as inf). The reader, whose input may come from outside
+the program, checks the magic, the version, the payload and tail lengths
+and that every sample is finite. Sample payloads are f32, so round-trips
+are bit-exact for data that is representable in single precision
+(everything these containers are meant to hold).
 
 Every CSV table the pipeline writes (the training logs, ``eval`` and
 ``sweep``) is made by ``csv_table``: a header line, then one line per row,
@@ -62,7 +63,11 @@ class LabelMismatch(ContainerError):
 
 @dataclass(frozen=True)
 class Signal:
-    """Fixed-length sampled waveform, nominally scaled to [-1, 1]."""
+    """Fixed-length sampled waveform, nominally scaled to [-1, 1]. Its
+    samples are finite, and its rate is finite, positive and neither
+    overflows nor underflows the containers' f32 rate field; anything else
+    is refused with one line naming the value.
+    """
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -71,10 +76,18 @@ class Signal:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            i = int(np.argmax(~np.isfinite(arr)))
+            raise ValueError(f"samples must be finite, got {arr[i]} at index {i}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        rate = self.sample_rate_hz
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
+        with np.errstate(over="ignore", under="ignore"):
+            rate32 = np.float32(rate)
+        if np.isinf(rate32) or rate32 == 0:
+            raise ValueError(f"sample rate {rate} Hz {'overflows' if rate32 else 'underflows'} float32")
 
     @property
     def length(self) -> int:
@@ -153,8 +166,8 @@ def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Si
     """Write the header, then each record's signals as little-endian f32
     samples straight to the file, then ``tail``. Every signal must share
     the first one's length and sample rate, which the header stores, and
-    no finite sample may overflow f32, nor the rate; all of it is checked,
-    one signal at a time, and the header packed before the file is opened."""
+    no sample may overflow f32; all of it is checked, one signal at a
+    time, before the file is opened."""
     sigs = [s for rec in records for s in rec]
     length = sigs[0].length if sigs else 0
     rate = sigs[0].sample_rate_hz if sigs else 0.0
@@ -164,14 +177,10 @@ def _write_records(path: str | Path, magic: bytes, records: Sequence[Sequence[Si
         if s.sample_rate_hz != rate:
             raise ValueError(f"all signals in a file must share one sample rate, found {rate} and {s.sample_rate_hz} Hz")
         with np.errstate(over="ignore"):
-            if np.any(np.isinf(s.samples.astype("<f4")) & np.isfinite(s.samples)):
+            if np.isinf(s.samples.astype("<f4")).any():
                 raise ValueError(f"record {i // len(records[0])} holds a sample that overflows float32")
-    try:
-        header = _HEADER.pack(magic, 1, len(records), length, rate)
-    except OverflowError:
-        raise ValueError(f"sample rate {rate} Hz overflows float32") from None
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(_HEADER.pack(magic, 1, len(records), length, rate))
         for s in sigs:
             f.write(s.samples.astype("<f4").data)
         f.write(tail)

@@ -88,6 +88,9 @@ class McSharryParams:
                 f"duration_s must give a finite, nonzero sample count at {self.sample_rate_hz} Hz,"
                 f" got {self.duration_s}"
             )
+        if self.sample_count >= 2**32:  # the containers store a signal's length as u32
+            raise ValueError(f"duration_s * sample_rate_hz must give fewer than 2**32 samples, got"
+                             f" {self.duration_s} s at {self.sample_rate_hz} Hz")
         turns = self.heart_rate_bpm / 60.0 * (self.sample_count / self.sample_rate_hz)
         if turns >= WRAP_TURNS:
             raise ValueError(

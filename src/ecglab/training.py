@@ -60,23 +60,22 @@ class DivergenceError(RuntimeError):
 
 
 def _signals_to_array(signals: list[Signal], what: str) -> np.ndarray:
-    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``.
-    ValueError naming the first signal with a finite sample that the cast
-    turned into inf, as ``signals.write_dataset`` refuses one."""
+    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``:
+    the one check between ``Signal``s, whose samples are finite, and a
+    network's input. ValueError for no signals (``no {what}s``), for
+    signals of different lengths, and naming the first signal with a
+    sample that the cast turned into inf, as ``signals.write_dataset``
+    refuses one."""
+    if not signals:
+        raise ValueError(f"no {what}s")
+    if any(s.length != signals[0].length for s in signals):
+        raise ValueError(f"all {what}s must share one length")
     with np.errstate(over="ignore"):
         out = np.stack([s.samples for s in signals], dtype=ad.DTYPE)[:, :, None]
-    for i in np.flatnonzero(np.isinf(out).any(axis=(1, 2))):
-        if np.isfinite(signals[i].samples[np.isinf(out[i, :, 0])]).any():
-            raise ValueError(f"{what} {i} holds a sample that overflows {out.dtype}")
+    bad = np.isinf(out).any(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"{what} {int(np.argmax(bad))} holds a sample that overflows {out.dtype}")
     return out
-
-
-def _require_finite(records, what: str) -> None:
-    """ValueError naming the first record (an array, or a tuple of arrays)
-    that holds NaN or inf."""
-    for i, rec in enumerate(records):
-        if not np.isfinite(rec).all():
-            raise ValueError(f"{what} {i} holds NaN or inf")
 
 
 def _finite_loss(loss: Tensor, step: int, kind: str) -> float:
@@ -155,15 +154,9 @@ def train_gan(
     returned. A non-finite loss, validation estimate, or parameter after
     the last step raises DivergenceError.
     """
-    if not real:
-        raise ValueError("no training signals")
-    length = real[0].length
-    if any(s.length != length for s in real):
-        raise ValueError("all training signals must share one length")
-
-    rng = np.random.default_rng(seed)
     data = _signals_to_array(real, "training signal")
-    _require_finite(data, "training signal")
+    length = data.shape[1]
+    rng = np.random.default_rng(seed)
     vi, ti = _hold_out(rng, len(real), cfg.val_fraction)
     val_data, train_data = data[vi], data[ti]
     del data  # both parts are copies
@@ -338,7 +331,6 @@ def train_inception(ds: LabeledDataset, cfg: RunConfig, seed: int) -> tuple[Netw
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    _require_finite((s.samples for s in ds.signals), "training signal")
     rng = np.random.default_rng(seed)
     net = models.build("inception", seed=seed)
     log = _fit(net, cfg, rng, "classifier", _spectrogram_batch(ds.signals), ds.labels.astype(np.float64),
@@ -370,19 +362,15 @@ def train_denoiser(
     convolution (training only); `pretrained` starts the encoder from a
     critic checkpoint. The epoch with the best validation loss wins.
     """
-    if not pairs:
-        raise ValueError("no training pairs")
     if variant not in DENOISER_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {DENOISER_VARIANTS}")
-    length = pairs[0].clean.length
     rng = np.random.default_rng(seed)
 
     noisy = _signals_to_array([p.noisy for p in pairs], "training pair")
     clean = _signals_to_array([p.clean for p in pairs], "training pair")
-    _require_finite(zip(noisy, clean), "training pair")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
-    net = models.build("denoiser", d=cfg.model_dim, signal_length=length, seed=seed,
+    net = models.build("denoiser", d=cfg.model_dim, signal_length=noisy.shape[1], seed=seed,
                        phase_shuffle_n=shuffle_n)
     if variant == "pretrained":
         if critic_state is None:

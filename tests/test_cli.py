@@ -40,6 +40,8 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     (["--duration", "inf"], "duration_s must be finite and positive, got inf"),
     (["--duration", "1e-9"], "duration_s must give a finite, nonzero sample count at 500.0 Hz, got 1e-09"),
     (["--count", "0"], "--count must be at least 1, got 0"),
+    (["--sample-rate", "1e39"],
+     "duration_s * sample_rate_hz must give fewer than 2**32 samples, got 10.0 s at 1e+39 Hz"),
 ])
 def test_synth_bad_flag_exits_1_with_one_line_naming_it(tmp_path, capsys, flags, message):
     out = tmp_path / "s.ecgd"
@@ -187,6 +189,19 @@ def test_noise_gamma_past_float32_exits_1_without_output(tmp_path, capsys):
     assert not pairs.exists()
 
 
+def test_noise_overflowing_to_inf_exits_1_without_output(tmp_path, capsys):
+    """Noise amplitudes and a gamma whose product overflows float64 make
+    infinite samples, which `Signal` refuses: no file that `eval` would refuse."""
+    clean, pairs, cfg = tmp_path / "c.ecgd", tmp_path / "p.ecgp", tmp_path / "cfg.txt"
+    assert _synth(clean) == 0
+    cfg.write_text("bw_amp_max=1e300\npl_amp_max=1e300\nchirp_amp_max=1e300\n")
+    capsys.readouterr()
+    assert main(["noise", "--gamma", "1e300", "--config", str(cfg), "--in", str(clean), "--out", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ecglab: error: samples must be finite, got ") and err.count("\n") == 1
+    assert not pairs.exists()
+
+
 @pytest.mark.parametrize("sizes,message", [
     ("-3", "sizes must be at least 1, got -3"),
     ("4,0", "sizes must be at least 1, got 0"),
@@ -239,16 +254,34 @@ def test_synth_gan_rejects_a_checkpoint_with_a_cancelled_bias(tmp_path, capsys):
     ("inf", "sample_rate_hz must be finite and positive, got inf"),
     ("nan", "sample_rate_hz must be finite and positive, got nan"),
     ("1e39", "sample rate 1e+39 Hz overflows float32"),
+    ("1e-46", "sample rate 1e-46 Hz underflows float32"),
 ])
-def test_synth_gan_bad_sample_rate_exits_1_without_output(tmp_path, capsys, rate, message):
-    """A rate that is not finite is refused by `Signal`, and one that is
-    finite but past float32 by the writer, before it opens the file."""
+def test_synth_gan_bad_sample_rate_exits_1_without_output(tmp_path, capsys, monkeypatch, rate, message):
+    """`Signal`'s rate rule refuses the rate before the generator runs."""
     net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
     save_params(tmp_path / "g.ecgw", models.checkpoint_state(net))
+    calls = []
+    monkeypatch.setattr(models, "infer", lambda *args: calls.append(args))
     out = tmp_path / "g.ecgd"
     assert main(["synth", "--model", "gan", "--count", "2", "--sample-rate", rate,
                  "--checkpoint", str(tmp_path / "g.ecgw"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ecglab: error: {message}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_synth_gan_nan_weight_exits_1_without_output(tmp_path, capsys):
+    """A generator checkpoint holding one NaN weight makes NaN samples,
+    which `Signal` refuses: no file that `read_dataset` would refuse."""
+    net = models.build("generator", d=2, z_len=8, signal_length=128, seed=0)
+    state = models.checkpoint_state(net)
+    state["tconv1.w"].flat[0] = np.nan
+    save_params(tmp_path / "g.ecgw", state)
+    out = tmp_path / "g.ecgd"
+    assert main(["synth", "--model", "gan", "--count", "2", "--checkpoint", str(tmp_path / "g.ecgw"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ecglab: error: samples must be finite, got nan at index ") and err.count("\n") == 1
     assert not out.exists()
 
 

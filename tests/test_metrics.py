@@ -9,7 +9,6 @@ from ecglab import synth
 from ecglab.metrics import (
     CSV_HEADER,
     MetricReport,
-    delta_hr,
     evaluate_denoiser,
     mse,
     reports_to_csv,
@@ -83,18 +82,23 @@ def test_snr_mse_consistency(seed):
 # delta HR
 
 
+def _delta_hr(clean, scored):
+    """The delta-HR column of `evaluate_denoiser` on one pair, `scored` taken as it is."""
+    return evaluate_denoiser(None, [SignalPair(clean, scored)], "one").delta_hr_hz
+
+
 def test_delta_hr_identical_is_zero(ecg_60bpm):
-    assert delta_hr(ecg_60bpm, ecg_60bpm) == 0.0
+    assert _delta_hr(ecg_60bpm, ecg_60bpm) == 0.0
 
 
 def test_delta_hr_60_vs_90(ecg_60bpm, ecg_90bpm):
-    d = delta_hr(ecg_60bpm, ecg_90bpm)
+    d = _delta_hr(ecg_60bpm, ecg_90bpm)
     assert abs(d - 0.5) <= 0.1
 
 
 def test_delta_hr_flat_vs_60(ecg_60bpm):
     flat = Signal(np.zeros(5000), 500.0)
-    d = delta_hr(ecg_60bpm, flat)
+    d = _delta_hr(ecg_60bpm, flat)
     assert abs(d - 1.0) <= 0.05
 
 

@@ -216,15 +216,25 @@ def test_pairs_magic_distinct_from_dataset(tmp_path):
         read_pairs(path)
 
 
+def _patch_last_sample(path, value, tail_bytes):
+    """Overwrite the f32 sample just before the file's last `tail_bytes` bytes."""
+    blob = bytearray(path.read_bytes())
+    end = len(blob) - tail_bytes
+    blob[end - 4 : end] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_readers_reject_non_finite_samples(tmp_path, bad):
-    clean = [sig(np.zeros(8)) for _ in range(3)]
-    noisy = [sig(np.zeros(8)), sig(np.zeros(8)), sig(np.r_[np.zeros(7), bad])]
-    write_pairs([SignalPair(c, n) for c, n in zip(clean, noisy)], tmp_path / "p.ecg2")
+    """The writer cannot make such a file (a ``Signal`` is finite), so the
+    bytes of a finite one are patched: files may come from elsewhere."""
+    zeros = [sig(np.zeros(8)) for _ in range(3)]
+    write_pairs([SignalPair(z, z) for z in zeros], tmp_path / "p.ecg2")
+    _patch_last_sample(tmp_path / "p.ecg2", bad, 0)
     with pytest.raises(ContainerError, match="record 2"):
         read_pairs(tmp_path / "p.ecg2")
-    ds = LabeledDataset((clean[0], noisy[2]), np.zeros((2, 5), dtype=np.uint8))
-    write_dataset(ds, tmp_path / "d.ecgd")
+    write_dataset(LabeledDataset(tuple(zeros[:2]), np.zeros((2, 5), dtype=np.uint8)), tmp_path / "d.ecgd")
+    _patch_last_sample(tmp_path / "d.ecgd", bad, 2 * 5)
     with pytest.raises(ContainerError, match="record 1"):
         read_dataset(tmp_path / "d.ecgd")
 
@@ -271,8 +281,8 @@ def test_writers_refuse_mixed_signals(tmp_path, lengths, rates, match):
 @pytest.mark.parametrize("big", [1e39, -1e39, 3.5e38])
 def test_writers_refuse_a_sample_that_overflows_float32(tmp_path, big):
     """Checked before the file is opened, naming the record; the largest
-    float32 and non-finite samples are still written (the readers refuse
-    the latter)."""
+    float32 is still written, and a non-finite sample cannot reach the
+    writer, as ``Signal`` refuses it."""
     ok = sig(np.zeros(4))
     bad = sig([0.0, big, 1.0, 2.0])
     with pytest.raises(ValueError, match="^record 2 holds a sample that overflows float32$"):
@@ -280,9 +290,72 @@ def test_writers_refuse_a_sample_that_overflows_float32(tmp_path, big):
     with pytest.raises(ValueError, match="^record 1 holds a sample that overflows float32$"):
         write_pairs([SignalPair(ok, ok), SignalPair(ok, bad)], tmp_path / "p.ecg2")
     assert list(tmp_path.iterdir()) == []
-    edge = sig([float(np.finfo(np.float32).max), np.inf, np.nan, 0.0])
+    edge = sig([float(np.finfo(np.float32).max), 0.0, 0.0, 0.0])
     write_pairs([SignalPair(edge, ok)], tmp_path / "p.ecg2")
     assert (tmp_path / "p.ecg2").exists()
+    with pytest.raises(ValueError, match="^samples must be finite, got inf at index 1$"):
+        sig([float(np.finfo(np.float32).max), np.inf, np.nan, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_signal_refuses_a_non_finite_sample(bad):
+    """`Signal` is the one check: the trainers, writers and filters downstream trust it."""
+    with pytest.raises(ValueError, match=f"^samples must be finite, got {bad} at index 40$"):
+        Signal(np.where(np.arange(128) == 40, bad, 0.0), 64.0)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+# the float64s on each side of the f32 cast's round-to-inf boundary, 2**128 - 2**103
+_F32_ROUNDS_TO_INF = 2.0**128 - 2.0**103
+_F32_ROUNDS_TO_MAX = np.nextafter(_F32_ROUNDS_TO_INF, 0.0)
+
+
+@pytest.mark.parametrize("rate,message", [
+    (1e39, "sample rate 1e+39 Hz overflows float32"),
+    (_F32_ROUNDS_TO_INF, f"sample rate {_F32_ROUNDS_TO_INF} Hz overflows float32"),
+    (1e-46, "sample rate 1e-46 Hz underflows float32"),
+    (-1.0, "sample_rate_hz must be finite and positive, got -1.0"),
+], ids=["1e39", "rounds-to-inf", "1e-46", "negative"])
+def test_signal_refuses_a_rate_the_header_cannot_hold(rate, message):
+    with pytest.raises(ValueError) as info:
+        Signal(np.zeros(4), rate)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rate", [_F32_ROUNDS_TO_MAX, _F32_MAX, 1e-45])
+def test_signal_rate_at_the_f32_edges_round_trips(tmp_path, rate):
+    write_dataset(LabeledDataset((Signal(np.zeros(4), rate),), np.zeros((1, 5), dtype=np.uint8)), tmp_path / "d")
+    assert read_dataset(tmp_path / "d").signals[0].sample_rate_hz == float(np.float32(rate))
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e39, -1e39, 5e-324, -1e-310, 1e-45, 1e-46, _F32_MAX,
+                     _F32_ROUNDS_TO_MAX, -_F32_ROUNDS_TO_INF]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(_EDGE_FLOATS, min_size=1, max_size=6), rate=_EDGE_FLOATS, pairs=st.booleans())
+def test_no_signal_makes_a_file_its_reader_refuses(tmp_path_factory, samples, rate, pairs):
+    """Either `Signal` refuses the input, or the writer refuses it before
+    opening the file, or the reader returns exactly its float32 cast."""
+    try:
+        s = Signal(np.array(samples), rate)
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("edge") / "x"
+    try:
+        if pairs:
+            write_pairs([SignalPair(s, s)], path)
+        else:
+            write_dataset(LabeledDataset((s,), np.zeros((1, 5), dtype=np.uint8)), path)
+    except ValueError:
+        assert not path.exists()
+        return
+    back = read_pairs(path)[0].noisy if pairs else read_dataset(path).signals[0]
+    assert back.samples.tobytes() == s.samples.astype(np.float32).astype(np.float64).tobytes()
+    assert back.sample_rate_hz == float(np.float32(rate))
 
 
 # ---------------------------------------------------------------------------

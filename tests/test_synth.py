@@ -231,6 +231,17 @@ def test_mcsharry_rejects_a_duration_without_samples(fs, duration):
     assert str(info.value) == f"duration_s must give a finite, nonzero sample count at {fs} Hz, got {duration}"
 
 
+@pytest.mark.parametrize("fs,duration", [(1e39, 1.0), (5e9, 1.0)])
+def test_mcsharry_rejects_a_sample_count_past_the_u32_length_field(fs, duration):
+    """Refused before anything is allocated. A count just under 2**32 is
+    valid but takes tens of GB, so no test synthesizes one."""
+    with pytest.raises(ValueError) as info:
+        ecg(fs=fs, duration=duration)
+    assert str(info.value) == (
+        f"duration_s * sample_rate_hz must give fewer than 2**32 samples, got {duration} s at {fs} Hz"
+    )
+
+
 @pytest.mark.parametrize("hr,duration", [(60.0, 2.0**26), (1e308, 10.0), (6e9, 1.0)])
 def test_mcsharry_rejects_a_phase_past_the_exact_wrap(hr, duration):
     with pytest.raises(ValueError) as info:
