@@ -41,7 +41,9 @@ from .signals import (
     LabeledDataset,
     Signal,
     read_dataset,
+    read_dataset_f32,
     read_pairs,
+    read_pairs_f32,
     write_dataset,
     write_pairs,
 )
@@ -136,21 +138,23 @@ def cmd_noise(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    # the generator and the denoiser train on the file's float32 samples as
+    # they are; only the classifier, whose input is a spectrogram, needs Signals
     if args.network == "gan":
-        ds = read_dataset(args.data)
-        gen, critic, log = training.train_gan(list(ds.signals), cfg, args.seed)
+        real, _, _ = read_dataset_f32(args.data)
+        gen, critic, log = training.train_gan(real, cfg, args.seed)
         nets = [gen, critic]
     elif args.network == "inception":
         net, log = training.train_inception(read_dataset(args.data), cfg, args.seed)
         nets = [net]
     else:
-        pairs = read_pairs(args.data)
+        clean, noisy, _ = read_pairs_f32(args.data)
         critic_state = None
         if args.variant == "pretrained":
             if not args.critic_checkpoint:
                 raise ValueError("the pretrained variant needs --critic-checkpoint")
             critic_state = load_params(args.critic_checkpoint)
-        net, log = training.train_denoiser(pairs, cfg, args.variant, args.seed, critic_state=critic_state)
+        net, log = training.train_denoiser(clean, noisy, cfg, args.variant, args.seed, critic_state=critic_state)
         nets = [net]
 
     # the directory is made only once training has succeeded

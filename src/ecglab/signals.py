@@ -13,13 +13,25 @@ a tail:
 
 ``Signal`` owns the rule for a valid signal, so no stage checks it again:
 finite samples, and a finite, positive rate that fits the header's f32
-field. Before it opens the file, the writer refuses signals whose lengths
-or rates differ and, naming the record, a sample that overflows f32 (it
-would be written as inf). The reader, whose input may come from outside
-the program, checks the magic, the version, the payload and tail lengths
-and that every sample is finite. Sample payloads are f32, so round-trips
-are bit-exact for data that is representable in single precision
-(everything these containers are meant to hold).
+field (``_check_rate``, which the readers also apply to a header that
+declares any record). A ``Signal`` holds its own read-only float64 copy
+of the samples it is given. Before it opens the file, the writer refuses
+signals whose lengths or rates differ and, naming the record, a sample
+that overflows f32 (it would be written as inf). The readers, whose input
+may come from outside the program, check the magic, the version, the
+payload and tail lengths, that every sample is finite and that every
+ECGD label is 0 or 1. Sample payloads are f32, so round-trips are
+bit-exact for data that is representable in single precision (everything
+these containers are meant to hold).
+
+Each container has one reader that makes all of a file's checks and
+returns its samples as read-only f32 ``[N, L, 1]`` views of the file's
+bytes: ``read_dataset_f32`` (samples, labels, rate) and
+``read_pairs_f32`` (clean, noisy, rate). The trainers of the generator
+and the denoiser take those arrays as they are, so a training set is held
+once, at the file's size. ``read_dataset`` and ``read_pairs`` build
+float64 ``Signal``s on top of them for everything else: DSP, ``eval``,
+``sweep`` and the classifier.
 
 Every CSV table the pipeline writes (the training logs, ``eval`` and
 ``sweep``) is made by ``csv_table``: a header line, then one line per row,
@@ -61,6 +73,17 @@ class LabelMismatch(ContainerError):
     pass
 
 
+def _check_rate(rate: float) -> None:
+    """A sample rate is finite, positive, and neither overflows nor
+    underflows the containers' f32 rate field; ValueError naming it."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
+    with np.errstate(over="ignore", under="ignore"):
+        rate32 = np.float32(rate)
+    if np.isinf(rate32) or rate32 == 0:
+        raise ValueError(f"sample rate {rate} Hz {'overflows' if rate32 else 'underflows'} float32")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Fixed-length sampled waveform, nominally scaled to [-1, 1]. Its
@@ -73,7 +96,9 @@ class Signal:
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        # a copy, made once (as the cast when the input is not float64), so
+        # that freezing it leaves the caller's array writable
+        arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -81,13 +106,7 @@ class Signal:
             raise ValueError(f"samples must be finite, got {arr[i]} at index {i}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        rate = self.sample_rate_hz
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
-        with np.errstate(over="ignore", under="ignore"):
-            rate32 = np.float32(rate)
-        if np.isinf(rate32) or rate32 == 0:
-            raise ValueError(f"sample rate {rate} Hz {'overflows' if rate32 else 'underflows'} float32")
+        _check_rate(self.sample_rate_hz)
 
     @property
     def length(self) -> int:
@@ -96,6 +115,11 @@ class Signal:
     @property
     def duration_s(self) -> float:
         return self.length / self.sample_rate_hz
+
+
+def _check_label_values(labels: np.ndarray) -> None:
+    if labels.size and labels.max() > 1:
+        raise LabelMismatch("label entries must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -107,15 +131,14 @@ class LabeledDataset:
 
     def __post_init__(self):
         sigs = tuple(self.signals)
-        lab = np.asarray(self.labels, dtype=np.uint8)
+        lab = np.array(self.labels, dtype=np.uint8)  # a copy, as in `Signal`
         if lab.ndim != 2 or lab.shape[1] != LABEL_COUNT:
             raise ValueError(f"labels must be (n, {LABEL_COUNT}), got {lab.shape}")
         if len(sigs) != lab.shape[0]:
             raise LabelMismatch(
                 f"{len(sigs)} signals but {lab.shape[0]} label vectors"
             )
-        if lab.size and lab.max() > 1:
-            raise LabelMismatch("label entries must be 0 or 1")
+        _check_label_values(lab)
         lab.flags.writeable = False
         object.__setattr__(self, "signals", sigs)
         object.__setattr__(self, "labels", lab)
@@ -154,7 +177,10 @@ def scale_to_unit(s: Signal) -> Signal:
         return Signal(np.zeros(s.length), s.sample_rate_hz)
     if lo == -1.0 and hi == 1.0:
         return s
-    unit = (s.samples - lo) / (hi - lo)  # endpoints land on 0 and 1 exactly
+    x = s.samples
+    if math.isinf(hi - lo):  # a range past float64's: halved, which is exact above the subnormals
+        x, lo, hi = x / 2, lo / 2, hi / 2
+    unit = (x - lo) / (hi - lo)  # endpoints land on 0 and 1 exactly
     return Signal(2.0 * unit - 1.0, s.sample_rate_hz)
 
 
@@ -216,25 +242,43 @@ def write_dataset(ds: LabeledDataset, path: str | Path) -> None:
     _write_records(path, b"ECGD", [(s,) for s in ds.signals], ds.labels.tobytes())
 
 
-def read_dataset(path: str | Path) -> LabeledDataset:
+def read_dataset_f32(path: str | Path) -> tuple[np.ndarray, np.ndarray, float]:
+    """(samples [N, L, 1] f32, labels [N, 5] u8, sample rate) of an ECGD
+    file, both arrays read-only views of its bytes. Refuses whatever
+    ``read_dataset`` refuses, with the same message."""
     records, rate, tail = _read_records(path, b"ECGD", 1, LABEL_COUNT)
     n = len(records)
     if len(tail) < n * LABEL_COUNT:
         raise LabelMismatch(f"expected {n * LABEL_COUNT} label bytes, found {len(tail)}")
+    if n:  # an empty file has no signal whose rate could be wrong; its writer stores 0
+        _check_rate(rate)
     labels = np.frombuffer(tail, dtype=np.uint8, count=n * LABEL_COUNT).reshape(n, LABEL_COUNT)
-    return LabeledDataset(tuple(Signal(r[0].astype(np.float64), rate) for r in records), labels)
+    _check_label_values(labels)
+    return records[:, 0, :, None], labels, rate
+
+
+def read_dataset(path: str | Path) -> LabeledDataset:
+    samples, labels, rate = read_dataset_f32(path)
+    return LabeledDataset(tuple(Signal(row, rate) for row in samples[:, :, 0]), labels)
 
 
 def write_pairs(pairs: list[SignalPair], path: str | Path) -> None:
     _write_records(path, b"ECG2", [(p.clean, p.noisy) for p in pairs], b"")
 
 
-def read_pairs(path: str | Path) -> list[SignalPair]:
+def read_pairs_f32(path: str | Path) -> tuple[np.ndarray, np.ndarray, float]:
+    """(clean [N, L, 1] f32, noisy [N, L, 1] f32, sample rate) of an ECG2
+    file, both arrays read-only views of its bytes. Refuses whatever
+    ``read_pairs`` refuses, with the same message."""
     records, rate, _ = _read_records(path, b"ECG2", 2, 0)
-    return [
-        SignalPair(Signal(clean.astype(np.float64), rate), Signal(noisy.astype(np.float64), rate))
-        for clean, noisy in records
-    ]
+    if len(records):
+        _check_rate(rate)
+    return records[:, 0, :, None], records[:, 1, :, None], rate
+
+
+def read_pairs(path: str | Path) -> list[SignalPair]:
+    clean, noisy, rate = read_pairs_f32(path)
+    return [SignalPair(Signal(c, rate), Signal(n, rate)) for c, n in zip(clean[:, :, 0], noisy[:, :, 0])]
 
 
 # ---------------------------------------------------------------------------

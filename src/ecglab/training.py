@@ -78,6 +78,17 @@ def _signals_to_array(signals: list[Signal], what: str) -> np.ndarray:
     return out
 
 
+def _check_training_array(x: np.ndarray, what: str) -> None:
+    """ValueError unless `x` is a non-empty [N, L, 1] array of
+    ``autodiff.DTYPE``, the layout of the float32 readers
+    (``signals.read_dataset_f32``, ``signals.read_pairs_f32``) and of
+    ``_signals_to_array``; ``no {what}s`` when it is empty."""
+    if x.dtype != ad.DTYPE or x.ndim != 3 or x.shape[2] != 1:
+        raise ValueError(f"{what}s must be a {np.dtype(ad.DTYPE)} [N, L, 1] array, got {x.dtype} {x.shape}")
+    if len(x) == 0:
+        raise ValueError(f"no {what}s")
+
+
 def _finite_loss(loss: Tensor, step: int, kind: str) -> float:
     value = loss.item()
     if not np.isfinite(value):
@@ -142,11 +153,17 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch: int):
 
 
 def train_gan(
-    real: list[Signal],
+    real: np.ndarray,
     cfg: RunConfig,
     seed: int,
 ) -> tuple[Network, Network, TrainLog]:
     """Adversarial training: `critic_updates` critic steps per generator step.
+
+    `real` holds the finite training signals as one [N, L, 1] array of
+    ``autodiff.DTYPE``: the samples ``signals.read_dataset_f32`` returns,
+    or ``_signals_to_array`` of ``Signal``s. It is only read, and may be a
+    read-only view of a file's bytes; each batch and the held-out rows
+    are copied out of it, so the training set is never held twice.
 
     The critic minimizes E[C(fake)] - E[C(real)] + lambda * GP, the
     generator minimizes -E[C(fake)]. Phase shuffle is active in the
@@ -154,40 +171,37 @@ def train_gan(
     returned. A non-finite loss, validation estimate, or parameter after
     the last step raises DivergenceError.
     """
-    data = _signals_to_array(real, "training signal")
-    length = data.shape[1]
+    _check_training_array(real, "training signal")
+    length = real.shape[1]
     rng = np.random.default_rng(seed)
     vi, ti = _hold_out(rng, len(real), cfg.val_fraction)
-    val_data, train_data = data[vi], data[ti]
-    del data  # both parts are copies
-    if train_data.shape[0] < cfg.batch_size:
-        raise ValueError(
-            f"{train_data.shape[0]} training signals cannot fill one batch of {cfg.batch_size}"
-        )
+    val_real = real[vi[: cfg.batch_size]]  # the held-out rows every validation scores
+    if ti.size < cfg.batch_size:
+        raise ValueError(f"{ti.size} training signals cannot fill one batch of {cfg.batch_size}")
 
     generator = models.build("generator", d=cfg.model_dim, z_len=cfg.z_len, signal_length=length, seed=seed)
     critic = models.build("critic", d=cfg.model_dim, signal_length=length, seed=seed + 1,
                           phase_shuffle_n=cfg.phase_shuffle)
     opt_g, opt_c = _adam(cfg), _adam(cfg)
 
-    batches_per_epoch = train_data.shape[0] // cfg.batch_size
+    batches_per_epoch = ti.size // cfg.batch_size
     if cfg.generator_steps is not None:
         total_gen_steps = cfg.generator_steps
     else:
         total_gen_steps = max(1, (cfg.epochs * batches_per_epoch) // cfg.critic_updates)
 
     log = TrainLog()
-    stream = _epoch_batches(rng, train_data.shape[0], cfg.batch_size)
+    stream = _epoch_batches(rng, ti.size, cfg.batch_size)
     step = 0
     epoch_seen = 0
     for _ in range(total_gen_steps):
         for _ in range(cfg.critic_updates):
             epoch, idx = next(stream)
             if epoch > epoch_seen:
-                _log_gan_validation(log, step, epoch_seen, generator, critic, val_data, cfg, rng)
+                _log_gan_validation(log, step, epoch_seen, generator, critic, val_real, cfg, rng)
                 epoch_seen = epoch
             step += 1
-            critic_loss, w_est, gp = _critic_step(generator, critic, opt_c, train_data[idx], cfg, rng, step)
+            critic_loss, w_est, gp = _critic_step(generator, critic, opt_c, real[ti[idx]], cfg, rng, step)
             log.add(step=step, kind="critic", epoch=epoch,
                     critic_loss=critic_loss, wasserstein_estimate=w_est, gp_term=gp)
 
@@ -201,7 +215,7 @@ def train_gan(
             ad.backward(loss_g)
         adam_step(generator.params, opt_g)
         log.add(step=step, kind="generator", epoch=epoch_seen, generator_loss=generator_loss)
-    _log_gan_validation(log, step, epoch_seen, generator, critic, val_data, cfg, rng)
+    _log_gan_validation(log, step, epoch_seen, generator, critic, val_real, cfg, rng)
     for net in (generator, critic):
         for name, p in net.params.items():
             if not np.isfinite(p.data).all():
@@ -230,13 +244,15 @@ def _critic_step(generator, critic, opt_c, real_batch, cfg, rng, step) -> tuple[
     return critic_loss, w_est.item(), gp.item()
 
 
-def _log_gan_validation(log, step, epoch, generator, critic, val_data, cfg, rng):
-    if val_data.shape[0] == 0:
+def _log_gan_validation(log, step, epoch, generator, critic, val_real, cfg, rng):
+    """Log the Wasserstein estimate of the held-out rows `val_real`
+    against as many fresh fakes; no row when nothing is held out."""
+    n = val_real.shape[0]
+    if n == 0:
         return
-    n = min(val_data.shape[0], cfg.batch_size)
     z = models.sample_latent(rng, n, cfg.z_len, cfg.latent)
     fake = models.infer(generator, z.data)
-    w = float(models.infer(critic, val_data[:n]).mean() - models.infer(critic, fake).mean())
+    w = float(models.infer(critic, val_real).mean() - models.infer(critic, fake).mean())
     if not np.isfinite(w):
         raise DivergenceError(f"gan validation estimate is {w} at step {step}")
     log.add(step=step, kind="validation", epoch=epoch, val_loss=w)
@@ -350,13 +366,20 @@ DENOISER_VARIANTS = ("baseline", "phase_shuffle", "pretrained")
 
 
 def train_denoiser(
-    pairs: list[SignalPair],
+    clean: np.ndarray,
+    noisy: np.ndarray,
     cfg: RunConfig,
     variant: str,
     seed: int,
     critic_state: dict[str, np.ndarray] | None = None,
 ) -> tuple[Network, TrainLog]:
     """MSE training of the autoencoder on clean/noisy pairs.
+
+    `clean` and `noisy` hold the finite pairs as two [N, L, 1] arrays of
+    ``autodiff.DTYPE``, row i of each one pair: the halves
+    ``signals.read_pairs_f32`` returns, or ``_signals_to_array`` of each
+    side of ``SignalPair``s. They are only read, and may be read-only
+    views of a file's bytes; batches are copied out of them.
 
     Variants: `phase_shuffle` inserts shuffles before each encoder
     convolution (training only); `pretrained` starts the encoder from a
@@ -366,8 +389,10 @@ def train_denoiser(
         raise ValueError(f"unknown variant {variant!r}; expected one of {DENOISER_VARIANTS}")
     rng = np.random.default_rng(seed)
 
-    noisy = _signals_to_array([p.noisy for p in pairs], "training pair")
-    clean = _signals_to_array([p.clean for p in pairs], "training pair")
+    for x in (noisy, clean):
+        _check_training_array(x, "training pair")
+    if clean.shape != noisy.shape:
+        raise ValueError(f"clean {clean.shape} and noisy {noisy.shape} training pairs differ in shape")
 
     shuffle_n = cfg.phase_shuffle if variant == "phase_shuffle" else 0
     net = models.build("denoiser", d=cfg.model_dim, signal_length=noisy.shape[1], seed=seed,
@@ -463,7 +488,9 @@ def ablation_sweep(
     for comp in sorted(compositions):
         for size in sorted(sizes):
             train_pairs = _compose(pool_real, pool_synth, comp, size, rng)
-            net, _ = train_denoiser(train_pairs, cfg, "baseline", seed)
+            noisy = _signals_to_array([p.noisy for p in train_pairs], "training pair")
+            clean = _signals_to_array([p.clean for p in train_pairs], "training pair")
+            net, _ = train_denoiser(clean, noisy, cfg, "baseline", seed)
             denoise = network_denoiser(net)
             rows.append(
                 SweepRow(

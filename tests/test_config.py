@@ -8,7 +8,7 @@ import pytest
 
 from ecglab import config, synth, training
 from ecglab.config import ConfigError, RunConfig, load_config
-from ecglab.signals import LabeledDataset, Signal, SignalPair
+from ecglab.signals import LabeledDataset, Signal
 
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
@@ -62,7 +62,7 @@ def _sines(n, length, rate, seed=0):
 
 
 def _run_gan(cfg):
-    training.train_gan(_sines(32, 128, 64.0), cfg, seed=0)
+    training.train_gan(training._signals_to_array(_sines(32, 128, 64.0), "training signal"), cfg, seed=0)
 
 
 def _run_classifier(cfg):
@@ -72,8 +72,8 @@ def _run_classifier(cfg):
 
 
 def _run_denoiser(cfg):
-    pairs = [SignalPair(clean=s, noisy=s) for s in _sines(16, 96, 64.0)]
-    training.train_denoiser(pairs, cfg, "phase_shuffle", seed=0)
+    x = training._signals_to_array(_sines(16, 96, 64.0), "training pair")
+    training.train_denoiser(x, x, cfg, "phase_shuffle", seed=0)
 
 
 def _run_noise(cfg):

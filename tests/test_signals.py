@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from ecglab.signals import (
     TruncatedPayload,
     csv_table,
     read_dataset,
+    read_dataset_f32,
     read_pairs,
+    read_pairs_f32,
     scale_to_unit,
     write_dataset,
     write_pairs,
@@ -40,6 +43,13 @@ def test_scale_identity_when_scaled():
 
 def test_scale_constant_maps_to_zero():
     assert scale_to_unit(sig([3, 3, 3])).samples.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_scale_a_range_past_float64():
+    """hi - lo overflows: the samples are halved first, so no NaN comes out."""
+    assert scale_to_unit(sig([-1e308, 0.0, 1e308])).samples.tolist() == [-1.0, 0.0, 1.0]
+    big = float(np.finfo(np.float64).max)
+    assert scale_to_unit(sig([-big, big, 0.5 * big])).samples.tolist() == [-1.0, 1.0, 0.5]
 
 
 def test_scale_empty_errors():
@@ -142,8 +152,9 @@ def test_ecgd_label_shortfall(tmp_path):
     write_dataset(ds, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])  # drop part of the label block
-    with pytest.raises(LabelMismatch):
-        read_dataset(path)
+    for read in (read_dataset, read_dataset_f32):
+        with pytest.raises(LabelMismatch, match="^expected 10 label bytes, found 7$"):
+            read(path)
 
 
 def test_ecgd_label_above_one(tmp_path):
@@ -151,13 +162,24 @@ def test_ecgd_label_above_one(tmp_path):
     path = tmp_path / "l.ecgd"
     write_dataset(ds, path)
     path.write_bytes(path.read_bytes()[:-1] + b"\x02")
-    with pytest.raises(LabelMismatch, match="0 or 1"):
-        read_dataset(path)
+    for read in (read_dataset, read_dataset_f32):
+        with pytest.raises(LabelMismatch, match="^label entries must be 0 or 1$"):
+            read(path)
+
+
+def _one_pair(p):
+    write_pairs([SignalPair(sig(np.zeros(4)), sig(np.ones(4)))], p)
+
+
+def _one_signal(p):
+    write_dataset(_random_dataset(np.random.default_rng(0), 1, 4), p)
 
 
 @pytest.mark.parametrize("write, read", [
     (lambda p: write_dataset(_random_dataset(np.random.default_rng(0), 1, 4), p), read_dataset),
     (lambda p: write_pairs([SignalPair(sig(np.zeros(4)), sig(np.ones(4)))], p), read_pairs),
+    (_one_signal, read_dataset_f32),
+    (_one_pair, read_pairs_f32),
 ])
 def test_readers_reject_other_versions(tmp_path, write, read):
     path = tmp_path / "v.bin"
@@ -171,6 +193,8 @@ def test_readers_reject_other_versions(tmp_path, write, read):
 @pytest.mark.parametrize("write, read, extra", [
     (lambda p: write_dataset(_random_dataset(np.random.default_rng(0), 1, 4), p), read_dataset, b"xyz"),
     (lambda p: write_pairs([SignalPair(sig(np.zeros(4)), sig(np.ones(4)))], p), read_pairs, b"garbage!"),
+    (_one_signal, read_dataset_f32, b"xyz"),
+    (_one_pair, read_pairs_f32, b"garbage!"),
 ])
 def test_readers_reject_bytes_past_the_declared_end(tmp_path, write, read, extra):
     path = tmp_path / "x.bin"
@@ -231,12 +255,74 @@ def test_readers_reject_non_finite_samples(tmp_path, bad):
     zeros = [sig(np.zeros(8)) for _ in range(3)]
     write_pairs([SignalPair(z, z) for z in zeros], tmp_path / "p.ecg2")
     _patch_last_sample(tmp_path / "p.ecg2", bad, 0)
-    with pytest.raises(ContainerError, match="record 2"):
-        read_pairs(tmp_path / "p.ecg2")
+    for read in (read_pairs, read_pairs_f32):
+        with pytest.raises(ContainerError, match="^record 2 holds a non-finite sample$"):
+            read(tmp_path / "p.ecg2")
     write_dataset(LabeledDataset(tuple(zeros[:2]), np.zeros((2, 5), dtype=np.uint8)), tmp_path / "d.ecgd")
     _patch_last_sample(tmp_path / "d.ecgd", bad, 2 * 5)
-    with pytest.raises(ContainerError, match="record 1"):
-        read_dataset(tmp_path / "d.ecgd")
+    for read in (read_dataset, read_dataset_f32):
+        with pytest.raises(ContainerError, match="^record 1 holds a non-finite sample$"):
+            read(tmp_path / "d.ecgd")
+
+
+def _patch_header_rate(path, rate):
+    blob = bytearray(path.read_bytes())
+    blob[14:18] = struct.pack("<f", rate)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("write, readers", [
+    (_one_signal, (read_dataset, read_dataset_f32)),
+    (_one_pair, (read_pairs, read_pairs_f32)),
+], ids=["ecgd", "ecg2"])
+def test_readers_refuse_a_header_rate_with_signals_message(tmp_path, write, readers, rate):
+    """The header's rate is checked by `Signal`'s own rule, so each reader
+    gives the message `Signal` gives for that rate."""
+    with pytest.raises(ValueError) as info:
+        Signal(np.zeros(4), float(np.float32(rate)))
+    path = tmp_path / "r.bin"
+    write(path)
+    _patch_header_rate(path, rate)
+    for read in readers:
+        with pytest.raises(ValueError) as got:
+            read(path)
+        assert str(got.value) == str(info.value)
+
+
+@pytest.mark.parametrize("write_empty, read, shapes", [
+    (lambda p: write_dataset(LabeledDataset((), np.zeros((0, 5), dtype=np.uint8)), p), read_dataset_f32,
+     [(0, 0, 1), (0, 5)]),
+    (lambda p: write_pairs([], p), read_pairs_f32, [(0, 0, 1), (0, 0, 1)]),
+], ids=["ecgd", "ecg2"])
+def test_an_empty_file_leaves_its_header_rate_unchecked(tmp_path, write_empty, read, shapes):
+    """A file of no records holds no signal whose rate could be wrong, and
+    the writer of an empty set stores 0 there."""
+    path = tmp_path / "e.bin"
+    write_empty(path)
+    _patch_header_rate(path, np.nan)
+    assert [a.shape for a in read(path)[:2]] == shapes
+
+
+def test_f32_readers_return_read_only_views_of_the_signal_layers_samples(tmp_path):
+    rng = np.random.default_rng(6)
+    ds = _random_dataset(rng, 3, 16)
+    write_dataset(ds, tmp_path / "d.ecgd")
+    samples, labels, rate = read_dataset_f32(tmp_path / "d.ecgd")
+    back = read_dataset(tmp_path / "d.ecgd")
+    assert samples.shape == (3, 16, 1) and samples.dtype == np.float32 and rate == 500.0
+    assert np.array_equal(labels, back.labels)
+    for row, s in zip(samples, back.signals):
+        assert row[:, 0].astype(np.float64).tobytes() == s.samples.tobytes()
+    pairs = [SignalPair(*ds.signals[:2]), SignalPair(*ds.signals[1:])]
+    write_pairs(pairs, tmp_path / "p.ecg2")
+    clean, noisy, rate = read_pairs_f32(tmp_path / "p.ecg2")
+    assert clean.shape == noisy.shape == (2, 16, 1) and rate == 500.0
+    for c, n, p in zip(clean, noisy, read_pairs(tmp_path / "p.ecg2")):
+        assert c[:, 0].astype(np.float64).tobytes() == p.clean.samples.tobytes()
+        assert n[:, 0].astype(np.float64).tobytes() == p.noisy.samples.tobytes()
+    for a in (samples, labels, clean, noisy):
+        assert not a.flags.writeable and not a.flags.owndata
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +381,27 @@ def test_writers_refuse_a_sample_that_overflows_float32(tmp_path, big):
     assert (tmp_path / "p.ecg2").exists()
     with pytest.raises(ValueError, match="^samples must be finite, got inf at index 1$"):
         sig([float(np.finfo(np.float32).max), np.inf, np.nan, 0.0])
+
+
+def test_signal_copies_the_callers_array_once():
+    """The caller's array stays writable and writing to it leaves the
+    Signal alone; a float32 input is cast, not cast and then copied."""
+    x = np.zeros(3)
+    s = Signal(x, 1.0)
+    x[0] = 1
+    assert s.samples.tolist() == [0.0, 0.0, 0.0] and not s.samples.flags.writeable
+    labels = np.zeros((1, 5), dtype=np.uint8)
+    ds = LabeledDataset((s,), labels)
+    labels[0, 0] = 1
+    assert ds.labels.sum() == 0
+    f32 = np.arange(1000, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        Signal(f32, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8000 <= peak < 2 * 8000
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -20,7 +20,7 @@ from ecglab.training import (
 from conftest import poison_generator_updates
 
 
-def make_sines(seed=0, n=64, length=128, rate=64.0):
+def sine_signals(seed=0, n=64, length=128, rate=64.0):
     rng = np.random.default_rng(seed)
     t = np.arange(length) / rate
     out = []
@@ -29,6 +29,11 @@ def make_sines(seed=0, n=64, length=128, rate=64.0):
         w += 0.1 * rng.normal(size=length)
         out.append(Signal(w / np.max(np.abs(w)), rate))
     return out
+
+
+def make_sines(**kw):
+    """`train_gan`'s [N, L, 1] input of `sine_signals(**kw)`."""
+    return training._signals_to_array(sine_signals(**kw), "training signal")
 
 
 def _rows(log, kind):
@@ -318,16 +323,29 @@ def test_gan_insufficient_data():
 
 
 def test_gan_rejects_mixed_lengths():
-    sigs = make_sines(n=8) + [Signal(np.zeros(64), 64.0)]
+    sigs = sine_signals(n=8) + [Signal(np.zeros(64), 64.0)]
     with pytest.raises(ValueError, match="^all training signals must share one length$"):
-        train_gan(sigs, tiny_gan_cfg(), seed=0)
+        training._signals_to_array(sigs, "training signal")
 
 
 def test_trainers_refuse_no_data():
+    empty = np.zeros((0, 128, 1), dtype=np.float32)
     with pytest.raises(ValueError, match="^no training signals$"):
-        train_gan([], tiny_gan_cfg(), seed=0)
+        train_gan(empty, tiny_gan_cfg(), seed=0)
     with pytest.raises(ValueError, match="^no training pairs$"):
-        train_denoiser([], RunConfig(model_dim=2, epochs=1), "baseline", seed=0)
+        train_denoiser(empty, empty, RunConfig(model_dim=2, epochs=1), "baseline", seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((16, 128, 1)), np.zeros((16, 128), dtype=np.float32),
+                                 np.zeros((16, 128, 2), dtype=np.float32)], ids=["float64", "2-D", "2-channel"])
+def test_trainers_refuse_an_array_of_another_layout(bad):
+    with pytest.raises(ValueError, match=r"^training signals must be a float32 \[N, L, 1\] array, got "):
+        train_gan(bad, tiny_gan_cfg(), seed=0)
+    with pytest.raises(ValueError, match=r"^training pairs must be a float32 \[N, L, 1\] array, got "):
+        train_denoiser(bad, bad, RunConfig(model_dim=2, epochs=1), "baseline", seed=0)
+    clean, noisy = _identity_arrays(n=8)
+    with pytest.raises(ValueError, match=r"^clean \(8, 96, 1\) and noisy \(7, 96, 1\) training pairs differ"):
+        train_denoiser(clean, noisy[:7], RunConfig(model_dim=2, epochs=1), "baseline", seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -390,14 +408,24 @@ def _identity_pairs(n=24, length=96, rate=64.0, seed=0):
     return out
 
 
+def _pair_arrays(pairs):
+    """`train_denoiser`'s (clean, noisy) input of `pairs`."""
+    noisy = training._signals_to_array([p.noisy for p in pairs], "training pair")
+    return training._signals_to_array([p.clean for p in pairs], "training pair"), noisy
+
+
+def _identity_arrays(**kw):
+    return _pair_arrays(_identity_pairs(**kw))
+
+
 def test_denoiser_pretrained_needs_checkpoint():
     with pytest.raises(ValueError):
-        train_denoiser(_identity_pairs(), RunConfig(model_dim=2, epochs=1), "pretrained", seed=0)
+        train_denoiser(*_identity_arrays(), RunConfig(model_dim=2, epochs=1), "pretrained", seed=0)
 
 
 def test_denoiser_unknown_variant():
     with pytest.raises(ValueError):
-        train_denoiser(_identity_pairs(), RunConfig(model_dim=2, epochs=1), "dropout", seed=0)
+        train_denoiser(*_identity_arrays(), RunConfig(model_dim=2, epochs=1), "dropout", seed=0)
 
 
 def test_denoiser_names_a_sample_that_overflows_float32():
@@ -410,7 +438,7 @@ def test_denoiser_names_a_sample_that_overflows_float32():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^training pair 3 holds a sample that overflows float32$"):
-            train_denoiser(pairs, RunConfig(model_dim=2, batch_size=4), "baseline", seed=0)
+            _pair_arrays(pairs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -418,7 +446,7 @@ def test_denoiser_divergence_names_step_and_kind():
     # the tanh output keeps the loss finite until the activations overflow
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4, adam_lr=1e100)
     with pytest.raises(training.DivergenceError, match=r"^denoiser loss is (nan|inf) at step 2$"):
-        train_denoiser(_identity_pairs(), cfg, "baseline", seed=0)
+        train_denoiser(*_identity_arrays(), cfg, "baseline", seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -427,40 +455,40 @@ def test_denoiser_non_finite_validation_loss_raises():
     # leaves parameters whose held-out output is NaN
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=64, adam_lr=1e100)
     with pytest.raises(training.DivergenceError, match=r"^denoiser validation loss is nan at epoch 0$"):
-        train_denoiser(_identity_pairs(), cfg, "baseline", seed=0)
+        train_denoiser(*_identity_arrays(), cfg, "baseline", seed=0)
 
 
 def test_denoiser_deterministic():
-    pairs = _identity_pairs()
+    pairs = _identity_arrays()
     cfg = RunConfig(model_dim=2, epochs=2, batch_size=8, adam_lr=1e-3)
-    n1, log1 = train_denoiser(pairs, cfg, "baseline", seed=4)
-    n2, log2 = train_denoiser(pairs, cfg, "baseline", seed=4)
+    n1, log1 = train_denoiser(*pairs, cfg, "baseline", seed=4)
+    n2, log2 = train_denoiser(*pairs, cfg, "baseline", seed=4)
     assert log1.to_csv() == log2.to_csv()
     for k in n1.params:
         assert np.array_equal(n1.params[k].data, n2.params[k].data)
 
 
 def test_phase_shuffle_zero_matches_baseline_bitwise():
-    pairs = _identity_pairs()
+    pairs = _identity_arrays()
     cfg = RunConfig(model_dim=2, epochs=2, batch_size=8, adam_lr=1e-3, phase_shuffle=0)
-    base, log_base = train_denoiser(pairs, cfg, "baseline", seed=9)
-    shuf, log_shuf = train_denoiser(pairs, cfg, "phase_shuffle", seed=9)
+    base, log_base = train_denoiser(*pairs, cfg, "baseline", seed=9)
+    shuf, log_shuf = train_denoiser(*pairs, cfg, "phase_shuffle", seed=9)
     assert log_base.to_csv() == log_shuf.to_csv()
     for k in base.params:
         assert np.array_equal(base.params[k].data, shuf.params[k].data)
 
 
 def test_denoiser_best_checkpoint_retained():
-    pairs = _identity_pairs(n=30)
+    clean, noisy = _identity_arrays(n=30)
+    # noisy differs from clean, so the recomputed loss also pins which array is the input
+    noisy = (noisy + 0.1 * np.random.default_rng(5).normal(size=noisy.shape)).astype(np.float32)
     cfg = RunConfig(model_dim=2, epochs=4, batch_size=8, adam_lr=3e-3, val_fraction=0.2)
-    net, log = train_denoiser(pairs, cfg, "baseline", seed=2)
+    net, log = train_denoiser(clean, noisy, cfg, "baseline", seed=2)
     vals = [r.val_loss for r in _rows(log, "validation")]
     rng = np.random.default_rng(2)
-    noisy = training._signals_to_array([p.noisy for p in pairs], "pair")
-    clean = training._signals_to_array([p.clean for p in pairs], "pair")
     # recomputed loss of the returned network equals the best logged epoch
-    n_val = int(round(cfg.val_fraction * len(pairs)))
-    vi = rng.permutation(len(pairs))[:n_val]
+    n_val = int(round(cfg.val_fraction * len(clean)))
+    vi = rng.permutation(len(clean))[:n_val]
     got = training._mse_numpy(models.infer(net, noisy[vi]), clean[vi])
     assert abs(got - min(vals)) < 1e-12
     assert min(vals) <= vals[-1]
@@ -494,7 +522,7 @@ def test_every_spec_layer_runs_in_the_trainers_and_in_infer(monkeypatch):
 
     monkeypatch.setattr(models.Network, "forward", traced)
     train_gan(make_sines(n=16), tiny_gan_cfg(generator_steps=1, val_fraction=0.25), seed=0)
-    train_denoiser(_identity_pairs(n=8), RunConfig(model_dim=2, epochs=1, batch_size=4), "phase_shuffle", seed=0)
+    train_denoiser(*_identity_arrays(n=8), RunConfig(model_dim=2, epochs=1, batch_size=4), "phase_shuffle", seed=0)
     rng = np.random.default_rng(0)
     sigs = tuple(Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8))
     training.train_inception(LabeledDataset(sigs, rng.integers(0, 2, size=(8, 5)).astype(np.uint8)),
@@ -505,14 +533,13 @@ def test_every_spec_layer_runs_in_the_trainers_and_in_infer(monkeypatch):
 def test_hold_out_of_every_record_is_rejected():
     # round(0.75 * 2) == 2: nothing would be left to train on
     with pytest.raises(ValueError, match="^val_fraction 0.75 holds out all 2 records"):
-        train_denoiser(_identity_pairs(n=2), RunConfig(model_dim=2, val_fraction=0.75), "baseline", seed=0)
+        train_denoiser(*_identity_arrays(n=2), RunConfig(model_dim=2, val_fraction=0.75), "baseline", seed=0)
 
 
 def test_pretrained_variant_runs_and_copies_encoder():
-    pairs = _identity_pairs()
     critic = models.build("critic", d=2, signal_length=96, seed=3)
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=8)
-    net, _ = train_denoiser(pairs, cfg, "pretrained", seed=0, critic_state=critic.state_dict())
+    net, _ = train_denoiser(*_identity_arrays(), cfg, "pretrained", seed=0, critic_state=critic.state_dict())
     assert net is not None
 
 
