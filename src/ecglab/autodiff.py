@@ -40,7 +40,13 @@ input it is captures that node instead of the data (``_reader``), so the
 output is recomputed where a VJP reads it, the cheap-op recomputation of
 Chen et al. (arXiv:1604.06174). VJPs read what they captured when they run, so
 nothing may write an activation in place between the forward pass and
-the walk that differentiates it; no op writes over its input.
+the walk that differentiates it; no op writes over its input. A VJP may
+write over its cotangent, and only the VJPs of ``leaky_relu`` and
+``batch_norm_train`` do, when the walk owns it: outside create_graph,
+for a cotangent that is not the caller's seed, not returned to the
+caller, and shares its buffer with no other pending cotangent (buffer
+donation as in JAX; see ``_reverse_walk``). Where the walk does not own
+it, they write into a fresh buffer by the same ops, so the bits are the same.
 
 ``grad`` leaves the graph intact, so it can be walked again (the
 gradient penalty differentiates through the graph it was computed
@@ -60,6 +66,7 @@ consumed graph again raises GraphError.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 from typing import Callable, Iterable
@@ -90,7 +97,8 @@ class GraphError(RuntimeError):
 
 class _Node:
     """A recorded op: its VJP, called as vjp(g, need) with one flag per
-    parent (whether the walk needs that parent's gradient), and its
+    parent (whether the walk needs that parent's gradient), or as
+    vjp(g, need, owned) when it is marked ``_takes_owned``, and its
     parents' graph vertices. Only ops a gradient flows through record one.
     A node whose output no closure keeps also has `_rebuild(tail)`, which
     computes that output again (see ``_reader``); other nodes have None."""
@@ -155,6 +163,13 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
         out.requires_grad = True
         out._node = _Node(vjp, tuple(_vertex(p) for p in parents))
     return out
+
+
+def _takes_owned(vjp):
+    """Mark a VJP that the walk calls as vjp(g, need, owned): with owned
+    True it may write over g's data (see ``_reverse_walk``)."""
+    vjp.takes_owned = True
+    return vjp
 
 
 def _reader(x: Tensor) -> Callable[[int], Tensor]:
@@ -269,26 +284,45 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     alpha*a goes into a fresh buffer and the maximum into the same buffer,
     which is the output. The node keeps that output: its VJP reads its
     sign, which is the mask a > 0 bit for bit (the output is positive
-    exactly where a is, for ±0, ±inf and NaN too). alpha = 0 is refused,
-    since 0*inf would make max(+inf, 0*inf) NaN; ``relu`` is the op for
-    slope 0.
+    exactly where a is, for ±0, ±inf and NaN too). Outside create_graph
+    the VJP builds the slope one block of rows at a time and writes the
+    cotangent times it over the cotangent when the walk owns it (see
+    ``_reverse_walk``), and into one fresh buffer otherwise. alpha = 0 is
+    refused, since 0*inf would make max(+inf, 0*inf) NaN; ``relu`` is the
+    op for slope 0.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"leaky_relu alpha must be in (0, 1], got {alpha}; relu is the op for slope 0")
-    dt = a.data.dtype.type
-    y = np.multiply(a.data, dt(alpha))
+    y = np.multiply(a.data, a.data.dtype.type(alpha))
     np.maximum(a.data, y, out=y)
 
-    def vjp(g, need):
-        # 1 or alpha, built arithmetically from the output's sign: np.where on
-        # a data-dependent mask is several times slower, and for alpha in
-        # [0, 1] (1 - alpha) + alpha rounds to exactly 1
-        slope = (y > 0).astype(dt)
-        slope *= dt(1.0 - alpha)
-        slope += dt(alpha)
-        return (mul(g, Tensor(slope)),)
+    @_takes_owned
+    def vjp(g, need, owned):
+        if _grad_enabled:  # create_graph: a recorded product
+            return (mul(g, Tensor(_slope(y, alpha, np.empty_like(y)))),)
+        # the same product, one block of sample rows at a time, over g's
+        # buffer when the walk owns it and into a fresh one otherwise
+        out = g.data if owned else np.empty_like(g.data)
+        y1, g1, out1 = np.atleast_1d(y, g.data, out)
+        step = max(1, _BLOCK_BYTES // max(1, y1[:1].nbytes))
+        block = np.empty((min(step, len(y1)), *y1.shape[1:]), dtype=y1.dtype)
+        for r in range(0, len(y1), step):
+            rows = _slope(y1[r : r + step], alpha, block[: len(y1[r : r + step])])
+            np.multiply(g1[r : r + step], rows, out=out1[r : r + step])
+        return (Tensor(out),)
 
     return _make(y, (a,), vjp)
+
+
+def _slope(act: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """The slope, 1 or alpha, of the activation max(y, alpha*y) whose output
+    is `act`, into out (which may be act). It is built arithmetically from
+    the output's sign: np.where on a data-dependent mask is several times
+    slower, and for alpha in [0, 1] (1 - alpha) + alpha rounds to exactly 1."""
+    np.greater(act, 0, out=out)
+    out *= out.dtype.type(1.0 - alpha)
+    out += out.dtype.type(alpha)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +378,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
 # are computed in: the gradient's four passes then run in cache (the VJP of
 # a (64, 2048, 16) node timed 8-9 ms against 10-11 over whole arrays), and
 # the one temporary of either is small
-_BN_BLOCK_BYTES = 2**18
+_BLOCK_BYTES = 2**18
 
 
 def _affine_act(x2: np.ndarray, scale: np.ndarray, shift: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
     """act(x2 * scale + shift) into out, one block of sample rows at a time,
     for [n, row] x2 and out and per-channel vectors tiled to a row: batch
     norm's output in either mode, and every rebuild of it in train mode."""
-    step = max(1, _BN_BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
+    step = max(1, _BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
     for r in range(0, len(out), step):
         rows = np.multiply(x2[r : r + step], scale, out=out[r : r + step])
         rows += shift
@@ -385,13 +419,15 @@ def batch_norm_train(
 
     The forward allocates xhat and the output, which it computes one
     block of sample rows at a time, so alpha*y needs no third
-    activation-sized buffer. The VJP allocates one activation-sized
-    buffer: the slope, rebuilt block by block and multiplied by the
-    cotangent there, over which x's gradient is then written. At alpha = 1
-    there is no slope, and x's gradient gets that buffer instead. Besides
-    it, each pass allocates one block of at most _BN_BLOCK_BYTES (a whole
-    sample row if one is larger) and a few row-sized channel vectors. A
-    rebuild for a transposed conv allocates the output plus its zero rows.
+    activation-sized buffer. The VJP writes the cotangent times the slope,
+    rebuilt block by block, and then x's gradient over the cotangent when
+    the walk owns it (see ``_reverse_walk``), so it allocates no
+    activation-sized buffer; otherwise it writes them over one fresh one.
+    At alpha = 1 there is no slope, and only x's gradient goes there.
+    Besides it, the VJP allocates one block of at most _BLOCK_BYTES (a
+    whole sample row if one is larger), one more inside each block's
+    activation, and a few row-sized channel vectors. A rebuild for a
+    transposed conv allocates the output plus its zero rows.
     """
     shape, c = x.shape, x.shape[-1]
     # one row per sample, so that per-channel vectors tiled to a row broadcast
@@ -399,8 +435,7 @@ def batch_norm_train(
     x2 = x.data.reshape(shape[0], -1)
     reps = x2.shape[1] // c
     m = x.size // c
-    dt = x2.dtype.type
-    step = max(1, _BN_BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
+    step = max(1, _BLOCK_BYTES // (x2.shape[1] * x2.itemsize))
 
     def channel_sum(v):
         return v.reshape(reps, c).sum(0)
@@ -423,39 +458,37 @@ def batch_norm_train(
         _affine_act(xhat, gamma_row, beta_row, alpha, rows[:, : xhat.shape[1]])
         return buf[:, : shape[1]]
 
-    def vjp(g, need):
+    @_takes_owned
+    def vjp(g, need, owned):
         if _grad_enabled:
             raise GraphError("batch_norm in train mode has no second-order gradient")
         g2 = g.data.reshape(xhat.shape)
+        # g times the slope, then x's gradient, go over g's buffer when the
+        # walk owns it and over one fresh buffer otherwise
+        buf = g2 if owned else np.empty_like(g2)
+        block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
         if alpha < 1:
-            # g times the slope, 1 or alpha, built as leaky_relu builds it
-            # from the rebuilt output's sign, one block of sample rows at a time
-            slope = np.empty_like(xhat)
-            for r in range(0, len(slope), step):
-                rows = _affine_act(xhat[r : r + step], gamma_row, beta_row, alpha, slope[r : r + step])
-                np.greater(rows, 0, out=rows)
-                rows *= dt(1.0 - alpha)
-                rows += dt(alpha)
-                np.multiply(g2[r : r + step], rows, out=rows)
-            g2 = slope
+            # the slope as leaky_relu builds it from the rebuilt output's
+            # sign, one block of sample rows at a time
+            for r in range(0, len(g2), step):
+                rows = _affine_act(xhat[r : r + step], gamma_row, beta_row, alpha, block[: len(g2[r : r + step])])
+                np.multiply(g2[r : r + step], _slope(rows, alpha, rows), out=buf[r : r + step])
+            g2 = buf
         dbeta = channel_sum(np.einsum("ij->j", g2))
         dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
         gx = None
         if need[0]:
-            # gamma * inv * (g - dbeta / m - xhat * dgamma / m), written over
-            # the slope buffer one block of sample rows at a time, with the
-            # same four elementwise ops as over the whole array; at alpha = 1
-            # g2 is g's own buffer, so gx gets a fresh one
-            gx = g2 if alpha < 1 else np.empty_like(g2)
+            # gamma * inv * (g - dbeta / m - xhat * dgamma / m), one block of
+            # sample rows at a time, with the same four elementwise ops as
+            # over the whole array
             scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
-            block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
             for r in range(0, len(g2), step):
-                rows = gx[r : r + step]
+                rows = buf[r : r + step]
                 t = np.multiply(xhat[r : r + step], scale, out=block[: len(rows)])
                 np.subtract(g2[r : r + step], t, out=rows)
                 rows -= shift
                 rows *= factor
-            gx = Tensor(gx.reshape(shape))
+            gx = Tensor(buf.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
     y = _affine_act(xhat, gamma_row, beta_row, alpha, np.empty_like(xhat))
@@ -837,6 +870,20 @@ def _topo_order(root: Vertex) -> list[Vertex]:
     return order
 
 
+def _buffer(g: Tensor):
+    """What holds g's memory: g's data, or the base it views."""
+    return g.data if g.data.base is None else g.data.base
+
+
+def _owned(g: Tensor, holders: collections.Counter) -> bool:
+    """Whether a VJP may write over g: g is writeable and C-contiguous, its
+    buffer is an array that owns its memory, and `holders` counts no
+    other holder of that buffer."""
+    buf = _buffer(g)
+    return (holders[id(buf)] == 0 and isinstance(buf, np.ndarray) and buf.flags.owndata
+            and g.data.flags.writeable and g.data.flags.c_contiguous)
+
+
 def _reverse_walk(
     root: Vertex, cotangent: Tensor, keep: set[int], create_graph: bool, release: bool
 ) -> dict[int, tuple[Vertex, Tensor]]:
@@ -848,8 +895,22 @@ def _reverse_walk(
     is freed during the walk and a second walk raises GraphError. With
     release=False (``grad``) the graph is kept and only the vertices on a
     path to one in `keep` get a gradient.
+
+    A VJP marked ``_takes_owned`` also gets `owned`: whether the walk owns
+    the node's complete cotangent, so that the VJP may write over it. The
+    walk owns it when it is not under `create_graph`, the cotangent is
+    writeable and C-contiguous in a buffer that owns its memory, and no
+    other holder of that buffer is left (``_owned``). The holders are the
+    pending cotangents, counted per buffer: a leaf's and a kept vertex's
+    stay pending to the end, and a cotangent that ``add`` hands to both
+    parents or that ``reshape`` or ``transpose`` views counts once per
+    entry. The caller's `cotangent` counts once more, since the caller
+    keeps it, so it and its views are never owned. This holds because a
+    VJP returns fresh arrays or numpy views of its cotangent, never an
+    array the graph or the caller holds.
     """
     pending: dict[int, tuple[Vertex, Tensor]] = {id(root): (root, cotangent)}
+    holders = collections.Counter([id(_buffer(cotangent))] * 2)
     order = _topo_order(root)
     to = None
     if not release:
@@ -868,14 +929,26 @@ def _reverse_walk(
             if release and vjp is not None:
                 node._vjp, node._parents, node._rebuild = _consumed, (), None
             # every consumer of `node` has run, so its cotangent is complete
-            hit = pending.get(id(node)) if id(node) in keep else pending.pop(id(node), None)
+            if id(node) in keep:
+                hit = pending.get(id(node))
+            else:
+                hit = pending.pop(id(node), None)
+                if hit is not None:
+                    holders[id(_buffer(hit[1]))] -= 1
             if hit is None or vjp is None:
                 continue
             need = [p.requires_grad and (to is None or id(p) in to) for p in parents]
-            for p, wanted, pg in zip(parents, need, vjp(hit[1], need)):
+            args = (hit[1], need)
+            if getattr(vjp, "takes_owned", False):
+                args += (not create_graph and _owned(hit[1], holders),)
+            for p, wanted, pg in zip(parents, need, vjp(*args)):
                 if wanted and pg is not None:
                     acc = pending.get(id(p))
-                    pending[id(p)] = (p, pg if acc is None else add(acc[1], pg))
+                    if acc is not None:
+                        holders[id(_buffer(acc[1]))] -= 1
+                        pg = add(acc[1], pg)
+                    pending[id(p)] = (p, pg)
+                    holders[id(_buffer(pg))] += 1
     finally:
         _grad_enabled = prev
     # leaves are never in `order`, so they and the kept nodes are what is left
@@ -892,6 +965,10 @@ def grad(
 
     The graph is left intact. With create_graph=True the returned
     gradients are themselves graph nodes and can be differentiated again.
+    The walk owns only the cotangents it computes that nothing else
+    holds (see ``_reverse_walk``): never `cotangent` or a view of it, so a
+    caller can pass one seed to many calls, and never a returned gradient.
+    With create_graph=True it owns none.
     """
     wrt = list(wrt)
     if output._vjp is None and not output.requires_grad:
@@ -908,7 +985,10 @@ def backward(loss: Tensor) -> None:
 
     Consumes the graph: interior nodes keep `.grad` None and lose their
     links as they are walked, so the graph is freed by the time this
-    returns and cannot be walked again.
+    returns and cannot be walked again. The walk owns each interior
+    cotangent that no other pending cotangent shares a buffer with (see
+    ``_reverse_walk``), so a marked VJP writes over it instead of
+    allocating; a leaf's cotangent stays pending, so it is never owned.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")

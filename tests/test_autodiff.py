@@ -453,7 +453,7 @@ def test_batch_norm_vjp_writes_the_input_gradient_blockwise_over_its_slope(alpha
 
     L, c = 1024, 4
     row_bytes = L * c * np.dtype(ad.DTYPE).itemsize
-    monkeypatch.setattr(ad, "_BN_BLOCK_BYTES", 4 * row_bytes)
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 4 * row_bytes)
     local = np.random.default_rng(20)
     x = Tensor(local.normal(loc=0.5, scale=1.5, size=(n, L, c)), requires_grad=True)
     gamma = Tensor(local.normal(size=c), requires_grad=True)
@@ -568,7 +568,7 @@ def test_trans_conv_kernel_vjp_rebuilds_its_input_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rebuilt_bytes + polyphase_bytes + ad._BN_BLOCK_BYTES + 2**16
+    assert peak < rebuilt_bytes + polyphase_bytes + ad._BLOCK_BYTES + 2**16
     assert peak < 2 * n * L * c * item
     plain = ad.trans_conv_len(Tensor(h_data), w, None, 4, 10, 4 * L)
     (want,) = ad.grad(plain, [w], cotangent=g)
@@ -1191,6 +1191,181 @@ def test_grad_keeps_graph():
     ad.backward(loss)
     assert np.array_equal(g1.data, g2.data)
     assert np.array_equal(w.grad, g1.data)
+
+
+# ---------------------------------------------------------------------------
+# cotangent ownership: leaky_relu's and batch_norm_train's VJPs write over a
+# cotangent the walk owns
+
+
+_OWN_SHAPE = (3, 8, 4)
+
+
+def _bn(t, alpha=0.2):
+    c = t.shape[-1]
+    gamma = Tensor(np.linspace(0.5, 1.5, c), requires_grad=True)
+    beta = Tensor(np.linspace(-0.3, 0.3, c), requires_grad=True)
+    return ad.batch_norm_train(t, gamma, beta, nn.BN_EPS, alpha)[0], [gamma, beta]
+
+
+def _ownership_cases():
+    """name -> f(a, b) giving (output, interior tensors to differentiate
+    too). Each graph ends in neg, whose VJP hands the ops before it a fresh
+    cotangent, so only the aliasing named decides ownership."""
+    flat = (_OWN_SHAPE[0], -1)
+
+    def two_consumers(a, b):  # add hands one cotangent to both leaky ReLUs
+        return ad.neg(ad.add(ad.leaky_relu(a, 0.2), ad.leaky_relu(b, 0.2))), []
+
+    def leaf_and_node(a, b):  # the leaf a and leaky_relu(a) get the one cotangent
+        return ad.neg(ad.add(a, ad.leaky_relu(a, 0.2))), []
+
+    def views(view):  # views of one cotangent reach a leaky ReLU and a batch norm
+        def f(a, b):
+            h, params = _bn(b)
+            return ad.neg(ad.add(view(ad.leaky_relu(a, 0.2)), view(h))), params
+        return f
+
+    def kept(a, b):  # the inner leaky ReLU's and batch norm's cotangents are returned
+        inner = ad.leaky_relu(a, 0.2)
+        h, params = _bn(b, alpha=0.0)
+        return ad.neg(ad.add(ad.leaky_relu(inner, 0.2), ad.leaky_relu(h, 0.2))), [inner, h, *params]
+
+    return {
+        "two_consumers": two_consumers,
+        "leaf_and_node": leaf_and_node,
+        "reshape_views": views(lambda t: ad.reshape(t, flat)),
+        "transpose_views": views(lambda t: ad.transpose(t, (2, 0, 1))),
+        "kept_vertex": kept,
+    }
+
+
+def _walk_case(build):
+    """The gradients of one case under grad with a seed, and the leaf
+    gradients of a backward over the same graph; the seed is left as it was."""
+    local = np.random.default_rng(31)
+    a, b = (Tensor(local.normal(size=_OWN_SHAPE), requires_grad=True) for _ in range(2))
+    out, interior = build(a, b)
+    cot0 = local.normal(size=out.shape).astype(ad.DTYPE)
+    cot = Tensor(cot0.copy())
+    grads = ad.grad(out, [a, b, *interior], cotangent=cot)
+    ad.backward(ad.sum_(ad.mul(out, cot)))
+    assert cot.data.tobytes() == cot0.tobytes()
+    leaves = [t for t in (a, b, *interior) if t._node is None and t.grad is not None]
+    return [g.data.tobytes() for g in grads] + [t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("case", list(_ownership_cases()))
+def test_owned_cotangents_give_the_gradients_of_a_walk_that_owns_none(case, monkeypatch):
+    build = _ownership_cases()[case]
+    owning = _walk_case(build)
+    monkeypatch.setattr(ad, "_owned", lambda g, holders: False)
+    assert owning == _walk_case(build)
+
+
+def _owned_decisions(build, monkeypatch, **kw):
+    """The `owned` flags the marked VJPs get in one grad walk of build's graph."""
+    decisions, owned = [], ad._owned
+    monkeypatch.setattr(ad, "_owned", lambda g, holders: decisions.append(owned(g, holders)) or decisions[-1])
+    local = np.random.default_rng(33)
+    a, b = (Tensor(local.normal(size=_OWN_SHAPE), requires_grad=True) for _ in range(2))
+    out, interior = build(a, b)
+    # a C-contiguous seed: ones_like(out) would follow a transposed out's layout
+    ad.grad(out, [a, b, *interior], cotangent=Tensor(np.ones(out.shape)), **kw)
+    return decisions
+
+
+@pytest.mark.parametrize("case,want", [
+    ("two_consumers", [False, True]),  # the second consumer runs after the first read it
+    ("leaf_and_node", [False]),
+    ("reshape_views", [False, True]),
+    ("transpose_views", [False, False]),  # not C-contiguous
+    ("kept_vertex", [False, True, False, False]),  # the outer two as two consumers; the kept two never
+])
+def test_walk_owns_a_cotangent_only_when_nothing_else_holds_its_buffer(case, want, monkeypatch):
+    assert sorted(_owned_decisions(_ownership_cases()[case], monkeypatch)) == sorted(want)
+
+
+def test_walk_owns_nothing_under_create_graph(monkeypatch):
+    def build(a, b):
+        return ad.neg(ad.leaky_relu(a, 0.2)), []
+    assert _owned_decisions(build, monkeypatch) == [True]
+    assert _owned_decisions(build, monkeypatch, create_graph=True) == []
+
+
+@pytest.mark.parametrize("op", ["leaky_relu", "batch_norm", "reshaped_leaky_relu"])
+def test_a_seed_reused_across_grad_calls_is_never_written_over(op, monkeypatch):
+    """As the benchmark's layer table does: grad(y, wrt, cotangent=cot) three
+    times with one cot, straight into the op or through a reshape view."""
+    local = np.random.default_rng(34)
+    x = Tensor(local.normal(size=_OWN_SHAPE), requires_grad=True)
+    wrt = [x]
+    if op == "batch_norm":
+        y, params = _bn(x)
+        wrt += params
+    else:
+        y = ad.leaky_relu(x, 0.2)
+        if op == "reshaped_leaky_relu":
+            y = ad.reshape(y, (_OWN_SHAPE[0], -1))
+    cot0 = local.normal(size=y.shape).astype(ad.DTYPE)
+    cot = Tensor(cot0.copy())
+    runs = [[g.data.tobytes() for g in ad.grad(y, wrt, cotangent=cot)] for _ in range(3)]
+    assert cot.data.tobytes() == cot0.tobytes()
+    monkeypatch.setattr(ad, "_owned", lambda g, holders: False)
+    assert runs == [[g.data.tobytes() for g in ad.grad(y, wrt, cotangent=cot)]] * 3
+
+
+def test_leaky_relu_backward_allocates_no_slope_or_product():
+    """backward through one (64, 1280, 16) leaky ReLU node, the denoiser's
+    tconv3 output: the walk's peak above what is live before it is the
+    cotangent that sum_'s VJP allocates plus row blocks, because the VJP
+    writes g times the slope over that cotangent. Allocating the slope and
+    the product, as a VJP that owns nothing does, adds two activations."""
+    import tracemalloc
+
+    shape = (64, 1280, 16)
+    tracemalloc.start()
+    try:
+        x = Tensor(np.random.default_rng(35).normal(size=shape), requires_grad=True)
+        loss = ad.sum_(ad.leaky_relu(x, 0.2))
+        act = x.data.nbytes
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < act + 2**20
+    assert x.grad.tobytes() == np.where(x.data > 0, ad.DTYPE(1), ad.DTYPE(0.2)).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.0])
+def test_batch_norm_vjp_on_an_owned_cotangent_allocates_one_activation_less(alpha):
+    """The VJP writes g times the slope and then x's gradient over an owned
+    g, and over one fresh activation-sized buffer otherwise, with the same
+    bits either way."""
+    import tracemalloc
+
+    shape = (64, 1024, 8)
+    local = np.random.default_rng(36)
+    x = Tensor(local.normal(loc=0.5, size=shape), requires_grad=True)
+    y, _ = _bn(x, alpha)
+    g0 = local.normal(size=shape).astype(ad.DTYPE)
+    results, peaks = {}, {}
+    for owned in (False, True):
+        g = Tensor(g0.copy())
+        tracemalloc.start()
+        try:
+            with ad.no_grad():  # as in a walk without create_graph
+                results[owned] = y._vjp(g, [True, True, True], owned)
+            peaks[owned] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(results[owned][0].data, g.data) == owned
+    assert [t.data.tobytes() for t in results[True]] == [t.data.tobytes() for t in results[False]]
+    act = x.data.nbytes
+    assert peaks[False] - peaks[True] > act - 2**16
+    assert peaks[True] < act // 2
 
 
 # ---------------------------------------------------------------------------
