@@ -31,11 +31,12 @@ read from that node. So the one memory rule is PyTorch's (Paszke et al.
 2019): an activation lives while the forward holds its Tensor or a VJP
 closure reads it, and no longer. A VJP closure captures the arrays or
 Tensors it reads (``leaky_relu``'s its output, whose sign is the mask;
-``batch_norm_train``'s xhat) and only shapes of the rest, so an output
-that no VJP reads (a conv output once batch norm, the phase shuffle or
-the leaky ReLU after it has read it) is freed as soon as the forward
-drops it. Batch norm's output is not kept either: its node can rebuild
-it from xhat bit for bit (``_rebuild``), and a transposed conv whose
+``batch_norm_train``'s input, from which it rebuilds xhat) and only
+shapes of the rest, so an output that no VJP reads (a conv output once
+the phase shuffle or the leaky ReLU after it has read it) is freed as
+soon as the forward drops it. Batch norm's xhat and output are not kept
+either: its node rebuilds them from its input bit for bit, block by
+block in its VJP and in ``_rebuild``, and a transposed conv whose
 input it is captures that node instead of the data (``_reader``), so the
 output is recomputed where a VJP reads it, the cheap-op recomputation of
 Chen et al. (arXiv:1604.06174). VJPs read what they captured when they run, so
@@ -406,28 +407,34 @@ def batch_norm_train(
     and the batch mean mu and biased variance var per channel. act(y) is
     max(y, alpha*y), as ``leaky_relu`` computes it; alpha = 0 is ``relu``'s
     max(y, 0), which is +0.0 where max(y, 0*y) is -0.0, and alpha = 1 is
-    no activation. The node keeps xhat only, not x and not its output: the
-    output is rebuilt from xhat where it is read, by the forward's own
-    pass (``_affine_act``), so its bits are the forward's. The VJP takes
-    the slope from the sign of the rebuilt output as ``leaky_relu`` does
-    (act(y) > 0 exactly where y > 0, for signed zeros, infinities and NaN
-    too), and applies the closed form of Ioffe & Szegedy in numpy, so it
-    is first order only: it raises GraphError when called while a graph is
-    recorded (create_graph=True). A transposed conv that reads the output
-    in its kernel VJP rebuilds it there through the node's `_rebuild` (see
-    ``_reader``).
+    no activation. The node keeps x, mu and 1 / sqrt(var + eps), not xhat
+    and not its output: where they are read, xhat is rebuilt from x one
+    block of sample rows at a time by the forward's own two ops, and the
+    output from xhat by the forward's own pass (``_affine_act``), so their
+    bits are the forward's (the recomputation of Chen et al.,
+    arXiv:1604.06174). The VJP takes the slope from the sign of the
+    rebuilt y, which is act(y)'s sign (act(y) > 0 exactly where y > 0, for
+    signed zeros, infinities and NaN too), as ``leaky_relu`` takes it from
+    its output, and applies the closed form of Ioffe & Szegedy in numpy,
+    so it is first order only: it raises GraphError when called while a
+    graph is recorded (create_graph=True). A transposed conv that reads the
+    output in its kernel VJP rebuilds it there through the node's
+    `_rebuild` (see ``_reader``).
 
-    The forward allocates xhat and the output, which it computes one
-    block of sample rows at a time, so alpha*y needs no third
-    activation-sized buffer. The VJP writes the cotangent times the slope,
-    rebuilt block by block, and then x's gradient over the cotangent when
-    the walk owns it (see ``_reverse_walk``), so it allocates no
-    activation-sized buffer; otherwise it writes them over one fresh one.
-    At alpha = 1 there is no slope, and only x's gradient goes there.
-    Besides it, the VJP allocates one block of at most _BLOCK_BYTES (a
-    whole sample row if one is larger), one more inside each block's
-    activation, and a few row-sized channel vectors. A rebuild for a
-    transposed conv allocates the output plus its zero rows.
+    The forward allocates xhat and writes the output over it, one block of
+    sample rows at a time, so that it holds x and one activation-sized
+    buffer, and alpha*y needs no other. The VJP writes the cotangent times
+    the slope, and then x's gradient, over the cotangent when the walk owns
+    it (see ``_reverse_walk``), so it allocates no activation-sized buffer;
+    otherwise it writes them over one fresh one. At alpha = 1 there is no
+    slope, and only x's gradient goes there. Besides it, the VJP allocates
+    one block of at most _BLOCK_BYTES (a whole sample row if one is
+    larger), which holds xhat, y's slope or a product in turn, and a few
+    row-sized vectors. dgamma adds the rows of g * xhat in row order, the
+    order in which ``np.einsum("ij,ij->j")`` adds rows of two or more
+    elements, so it is the whole-array sum bit for bit. A rebuild for a
+    transposed conv allocates the output plus its zero rows, two rows and
+    one block's temporary.
     """
     shape, c = x.shape, x.shape[-1]
     # one row per sample, so that per-channel vectors tiled to a row broadcast
@@ -449,33 +456,53 @@ def batch_norm_train(
     inv = 1 / np.sqrt(var + eps)
     xhat *= row(inv)
     gamma_row, beta_row = row(gamma.data), row(beta.data)
+    y = _affine_act(xhat, gamma_row, beta_row, alpha, xhat)  # the output, over xhat
+
+    def normalized(r, stats, out):
+        """xhat of the block of sample rows from r, into the head of out, by
+        the forward's two ops; `stats` is (row(mu), row(inv))."""
+        rows = np.subtract(x2[r : r + step], stats[0], out=out[: len(x2[r : r + step])])
+        rows *= stats[1]
+        return rows
 
     def rebuild(tail):
         # the output, then `tail` zero rows per sample, in one buffer
-        buf = np.empty((shape[0], shape[1] + tail, *shape[2:]), dtype=xhat.dtype)
+        buf = np.empty((shape[0], shape[1] + tail, *shape[2:]), dtype=x2.dtype)
         rows = buf.reshape(shape[0], -1)
-        rows[:, xhat.shape[1] :] = 0
-        _affine_act(xhat, gamma_row, beta_row, alpha, rows[:, : xhat.shape[1]])
+        rows[:, x2.shape[1] :] = 0
+        stats = row(mu), row(inv)
+        for r in range(0, len(x2), step):
+            block = normalized(r, stats, rows[r : r + step, : x2.shape[1]])
+            _affine_act(block, gamma_row, beta_row, alpha, block)
         return buf[:, : shape[1]]
 
     @_takes_owned
     def vjp(g, need, owned):
         if _grad_enabled:
             raise GraphError("batch_norm in train mode has no second-order gradient")
-        g2 = g.data.reshape(xhat.shape)
+        g2 = g.data.reshape(x2.shape)
         # g times the slope, then x's gradient, go over g's buffer when the
         # walk owns it and over one fresh buffer otherwise
         buf = g2 if owned else np.empty_like(g2)
+        stats = row(mu), row(inv)
         block = np.empty((min(step, len(g2)), g2.shape[1]), dtype=g2.dtype)
+        # dgamma's row: the rows of g * xhat added in row order, one block at a time
+        gdot = np.zeros(x2.shape[1], dtype=g2.dtype)
+        for r in range(0, len(g2), step):
+            gs = g2[r : r + step]
+            if alpha < 1:
+                # the slope as leaky_relu builds it, from the sign of y, which
+                # is the activation's; xhat is rebuilt again after it, so that
+                # the pass needs one block
+                pre = _affine_act(normalized(r, stats, block), gamma_row, beta_row, 1.0, block[: len(gs)])
+                gs = np.multiply(gs, _slope(pre, alpha, pre), out=buf[r : r + step])
+            for p in np.multiply(gs, normalized(r, stats, block), out=block[: len(gs)]):
+                gdot += p
         if alpha < 1:
-            # the slope as leaky_relu builds it from the rebuilt output's
-            # sign, one block of sample rows at a time
-            for r in range(0, len(g2), step):
-                rows = _affine_act(xhat[r : r + step], gamma_row, beta_row, alpha, block[: len(g2[r : r + step])])
-                np.multiply(g2[r : r + step], _slope(rows, alpha, rows), out=buf[r : r + step])
             g2 = buf
         dbeta = channel_sum(np.einsum("ij->j", g2))
-        dgamma = channel_sum(np.einsum("ij,ij->j", g2, xhat))
+        dgamma = channel_sum(gdot)
+        del gdot  # one row less live in the second pass
         gx = None
         if need[0]:
             # gamma * inv * (g - dbeta / m - xhat * dgamma / m), one block of
@@ -484,14 +511,14 @@ def batch_norm_train(
             scale, shift, factor = row(dgamma / m), row(dbeta / m), row(gamma.data * inv)
             for r in range(0, len(g2), step):
                 rows = buf[r : r + step]
-                t = np.multiply(xhat[r : r + step], scale, out=block[: len(rows)])
+                t = normalized(r, stats, block)
+                t *= scale
                 np.subtract(g2[r : r + step], t, out=rows)
                 rows -= shift
                 rows *= factor
             gx = Tensor(buf.reshape(shape))
         return gx, Tensor(dgamma), Tensor(dbeta)
 
-    y = _affine_act(xhat, gamma_row, beta_row, alpha, np.empty_like(xhat))
     out = _make(y.reshape(shape), (x, gamma, beta), vjp)
     if out._node is not None:
         out._node._rebuild = rebuild
@@ -819,25 +846,36 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     The window elements are strided views of one reshape, read in row-major
     window order; a later one replaces the running maximum only when strictly
     greater, so a tie or a NaN after the first keeps the first. The node keeps
-    the winner's window position, one uint8 per output, for its VJP.
+    the winner's window position, one uint8 per output, for its VJP. The
+    forward and the VJP run one block of samples of at most _BLOCK_BYTES of
+    input (one sample if that is larger) at a time, so their ``np.where``
+    temporaries are one block's, not the whole batch's.
     """
     n, H, W, c = x.shape
     win = x.data.reshape(n, H // 2, 2, W // 2, 2, c)
-    best = win[:, :, 0, :, 0]
-    arg = np.zeros(best.shape, dtype=np.uint8)
-    for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), 1):
-        take = win[:, :, i, :, j] > best
-        best = np.where(take, win[:, :, i, :, j], best)
-        arg = np.where(take, np.uint8(k), arg)
+    step = max(1, _BLOCK_BYTES // max(1, x.data[:1].nbytes))
+    best = np.empty((n, H // 2, W // 2, c), dtype=x.data.dtype)
+    arg = np.empty(best.shape, dtype=np.uint8)
+    for r in range(0, n, step):
+        block = win[r : r + step]
+        top = block[:, :, 0, :, 0]
+        pos = np.zeros(top.shape, dtype=np.uint8)
+        for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), 1):
+            take = block[:, :, i, :, j] > top
+            top = np.where(take, block[:, :, i, :, j], top)
+            pos = np.where(take, np.uint8(k), pos)
+        best[r : r + step], arg[r : r + step] = top, pos
 
     def vjp(g, need):
         if _grad_enabled:
             raise GraphError("max pooling has no second-order gradient")
         gx = np.empty((n, H, W, c), dtype=DTYPE)
         gwin = gx.reshape(n, H // 2, 2, W // 2, 2, c)
-        for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            # adding 0 turns a -0 cotangent into +0, as a scatter-add into zeros does
-            np.add(np.where(arg == k, g.data, 0), 0, out=gwin[:, :, i, :, j])
+        for r in range(0, n, step):
+            pos, gb = arg[r : r + step], g.data[r : r + step]
+            for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                # adding 0 turns a -0 cotangent into +0, as a scatter-add into zeros does
+                np.add(np.where(pos == k, gb, 0), 0, out=gwin[r : r + step, :, i, :, j])
         return (Tensor(gx),)
 
     return _make(best, (x,), vjp)

@@ -138,14 +138,14 @@ def cmd_noise(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    # the generator and the denoiser train on the file's float32 samples as
-    # they are; only the classifier, whose input is a spectrogram, needs Signals
+    # every network trains from the file's float32 samples as they are; the
+    # classifier casts one row at a time to a Signal for its spectrogram
     if args.network == "gan":
         real, _, _ = read_dataset_f32(args.data)
         gen, critic, log = training.train_gan(real, cfg, args.seed)
         nets = [gen, critic]
     elif args.network == "inception":
-        net, log = training.train_inception(read_dataset(args.data), cfg, args.seed)
+        net, log = training.train_inception(*read_dataset_f32(args.data), cfg, args.seed)
         nets = [net]
     else:
         clean, noisy, _ = read_pairs_f32(args.data)

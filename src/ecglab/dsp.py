@@ -268,24 +268,33 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
 
     peaks: list[int] = []
     rr_history: deque[int] = deque(maxlen=8)
+    rr_sum = 0
+
+    def keep_rr(rr: int) -> None:
+        nonlocal rr_sum
+        if len(rr_history) == rr_history.maxlen:
+            rr_sum -= rr_history[0]  # the interval the deque drops
+        rr_history.append(rr)
+        rr_sum += rr
+
     last = -refractory
     for idx, val in zip(candidates.tolist(), mwi[candidates].tolist()):
         if idx - last < refractory:
             continue
         if val > threshold:
             if peaks:
-                rr_history.append(idx - last)
+                keep_rr(idx - last)
             peaks.append(idx)
             last = idx
             spki = 0.125 * val + 0.875 * spki
         else:
             # searchback: a long silent gap means a beat fell below threshold
-            if rr_history and idx - last > 1.66 * (sum(rr_history) / len(rr_history)):
+            if rr_history and idx - last > 1.66 * (rr_sum / len(rr_history)):
                 lo = last + refractory
                 if lo < idx:
                     back = int(np.argmax(mwi[lo:idx])) + lo
                     if mwi[back] > 0.5 * threshold and back - last >= refractory:
-                        rr_history.append(back - last)
+                        keep_rr(back - last)
                         peaks.append(back)
                         last = back
                         spki = 0.25 * mwi[back] + 0.75 * spki

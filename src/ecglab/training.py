@@ -6,7 +6,6 @@ classifier and the denoiser share one supervised loop, `_fit`."""
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +14,11 @@ from . import autodiff as ad
 from . import models
 from .autodiff import Tensor
 from .config import RunConfig
-from .dsp import mel_spectrogram
+from .dsp import MEL_BANDS, SPEC_FRAMES, mel_spectrogram
 from .metrics import MetricReport, evaluate_denoiser
 from .models import Network
 from .optim import AdamState, adam_step, zero_grads
-from .signals import LabeledDataset, Signal, SignalPair, csv_table
+from .signals import Signal, SignalPair, csv_table
 
 
 @dataclass(frozen=True)
@@ -274,9 +273,15 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return ad.mean_(ad.mul(diff, diff))
 
 
-def _spectrogram_batch(signals: Sequence[Signal]) -> np.ndarray:
-    """The classifier's (N, 64, 64, 1) input: one mel spectrogram per signal."""
-    return np.stack([mel_spectrogram(s) for s in signals])[:, :, :, None]
+def _spectrogram_batch(samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """The classifier's (N, 64, 64, 1) input, of ``autodiff.DTYPE``: the mel
+    spectrogram of each row of the [N, L, 1] `samples`, computed from that
+    row alone as a float64 ``Signal`` and cast into the batch, so no
+    float64 signal list or float64 batch is held."""
+    out = np.empty((len(samples), SPEC_FRAMES, MEL_BANDS, 1), dtype=ad.DTYPE)
+    for grid, row in zip(out, samples[:, :, 0]):
+        grid[:, :, 0] = mel_spectrogram(Signal(row, sample_rate_hz))
+    return out
 
 
 def _fit(
@@ -337,19 +342,26 @@ def _fit(
     return log
 
 
-def train_inception(ds: LabeledDataset, cfg: RunConfig, seed: int) -> tuple[Network, TrainLog]:
+def train_inception(
+    samples: np.ndarray,
+    labels: np.ndarray,
+    sample_rate_hz: float,
+    cfg: RunConfig,
+    seed: int,
+) -> tuple[Network, TrainLog]:
     """Multilabel classifier on mel spectrograms, binary cross-entropy loss
     on the network's output logits.
 
-    Validated after every epoch; the parameters with the lowest
-    validation loss are returned. Batch norm uses batch statistics in
-    training only.
+    `samples` [N, L, 1] of ``autodiff.DTYPE``, `labels` [N, 5] and the
+    sample rate are what ``signals.read_dataset_f32`` returns; the samples
+    are only read, one row at a time (``_spectrogram_batch``). Validated
+    after every epoch; the parameters with the lowest validation loss are
+    returned. Batch norm uses batch statistics in training only.
     """
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
+    _check_training_array(samples, "training signal")
     rng = np.random.default_rng(seed)
     net = models.build("inception", seed=seed)
-    log = _fit(net, cfg, rng, "classifier", _spectrogram_batch(ds.signals), ds.labels.astype(np.float64),
+    log = _fit(net, cfg, rng, "classifier", _spectrogram_batch(samples, sample_rate_hz), labels.astype(np.float64),
                bce_with_logits, _bce_numpy)
     return net, log
 

@@ -476,6 +476,34 @@ def test_batch_norm_vjp_writes_the_input_gradient_blockwise_over_its_slope(alpha
     assert peak - returned < 4 * row_bytes + 8 * row_bytes
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.0])
+def test_batch_norm_forward_allocates_its_output_and_one_block(alpha, monkeypatch):
+    """The forward writes its output over xhat, one block of 4 sample rows
+    at a time: it allocates the output plus one block and a few rows, not
+    xhat and the output. Afterwards the node holds no activation-sized
+    array of its own (it keeps x, which it leaves unchanged)."""
+    import tracemalloc
+
+    L, c, n = 1024, 4, 42
+    row_bytes = L * c * np.dtype(ad.DTYPE).itemsize
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 4 * row_bytes)
+    local = np.random.default_rng(21)
+    x0 = local.normal(loc=0.5, scale=1.5, size=(n, L, c)).astype(ad.DTYPE)
+    x = Tensor(x0.copy(), requires_grad=True)
+    gamma = Tensor(local.normal(size=c), requires_grad=True)
+    beta = Tensor(local.normal(size=c), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out, _, _ = ad.batch_norm_train(x, gamma, beta, nn.BN_EPS, alpha)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.data.nbytes < 4 * row_bytes + 4 * row_bytes
+    assert live - out.data.nbytes < 4 * row_bytes
+    assert x.data.tobytes() == x0.tobytes()
+    assert ad._reader(out)(0).data.tobytes() == out.data.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batch_norm_rejects_a_slope_outside_unit_interval(alpha, mode):
@@ -806,6 +834,69 @@ def test_maxpool2d_is_byte_equal_to_the_gather_form(dtype, case):
     assert y.data.dtype == gx.data.dtype == x0.dtype
     assert y.data.tobytes() == y_ref.tobytes()
     assert gx.data.tobytes() == gx_ref.tobytes()
+
+
+def _whole_array_maxpool2d(x, g):
+    """The pool and its VJP over the whole batch at once, as they were
+    before they ran in blocks of samples: the reference for the blocks."""
+    n, H, W, c = x.shape
+    win = x.reshape(n, H // 2, 2, W // 2, 2, c)
+    best = win[:, :, 0, :, 0]
+    arg = np.zeros(best.shape, dtype=np.uint8)
+    for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), 1):
+        take = win[:, :, i, :, j] > best
+        best = np.where(take, win[:, :, i, :, j], best)
+        arg = np.where(take, np.uint8(k), arg)
+    gx = np.empty_like(x)
+    gwin = gx.reshape(win.shape)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.add(np.where(arg == k, g, 0), 0, out=gwin[:, :, i, :, j])
+    return best, gx
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_pool_cases(), n=st.integers(0, 5))
+def test_maxpool2d_blocks_are_byte_equal_to_the_whole_array_form(case, n):
+    """Blocks of two samples, so that an odd batch ends in a short block;
+    the values tie, and hold NaN, infinities and both zeros."""
+    x1, g1 = case
+    x0 = np.resize(x1, (n, *x1.shape[1:]))
+    g0 = np.resize(g1, (n, *g1.shape[1:]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_BLOCK_BYTES", 2 * max(1, x0[:1].nbytes))
+        x = Tensor(x0, requires_grad=True)
+        y = nn.maxpool2d(x)
+        (gx,) = ad.grad(y, [x], cotangent=Tensor(g0))
+    y_ref, gx_ref = _whole_array_maxpool2d(x0, g0)
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert gx.data.tobytes() == gx_ref.tobytes()
+
+
+def test_maxpool2d_temporaries_are_one_block(monkeypatch):
+    """17 samples in blocks of two: beyond the pooled output and its uint8
+    winner positions, the forward's peak is one block; beyond x's gradient,
+    the VJP's is under one block. Over the whole batch at once both were
+    more than three blocks here."""
+    import tracemalloc
+
+    shape = (17, 16, 16, 16)
+    block = 2 * int(np.prod(shape[1:])) * np.dtype(ad.DTYPE).itemsize
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block)
+    local = np.random.default_rng(37)
+    x = Tensor(local.normal(size=shape), requires_grad=True)
+    g = Tensor(local.normal(size=(17, 8, 8, 16)))
+    tracemalloc.start()
+    try:
+        y = ad.max_pool_2x2(x)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        (gx,) = ad.grad(y, [x], cotangent=g)
+        vjp_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak - y.data.nbytes - y.data.size < block + 2**12
+    assert vjp_peak - before - gx.data.nbytes < block
 
 
 def test_maxpool2d_has_no_second_order_gradient():

@@ -8,7 +8,7 @@ import pytest
 
 from ecglab import config, synth, training
 from ecglab.config import ConfigError, RunConfig, load_config
-from ecglab.signals import LabeledDataset, Signal
+from ecglab.signals import Signal
 
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
@@ -66,9 +66,9 @@ def _run_gan(cfg):
 
 
 def _run_classifier(cfg):
-    sigs = _sines(8, 1024, 500.0)
+    samples = training._signals_to_array(_sines(8, 1024, 500.0), "training signal")
     labels = np.random.default_rng(0).integers(0, 2, size=(8, 5)).astype(np.uint8)
-    training.train_inception(LabeledDataset(tuple(sigs), labels), cfg, seed=0)
+    training.train_inception(samples, labels, 500.0, cfg, seed=0)
 
 
 def _run_denoiser(cfg):

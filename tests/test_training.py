@@ -8,7 +8,7 @@ from ecglab import autodiff as ad
 from ecglab import models, nn, training
 from ecglab.autodiff import Tensor
 from ecglab.config import RunConfig
-from ecglab.signals import LabeledDataset, Signal, SignalPair
+from ecglab.signals import Signal, SignalPair
 from ecglab.training import (
     bce_with_logits,
     gradient_penalty,
@@ -497,14 +497,15 @@ def test_denoiser_best_checkpoint_retained():
 def test_inception_best_checkpoint_retained():
     rng = np.random.default_rng(0)
     sigs = [Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8)]
-    ds = LabeledDataset(tuple(sigs), rng.integers(0, 2, size=(8, 5)).astype(np.uint8))
+    samples = training._signals_to_array(sigs, "training signal")
+    labels = rng.integers(0, 2, size=(8, 5)).astype(np.uint8)
     cfg = RunConfig(epochs=3, batch_size=4, adam_lr=1e-2, val_fraction=0.25)
-    net, log = training.train_inception(ds, cfg, seed=1)
+    net, log = training.train_inception(samples, labels, 500.0, cfg, seed=1)
     assert [r.kind for r in log.rows] == ["classifier", "validation"] * 3
     vals = [r.val_loss for r in _rows(log, "validation")]
     vi = np.random.default_rng(1).permutation(8)[:2]
-    grids = training._spectrogram_batch([sigs[i] for i in vi])
-    got = training._bce_numpy(models.infer(net, grids), ds.labels[vi].astype(np.float64))
+    grids = training._spectrogram_batch(samples[vi], 500.0)
+    got = training._bce_numpy(models.infer(net, grids), labels[vi].astype(np.float64))
     assert got == min(vals)
 
 
@@ -524,8 +525,9 @@ def test_every_spec_layer_runs_in_the_trainers_and_in_infer(monkeypatch):
     train_gan(make_sines(n=16), tiny_gan_cfg(generator_steps=1, val_fraction=0.25), seed=0)
     train_denoiser(*_identity_arrays(n=8), RunConfig(model_dim=2, epochs=1, batch_size=4), "phase_shuffle", seed=0)
     rng = np.random.default_rng(0)
-    sigs = tuple(Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8))
-    training.train_inception(LabeledDataset(sigs, rng.integers(0, 2, size=(8, 5)).astype(np.uint8)),
+    sigs = [Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8)]
+    training.train_inception(training._signals_to_array(sigs, "training signal"),
+                             rng.integers(0, 2, size=(8, 5)).astype(np.uint8), 500.0,
                              RunConfig(epochs=1, batch_size=4, val_fraction=0.25), seed=0)
     assert runs == {(name, mode): {True} for name in models.NETWORK_NAMES for mode in ("train", "infer")}
 
