@@ -35,7 +35,7 @@ from . import models, training
 from .checkpoint import load_params, save_params
 from .config import load_config
 from .dsp import bandpass_filter, wavelet_filter
-from .metrics import evaluate_denoiser, reports_to_csv
+from .metrics import evaluate_denoisers, reports_to_csv
 from .signals import (
     LABEL_COUNT,
     LabeledDataset,
@@ -192,17 +192,17 @@ def cmd_eval(args) -> int:
             methods.remove("denoiser")
         else:
             raise ValueError("method denoiser needs --checkpoint")
-    reports = []
+    denoisers = {}
     for method in methods:
         if method == "none":
-            fn = None
+            denoisers[method] = None
         elif method == "denoiser":
             net = models.from_checkpoint("denoiser", load_params(args.checkpoint), pairs[0].clean.length)
-            fn = training.network_denoiser(net)
+            denoisers[method] = training.network_denoiser(net)
         else:
             filt = bandpass_filter if method == "bandpass" else wavelet_filter
-            fn = lambda noisy: [filt(s) for s in noisy]
-        reports.append(evaluate_denoiser(fn, pairs, method))
+            denoisers[method] = lambda noisy, filt=filt: [filt(s) for s in noisy]
+    reports = evaluate_denoisers(denoisers, pairs)
     return _write_table(reports_to_csv(reports), args.out, f"{len(reports)} report rows")
 
 

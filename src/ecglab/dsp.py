@@ -1,11 +1,17 @@
 """Spectrogram preprocessing, classical denoising baselines and QRS detection.
 
-Every function works on one `Signal`. The fixed filters behind them (the
-QRS bandpass per sample rate, the mel filterbank per rate and FFT size,
-the a-trous wavelet spectra per length and depth) are designed once and
-cached. The cached arrays are read-only, so no caller can change what a
-later call sees. ``mel_spectrogram`` returns its 64x64 grid as a plain
-read-only float64 array.
+Every public function works on one `Signal`; the QRS detector also runs
+over a stack of signals at once (`detect_qrs_rows`). The fixed filters
+behind them (the QRS bandpass per sample rate, the mel filterbank per rate
+and FFT size, the a-trous wavelet spectra per length and depth) are
+designed once and cached. The cached arrays are read-only, so no caller
+can change what a later call sees. ``mel_spectrogram`` returns its 64x64
+grid as a plain read-only float64 array.
+
+Everything here is numpy. The QRS detector's Butterworth design, its
+zero-phase filter and its peak search give the bits of the
+``scipy.signal`` calls they stand for (``butter``, ``sosfilt_zi``,
+``sosfiltfilt`` and ``find_peaks``); the tests check them against scipy.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
-from .signals import Signal, scale_to_unit
+from .signals import Signal, scale_rows_to_unit
 
 STFT_WINDOW = 1024
 SPEC_FRAMES = 64
@@ -203,30 +208,130 @@ def wavelet_filter(s: Signal) -> Signal:
 # QRS detection
 
 
+QRS_BAND_HZ = (5.0, 15.0)  # the top edge is 0.45 * the sample rate below 33.3 Hz
+_FILTER_BLOCK = 128  # time steps whose b*x products `_sosfilt_rows` forms at once
+
+
 @lru_cache(maxsize=8)
 def _qrs_bandpass_sos(fs: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Second-order 5-15 Hz Butterworth sections of detect_qrs, their
+    """The second-order sections of detect_qrs's bandpass, their
     ``sosfilt_zi`` initial conditions (both read-only) and the pad length
-    ``scipy.signal.sosfiltfilt`` uses by default."""
-    sos = sps.butter(2, [5.0, min(15.0, 0.45 * fs)], btype="bandpass", fs=fs, output="sos")
-    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
-    return _read_only(sos), _read_only(sps.sosfilt_zi(sos)), 3 * int(ntaps)
+    ``scipy.signal.sosfiltfilt`` uses by default.
+
+    The sections are ``scipy.signal.butter(2, band, "bandpass", fs=fs,
+    output="sos")`` bit for bit: the same steps in the same order. The
+    band edges are prewarped for the bilinear transform at fs = 2; the
+    two poles of the analog Butterworth lowpass are scaled and shifted
+    to the band (``lp2bp_zpk``: four poles, two zeros at 0, two at
+    infinity) and mapped to the z plane (``bilinear_zpk``: the zeros land
+    on +1 and -1). ``zpk2sos('nearest')`` then puts the pole nearest the
+    unit circle, with its conjugate, in the last section, with the zero
+    pair nearest to it; the first section gets the other pole pair, the
+    other zero pair and the gain. The initial conditions are
+    ``lfilter_zi``'s linear solve per section, scaled by the DC gain of
+    the sections before it.
+    """
+    lo, hi = QRS_BAND_HZ[0], min(QRS_BAND_HZ[1], 0.45 * fs)
+    if not lo < hi:
+        raise ValueError(f"QRS detection's {lo:g}-{QRS_BAND_HZ[1]:g} Hz bandpass needs a sample rate above"
+                         f" {lo / 0.45:.2f} Hz (its top edge is 0.45 * the rate below 33.3 Hz), got {fs} Hz")
+    warped = 2 * 2.0 * np.tan(np.pi * (np.array([lo, hi]) / (fs / 2)) / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    p = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4) * bw / 2
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    gain = bw**2 * np.real(16.0 / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    # the poles come in exact conjugate pairs, so _cplxreal's average of a
+    # pair is its upper pole; they are sorted by real part
+    p = np.sort_complex(p[p.imag > 0])
+    last = int(np.argmin(np.abs(1 - np.abs(p))))
+    near = 1.0 if np.abs(1.0 - p[last]) < np.abs(-1.0 - p[last]) else -1.0  # its double zero
+    sos = np.empty((2, 6))
+    for section, pole, zero in ((1, p[last], near), (0, p[1 - last], -near)):
+        a = np.ones(1, dtype=complex)
+        for root in (pole, pole.conj()):  # np.poly's steps
+            a = np.convolve(a, np.array([1.0, -root]))
+        sos[section] = (1.0, -2.0 * zero, 1.0, *a.real)  # the double zero's taps are exact
+    sos[0, :3] *= gain
+    zi = np.empty((2, 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])  # I - companion(a).T
+        zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return _read_only(sos), _read_only(zi), 3 * (2 * len(sos) + 1)
+
+
+def _sosfilt_rows(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """``scipy.signal.sosfilt(sos, x, axis=0, zi=zi)[0]`` bit for bit, written
+    over the time-major [time, rows] array x. zi is [section, 2, rows].
+
+    One section at a time, each step runs ``_sosfilt``'s recurrence on all
+    rows at once: y = b0*x + z0, z0 = (b1*x - a1*y) + z1, z1 = b2*x - a2*y.
+    The b*x products are formed ahead for _FILTER_BLOCK steps. A step
+    writes its new state [z0, z1] into one of two buffers and reads
+    [z1, -0.0] of the other, so both state updates are one add: d + -0.0
+    is d for every d.
+    """
+    rows = x.shape[1]
+    m = np.empty((2, rows))
+    m0, m1 = m
+    for (b0, b1, b2, _, a1, a2), z in zip(sos, zi):
+        a1, a2 = np.full(rows, a1), np.full(rows, a2)
+        p, q = np.empty((3, rows)), np.empty((3, rows))
+        p[:2] = z
+        p[2] = q[2] = -0.0
+        steps = ((p[0], p[1:], q[:2]), (q[0], q[1:], p[:2]))  # (z0, carry [z1, -0.0], next [z0, z1])
+        k = 0
+        for t in range(0, len(x), _FILTER_BLOCK):
+            xb = x[t : t + _FILTER_BLOCK]
+            bx0 = b0 * xb
+            bx12 = np.stack((b1 * xb, b2 * xb), axis=1)
+            for y, bx0_t, bx12_t in zip(xb, bx0, bx12):
+                z0, carry, after = steps[k]
+                np.add(bx0_t, z0, out=y)
+                np.multiply(a1, y, out=m0)
+                np.multiply(a2, y, out=m1)
+                np.subtract(bx12_t, m, out=m)
+                np.add(m, carry, out=after)
+                k ^= 1
 
 
 def _qrs_bandpass(x: np.ndarray, fs: float) -> np.ndarray:
-    """``scipy.signal.sosfiltfilt(sos, x)`` bit for bit, with cached zi.
+    """``scipy.signal.sosfiltfilt(sos, row)`` bit for bit for each row of x,
+    one signal or a [rows, n] stack, with n > the pad length (15).
 
     The same steps in the same order: odd extension by the pad length, a
     forward ``sosfilt`` from ``zi`` scaled by the first sample, a backward
     one from ``zi`` scaled by the last output, and the pad cropped off.
+    All rows are filtered at once, time-major.
     """
-    sos, zi, edge = _qrs_bandpass_sos(fs)  # edge is 15: detect_qrs passes x.size >= 16
-    # scipy's compiled sosfilt takes only a writable sos buffer
-    sos = sos.copy()
-    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2 : -(edge + 2) : -1]))
-    y, _ = sps.sosfilt(sos, ext, zi=zi * ext[:1])
-    y, _ = sps.sosfilt(sos, y[::-1], zi=zi * y[-1:])
-    return y[::-1][edge:-edge]
+    sos, zi, edge = _qrs_bandpass_sos(fs)
+    t = np.atleast_2d(x).T
+    ext = np.empty((len(t) + 2 * edge, t.shape[1]))  # time-major, so that each step reads one contiguous row
+    ext[:edge] = 2 * t[:1] - t[edge:0:-1]
+    ext[edge:-edge] = t
+    ext[-edge:] = 2 * t[-1:] - t[-2 : -(edge + 2) : -1]
+    _sosfilt_rows(sos, ext, zi[:, :, None] * ext[0])
+    back = ext[::-1]
+    _sosfilt_rows(sos, back, zi[:, :, None] * back[0])
+    return np.ascontiguousarray(ext[edge:-edge].T).reshape(x.shape)
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.find_peaks(x)[0]``: the local maxima of the 1-D array x.
+    A flat top counts once, at its middle (rounded down), and only if it
+    rises from a lower sample and falls to one; so one that touches
+    either end does not count."""
+    d = np.diff(x)
+    moves = np.flatnonzero(d)
+    rises = d[moves] > 0
+    top = rises[:-1] & ~rises[1:]  # a rise whose next move is a fall
+    return (moves[:-1][top] + 1 + moves[1:][top]) // 2
+
+
+_NO_BEATS = QrsAnnotation(np.empty(0, dtype=np.int64), 0.0)
 
 
 def detect_qrs(s: Signal) -> QrsAnnotation:
@@ -237,28 +342,49 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
     estimates with a 200 ms refractory period and RR-gap searchback.
     Detected positions are refined to the local extremum of the bandpassed
     signal. heart_rate_hz is 1 / mean RR, or 0 with fewer than two peaks.
+    It is the one-row case of `detect_qrs_rows`.
+    """
+    return detect_qrs_rows(s.samples[None], s.sample_rate_hz)[0]
 
-    The bandpass and its filtfilt initial conditions are designed once per
-    sample rate. The threshold stage is a plain Python loop over the
-    candidate peaks; it keeps the last 8 RR intervals with their running
-    sum. The intervals are whole sample counts, so the sum is exact and
+
+def detect_qrs_rows(x: np.ndarray, fs: float) -> list[QrsAnnotation]:
+    """`detect_qrs` of each row of the float64 [rows, n] stack x at rate fs.
+
+    The scaling to [-1, 1], the bandpass and the peak refinement run once
+    over the stack: the filter's cost is one Python step per sample
+    whatever the row count. The bandpass and its filtfilt initial
+    conditions are designed once per sample rate. The rest runs row by
+    row. The threshold stage is a plain Python loop over the candidate
+    peaks; it keeps the last 8 RR intervals with their running sum. The
+    intervals are whole sample counts, so the sum is exact and
     sum / count is the exact mean.
     """
-    fs = s.sample_rate_hz
-    x = s.samples
-    if x.size < 16 or np.ptp(x) == 0.0:
-        return QrsAnnotation(np.empty(0, dtype=np.int64), 0.0)
-    x = scale_to_unit(s).samples
-
-    bp = _qrs_bandpass(x, fs)
-    der = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / 8.0, mode="same")
-    sq = der**2
+    out = [_NO_BEATS] * len(x)
+    if x.shape[1] < 16:
+        return out
+    live = np.flatnonzero(np.ptp(x, axis=1) != 0.0)
+    if not live.size:
+        return out
+    bp = _qrs_bandpass(scale_rows_to_unit(x[live]), fs)  # x[live] is a copy
+    kernel = np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / 8.0
     win = max(1, int(round(0.15 * fs)))
-    mwi = np.convolve(sq, np.ones(win) / win, mode="same")
+    box = np.ones(win) / win
+    beats = [_threshold_beats(np.convolve(np.convolve(row, kernel, mode="same") ** 2, box, mode="same"),
+                              fs, win) for row in bp]
+    for i, refined in zip(live, _refine_peaks(beats, bp, fs)):
+        if refined.size < 2:
+            out[i] = QrsAnnotation(refined, 0.0)
+        else:
+            out[i] = QrsAnnotation(refined, float(1.0 / (np.diff(refined) / fs).mean()))
+    return out
 
-    candidates, _ = sps.find_peaks(mwi)
+
+def _threshold_beats(mwi: np.ndarray, fs: float, win: int) -> np.ndarray:
+    """The beats that the adaptive thresholds accept among the local maxima
+    of one row's integrated signal `mwi`."""
+    candidates = _local_maxima(mwi)
     if candidates.size == 0:
-        return QrsAnnotation(np.empty(0, dtype=np.int64), 0.0)
+        return candidates
 
     lead = mwi[: max(int(2 * fs), win)]
     spki = 0.25 * lead.max()
@@ -303,32 +429,35 @@ def detect_qrs(s: Signal) -> QrsAnnotation:
                         continue
             npki = 0.125 * val + 0.875 * npki
         threshold = npki + 0.25 * (spki - npki)
-
-    refined = _refine_peaks(np.asarray(peaks, dtype=np.int64), bp, fs)
-    if refined.size < 2:
-        return QrsAnnotation(refined, 0.0)
-    rr = np.diff(refined) / fs
-    return QrsAnnotation(refined, float(1.0 / rr.mean()))
+    return np.asarray(peaks, dtype=np.int64)
 
 
-def _refine_peaks(peaks: np.ndarray, bp: np.ndarray, fs: float) -> np.ndarray:
-    """Snap integrated-signal peaks to the nearby extremum of the bandpassed signal."""
-    if peaks.size == 0:
-        return peaks
+def _refine_peaks(beats: list[np.ndarray], bp: np.ndarray, fs: float) -> list[np.ndarray]:
+    """Snap each row's integrated-signal peaks to the nearby extremum of its
+    bandpassed row of `bp`, then enforce the refractory distance again.
+
+    The snap is one argmax of |bp| over every peak's window at once; the
+    slots past a window's end hold -1, so they never win, and the first
+    maximum wins, as ``np.argmax`` of each window does.
+    """
+    n = bp.shape[1]
     half = max(1, int(round(0.10 * fs)))
-    refined = []
-    for p in peaks:
-        lo = max(0, p - half)
-        hi = min(bp.size, p + half // 2 + 1)
-        refined.append(lo + int(np.argmax(np.abs(bp[lo:hi]))))
-    refined = np.unique(np.asarray(refined, dtype=np.int64))
-    # enforce the refractory distance again after snapping
-    keep: list[int] = []
+    rows = np.repeat(np.arange(len(beats)), [b.size for b in beats])
+    peaks = np.concatenate(beats)
+    lo = np.maximum(peaks - half, 0)
+    at = lo[:, None] + np.arange(half + half // 2 + 1)
+    inside = at < np.minimum(peaks + half // 2 + 1, n)[:, None]
+    height = np.where(inside, np.abs(bp[rows[:, None], np.minimum(at, n - 1)]), -1.0)
+    snapped = np.split(lo + np.argmax(height, axis=1), np.cumsum([b.size for b in beats])[:-1])
     min_dist = int(round(0.2 * fs))
-    for p in refined:
-        if keep and p - keep[-1] < min_dist:
-            if np.abs(bp[p]) > np.abs(bp[keep[-1]]):
-                keep[-1] = int(p)
-        else:
-            keep.append(int(p))
-    return np.asarray(keep, dtype=np.int64)
+    out = []
+    for row, refined in zip(bp, snapped):
+        keep: list[int] = []
+        for p in np.unique(refined).tolist():
+            if keep and p - keep[-1] < min_dist:
+                if np.abs(row[p]) > np.abs(row[keep[-1]]):
+                    keep[-1] = p
+            else:
+                keep.append(p)
+        out.append(np.asarray(keep, dtype=np.int64))
+    return out

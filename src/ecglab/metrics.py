@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import detect_qrs
+from .dsp import detect_qrs_rows
+from .models import INFER_BATCH
 from .signals import Signal, SignalPair, csv_table
 
 CSV_HEADER = "dataset_tag,mse,snr_db,delta_hr_hz"
@@ -51,35 +52,58 @@ def snr_db(clean: Signal, test: Signal) -> float:
     return 10.0 * math.log10(signal_energy / residual)
 
 
-def _delta_hr_from(clean_hr: float, clean: Signal, denoised: Signal) -> float:
-    """Absolute heart-rate difference in Hz between `clean_hr` and the QRS-detected rate of `denoised`."""
-    if clean.sample_rate_hz != denoised.sample_rate_hz:
-        raise ValueError("sample rate mismatch")
-    return abs(clean_hr - detect_qrs(denoised).heart_rate_hz)
+def _heart_rates(signals: list[Signal]) -> list[float]:
+    """QRS-detected heart rate of each signal: one stacked detection per
+    (length, sample rate) among them."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, s in enumerate(signals):
+        groups.setdefault((s.length, s.sample_rate_hz), []).append(i)
+    rates = [0.0] * len(signals)
+    for (_, fs), idx in groups.items():
+        for i, ann in zip(idx, detect_qrs_rows(np.stack([signals[i].samples for i in idx]), fs)):
+            rates[i] = ann.heart_rate_hz
+    return rates
 
 
-def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricReport:
-    """Aggregate mse / snr / delta-HR of `denoise` over clean-noisy pairs.
+def evaluate_denoisers(denoisers: dict, pairs: list[SignalPair]) -> list[MetricReport]:
+    """One MetricReport per (tag, denoise) of `denoisers`, in its order:
+    the mean over clean-noisy pairs of mse, snr and delta-HR, the absolute
+    difference between the QRS-detected heart rates of the clean signal
+    and of the restored one.
 
-    `denoise` is called once with the list of all noisy signals and
-    returns the list of restored signals in the same order, so a network
-    can run them as one batch; a Signal -> Signal filter is mapped over
-    the list by the caller. Pass None to score the raw noisy signals
-    (the no-filtering row). The clean heart rates are cached on the
-    pairs, so scoring several methods on one pair list detects QRS on
-    each clean signal once.
+    Each `denoise` is called with a list of noisy signals and returns the
+    list of restored signals in the same order, so a network can run them
+    as one batch; a Signal -> Signal filter is mapped over the list by the
+    caller. None scores the raw noisy signals (the no-filtering row).
+
+    Pairs are scored in chunks of `models.INFER_BATCH`: each denoise runs
+    once per chunk, and one QRS detection runs over the chunk's clean
+    signals and every method's restored ones, so each clean signal is
+    detected once and the detector's filter runs once per chunk.
     """
     if not pairs:
         raise ValueError("no pairs to evaluate")
-    noisy = [pair.noisy for pair in pairs]
-    mses, snrs, dhrs = [], [], []
-    for pair, restored in zip(pairs, noisy if denoise is None else denoise(noisy), strict=True):
-        mses.append(mse(pair.clean, restored))
-        snrs.append(snr_db(pair.clean, restored))
-        dhrs.append(_delta_hr_from(pair.clean_heart_rate_hz, pair.clean, restored))
-    return MetricReport(
-        dataset_tag=tag,
-        mse=float(np.mean(mses)),
-        snr_db=float(np.mean(snrs)),
-        delta_hr_hz=float(np.mean(dhrs)),
-    )
+    scores = {tag: ([], [], []) for tag in denoisers}
+    for start in range(0, len(pairs), INFER_BATCH):
+        chunk = pairs[start : start + INFER_BATCH]
+        noisy = [pair.noisy for pair in chunk]
+        restored = [noisy if fn is None else list(fn(noisy)) for fn in denoisers.values()]
+        for rows, (mses, snrs, _) in zip(restored, scores.values()):
+            for pair, s in zip(chunk, rows, strict=True):
+                mses.append(mse(pair.clean, s))
+                snrs.append(snr_db(pair.clean, s))
+                if s.sample_rate_hz != pair.clean.sample_rate_hz:
+                    raise ValueError("sample rate mismatch")
+        rates = _heart_rates([pair.clean for pair in chunk] + [s for rows in restored for s in rows])
+        clean_hr, rates = rates[: len(chunk)], rates[len(chunk) :]
+        for k, (_, _, dhrs) in enumerate(scores.values()):
+            dhrs += [abs(c - r) for c, r in zip(clean_hr, rates[k * len(chunk) : (k + 1) * len(chunk)])]
+    return [
+        MetricReport(dataset_tag=tag, mse=float(np.mean(m)), snr_db=float(np.mean(s)), delta_hr_hz=float(np.mean(d)))
+        for tag, (m, s, d) in scores.items()
+    ]
+
+
+def evaluate_denoiser(denoise, pairs: list[SignalPair], tag: str) -> MetricReport:
+    """`evaluate_denoisers` of the one method `denoise`, tagged `tag`."""
+    return evaluate_denoisers({tag: denoise}, pairs)[0]

@@ -43,7 +43,6 @@ callers pass counts such as a step or a size as ``str``.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -158,30 +157,37 @@ class SignalPair:
         if self.clean.sample_rate_hz != self.noisy.sample_rate_hz:
             raise ValueError("clean/noisy sample rate mismatch")
 
-    @functools.cached_property
-    def clean_heart_rate_hz(self) -> float:
-        """QRS-detected heart rate of the clean signal, computed once per pair
-        and reused by every method row scored against it."""
-        from .dsp import detect_qrs  # dsp imports this module
-
-        return detect_qrs(self.clean).heart_rate_hz
-
 
 def scale_to_unit(s: Signal) -> Signal:
     """Affine rescaling so min -> -1 and max -> +1 exactly; constant signals map to zeros."""
     if s.length == 0:
         raise ValueError("cannot scale an empty signal")
-    lo = float(s.samples.min())
-    hi = float(s.samples.max())
-    if hi == lo:
-        return Signal(np.zeros(s.length), s.sample_rate_hz)
-    if lo == -1.0 and hi == 1.0:
+    if s.samples.min() == -1.0 and s.samples.max() == 1.0:
         return s
-    x = s.samples
-    if math.isinf(hi - lo):  # a range past float64's: halved, which is exact above the subnormals
-        x, lo, hi = x / 2, lo / 2, hi / 2
-    unit = (x - lo) / (hi - lo)  # endpoints land on 0 and 1 exactly
-    return Signal(2.0 * unit - 1.0, s.sample_rate_hz)
+    return Signal(scale_rows_to_unit(s.samples[None].copy())[0], s.sample_rate_hz)
+
+
+def scale_rows_to_unit(x: np.ndarray) -> np.ndarray:
+    """`scale_to_unit` of each row of the writable, non-empty float64
+    [rows, n] array `x`, in place; returns `x`. Rows whose min and max are
+    already -1 and +1 are left as they are, constant rows become zeros."""
+    lo = x.min(axis=1, keepdims=True)
+    hi = x.max(axis=1, keepdims=True)
+    kept = (lo == -1.0) & (hi == 1.0)
+    rescale = ~kept if kept.any() else True  # True: the plain, unmasked loops
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi - lo)
+    if wide.any():  # a range past float64's: halved, which is exact above the subnormals
+        np.divide(x, 2, out=x, where=wide)
+        lo, hi = np.where(wide, lo / 2, lo), np.where(wide, hi / 2, hi)
+    span = hi - lo
+    flat = span == 0.0
+    np.subtract(x, lo, out=x, where=rescale)
+    np.divide(x, np.where(flat, 1.0, span), out=x, where=rescale)  # endpoints land on 0 and 1 exactly
+    np.multiply(x, 2.0, out=x, where=rescale)
+    np.subtract(x, 1.0, out=x, where=rescale)
+    x[flat[:, 0]] = 0.0
+    return x
 
 
 # ---------------------------------------------------------------------------

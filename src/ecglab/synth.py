@@ -11,7 +11,7 @@ BASELINE_COUPLING constants), so a signal is set by its heart rate,
 sample rate and duration alone (`McSharryParams`). The trajectory starts
 on the unit cycle, so its phase is analytic and z obeys a linear ODE with
 a known forcing: its RK4 steps are one first-order linear recurrence,
-solved by one filter call per signal.
+run for a whole batch at once as one loop over time.
 
 The forcing needs each event's phase offset reduced modulo 2*pi. The
 remainder is computed exactly, with a Cody-Waite split of 2*pi (Cody and
@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .config import RunConfig
-from .signals import Signal, SignalPair, scale_to_unit
+from .signals import Signal, SignalPair, scale_rows_to_unit
 
 # P, Q, R, S, T events of McSharry et al. 2003: angular positions (rad),
 # amplitudes, widths; and the coupling of z to its baseline
@@ -155,16 +154,17 @@ def _event_term(wt: np.ndarray, theta: float, amp: float, width: float) -> np.nd
     return dtheta
 
 
-def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
-    """z at the first n sample times of the trajectory from (-1, 0, 0).
+def _mcsharry_forcing(p: McSharryParams, n: int) -> tuple[np.ndarray, float]:
+    """(u, a) of the recurrence z+ = a*z + u whose n steps from z = 0 are
+    the RK4 steps of z along the trajectory from (-1, 0, 0); `a` depends on
+    the sample rate alone.
 
     The start lies on the unit cycle opposite the R event (so beats land
     away from the edges); there alpha is 0 and the phase is pi + omega*t
     exactly. The forcing g(t) = -sum a_i dtheta_i exp(-dtheta_i^2 / 2 b_i^2)
     + c*z0(t) is therefore known in advance on the half-step grid that the
     RK4 stages read. As z' = g - c*z is linear in z, each RK4 step is
-    z+ = a*z + u, with a the 4th-order Taylor polynomial of exp(-c*dt),
-    and one lfilter call runs all n steps.
+    z+ = a*z + u, with `a` the 4th-order Taylor polynomial of exp(-c*dt).
 
     dtheta_i = (omega*t - theta_i) mod 2pi - pi is wrapped by `_wrap_2pi`,
     exact for fewer than WRAP_TURNS beats. The events are summed one
@@ -186,20 +186,23 @@ def _mcsharry_z(p: McSharryParams, n: int) -> np.ndarray:
     k3 = g_half - 0.5 * h * k2
     k4 = g1 - h * k3
     u = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
-    z = sps.lfilter([1.0], [1.0, -a], u)  # z[i] is the state after step i
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise IntegrationError(f"non-finite state at t={bad[0] * dt:.4f}s")
-    return np.concatenate([[0.0], z[:-1]])
+    return u, 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
+
+
+# signals whose recurrence runs as one loop over time: a chunk's states are
+# one [chunk, n + 1] float64 array
+MCSHARRY_CHUNK = 128
 
 
 def mcsharry_batch(params: list[McSharryParams]) -> list[Signal]:
     """One clean signal per parameter set (shared sample rate and duration).
 
     Each is z on the analytic phase pi + omega*t, stepped once per sample
-    by the exact RK4 recurrence z+ = a*z + u (see `_mcsharry_z`), scaled to
-    [-1, 1]. Entries are computed one by one, so they are bit-equal to
+    by the exact RK4 recurrence z+ = a*z + u (see `_mcsharry_forcing`),
+    scaled to [-1, 1]. The recurrence runs for MCSHARRY_CHUNK signals at a
+    time, as one loop over time that updates a column of all their states
+    per step. Each signal gets the bits of
+    ``scipy.signal.lfilter([1], [1, -a], u)``, so entries are bit-equal to
     single calls.
     """
     if not params:
@@ -209,7 +212,29 @@ def mcsharry_batch(params: list[McSharryParams]) -> list[Signal]:
     if any(p.sample_rate_hz != fs or p.duration_s != dur for p in params):
         raise ValueError("batch entries must share sample rate and duration")
     n = params[0].sample_count
-    return [scale_to_unit(Signal(_mcsharry_z(p, n), fs)) for p in params]
+    out = []
+    for i in range(0, len(params), MCSHARRY_CHUNK):
+        chunk = params[i : i + MCSHARRY_CHUNK]
+        z = np.empty((len(chunk), n + 1))  # z[:, i] is the state before step i
+        z[:, 0] = 0.0
+        for row, p in zip(z, chunk):
+            row[1:], a = _mcsharry_forcing(p, n)
+        a = np.full(len(chunk), a)
+        az = np.empty(len(chunk))
+        steps = z.T
+        mul, add = np.multiply, np.add
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+            for before, after in zip(steps, steps[1:]):  # after holds u until it is stepped
+                mul(a, before, az)
+                add(after, az, after)
+        # a > 0 (a quartic Taylor polynomial of exp has no real root), so a
+        # non-finite state stays non-finite: the last one tells
+        if not np.isfinite(z[:, -1]).all():
+            bad = ~np.isfinite(z[:, 1:])
+            first = bad[int(np.argmax(bad.any(axis=1)))]
+            raise IntegrationError(f"non-finite state at t={np.argmax(first) * (1.0 / fs):.4f}s")
+        out += [Signal(row, fs) for row in scale_rows_to_unit(z[:, :n])]  # scaled in place
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,35 @@ def test_desk_chain_is_byte_identical_on_rerun(tmp_path, capsys):
         assert name in first
 
 
+def test_eval_below_the_qrs_band_exits_1_with_one_line(tmp_path, capsys):
+    """At 10 Hz the detector's 5-15 Hz band has no room (its top edge is 4.5 Hz)."""
+    clean, pairs = tmp_path / "c.ecgd", tmp_path / "p.ecg2"
+    assert main(["synth", "--model", "mcsharry", "--count", "2", "--sample-rate", "10", "--duration", "30",
+                 "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--method", "none", "--pairs", str(pairs)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("ecglab: error: QRS detection's 5-15 Hz bandpass needs a sample rate above 11.11 Hz"
+                       " (its top edge is 0.45 * the rate below 33.3 Hz), got 10.0 Hz\n")
+
+
+_SCIPY_FREE_CHAIN = """
+import sys
+from pathlib import Path
+import ecglab.cli
+import test_cli
+test_cli._desk_chain(Path(sys.argv[1]), seed=4)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_the_desk_chain_never_imports_scipy(tmp_path):
+    """scipy is a test-only reference: no command of the pipeline loads it."""
+    assert _python(_SCIPY_FREE_CHAIN, tmp_path).splitlines()[-1] == "[]"
+
+
 def test_eval_all_detects_qrs_once_per_clean_signal(tmp_path, monkeypatch):
     clean, pairs, cfg = tmp_path / "c.ecgd", tmp_path / "p.ecg2", tmp_path / "cfg.txt"
     cfg.write_text("model_dim = 2\nbatch_size = 4\nepochs = 1\n")
@@ -513,20 +542,21 @@ def test_eval_all_detects_qrs_once_per_clean_signal(tmp_path, monkeypatch):
     assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
     assert main(["train", "denoiser", "--config", str(cfg), "--data", str(pairs),
                  "--out", str(tmp_path / "den")]) == 0
-    calls = []
-    detect = dsp.detect_qrs
+    stacks = []
+    detect = dsp.detect_qrs_rows
 
-    def counting(s):
-        calls.append(s)
-        return detect(s)
+    def counting(x, fs):
+        stacks.append(len(x))
+        return detect(x, fs)
 
-    monkeypatch.setattr(dsp, "detect_qrs", counting)
-    monkeypatch.setattr(metrics, "detect_qrs", counting)
+    monkeypatch.setattr(dsp, "detect_qrs_rows", counting)
+    monkeypatch.setattr(metrics, "detect_qrs_rows", counting)
     assert main(["eval", "--all", "--pairs", str(pairs), "--checkpoint", str(tmp_path / "den" / "denoiser.ecgw"),
                  "--out", str(tmp_path / "eval.csv")]) == 0
     rows = len((tmp_path / "eval.csv").read_text().splitlines()) - 1
     assert rows == 4
-    assert len(calls) == 6 + 6 * rows
+    # one stack: the 6 clean signals, then each method's 6 restored ones
+    assert stacks == [6 + 6 * rows]
 
 
 # ---------------------------------------------------------------------------

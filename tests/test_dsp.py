@@ -302,3 +302,117 @@ def test_filters_follow_the_sample_rate():
         assert got[:2] == expected[:2]
         for a, b in zip(got[2:], expected[2:]):
             assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the numpy forms of scipy.signal, checked against scipy as the reference
+
+# 11.2-33.3 Hz: the top band edge is 0.45 * the rate
+_DESIGN_RATES = np.concatenate([np.linspace(11.2, 33.3, 48), np.geomspace(33.3, 4000.0, 160),
+                                [100.0, 128.0, 250.0, 256.0, 360.0, 500.0, 1000.0]])
+
+
+def test_qrs_band_design_is_bit_equal_to_butter_and_sosfilt_zi():
+    for fs in _DESIGN_RATES.tolist():
+        sos, zi, edge = dsp._qrs_bandpass_sos.__wrapped__(fs)
+        want = sps.butter(2, [5.0, min(15.0, 0.45 * fs)], btype="bandpass", fs=fs, output="sos")
+        assert sos.tobytes() == want.tobytes(), fs
+        assert zi.tobytes() == sps.sosfilt_zi(want).tobytes(), fs
+        assert edge == 3 * (2 * len(want) + 1)  # sosfiltfilt's default pad: no section has a zero tap
+
+
+@pytest.mark.parametrize("fs", [0.5, 10.0, 11.1])
+def test_qrs_band_below_its_low_edge_is_refused_naming_the_rate(fs):
+    with pytest.raises(ValueError) as info:
+        detect_qrs(Signal(np.random.default_rng(0).normal(size=400), fs))
+    assert str(info.value) == (f"QRS detection's 5-15 Hz bandpass needs a sample rate above 11.11 Hz"
+                               f" (its top edge is 0.45 * the rate below 33.3 Hz), got {fs} Hz")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 320])
+@pytest.mark.parametrize("n", [16, 17, 129, 1000, 5030])
+def test_stacked_sosfilt_is_bit_equal_to_sosfilt(rows, n):
+    sos, zi, _ = dsp._qrs_bandpass_sos(250.0)
+    x = np.random.default_rng(rows * n).normal(size=(rows, n)) * np.geomspace(1e-3, 1e3, rows)[:, None]
+    zi_rows = zi[:, :, None] * x[:, 0]  # [section, 2, row]
+    want, _ = sps.sosfilt(sos.copy(), x, zi=zi_rows.transpose(0, 2, 1))
+    t = np.ascontiguousarray(x.T)
+    dsp._sosfilt_rows(sos, t, zi_rows)
+    assert np.ascontiguousarray(t.T).tobytes() == want.tobytes()
+
+
+def test_stacked_bandpass_is_bit_equal_to_sosfiltfilt_per_row():
+    x = np.random.default_rng(5).normal(size=(7, 1200)) * np.array([1e-6, 1e-3, 1, 1, 1, 1e3, 1e6])[:, None]
+    sos = dsp._qrs_bandpass_sos(500.0)[0].copy()
+    got = dsp._qrs_bandpass(x, 500.0)
+    for row, want in zip(got, x):
+        assert row.tobytes() == sps.sosfiltfilt(sos, want).tobytes()
+
+
+def test_stacked_detection_matches_the_recorded_peaks(golden_pairs):
+    """The six golden signals detected as one stack, between two constant
+    rows (no beats) and a ramp (detected as on its own)."""
+    keys = list(QRS_GOLDEN)
+    ramp = np.linspace(-1, 1, 5000)
+    rows = [np.zeros(5000)] + [getattr(golden_pairs[hr], kind).samples for kind, hr in keys]
+    anns = dsp.detect_qrs_rows(np.stack(rows + [np.full(5000, 3.0), ramp]), 500.0)
+    want = [([], 0.0)] + [QRS_GOLDEN[k] for k in keys] + [([], 0.0)]
+    want.append(tuple(getattr(detect_qrs(Signal(ramp, 500.0)), f) for f in ("peak_indices", "heart_rate_hz")))
+    assert [(a.peak_indices.tolist(), a.heart_rate_hz) for a in anns] == [(list(p), r) for p, r in want]
+
+
+def test_short_rows_have_no_beats():
+    assert [a.peak_indices.size for a in dsp.detect_qrs_rows(np.ones((3, 15)).cumsum(axis=1), 500.0)] == [0] * 3
+
+
+# small integers: plateaus everywhere, touching either end, constant rows
+_PEAK_ROWS = st.one_of(
+    st.lists(st.integers(-2, 2), max_size=40),
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 2.0, 7.0]), max_size=12),
+    st.lists(st.floats(-1e6, 1e6), max_size=30),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_PEAK_ROWS)
+def test_local_maxima_are_find_peaks(values):
+    x = np.array(values, dtype=np.float64)
+    assert dsp._local_maxima(x).tolist() == sps.find_peaks(x)[0].tolist()
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0, 1.0], [3.0, 3.0, 3.0],
+                                    [0, 1, 1, 0], [0, 1, 1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 2, 1, 1, 2, 0]])
+def test_local_maxima_on_short_and_flat_rows(values):
+    x = np.array(values, dtype=np.float64)
+    assert dsp._local_maxima(x).tolist() == sps.find_peaks(x)[0].tolist()
+
+
+def _refine_one_row(peaks, bp, fs):
+    """The per-peak loop that `dsp._refine_peaks` replaced, kept as its reference."""
+    if peaks.size == 0:
+        return peaks
+    half = max(1, int(round(0.10 * fs)))
+    refined = []
+    for p in peaks:
+        lo = max(0, p - half)
+        hi = min(bp.size, p + half // 2 + 1)
+        refined.append(lo + int(np.argmax(np.abs(bp[lo:hi]))))
+    keep = []
+    for p in np.unique(np.asarray(refined, dtype=np.int64)):
+        if keep and p - keep[-1] < int(round(0.2 * fs)):
+            if np.abs(bp[p]) > np.abs(bp[keep[-1]]):
+                keep[-1] = int(p)
+        else:
+            keep.append(int(p))
+    return np.asarray(keep, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), fs=st.sampled_from([40.0, 128.0, 500.0]), rows=st.integers(1, 4))
+def test_stacked_refine_matches_the_per_peak_loop(seed, fs, rows):
+    """Windows cut by either end, empty rows, and |bp| ties (small integers)."""
+    g = np.random.default_rng(seed)
+    bp = g.integers(-3, 4, size=(rows, 300)).astype(np.float64)
+    beats = [np.unique(g.integers(0, 300, size=g.integers(0, 12))) for _ in range(rows)]
+    got = dsp._refine_peaks(beats, bp, fs)
+    assert [r.tolist() for r in got] == [_refine_one_row(b, row, fs).tolist() for b, row in zip(beats, bp)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecglab import synth
+from ecglab import metrics, synth
 from ecglab.metrics import (
     CSV_HEADER,
     MetricReport,
@@ -142,3 +142,26 @@ def test_csv_header_and_row_shape():
 def test_report_validation():
     with pytest.raises(ValueError):
         MetricReport("bad", mse=0.0, snr_db=0.0, delta_hr_hz=-0.1)
+
+
+def _halved(noisy):
+    return [Signal(s.samples / 2, s.sample_rate_hz) for s in noisy]
+
+
+def test_reports_do_not_depend_on_the_chunk_size(ecg_60bpm, ecg_90bpm, monkeypatch):
+    pairs = synth.make_training_pairs([ecg_60bpm, ecg_90bpm] * 3, gamma=1.0, seed=2)
+    denoisers = {"none": None, "halved": _halved}
+    whole = metrics.evaluate_denoisers(denoisers, pairs)
+    monkeypatch.setattr(metrics, "INFER_BATCH", 4)  # chunks of 4 and 2 pairs
+    assert metrics.evaluate_denoisers(denoisers, pairs) == whole
+    assert [metrics.evaluate_denoiser(fn, pairs, tag) for tag, fn in denoisers.items()] == whole
+
+
+def test_pairs_of_two_lengths_are_scored_as_apart(ecg_60bpm, ecg_90bpm):
+    """Signals of each length are detected in their own stack."""
+    short = Signal(ecg_90bpm.samples[:3000], 500.0)
+    pairs = synth.make_training_pairs([ecg_60bpm, short], gamma=1.0, seed=4)
+    both = evaluate_denoiser(_halved, pairs, "x")
+    apart = [evaluate_denoiser(_halved, [p], "x") for p in pairs]
+    assert both.delta_hr_hz == float(np.mean([r.delta_hr_hz for r in apart]))
+    assert both.mse == float(np.mean([r.mse for r in apart]))

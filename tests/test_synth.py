@@ -167,8 +167,9 @@ def test_wrap_is_bit_equal_to_np_mod_around_multiples_up_to_the_bound():
 
 
 def _np_mod_z(p: McSharryParams, n: int) -> np.ndarray:
-    """The np.mod form of `synth._mcsharry_z`: one np.mod over the
-    (2n+1, 5) grid and a 5-wide sum."""
+    """The np.mod form of the z that `synth.mcsharry_batch` steps: one
+    np.mod over the (2n+1, 5) grid, a 5-wide sum, and scipy's lfilter for
+    the recurrence."""
     dt = 1.0 / p.sample_rate_hz
     c = synth.BASELINE_COUPLING
     t = np.arange(2 * n + 1) * (0.5 * dt)
