@@ -12,7 +12,6 @@ from .signals import (
     Signal,
     SignalPair,
     read_dataset,
-    read_pairs,
     scale_rows_to_unit,
     write_dataset,
     write_pairs,
@@ -60,7 +59,6 @@ __all__ = [
     "mel_spectrogram",
     "mse",
     "read_dataset",
-    "read_pairs",
     "scale_rows_to_unit",
     "snr_db",
     "transfer_critic_to_denoiser",

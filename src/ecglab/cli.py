@@ -42,7 +42,6 @@ from .signals import (
     Signal,
     read_dataset,
     read_dataset_f32,
-    read_pairs,
     read_pairs_f32,
     write_dataset,
     write_pairs,
@@ -183,8 +182,8 @@ EVAL_METHOD_ORDER = ("none", "bandpass", "wavelet", "denoiser")
 
 
 def cmd_eval(args) -> int:
-    pairs = read_pairs(args.pairs)
-    if not pairs:
+    clean, noisy, fs = read_pairs_f32(args.pairs)
+    if not len(clean):
         raise ValueError("no pairs to evaluate")
     methods = list(EVAL_METHOD_ORDER) if args.all else [args.method]
     if "denoiser" in methods and not args.checkpoint:
@@ -197,19 +196,19 @@ def cmd_eval(args) -> int:
         if method == "none":
             denoisers[method] = None
         elif method == "denoiser":
-            net = models.from_checkpoint("denoiser", load_params(args.checkpoint), pairs[0].clean.length)
+            net = models.from_checkpoint("denoiser", load_params(args.checkpoint), clean.shape[1])
             denoisers[method] = training.network_denoiser(net)
         else:
             filt = bandpass_filter if method == "bandpass" else wavelet_filter
-            denoisers[method] = lambda noisy, filt=filt: [filt(s) for s in noisy]
-    reports = evaluate_denoisers(denoisers, pairs)
+            denoisers[method] = lambda x, filt=filt: np.stack([filt(Signal(row, fs)).samples for row in x])
+    reports = evaluate_denoisers(denoisers, clean[:, :, 0], noisy[:, :, 0], fs)
     return _write_table(reports_to_csv(reports), args.out, f"{len(reports)} report rows")
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    real = read_pairs(args.real)
-    synthetic = read_pairs(args.synthetic)
+    real = read_pairs_f32(args.real)
+    synthetic = read_pairs_f32(args.synthetic)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     comps = tuple(args.compositions.split(","))
     rows = training.ablation_sweep(real, synthetic, sizes, cfg, args.seed, compositions=comps)

@@ -29,9 +29,12 @@ returns its samples as read-only f32 ``[N, L, 1]`` views of the file's
 bytes: ``read_dataset_f32`` (samples, labels, rate) and
 ``read_pairs_f32`` (clean, noisy, rate). The trainers of the generator
 and the denoiser take those arrays as they are, so a training set is held
-once, at the file's size. ``read_dataset`` and ``read_pairs`` build
-float64 ``Signal``s on top of them for everything else: DSP, ``eval``,
-``sweep`` and the classifier.
+once, at the file's size, and ``eval`` and ``sweep`` score the pair
+arrays as they are. ``read_dataset`` builds float64 ``Signal``s on top of
+its arrays for ``noise``, which corrupts a dataset signal by signal. No
+command reads ``read_pairs``' ``SignalPair``s, the in-memory pairs that
+``metrics.evaluate_denoiser`` scores; the benchmark's tests and this
+package's tests do.
 
 Every CSV table the pipeline writes (the training logs, ``eval`` and
 ``sweep``) is made by ``csv_table``: a header line, then one line per row,
@@ -158,19 +161,11 @@ class SignalPair:
             raise ValueError("clean/noisy sample rate mismatch")
 
 
-def scale_to_unit(s: Signal) -> Signal:
-    """Affine rescaling so min -> -1 and max -> +1 exactly; constant signals map to zeros."""
-    if s.length == 0:
-        raise ValueError("cannot scale an empty signal")
-    if s.samples.min() == -1.0 and s.samples.max() == 1.0:
-        return s
-    return Signal(scale_rows_to_unit(s.samples[None].copy())[0], s.sample_rate_hz)
-
-
 def scale_rows_to_unit(x: np.ndarray) -> np.ndarray:
-    """`scale_to_unit` of each row of the writable, non-empty float64
-    [rows, n] array `x`, in place; returns `x`. Rows whose min and max are
-    already -1 and +1 are left as they are, constant rows become zeros."""
+    """Affine rescaling of each row of the writable, non-empty float64
+    [rows, n] array `x`, in place, so that its min lands on -1 and its max
+    on +1 exactly; returns `x`. Rows whose min and max are already -1 and
+    +1 are left as they are, constant rows become zeros."""
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
     kept = (lo == -1.0) & (hi == 1.0)

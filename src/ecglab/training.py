@@ -15,10 +15,10 @@ from . import models
 from .autodiff import Tensor
 from .config import RunConfig
 from .dsp import MEL_BANDS, SPEC_FRAMES, mel_spectrogram
-from .metrics import MetricReport, evaluate_denoiser
+from .metrics import MetricReport, evaluate_denoisers
 from .models import Network
 from .optim import AdamState, adam_step, zero_grads
-from .signals import Signal, SignalPair, csv_table
+from .signals import Signal, csv_table
 
 
 @dataclass(frozen=True)
@@ -58,30 +58,11 @@ class DivergenceError(RuntimeError):
     """A training loss, a validation score or a trained parameter became NaN or inf."""
 
 
-def _signals_to_array(signals: list[Signal], what: str) -> np.ndarray:
-    """[N, L, 1] samples, stacked once straight into ``autodiff.DTYPE``:
-    the one check between ``Signal``s, whose samples are finite, and a
-    network's input. ValueError for no signals (``no {what}s``), for
-    signals of different lengths, and naming the first signal with a
-    sample that the cast turned into inf, as ``signals.write_dataset``
-    refuses one."""
-    if not signals:
-        raise ValueError(f"no {what}s")
-    if any(s.length != signals[0].length for s in signals):
-        raise ValueError(f"all {what}s must share one length")
-    with np.errstate(over="ignore"):
-        out = np.stack([s.samples for s in signals], dtype=ad.DTYPE)[:, :, None]
-    bad = np.isinf(out).any(axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"{what} {int(np.argmax(bad))} holds a sample that overflows {out.dtype}")
-    return out
-
-
 def _check_training_array(x: np.ndarray, what: str) -> None:
     """ValueError unless `x` is a non-empty [N, L, 1] array of
     ``autodiff.DTYPE``, the layout of the float32 readers
-    (``signals.read_dataset_f32``, ``signals.read_pairs_f32``) and of
-    ``_signals_to_array``; ``no {what}s`` when it is empty."""
+    (``signals.read_dataset_f32``, ``signals.read_pairs_f32``); ``no
+    {what}s`` when it is empty."""
     if x.dtype != ad.DTYPE or x.ndim != 3 or x.shape[2] != 1:
         raise ValueError(f"{what}s must be a {np.dtype(ad.DTYPE)} [N, L, 1] array, got {x.dtype} {x.shape}")
     if len(x) == 0:
@@ -159,10 +140,10 @@ def train_gan(
     """Adversarial training: `critic_updates` critic steps per generator step.
 
     `real` holds the finite training signals as one [N, L, 1] array of
-    ``autodiff.DTYPE``: the samples ``signals.read_dataset_f32`` returns,
-    or ``_signals_to_array`` of ``Signal``s. It is only read, and may be a
-    read-only view of a file's bytes; each batch and the held-out rows
-    are copied out of it, so the training set is never held twice.
+    ``autodiff.DTYPE``, as ``signals.read_dataset_f32`` returns them. It
+    is only read, and may be a read-only view of a file's bytes; each
+    batch and the held-out rows are copied out of it, so the training set
+    is never held twice.
 
     The critic minimizes E[C(fake)] - E[C(real)] + lambda * GP, the
     generator minimizes -E[C(fake)]. Phase shuffle is active in the
@@ -389,9 +370,9 @@ def train_denoiser(
 
     `clean` and `noisy` hold the finite pairs as two [N, L, 1] arrays of
     ``autodiff.DTYPE``, row i of each one pair: the halves
-    ``signals.read_pairs_f32`` returns, or ``_signals_to_array`` of each
-    side of ``SignalPair``s. They are only read, and may be read-only
-    views of a file's bytes; batches are copied out of them.
+    ``signals.read_pairs_f32`` returns, or rows copied out of them. They
+    are only read, and may be read-only views of a file's bytes; batches
+    are copied out of them.
 
     Variants: `phase_shuffle` inserts shuffles before each encoder
     convolution (training only); `pretrained` starts the encoder from a
@@ -424,14 +405,9 @@ def _mse_numpy(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def network_denoiser(net: Network):
-    """`evaluate_denoiser`'s denoise function for a trained denoiser: one
-    batched inference over the noisy signals."""
-
-    def denoise(noisy: list[Signal]) -> list[Signal]:
-        out = models.infer(net, _signals_to_array(noisy, "noisy signal"))
-        return [Signal(y[:, 0], s.sample_rate_hz) for y, s in zip(out, noisy)]
-
-    return denoise
+    """`metrics.evaluate_denoisers`' denoise function for a trained
+    denoiser: one batched inference over the [n, L] noisy rows."""
+    return lambda noisy: models.infer(net, noisy[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +441,8 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 
 def ablation_sweep(
-    real: list[SignalPair],
-    synthetic: list[SignalPair],
+    real: tuple[np.ndarray, np.ndarray, float],
+    synthetic: tuple[np.ndarray, np.ndarray, float],
     sizes: list[int],
     cfg: RunConfig,
     seed: int,
@@ -474,8 +450,10 @@ def ablation_sweep(
 ) -> list[SweepRow]:
     """One trained denoiser per (composition, size); rows sorted by both keys.
 
-    A held-out SWEEP_TEST_FRACTION of each dataset provides the real and
-    synthetic evaluation sets shared by every row.
+    `real` and `synthetic` are each a pair set as ``signals.read_pairs_f32``
+    returns it: (clean, noisy, sample rate); both must share one length
+    and one rate. A held-out SWEEP_TEST_FRACTION of each provides the real
+    and synthetic evaluation sets shared by every row.
     """
     for comp in compositions:
         if comp not in COMPOSITIONS:
@@ -488,44 +466,43 @@ def ablation_sweep(
         twice = [v for i, v in enumerate(values) if v in values[:i]]
         if twice:
             raise ValueError(f"{kind} {twice[0]!r} is given twice")
+    (real_len, real_fs), (synth_len, synth_fs) = ((x[0].shape[1], x[2]) for x in (real, synthetic))
+    if (real_len, real_fs) != (synth_len, synth_fs):
+        raise ValueError(f"real pairs are {real_len} samples at {real_fs} Hz but synthetic pairs are"
+                         f" {synth_len} samples at {synth_fs} Hz")
     rng = np.random.default_rng(seed)
-    real = [real[i] for i in rng.permutation(len(real))]
-    synthetic = [synthetic[i] for i in rng.permutation(len(synthetic))]
-    n_test_r = max(1, int(round(SWEEP_TEST_FRACTION * len(real))))
-    n_test_s = max(1, int(round(SWEEP_TEST_FRACTION * len(synthetic))))
-    test_real, pool_real = real[:n_test_r], real[n_test_r:]
-    test_synth, pool_synth = synthetic[:n_test_s], synthetic[n_test_s:]
+    sets = {"real": real, "synthetic": synthetic}
+    test, pool = {}, {}
+    for name, (clean, _, _) in sets.items():  # one permutation each, the real pairs' first
+        order = rng.permutation(len(clean))
+        n_test = max(1, int(round(SWEEP_TEST_FRACTION * len(clean))))
+        test[name], pool[name] = order[:n_test], order[n_test:]
 
     rows = []
     for comp in sorted(compositions):
         for size in sorted(sizes):
-            train_pairs = _compose(pool_real, pool_synth, comp, size, rng)
-            noisy = _signals_to_array([p.noisy for p in train_pairs], "training pair")
-            clean = _signals_to_array([p.clean for p in train_pairs], "training pair")
+            parts, order = _compose(pool, comp, size, rng)
+            clean, noisy = (np.concatenate([sets[name][k][idx] for name, idx in parts])[order] for k in (0, 1))
             net, _ = train_denoiser(clean, noisy, cfg, "baseline", seed)
             denoise = network_denoiser(net)
-            rows.append(
-                SweepRow(
-                    composition=comp,
-                    size=size,
-                    real_report=evaluate_denoiser(denoise, test_real, f"{comp}/{size}/real"),
-                    synthetic_report=evaluate_denoiser(denoise, test_synth, f"{comp}/{size}/synthetic"),
-                )
+            real_report, synthetic_report = (
+                evaluate_denoisers({f"{comp}/{size}/{name}": denoise}, c[test[name], :, 0], x[test[name], :, 0],
+                                   fs)[0]
+                for name, (c, x, fs) in sets.items()
             )
+            rows.append(SweepRow(comp, size, real_report, synthetic_report))
     return rows
 
 
-def _compose(pool_real, pool_synth, comp, size, rng):
-    if comp == "real-only":
-        if size > len(pool_real):
-            raise ValueError(f"size {size} exceeds the {len(pool_real)} available real pairs")
-        return pool_real[:size]
-    if comp == "synthetic-only":
-        if size > len(pool_synth):
-            raise ValueError(f"size {size} exceeds the {len(pool_synth)} available synthetic pairs")
-        return pool_synth[:size]
-    half = size // 2
-    if half > len(pool_real) or size - half > len(pool_synth):
-        raise ValueError(f"size {size} exceeds the available mixed pool")
-    mix = pool_real[:half] + pool_synth[: size - half]
-    return [mix[i] for i in rng.permutation(len(mix))]
+def _compose(pool: dict[str, np.ndarray], comp: str, size: int, rng: np.random.Generator):
+    """The training rows of one sweep row: a list of (pair set name, row
+    indices) parts to concatenate, and the order to put their rows in."""
+    if comp == "mixed":
+        half = size // 2
+        if half > len(pool["real"]) or size - half > len(pool["synthetic"]):
+            raise ValueError(f"size {size} exceeds the available mixed pool")
+        return [("real", pool["real"][:half]), ("synthetic", pool["synthetic"][: size - half])], rng.permutation(size)
+    name = comp.removesuffix("-only")
+    if size > len(pool[name]):
+        raise ValueError(f"size {size} exceeds the {len(pool[name])} available {name} pairs")
+    return [(name, pool[name][:size])], slice(None)

@@ -71,6 +71,17 @@ def assert_grads_match_fd(f, arrays, tol):
         assert rel_err(analytic, numeric_grad(lambda v: dot_probe(name, v), arr)) < tol, name
 
 
+def signal_array(signals):
+    """The trainers' [N, L, 1] ``autodiff.DTYPE`` stack of `signals`, as the float32 readers return it."""
+    return np.stack([s.samples for s in signals]).astype(autodiff.DTYPE)[:, :, None]
+
+
+def pair_set(pairs):
+    """(clean, noisy, sample rate) of `pairs`, as ``signals.read_pairs_f32`` returns them."""
+    rate = pairs[0].clean.sample_rate_hz
+    return signal_array([p.clean for p in pairs]), signal_array([p.noisy for p in pairs]), rate
+
+
 def poison_generator_updates(monkeypatch):
     """Patch training.adam_step to write NaN into the generator's tconv1.w
     after each update it makes: with one generator step, the last update,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecglab import cli, dsp, metrics, models
+from ecglab import cli, dsp, metrics, models, training
 from ecglab.checkpoint import save_params
 from ecglab.cli import main
 from ecglab.signals import LabeledDataset, Signal, SignalPair, read_dataset, read_pairs, write_dataset, write_pairs
@@ -430,6 +430,58 @@ def test_training_data_is_held_once_at_the_file_size(tmp_path, capsys, monkeypat
     assert code == 1 and capsys.readouterr().err == "ecglab: error: stopped before training\n"
     # 6 of the 64 gan signals are held out and copied: 9.4 % of the samples
     assert sample_bytes < live[0] < 1.15 * sample_bytes
+
+
+def test_eval_holds_its_file_once(tmp_path, capsys, monkeypatch):
+    """Live heap at the first QRS detection of `eval`'s chunk loop: the
+    file's samples once, plus one chunk of float64 rows (1.27x the
+    samples); float64 `Signal`s of every clean and noisy row, which
+    outlived the file's bytes, made it 2.27x."""
+    path = tmp_path / "pairs.ecg2"
+    sample_bytes = _write_training_file(path, "denoiser", 1024, 512, np.random.default_rng(0))
+    live = []
+
+    def detect(x, fs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise RuntimeError("stopped at the first detection")
+
+    monkeypatch.setattr(metrics, "detect_qrs_rows", detect)
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--method", "none", "--pairs", str(path)])
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and capsys.readouterr().err == "ecglab: error: stopped at the first detection\n"
+    # a chunk is 64 noisy rows cast to float64 and the 128-row float64 stack of clean and restored rows:
+    # 19 % of the samples
+    assert sample_bytes < live[0] < 1.5 * sample_bytes
+
+
+def _pair_file(work, name, rate, duration):
+    clean, pairs = work / f"{name}.ecgd", work / f"{name}.ecg2"
+    assert main(["synth", "--model", "mcsharry", "--count", "6", "--sample-rate", str(rate), "--duration",
+                 str(duration), "--seed", "3", "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(pairs)]) == 0
+    return pairs
+
+
+@pytest.mark.parametrize("synthetic, compositions, found", [
+    ((64.0, 16.0), "real-only,synthetic-only,mixed", "1024 samples at 64.0 Hz"),
+    ((128.0, 4.0), "real-only,synthetic-only", "512 samples at 128.0 Hz"),
+])
+def test_sweep_refuses_pair_sets_of_two_lengths_or_rates_before_training(tmp_path, capsys, monkeypatch,
+                                                                          synthetic, compositions, found):
+    real = _pair_file(tmp_path, "real", 128.0, 8.0)
+    synthetic = _pair_file(tmp_path, "synthetic", *synthetic)
+    cfg, out, trained = tmp_path / "cfg.txt", tmp_path / "sweep.csv", []
+    cfg.write_text("model_dim = 2\nbatch_size = 2\nepochs = 1\n")
+    monkeypatch.setattr(training, "train_denoiser", lambda *args, **kwargs: trained.append(args) or 1 / 0)
+    capsys.readouterr()
+    assert main(["sweep", "--real", str(real), "--synthetic", str(synthetic), "--sizes", "2",
+                 "--compositions", compositions, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("ecglab: error: real pairs are 1024 samples at 128.0 Hz but synthetic"
+                                       f" pairs are {found}\n")
+    assert trained == [] and not out.exists()
 
 
 def _desk_chain(work, seed):

@@ -10,6 +10,8 @@ from ecglab import config, synth, training
 from ecglab.config import ConfigError, RunConfig, load_config
 from ecglab.signals import Signal
 
+from conftest import signal_array
+
 # a valid value different from the default, per RunConfig field type
 _CHANGE = {
     "int": lambda v: v + 3,
@@ -62,17 +64,17 @@ def _sines(n, length, rate, seed=0):
 
 
 def _run_gan(cfg):
-    training.train_gan(training._signals_to_array(_sines(32, 128, 64.0), "training signal"), cfg, seed=0)
+    training.train_gan(signal_array(_sines(32, 128, 64.0)), cfg, seed=0)
 
 
 def _run_classifier(cfg):
-    samples = training._signals_to_array(_sines(8, 1024, 500.0), "training signal")
+    samples = signal_array(_sines(8, 1024, 500.0))
     labels = np.random.default_rng(0).integers(0, 2, size=(8, 5)).astype(np.uint8)
     training.train_inception(samples, labels, 500.0, cfg, seed=0)
 
 
 def _run_denoiser(cfg):
-    x = training._signals_to_array(_sines(16, 96, 64.0), "training pair")
+    x = signal_array(_sines(16, 96, 64.0))
     training.train_denoiser(x, x, cfg, "phase_shuffle", seed=0)
 
 

@@ -8,7 +8,6 @@ from ecglab import models, training
 from ecglab.autodiff import Tensor
 from ecglab.checkpoint import load_params, save_params
 from ecglab.optim import AdamState, adam_step, zero_grads
-from ecglab.signals import Signal
 from ecglab.training import bce_with_logits, gradient_penalty, mse_loss
 
 from conftest import rel_err
@@ -158,14 +157,25 @@ def test_float64_marker_fails_on_a_float32_leaf():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_training_arrays_are_stacked_once_in_the_network_dtype(dtype, monkeypatch):
-    """The trainers' [N, L, 1] arrays come straight in autodiff.DTYPE, looked
-    up at call time, each sample its rounding to it."""
+def test_network_denoiser_casts_the_rows_once_into_the_network_dtype(dtype, monkeypatch):
+    """The float64 noisy rows that `eval` and `sweep` score reach the
+    denoiser as one [n, L, 1] input in autodiff.DTYPE, looked up at call
+    time, each sample its rounding to it."""
     monkeypatch.setattr(ad, "DTYPE", dtype)
-    samples = np.random.default_rng(3).normal(size=(3, 7))
-    arr = training._signals_to_array([Signal(s, 100.0) for s in samples], "signal")
-    assert arr.dtype == dtype and arr.shape == (3, 7, 1)
-    assert arr[:, :, 0].tobytes() == samples.astype(dtype).tobytes()
+    net = models.build("denoiser", d=2, signal_length=LENGTH, seed=0)
+    forward, inputs = models.Network.forward, []
+
+    def recording(net, x, *args, **kwargs):
+        inputs.append(x.data)
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(models.Network, "forward", recording)
+    rows = np.random.default_rng(3).normal(size=(3, LENGTH))
+    out = training.network_denoiser(net)(rows)
+    assert out.shape == (3, LENGTH) and out.dtype == dtype
+    (x,) = inputs
+    assert x.dtype == dtype and x.shape == (3, LENGTH, 1)
+    assert x[:, :, 0].tobytes() == rows.astype(dtype).tobytes()
 
 
 def test_validation_mse_subtracts_in_float64():

@@ -19,8 +19,8 @@ from ecglab.signals import Signal, SignalPair
 rng = np.random.default_rng(7)
 
 
-def sig(values, rate=500.0):
-    return Signal(np.asarray(values, dtype=np.float64), rate)
+def row(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -28,42 +28,44 @@ def sig(values, rate=500.0):
 
 
 def test_mse_examples():
-    assert mse(sig([1, 2, 3]), sig([1, 2, 3])) == 0.0
-    assert mse(sig([0, 0]), sig([0.5, 0.5])) == 0.25
-    with pytest.raises(ValueError):
-        mse(sig([1]), sig([1, 2]))
+    assert mse(row([1, 2, 3]), row([1, 2, 3])) == 0.0
+    assert mse(row([0, 0]), row([0.5, 0.5])) == 0.25
+    with pytest.raises(ValueError, match="^length mismatch: 1 vs 2$"):
+        mse(row([1]), row([1, 2]))
+    with pytest.raises(ValueError, match="^length mismatch: 2 vs 1$"):
+        snr_db(row([1, 2]), row([1]))
 
 
 def test_snr_20db_for_10pct_residual():
-    clean = sig(rng.normal(size=1000))
-    test = sig(clean.samples * 1.1)
+    clean = rng.normal(size=1000)
+    test = clean * 1.1
     assert abs(snr_db(clean, test) - 20.0) < 1e-9
 
 
 def test_snr_zero_db_when_residual_equals_signal():
-    clean = sig([1.0, 1.0, 1.0, 1.0])
-    test = sig([2.0, 2.0, 0.0, 0.0])  # residual [1,1,-1,-1], same energy
+    clean = row([1.0, 1.0, 1.0, 1.0])
+    test = row([2.0, 2.0, 0.0, 0.0])  # residual [1,1,-1,-1], same energy
     assert abs(snr_db(clean, test)) < 1e-12
 
 
 def test_snr_identical_is_infinite():
-    clean = sig([1.0, -1.0])
+    clean = row([1.0, -1.0])
     assert snr_db(clean, clean) == math.inf
 
 
 def test_snr_zero_clean_rejected():
     with pytest.raises(ValueError):
-        snr_db(sig([0.0, 0.0]), sig([1.0, 0.0]))
+        snr_db(row([0.0, 0.0]), row([1.0, 0.0]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 9999), scale=st.floats(0.1, 0.9))
 def test_snr_monotone_in_residual(seed, scale):
     g = np.random.default_rng(seed)
-    clean = sig(g.normal(size=64))
+    clean = g.normal(size=64)
     resid = g.normal(size=64)
-    big = sig(clean.samples + resid)
-    small = sig(clean.samples + scale * resid)
+    big = clean + resid
+    small = clean + scale * resid
     assert snr_db(clean, small) > snr_db(clean, big)
 
 
@@ -71,10 +73,10 @@ def test_snr_monotone_in_residual(seed, scale):
 @given(seed=st.integers(0, 9999))
 def test_snr_mse_consistency(seed):
     g = np.random.default_rng(seed)
-    clean = sig(g.normal(size=128))
-    test = sig(g.normal(size=128))
+    clean = g.normal(size=128)
+    test = g.normal(size=128)
     lhs = snr_db(clean, test)
-    rhs = 10 * math.log10(float(np.mean(clean.samples**2)) / mse(clean, test))
+    rhs = 10 * math.log10(float(np.mean(clean**2)) / mse(clean, test))
     assert abs(lhs - rhs) < 1e-9
 
 
@@ -145,23 +147,61 @@ def test_report_validation():
 
 
 def _halved(noisy):
-    return [Signal(s.samples / 2, s.sample_rate_hz) for s in noisy]
+    return noisy / 2
 
 
 def test_reports_do_not_depend_on_the_chunk_size(ecg_60bpm, ecg_90bpm, monkeypatch):
     pairs = synth.make_training_pairs([ecg_60bpm, ecg_90bpm] * 3, gamma=1.0, seed=2)
+    clean = np.stack([p.clean.samples for p in pairs])
+    noisy = np.stack([p.noisy.samples for p in pairs])
     denoisers = {"none": None, "halved": _halved}
-    whole = metrics.evaluate_denoisers(denoisers, pairs)
+    whole = metrics.evaluate_denoisers(denoisers, clean, noisy, 500.0)
     monkeypatch.setattr(metrics, "INFER_BATCH", 4)  # chunks of 4 and 2 pairs
-    assert metrics.evaluate_denoisers(denoisers, pairs) == whole
+    assert metrics.evaluate_denoisers(denoisers, clean, noisy, 500.0) == whole
     assert [metrics.evaluate_denoiser(fn, pairs, tag) for tag, fn in denoisers.items()] == whole
 
 
-def test_pairs_of_two_lengths_are_scored_as_apart(ecg_60bpm, ecg_90bpm):
-    """Signals of each length are detected in their own stack."""
-    short = Signal(ecg_90bpm.samples[:3000], 500.0)
-    pairs = synth.make_training_pairs([ecg_60bpm, short], gamma=1.0, seed=4)
-    both = evaluate_denoiser(_halved, pairs, "x")
-    apart = [evaluate_denoiser(_halved, [p], "x") for p in pairs]
-    assert both.delta_hr_hz == float(np.mean([r.delta_hr_hz for r in apart]))
-    assert both.mse == float(np.mean([r.mse for r in apart]))
+def test_evaluate_denoisers_scores_float32_rows_as_their_float64_values(ecg_60bpm, ecg_90bpm):
+    """`eval`'s float32 pair arrays score as the float64 rows they cast to."""
+    pairs = synth.make_training_pairs([ecg_60bpm, ecg_90bpm] * 2, gamma=1.0, seed=3)
+    clean = np.stack([p.clean.samples for p in pairs]).astype(np.float32)
+    noisy = np.stack([p.noisy.samples for p in pairs]).astype(np.float32)
+    denoisers = {"none": None, "halved": _halved}
+    assert (metrics.evaluate_denoisers(denoisers, clean, noisy, 500.0)
+            == metrics.evaluate_denoisers(denoisers, np.float64(clean), np.float64(noisy), 500.0))
+
+
+def test_a_denoiser_that_changes_the_shape_is_refused_by_tag(ecg_60bpm):
+    pairs = synth.make_training_pairs([ecg_60bpm] * 2, gamma=1.0, seed=4)
+    with pytest.raises(ValueError, match=r"^short restored \(2, 5000\) noisy rows as \(2, 4999\)$"):
+        evaluate_denoiser(lambda x: x[:, 1:], pairs, "short")
+
+
+def test_a_non_finite_restored_sample_is_refused_naming_the_pair(ecg_60bpm, monkeypatch):
+    pairs = synth.make_training_pairs([ecg_60bpm] * 6, gamma=1.0, seed=4)
+    monkeypatch.setattr(metrics, "INFER_BATCH", 4)
+
+    def blows_up(x):
+        out = x.copy()
+        out[-1, 7] = np.inf  # the last row of each chunk: pair 3 first
+        return out
+
+    with pytest.raises(ValueError, match="^blows_up restored a NaN or inf sample in pair 3$"):
+        evaluate_denoiser(blows_up, pairs, "blows_up")
+
+
+def test_pairs_of_two_lengths_are_refused_in_one_line(ecg_60bpm, ecg_90bpm):
+    """Pairs of another length or another rate are refused, naming both."""
+    for length, rate, found in ((3000, 500.0, "3000 samples at 500.0 Hz and 5000 samples at 500.0 Hz"),
+                                (5000, 250.0, "5000 samples at 250.0 Hz and 5000 samples at 500.0 Hz")):
+        other = Signal(ecg_90bpm.samples[:length], rate)
+        pairs = synth.make_training_pairs([ecg_60bpm], gamma=1.0, seed=4) + [SignalPair(other, other)]
+        with pytest.raises(ValueError, match=f"^pairs must share one length and sample rate, found {found}$"):
+            evaluate_denoiser(_halved, pairs, "x")
+
+
+def test_no_pairs_are_refused():
+    with pytest.raises(ValueError, match="^no pairs to evaluate$"):
+        evaluate_denoiser(None, [], "x")
+    with pytest.raises(ValueError, match="^no pairs to evaluate$"):
+        metrics.evaluate_denoisers({"x": None}, np.zeros((0, 5000)), np.zeros((0, 5000)), 500.0)

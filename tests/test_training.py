@@ -1,5 +1,4 @@
 import contextlib
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from ecglab.training import (
     train_gan,
 )
 
-from conftest import poison_generator_updates
+from conftest import pair_set, poison_generator_updates, signal_array
 
 
 def sine_signals(seed=0, n=64, length=128, rate=64.0):
@@ -33,7 +32,7 @@ def sine_signals(seed=0, n=64, length=128, rate=64.0):
 
 def make_sines(**kw):
     """`train_gan`'s [N, L, 1] input of `sine_signals(**kw)`."""
-    return training._signals_to_array(sine_signals(**kw), "training signal")
+    return signal_array(sine_signals(**kw))
 
 
 def _rows(log, kind):
@@ -322,12 +321,6 @@ def test_gan_insufficient_data():
         train_gan(make_sines(n=4), tiny_gan_cfg(), seed=0)
 
 
-def test_gan_rejects_mixed_lengths():
-    sigs = sine_signals(n=8) + [Signal(np.zeros(64), 64.0)]
-    with pytest.raises(ValueError, match="^all training signals must share one length$"):
-        training._signals_to_array(sigs, "training signal")
-
-
 def test_trainers_refuse_no_data():
     empty = np.zeros((0, 128, 1), dtype=np.float32)
     with pytest.raises(ValueError, match="^no training signals$"):
@@ -408,14 +401,9 @@ def _identity_pairs(n=24, length=96, rate=64.0, seed=0):
     return out
 
 
-def _pair_arrays(pairs):
-    """`train_denoiser`'s (clean, noisy) input of `pairs`."""
-    noisy = training._signals_to_array([p.noisy for p in pairs], "training pair")
-    return training._signals_to_array([p.clean for p in pairs], "training pair"), noisy
-
-
 def _identity_arrays(**kw):
-    return _pair_arrays(_identity_pairs(**kw))
+    """`train_denoiser`'s (clean, noisy) input of `_identity_pairs(**kw)`."""
+    return pair_set(_identity_pairs(**kw))[:2]
 
 
 def test_denoiser_pretrained_needs_checkpoint():
@@ -426,19 +414,6 @@ def test_denoiser_pretrained_needs_checkpoint():
 def test_denoiser_unknown_variant():
     with pytest.raises(ValueError):
         train_denoiser(*_identity_arrays(), RunConfig(model_dim=2, epochs=1), "dropout", seed=0)
-
-
-def test_denoiser_names_a_sample_that_overflows_float32():
-    """A finite sample beyond float32's range is refused by name, with no
-    numpy overflow warning, not reported as the inf the cast would make."""
-    pairs = _identity_pairs(n=8)
-    noisy = pairs[3].noisy.samples.copy()
-    noisy[40] = 1e39
-    pairs[3] = SignalPair(pairs[3].clean, Signal(noisy, 64.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^training pair 3 holds a sample that overflows float32$"):
-            _pair_arrays(pairs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -497,7 +472,7 @@ def test_denoiser_best_checkpoint_retained():
 def test_inception_best_checkpoint_retained():
     rng = np.random.default_rng(0)
     sigs = [Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8)]
-    samples = training._signals_to_array(sigs, "training signal")
+    samples = signal_array(sigs)
     labels = rng.integers(0, 2, size=(8, 5)).astype(np.uint8)
     cfg = RunConfig(epochs=3, batch_size=4, adam_lr=1e-2, val_fraction=0.25)
     net, log = training.train_inception(samples, labels, 500.0, cfg, seed=1)
@@ -526,7 +501,7 @@ def test_every_spec_layer_runs_in_the_trainers_and_in_infer(monkeypatch):
     train_denoiser(*_identity_arrays(n=8), RunConfig(model_dim=2, epochs=1, batch_size=4), "phase_shuffle", seed=0)
     rng = np.random.default_rng(0)
     sigs = [Signal(np.sin(np.arange(1024) * rng.uniform(0.05, 0.5)), 500.0) for _ in range(8)]
-    training.train_inception(training._signals_to_array(sigs, "training signal"),
+    training.train_inception(signal_array(sigs),
                              rng.integers(0, 2, size=(8, 5)).astype(np.uint8), 500.0,
                              RunConfig(epochs=1, batch_size=4, val_fraction=0.25), seed=0)
     assert runs == {(name, mode): {True} for name in models.NETWORK_NAMES for mode in ("train", "infer")}
@@ -550,8 +525,8 @@ def test_pretrained_variant_runs_and_copies_encoder():
 
 
 def test_ablation_sweep_grid_and_determinism():
-    real = _identity_pairs(n=14, seed=1)
-    synth_pairs = _identity_pairs(n=14, seed=2)
+    real = pair_set(_identity_pairs(n=14, seed=1))
+    synth_pairs = pair_set(_identity_pairs(n=14, seed=2))
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     rows = training.ablation_sweep(real, synth_pairs, [2, 4], cfg, 3, training.COMPOSITIONS)
     assert len(rows) == 6
@@ -568,8 +543,8 @@ def test_ablation_sweep_grid_and_determinism():
 
 
 def test_ablation_sweep_size_exceeds_data(monkeypatch):
-    real = _identity_pairs(n=6, seed=1)
-    synth_pairs = _identity_pairs(n=6, seed=2)
+    real = pair_set(_identity_pairs(n=6, seed=1))
+    synth_pairs = pair_set(_identity_pairs(n=6, seed=2))
     cfg = RunConfig(model_dim=2, epochs=1, batch_size=4)
     with pytest.raises(ValueError):
         training.ablation_sweep(real, synth_pairs, [100], cfg, 0, training.COMPOSITIONS)
@@ -582,3 +557,4 @@ def test_ablation_sweep_size_exceeds_data(monkeypatch):
                                   ([2], ("mixed", "mixed"), "composition 'mixed' is given twice")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             training.ablation_sweep(real, synth_pairs, sizes, cfg, seed=0, compositions=comps)
+
